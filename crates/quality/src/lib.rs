@@ -97,19 +97,6 @@ where
     (n > 0).then(|| sum / n as f64)
 }
 
-/// Mean squared error over paired **integer** samples — the bridge the
-/// `xlac-sim` accelerator sweeps use to score exact-vs-approximate
-/// integer outputs without materializing float grids. Exact for
-/// magnitudes below 2^53 (every workspace datapath output qualifies).
-///
-/// Returns `None` when the iterator is empty.
-pub fn mse_int_pairs<I>(pairs: I) -> Option<f64>
-where
-    I: IntoIterator<Item = (u64, u64)>,
-{
-    mse_pairs(pairs.into_iter().map(|(x, y)| (x as f64, y as f64)))
-}
-
 /// Mean absolute error over paired samples from any iterator.
 ///
 /// Returns `None` when the iterator is empty.

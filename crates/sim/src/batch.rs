@@ -25,6 +25,46 @@
 use crate::jit::CompiledProgram;
 use xlac_core::lanes::{self, PlaneBlock, LANES};
 
+/// One 64-lane word of operand pairs: the `a` lanes, then the `b` lanes.
+pub(crate) type Pair = ([u64; LANES], [u64; LANES]);
+
+/// Writes the input planes of one word of a two-operand program: operand
+/// `a` into planes `0..width`, operand `b` into planes `width..2·width`.
+pub(crate) fn pack_pair(planes: &mut [u64], (a, b): &Pair, width: usize) {
+    planes[..width].copy_from_slice(&lanes::to_planes(a, width));
+    planes[width..].copy_from_slice(&lanes::to_planes(b, width));
+}
+
+/// An evaluator running `prog` on `B`-wide plane blocks: the one place
+/// that packs up to `B::WORDS` 64-lane words into blocks (`pack` writes a
+/// word's input planes; unused words stay zero), runs the program and
+/// appends each word's 64 lane values to the output.
+pub(crate) fn block_evaluator<'p, B: PlaneBlock, W>(
+    prog: &'p CompiledProgram,
+    pack: impl Fn(&W, &mut [u64]) + Clone + 'p,
+) -> impl FnMut(&[W], &mut Vec<[u64; LANES]>) + Clone + 'p {
+    assert!(prog.n_outputs() <= 64, "more than 64 outputs exceed a u64 lane value");
+    let (n_in, n_out) = (prog.n_inputs(), prog.n_outputs());
+    let (mut inputs, mut regs, mut outs) = (vec![B::zeros(); n_in], Vec::new(), Vec::new());
+    let mut planes = vec![0u64; n_in.max(n_out)];
+    move |words, out| {
+        inputs.fill(B::zeros());
+        for (s, word) in words.iter().enumerate() {
+            pack(word, &mut planes[..n_in]);
+            for (inp, &p) in inputs.iter_mut().zip(&planes) {
+                inp.set_word(s, p);
+            }
+        }
+        prog.run_into(&inputs, &mut regs, &mut outs);
+        for s in 0..words.len() {
+            for (p, o) in planes.iter_mut().zip(&outs) {
+                *p = o.word(s);
+            }
+            out.push(lanes::from_planes(&planes[..n_out]));
+        }
+    }
+}
+
 /// Evaluates an arbitrary-length batch of operand pairs through a
 /// compiled two-operand program (operand `a` in inputs `0..width`,
 /// operand `b` in inputs `width..2·width`), `64 × B::WORDS` pairs per
@@ -46,45 +86,19 @@ pub fn eval_pairs<B: PlaneBlock>(
     pairs: &[(u64, u64)],
 ) -> Vec<u64> {
     assert_eq!(prog.n_inputs(), 2 * width, "program inputs must be 2 x width");
-    assert!(prog.n_outputs() <= 64, "more than 64 outputs exceed a u64 lane value");
-    let mut out = Vec::with_capacity(pairs.len());
-    let mut inputs: Vec<B> = vec![B::zeros(); 2 * width];
-    let mut regs: Vec<B> = Vec::new();
-    let mut outs: Vec<B> = Vec::new();
-    let mut out_planes: Vec<u64> = vec![0u64; prog.n_outputs()];
-    let block_lanes = LANES * B::WORDS;
-    for block in pairs.chunks(block_lanes) {
-        // Pad-and-mask: start from all-zero planes, scatter only the
-        // inhabited lanes in.
-        for inp in inputs.iter_mut() {
-            *inp = B::zeros();
-        }
-        let mut a_word = [0u64; LANES];
-        let mut b_word = [0u64; LANES];
-        for (s, word_pairs) in block.chunks(LANES).enumerate() {
-            a_word.fill(0);
-            b_word.fill(0);
-            for (j, &(a, b)) in word_pairs.iter().enumerate() {
-                a_word[j] = a;
-                b_word[j] = b;
-            }
-            let ap = lanes::to_planes(&a_word, width);
-            let bp = lanes::to_planes(&b_word, width);
-            for i in 0..width {
-                inputs[i].set_word(s, ap[i]);
-                inputs[width + i].set_word(s, bp[i]);
-            }
-        }
-        prog.run_into(&inputs, &mut regs, &mut outs);
-        for (s, word_pairs) in block.chunks(LANES).enumerate() {
-            for (p, o) in out_planes.iter_mut().zip(&outs) {
-                *p = o.word(s);
-            }
-            let vals = lanes::from_planes(&out_planes);
-            out.extend_from_slice(&vals[..word_pairs.len()]);
-        }
+    let mut eval = block_evaluator::<B, _>(prog, |p, planes| pack_pair(planes, p, width));
+    // Pad-and-mask: the lanes past the last pair carry the zero operand,
+    // and their values are cut off the end of the output.
+    let lane = |word: &[(u64, u64)], f: fn(&(u64, u64)) -> u64| -> [u64; LANES] {
+        std::array::from_fn(|j| word.get(j).map_or(0, f))
+    };
+    let words: Vec<Pair> =
+        pairs.chunks(LANES).map(|w| (lane(w, |p| p.0), lane(w, |p| p.1))).collect();
+    let mut vals = Vec::with_capacity(words.len());
+    for block in words.chunks(B::WORDS) {
+        eval(block, &mut vals);
     }
-    out
+    vals.into_iter().flatten().take(pairs.len()).collect()
 }
 
 /// [`eval_pairs`] with the plane-block width chosen from the batch size:

@@ -28,12 +28,14 @@
 //!   split off the parent sequentially before any thread runs, and chunk
 //!   results merge in chunk-index order; `auto_chunk_size` picks a chunk
 //!   size with load-balancing slack from the trial count alone.
-//! * [`sweeps`] — error-sweep drivers for multipliers, GeAr adders
-//!   (with and without the error-correction loop) and the SAD
-//!   accelerator, each with a scalar twin evaluating identical operands
-//!   through the golden models, plus compiled-program sweep drivers
-//!   (`compiled_pair_sweep`, `compiled_sad_sweep`) generic over the
-//!   plane-block width.
+//! * [`sweeps`] — error sweeps of multipliers, GeAr adders (with and
+//!   without the error-correction loop), the SAD accelerator and
+//!   compiled or interpreted netlists, all short calls into one chunked
+//!   driver that varies only the operand batch, the evaluator (scalar
+//!   model, hand `*_x64`, interpreted netlist, or compiled program at any
+//!   plane-block width), the exact reference and a side tally; each
+//!   bit-sliced sweep has a scalar twin evaluating identical operands
+//!   through the golden models.
 //!
 //! # Example
 //!

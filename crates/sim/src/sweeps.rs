@@ -1,28 +1,38 @@
 //! Monte-Carlo sweep drivers on the bit-sliced evaluators.
 //!
-//! Each driver comes in two flavours sharing one operand-drawing
-//! discipline: the bit-sliced sweep (64 trials per arithmetic pass) and a
-//! `_scalar` twin that evaluates the same operands one lane at a time
-//! through the golden scalar models. Because both flavours consume the
-//! RNG identically, their results are **equal by construction** — the
-//! scalar twin is the reference the differential tests and the
-//! `bitslice` benchmark compare against.
+//! Every public sweep is a short call into one private driver, `drive`,
+//! which owns the chunking, the draws, the ragged-tail mask, accumulation
+//! and the chunk-order merge; a sweep picks only its operand batch, its
+//! evaluator, its exact reference and its side sums. Each bit-sliced
+//! sweep has a `_scalar` twin evaluating the same operands
+//! one lane at a time through the golden scalar models, so their results
+//! are **equal by construction** — the scalar twin is the reference the
+//! differential tests and the `bitslice` benchmark compare against.
 
+use crate::batch::{block_evaluator, pack_pair, Pair};
 use crate::jit::CompiledProgram;
 use crate::runner::{run_chunks, DEFAULT_CHUNK};
 use xlac_accel::sad::SadAccelerator;
-use xlac_adders::{AddOutcomeX64, GeArAdder};
+use xlac_adders::GeArAdder;
 use xlac_core::dist::InputDistribution;
-use xlac_core::lanes;
-use xlac_core::lanes::PlaneBlock;
+use xlac_core::lanes::{self, PlaneBlock, LANES};
 use xlac_core::metrics::{ErrorAccumulator, ErrorStats};
 use xlac_core::rng::{DefaultRng, Rng};
 use xlac_logic::Netlist;
 use xlac_multipliers::{Multiplier, MultiplierX64};
 use xlac_obs::{obs_count, obs_gauge, obs_span};
 
-/// One 64-lane batch of reference/candidate pixel values per block word.
-type SadBatch = (Vec<[u64; 64]>, Vec<[u64; 64]>);
+/// The values of one 64-lane batch.
+type Values = [u64; LANES];
+/// One 64-lane batch of current/reference pixel values per block slot.
+type SadBatch = (Vec<Values>, Vec<Values>);
+/// One evaluated GeAr batch: per lane, the sum, the sub-adder detections
+/// of the final evaluation and the correction passes.
+type GearLanes = (Values, Values, Values);
+/// The two side sums a sweep keeps over its unmasked lanes: GeAr
+/// detections and correction passes, or the SAD squared error. They are
+/// integers, so the chunk merge is exact.
+type Side = [u128; 2];
 
 /// Configuration of one Monte-Carlo sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,36 +103,86 @@ impl SweepOptions {
     }
 }
 
-/// Draws one 64-lane operand batch from `dist`: two lane-value arrays of
-/// `width`-bit values. Both sweep flavours call this, so they see
-/// identical operands. The uniform path consumes exactly one `fill_u64`
-/// per operand array — the historical discipline, byte for byte.
-fn draw_operands(
-    rng: &mut DefaultRng,
-    width: usize,
-    dist: InputDistribution,
-) -> ([u64; 64], [u64; 64]) {
-    let a = dist.draw_batch(rng, width);
-    let b = dist.draw_batch(rng, width);
-    (a, b)
-}
-
-/// Folds per-chunk accumulators in chunk-index order.
-fn merge_chunks(chunks: &[ErrorAccumulator]) -> ErrorStats {
-    let mut total = ErrorAccumulator::new();
-    for acc in chunks {
+/// The one Monte-Carlo driver behind every public sweep. Each chunk of
+/// [`run_chunks`] draws exactly `ceil(n / 64)` batches with `draw`, in
+/// order, and hands them up to `pass` at a time to its own evaluator (one
+/// output per batch). Lanes past the chunk's last trial are masked; the
+/// others go batch by batch, lane by lane, into the error accumulator as
+/// `(exact, approx)`, where `lane(output, j, exact)` gives `approx` and
+/// the side sums. Chunks merge in chunk order, whatever the thread count.
+fn drive<Op, Out, E: FnMut(&[Op], &mut Vec<Out>)>(
+    opts: &SweepOptions,
+    pass: usize,
+    draw: impl Fn(&mut DefaultRng) -> Op + Sync,
+    evaluator: impl Fn() -> E + Sync,
+    exact: impl Fn(&Op, usize) -> u64 + Sync,
+    lane: impl Fn(&Out, usize, u64) -> (u64, Side) + Sync,
+) -> (ErrorStats, Side) {
+    let chunks = run_chunks(opts.trials, opts.seed, opts.threads, opts.chunk, |_, n, mut rng| {
+        let (mut eval, mut acc, mut side) = (evaluator(), ErrorAccumulator::new(), [0; 2]);
+        let (mut ops, mut outs) = (Vec::with_capacity(pass), Vec::with_capacity(pass));
+        let mut remaining = n;
+        while remaining > 0 {
+            let batches = remaining.div_ceil(LANES as u64).min(pass as u64);
+            ops.clear();
+            ops.extend((0..batches).map(|_| draw(&mut rng)));
+            outs.clear();
+            eval(&ops, &mut outs);
+            for (op, out) in ops.iter().zip(&outs) {
+                let lanes_n = remaining.min(LANES as u64) as usize;
+                for j in 0..lanes_n {
+                    let e = exact(op, j);
+                    let (a, s) = lane(out, j, e);
+                    acc.push(e, a);
+                    side = add(side, s);
+                }
+                remaining -= lanes_n as u64;
+            }
+        }
+        obs_count!("sim.sweep.lanes", n.div_ceil(LANES as u64) * LANES as u64);
+        (acc, side)
+    });
+    let (mut total, mut side) = (ErrorAccumulator::new(), [0; 2]);
+    for (acc, s) in &chunks {
         total.merge(acc);
+        side = add(side, *s);
     }
-    total.finish()
-}
-
-/// Publishes the merged sweep statistics to the observability registry.
-/// Runs on the caller thread after the deterministic merge, so the
-/// figures never depend on worker scheduling.
-fn record_sweep_stats(stats: &ErrorStats) {
+    let stats = total.finish();
+    // Published on the caller thread after the deterministic merge.
     obs_count!("sim.sweep.errors", stats.error_count);
     obs_gauge!("sim.sweep.distinct_error_values", stats.distinct_error_values.len() as f64);
     obs_gauge!("sim.sweep.distinct_saturated", f64::from(u8::from(stats.distinct_saturated)));
+    (stats, side)
+}
+
+fn add(x: Side, y: Side) -> Side {
+    [x[0] + y[0], x[1] + y[1]]
+}
+
+/// A per-chunk evaluator that maps each batch through `f` on its own.
+fn each<Op, Out>(mut f: impl FnMut(&Op) -> Out) -> impl FnMut(&[Op], &mut Vec<Out>) {
+    move |ops, outs| outs.extend(ops.iter().map(&mut f))
+}
+
+/// A lane of plain values, with no side sums.
+fn plain(out: &Values, j: usize, _: u64) -> (u64, Side) {
+    (out[j], [0; 2])
+}
+
+/// [`drive`] over `width`-bit operand pairs drawn from `opts.dist` (one
+/// `draw_batch` per operand array, so the uniform path consumes the RNG
+/// byte for byte like the historical sweeps), against `exact(a, b)`.
+fn pair_drive<Out, E: FnMut(&[Pair], &mut Vec<Out>)>(
+    opts: &SweepOptions,
+    width: usize,
+    pass: usize,
+    evaluator: impl Fn() -> E + Sync,
+    exact: impl Fn(u64, u64) -> u64 + Sync,
+    lane: impl Fn(&Out, usize, u64) -> (u64, Side) + Sync,
+) -> (ErrorStats, Side) {
+    let draw =
+        |rng: &mut DefaultRng| (opts.dist.draw_batch(rng, width), opts.dist.draw_batch(rng, width));
+    drive(opts, pass, draw, evaluator, |(a, b): &Pair, j| exact(a[j], b[j]), lane)
 }
 
 /// Monte-Carlo error sweep of a multiplier on the bit-sliced evaluator:
@@ -130,27 +190,10 @@ fn record_sweep_stats(stats: &ErrorStats) {
 pub fn multiplier_sweep<M: MultiplierX64 + ?Sized>(m: &M, opts: &SweepOptions) -> ErrorStats {
     let _span = obs_span!("sim.multiplier_sweep");
     let w = m.width();
-    let chunks = run_chunks(opts.trials, opts.seed, opts.threads, opts.chunk, |_, n, mut rng| {
-        let mut acc = ErrorAccumulator::new();
-        let mut batches = 0u64;
-        let mut remaining = n;
-        while remaining > 0 {
-            let lanes_n = remaining.min(lanes::LANES as u64) as usize;
-            let (a, b) = draw_operands(&mut rng, w, opts.dist);
-            let planes = m.mul_x64(&lanes::to_planes(&a, w), &lanes::to_planes(&b, w));
-            let approx = lanes::from_planes(&planes);
-            for j in 0..lanes_n {
-                acc.push(a[j] * b[j], approx[j]);
-            }
-            batches += 1;
-            remaining -= lanes_n as u64;
-        }
-        obs_count!("sim.sweep.lanes", batches * lanes::LANES as u64);
-        acc
-    });
-    let stats = merge_chunks(&chunks);
-    record_sweep_stats(&stats);
-    stats
+    let eval = |(a, b): &Pair| {
+        lanes::from_planes(&m.mul_x64(&lanes::to_planes(a, w), &lanes::to_planes(b, w)))
+    };
+    pair_drive(opts, w, 1, || each(eval), |a, b| a * b, plain).0
 }
 
 /// The scalar twin of [`multiplier_sweep`]: same operands, evaluated one
@@ -162,23 +205,8 @@ pub fn multiplier_sweep_scalar<M: Multiplier + Sync + ?Sized>(
     opts: &SweepOptions,
 ) -> ErrorStats {
     let _span = obs_span!("sim.multiplier_sweep_scalar");
-    let w = m.width();
-    let chunks = run_chunks(opts.trials, opts.seed, opts.threads, opts.chunk, |_, n, mut rng| {
-        let mut acc = ErrorAccumulator::new();
-        let mut remaining = n;
-        while remaining > 0 {
-            let lanes_n = remaining.min(lanes::LANES as u64) as usize;
-            let (a, b) = draw_operands(&mut rng, w, opts.dist);
-            for j in 0..lanes_n {
-                acc.push(a[j] * b[j], m.mul(a[j], b[j]));
-            }
-            remaining -= lanes_n as u64;
-        }
-        acc
-    });
-    let stats = merge_chunks(&chunks);
-    record_sweep_stats(&stats);
-    stats
+    let eval = |(a, b): &Pair| -> Values { std::array::from_fn(|j| m.mul(a[j], b[j])) };
+    pair_drive(opts, m.width(), 1, || each(eval), |a, b| a * b, plain).0
 }
 
 /// Monte-Carlo error sweep of a compiled two-operand datapath
@@ -208,56 +236,8 @@ where
 {
     let _span = obs_span!("sim.compiled_pair_sweep");
     assert_eq!(prog.n_inputs(), 2 * width, "program inputs must be 2 x width");
-    assert!(prog.n_outputs() <= 64, "more than 64 outputs exceed a u64 lane value");
-    let chunks = run_chunks(opts.trials, opts.seed, opts.threads, opts.chunk, |_, n, mut rng| {
-        let mut acc = ErrorAccumulator::new();
-        let mut inputs: Vec<B> = vec![B::zeros(); 2 * width];
-        let mut regs: Vec<B> = Vec::new();
-        let mut outs: Vec<B> = Vec::new();
-        let mut batch_ab: Vec<([u64; 64], [u64; 64])> = Vec::with_capacity(B::WORDS);
-        let mut out_planes: Vec<u64> = vec![0u64; prog.n_outputs()];
-        let mut batches = 0u64;
-        let mut remaining = n;
-        while remaining > 0 {
-            let sub = B::WORDS.min(usize::try_from(remaining.div_ceil(lanes::LANES as u64))
-                .expect("batch count fits usize"));
-            batch_ab.clear();
-            for s in 0..sub {
-                let (a, b) = draw_operands(&mut rng, width, opts.dist);
-                let ap = lanes::to_planes(&a, width);
-                let bp = lanes::to_planes(&b, width);
-                for i in 0..width {
-                    inputs[i].set_word(s, ap[i]);
-                    inputs[width + i].set_word(s, bp[i]);
-                }
-                batch_ab.push((a, b));
-            }
-            // Zero stale words of a partial final block.
-            for s in sub..B::WORDS {
-                for inp in inputs.iter_mut() {
-                    inp.set_word(s, 0);
-                }
-            }
-            prog.run_into(&inputs, &mut regs, &mut outs);
-            for (s, (a, b)) in batch_ab.iter().enumerate() {
-                let lanes_n = remaining.min(lanes::LANES as u64) as usize;
-                for (p, o) in out_planes.iter_mut().zip(&outs) {
-                    *p = o.word(s);
-                }
-                let vals = lanes::from_planes(&out_planes);
-                for j in 0..lanes_n {
-                    acc.push(exact(a[j], b[j]), vals[j]);
-                }
-                batches += 1;
-                remaining -= lanes_n as u64;
-            }
-        }
-        obs_count!("sim.sweep.lanes", batches * lanes::LANES as u64);
-        acc
-    });
-    let stats = merge_chunks(&chunks);
-    record_sweep_stats(&stats);
-    stats
+    let eval = block_evaluator::<B, _>(prog, move |p, planes| pack_pair(planes, p, width));
+    pair_drive(opts, width, B::WORDS, || eval.clone(), exact, plain).0
 }
 
 /// The interpreted twin of [`compiled_pair_sweep`]: the same operands,
@@ -281,29 +261,15 @@ where
     let _span = obs_span!("sim.interpreted_pair_sweep");
     assert_eq!(netlist.n_inputs(), 2 * width, "netlist inputs must be 2 x width");
     assert!(netlist.n_outputs() <= 64, "more than 64 outputs exceed a u64 lane value");
-    let chunks = run_chunks(opts.trials, opts.seed, opts.threads, opts.chunk, |_, n, mut rng| {
-        let mut acc = ErrorAccumulator::new();
-        let mut inputs: Vec<u64> = vec![0u64; 2 * width];
-        let mut values: Vec<u64> = Vec::new();
-        let mut outputs: Vec<u64> = Vec::new();
-        let mut remaining = n;
-        while remaining > 0 {
-            let lanes_n = remaining.min(lanes::LANES as u64) as usize;
-            let (a, b) = draw_operands(&mut rng, width, opts.dist);
-            inputs[..width].copy_from_slice(&lanes::to_planes(&a, width));
-            inputs[width..].copy_from_slice(&lanes::to_planes(&b, width));
+    let evaluator = || {
+        let (mut inputs, mut values, mut outputs) = (vec![0; 2 * width], Vec::new(), Vec::new());
+        each(move |p: &Pair| {
+            pack_pair(&mut inputs, p, width);
             netlist.eval_words_into(&inputs, &mut values, &mut outputs);
-            let vals = lanes::from_planes(&outputs);
-            for j in 0..lanes_n {
-                acc.push(exact(a[j], b[j]), vals[j]);
-            }
-            remaining -= lanes_n as u64;
-        }
-        acc
-    });
-    let stats = merge_chunks(&chunks);
-    record_sweep_stats(&stats);
-    stats
+            lanes::from_planes(&outputs)
+        })
+    };
+    pair_drive(opts, width, 1, evaluator, exact, plain).0
 }
 
 /// The outcome of a GeAr Monte-Carlo sweep.
@@ -317,16 +283,19 @@ pub struct GearSweepResult {
     pub correction_iterations: u64,
 }
 
-fn gear_eval_x64(
+/// [`pair_drive`] of a GeAr adder against `a + b`, with its detections
+/// and correction passes as the side sums.
+fn gear_drive<E: FnMut(&[Pair], &mut Vec<GearLanes>)>(
     adder: &GeArAdder,
-    a: &[u64],
-    b: &[u64],
-    max_iterations: Option<usize>,
-) -> AddOutcomeX64 {
-    match max_iterations {
-        None => adder.add_x64(a, b),
-        Some(k) => adder.add_with_correction_x64(a, b, k),
-    }
+    opts: &SweepOptions,
+    evaluator: impl Fn() -> E + Sync,
+) -> GearSweepResult {
+    let lane = |(v, d, i): &GearLanes, j: usize, _| (v[j], [d[j], i[j]].map(u128::from));
+    let (stats, side) = pair_drive(opts, adder.n(), 1, evaluator, |a, b| a + b, lane);
+    let [detections, correction_iterations] = side.map(|s| u64::try_from(s).expect("tallies fit u64"));
+    obs_count!("sim.gear.detections", detections);
+    obs_count!("sim.gear.correction_iterations", correction_iterations);
+    GearSweepResult { stats, detections, correction_iterations }
 }
 
 /// Monte-Carlo sweep of a GeAr adder on the bit-sliced evaluator.
@@ -338,45 +307,14 @@ pub fn gear_sweep(
     opts: &SweepOptions,
 ) -> GearSweepResult {
     let _span = obs_span!("sim.gear_sweep");
-    let w = adder.n();
-    let chunks = run_chunks(opts.trials, opts.seed, opts.threads, opts.chunk, |_, n, mut rng| {
-        let mut acc = ErrorAccumulator::new();
-        let (mut det, mut iters) = (0u64, 0u64);
-        let mut batches = 0u64;
-        let mut remaining = n;
-        while remaining > 0 {
-            let lanes_n = remaining.min(lanes::LANES as u64) as usize;
-            let (a, b) = draw_operands(&mut rng, w, opts.dist);
-            let outcome = gear_eval_x64(
-                adder,
-                &lanes::to_planes(&a, w),
-                &lanes::to_planes(&b, w),
-                max_iterations,
-            );
-            let sums = lanes::from_planes(&outcome.value);
-            for j in 0..lanes_n {
-                acc.push(a[j] + b[j], sums[j]);
-                det += u64::from(outcome.errors_detected[j]);
-                iters += u64::from(outcome.correction_iterations[j]);
-            }
-            batches += 1;
-            remaining -= lanes_n as u64;
-        }
-        obs_count!("sim.sweep.lanes", batches * lanes::LANES as u64);
-        (acc, det, iters)
-    });
-    let mut total = ErrorAccumulator::new();
-    let (mut detections, mut correction_iterations) = (0u64, 0u64);
-    for (acc, det, iters) in &chunks {
-        total.merge(acc);
-        detections += det;
-        correction_iterations += iters;
-    }
-    let stats = total.finish();
-    record_sweep_stats(&stats);
-    obs_count!("sim.gear.detections", detections);
-    obs_count!("sim.gear.correction_iterations", correction_iterations);
-    GearSweepResult { stats, detections, correction_iterations }
+    // The plain add is the correction loop with a zero-pass budget.
+    let (w, k) = (adder.n(), max_iterations.unwrap_or(0));
+    let eval = |(a, b): &Pair| {
+        let o = adder.add_with_correction_x64(&lanes::to_planes(a, w), &lanes::to_planes(b, w), k);
+        let widen = |x: [u8; LANES]| x.map(u64::from);
+        (lanes::from_planes(&o.value), widen(o.errors_detected), widen(o.correction_iterations))
+    };
+    gear_drive(adder, opts, || each(eval))
 }
 
 /// The scalar twin of [`gear_sweep`] (see [`multiplier_sweep_scalar`]).
@@ -386,37 +324,13 @@ pub fn gear_sweep_scalar(
     opts: &SweepOptions,
 ) -> GearSweepResult {
     let _span = obs_span!("sim.gear_sweep_scalar");
-    let w = adder.n();
-    let chunks = run_chunks(opts.trials, opts.seed, opts.threads, opts.chunk, |_, n, mut rng| {
-        let mut acc = ErrorAccumulator::new();
-        let (mut det, mut iters) = (0u64, 0u64);
-        let mut remaining = n;
-        while remaining > 0 {
-            let lanes_n = remaining.min(lanes::LANES as u64) as usize;
-            let (a, b) = draw_operands(&mut rng, w, opts.dist);
-            for j in 0..lanes_n {
-                let outcome = match max_iterations {
-                    None => adder.add(a[j], b[j]),
-                    Some(k) => adder.add_with_correction(a[j], b[j], k),
-                };
-                acc.push(a[j] + b[j], outcome.value);
-                det += outcome.errors_detected as u64;
-                iters += outcome.correction_iterations as u64;
-            }
-            remaining -= lanes_n as u64;
-        }
-        (acc, det, iters)
-    });
-    let mut total = ErrorAccumulator::new();
-    let (mut detections, mut correction_iterations) = (0u64, 0u64);
-    for (acc, det, iters) in &chunks {
-        total.merge(acc);
-        detections += det;
-        correction_iterations += iters;
-    }
-    let stats = total.finish();
-    record_sweep_stats(&stats);
-    GearSweepResult { stats, detections, correction_iterations }
+    let k = max_iterations.unwrap_or(0);
+    let eval = |(a, b): &Pair| {
+        let o: [_; LANES] = std::array::from_fn(|j| adder.add_with_correction(a[j], b[j], k));
+        let det = o.each_ref().map(|o| o.errors_detected as u64);
+        (o.each_ref().map(|o| o.value), det, o.each_ref().map(|o| o.correction_iterations as u64))
+    };
+    gear_drive(adder, opts, || each(eval))
 }
 
 /// The outcome of a SAD Monte-Carlo sweep.
@@ -434,34 +348,40 @@ pub struct SadSweepResult {
 }
 
 /// Draws one batch of 64 random block pairs, pixel-slot-major, with 8-bit
-/// pixels. Shared by both SAD sweep flavours.
-fn draw_blocks(rng: &mut DefaultRng, slots: usize) -> (Vec<[u64; 64]>, Vec<[u64; 64]>) {
-    let mut cur = vec![[0u64; 64]; slots];
-    let mut refb = vec![[0u64; 64]; slots];
-    for i in 0..slots {
-        rng.fill_u64(&mut cur[i]);
-        rng.fill_u64(&mut refb[i]);
-        for v in cur[i].iter_mut().chain(refb[i].iter_mut()) {
-            *v &= 0xFF;
-        }
-    }
-    (cur, refb)
+/// pixels.
+fn draw_blocks(rng: &mut DefaultRng, slots: usize) -> SadBatch {
+    let mut pixels = || {
+        let mut v = [0u64; LANES];
+        rng.fill_u64(&mut v);
+        v.map(|p| p & 0xFF)
+    };
+    (0..slots).map(|_| (pixels(), pixels())).unzip()
 }
 
-fn merge_sad_chunks(chunks: &[(ErrorAccumulator, Option<f64>, u64)]) -> SadSweepResult {
-    let mut total = ErrorAccumulator::new();
-    let mut sum_sq = 0.0f64;
-    let mut n = 0u64;
-    for (acc, mse, count) in chunks {
-        total.merge(acc);
-        if let Some(mse) = mse {
-            sum_sq += mse * (*count as f64);
-            n += count;
-        }
-    }
-    let mse = if n == 0 { None } else { Some(sum_sq / n as f64) };
+/// A SAD lane, with its squared error as the first side sum.
+fn squared_error(out: &Values, j: usize, exact: u64) -> (u64, Side) {
+    let d = u128::from(exact.abs_diff(out[j]));
+    (out[j], [d * d, 0])
+}
+
+/// [`drive`] over random `slots`-pixel block pairs against the exact SAD
+/// (`SadAccelerator::sad_exact` of each lane's blocks). The MSE divides
+/// the exact sum of squared errors once, at the end.
+fn sad_drive<E: FnMut(&[SadBatch], &mut Vec<Values>)>(
+    slots: usize,
+    opts: &SweepOptions,
+    pass: usize,
+    evaluator: impl Fn() -> E + Sync,
+) -> SadSweepResult {
+    let draw = |rng: &mut DefaultRng| draw_blocks(rng, slots);
+    let exact = |(cur, refb): &SadBatch, j: usize| {
+        cur.iter().zip(refb).map(|(c, r)| c[j].abs_diff(r[j])).sum()
+    };
+    let (stats, [sum_sq, _]) = drive(opts, pass, draw, evaluator, exact, squared_error);
+    let mse = (stats.samples > 0).then(|| sum_sq as f64 / stats.samples as f64);
+    obs_gauge!("sim.sad.mse", mse.unwrap_or(0.0));
     let psnr = mse.filter(|&m| m > 0.0).map(xlac_quality::psnr_from_mse);
-    SadSweepResult { stats: total.finish(), mse, psnr }
+    SadSweepResult { stats, mse, psnr }
 }
 
 /// Monte-Carlo sweep of a SAD accelerator on the bit-sliced datapath:
@@ -469,70 +389,26 @@ fn merge_sad_chunks(chunks: &[(ErrorAccumulator, Option<f64>, u64)]) -> SadSweep
 /// block pair; 64 pairs evaluate per datapath pass.
 pub fn sad_sweep(sad: &SadAccelerator, opts: &SweepOptions) -> SadSweepResult {
     let _span = obs_span!("sim.sad_sweep");
-    let slots = sad.lanes();
-    let chunks = run_chunks(opts.trials, opts.seed, opts.threads, opts.chunk, |_, n, mut rng| {
-        let mut acc = ErrorAccumulator::new();
-        let mut pairs: Vec<(u64, u64)> = Vec::new();
-        let mut batches = 0u64;
-        let mut remaining = n;
-        while remaining > 0 {
-            let lanes_n = remaining.min(lanes::LANES as u64) as usize;
-            let (cur, refb) = draw_blocks(&mut rng, slots);
-            let to_batches = |vals: &Vec<[u64; 64]>| -> Vec<Vec<u64>> {
-                vals.iter().map(|v| lanes::to_planes(v, SadAccelerator::PIXEL_BITS)).collect()
-            };
-            let planes = sad
-                .sad_x64(&to_batches(&cur), &to_batches(&refb))
-                .expect("drawn pixels are 8-bit and slot counts match");
-            let approx = lanes::from_planes(&planes);
-            for j in 0..lanes_n {
-                let block_c: Vec<u64> = cur.iter().map(|slot| slot[j]).collect();
-                let block_r: Vec<u64> = refb.iter().map(|slot| slot[j]).collect();
-                let exact = SadAccelerator::sad_exact(&block_c, &block_r);
-                acc.push(exact, approx[j]);
-                pairs.push((exact, approx[j]));
-            }
-            batches += 1;
-            remaining -= lanes_n as u64;
-        }
-        obs_count!("sim.sweep.lanes", batches * lanes::LANES as u64);
-        let count = pairs.len() as u64;
-        (acc, xlac_quality::mse_int_pairs(pairs), count)
-    });
-    let result = merge_sad_chunks(&chunks);
-    record_sweep_stats(&result.stats);
-    obs_gauge!("sim.sad.mse", result.mse.unwrap_or(0.0));
-    result
+    let planes = |vals: &Vec<Values>| -> Vec<Vec<u64>> {
+        vals.iter().map(|v| lanes::to_planes(v, SadAccelerator::PIXEL_BITS)).collect()
+    };
+    let eval = |(cur, refb): &SadBatch| {
+        let sums = sad.sad_x64(&planes(cur), &planes(refb));
+        lanes::from_planes(&sums.expect("drawn pixels are 8-bit and slot counts match"))
+    };
+    sad_drive(sad.lanes(), opts, 1, || each(eval))
 }
 
 /// The scalar twin of [`sad_sweep`] (see [`multiplier_sweep_scalar`]).
 pub fn sad_sweep_scalar(sad: &SadAccelerator, opts: &SweepOptions) -> SadSweepResult {
     let _span = obs_span!("sim.sad_sweep_scalar");
-    let slots = sad.lanes();
-    let chunks = run_chunks(opts.trials, opts.seed, opts.threads, opts.chunk, |_, n, mut rng| {
-        let mut acc = ErrorAccumulator::new();
-        let mut pairs: Vec<(u64, u64)> = Vec::new();
-        let mut remaining = n;
-        while remaining > 0 {
-            let lanes_n = remaining.min(lanes::LANES as u64) as usize;
-            let (cur, refb) = draw_blocks(&mut rng, slots);
-            for j in 0..lanes_n {
-                let block_c: Vec<u64> = cur.iter().map(|slot| slot[j]).collect();
-                let block_r: Vec<u64> = refb.iter().map(|slot| slot[j]).collect();
-                let exact = SadAccelerator::sad_exact(&block_c, &block_r);
-                let approx =
-                    sad.sad(&block_c, &block_r).expect("drawn pixels are 8-bit in-range");
-                acc.push(exact, approx);
-                pairs.push((exact, approx));
-            }
-            remaining -= lanes_n as u64;
-        }
-        let count = pairs.len() as u64;
-        (acc, xlac_quality::mse_int_pairs(pairs), count)
-    });
-    let result = merge_sad_chunks(&chunks);
-    record_sweep_stats(&result.stats);
-    result
+    let eval = |(cur, refb): &SadBatch| -> Values {
+        std::array::from_fn(|j| {
+            let block = |slots: &Vec<Values>| -> Vec<u64> { slots.iter().map(|s| s[j]).collect() };
+            sad.sad(&block(cur), &block(refb)).expect("drawn pixels are 8-bit in-range")
+        })
+    };
+    sad_drive(sad.lanes(), opts, 1, || each(eval))
 }
 
 /// Monte-Carlo sweep of a *compiled* SAD datapath
@@ -559,61 +435,14 @@ pub fn compiled_sad_sweep<B: PlaneBlock>(
         prog.n_inputs().is_multiple_of(2 * pixel) && prog.n_inputs() > 0,
         "SAD program inputs must be 2 x PIXEL_BITS planes per slot"
     );
-    assert!(prog.n_outputs() <= 64, "more than 64 outputs exceed a u64 lane value");
-    let slots = prog.n_inputs() / (2 * pixel);
-    let chunks = run_chunks(opts.trials, opts.seed, opts.threads, opts.chunk, |_, n, mut rng| {
-        let mut acc = ErrorAccumulator::new();
-        let mut pairs: Vec<(u64, u64)> = Vec::new();
-        let mut inputs: Vec<B> = vec![B::zeros(); 2 * slots * pixel];
-        let mut regs: Vec<B> = Vec::new();
-        let mut outs: Vec<B> = Vec::new();
-        let mut blocks: Vec<SadBatch> = Vec::with_capacity(B::WORDS);
-        let mut out_planes: Vec<u64> = vec![0u64; prog.n_outputs()];
-        let mut remaining = n;
-        while remaining > 0 {
-            let sub = B::WORDS.min(usize::try_from(remaining.div_ceil(lanes::LANES as u64))
-                .expect("batch count fits usize"));
-            blocks.clear();
-            for s in 0..sub {
-                let (cur, refb) = draw_blocks(&mut rng, slots);
-                for (slot, (c, r)) in cur.iter().zip(&refb).enumerate() {
-                    let cp = lanes::to_planes(c, pixel);
-                    let rp = lanes::to_planes(r, pixel);
-                    for bit in 0..pixel {
-                        inputs[slot * pixel + bit].set_word(s, cp[bit]);
-                        inputs[(slots + slot) * pixel + bit].set_word(s, rp[bit]);
-                    }
-                }
-                blocks.push((cur, refb));
-            }
-            for s in sub..B::WORDS {
-                for inp in inputs.iter_mut() {
-                    inp.set_word(s, 0);
-                }
-            }
-            prog.run_into(&inputs, &mut regs, &mut outs);
-            for (s, (cur, refb)) in blocks.iter().enumerate() {
-                let lanes_n = remaining.min(lanes::LANES as u64) as usize;
-                for (p, o) in out_planes.iter_mut().zip(&outs) {
-                    *p = o.word(s);
-                }
-                let vals = lanes::from_planes(&out_planes);
-                for j in 0..lanes_n {
-                    let block_c: Vec<u64> = cur.iter().map(|slot| slot[j]).collect();
-                    let block_r: Vec<u64> = refb.iter().map(|slot| slot[j]).collect();
-                    let exact = SadAccelerator::sad_exact(&block_c, &block_r);
-                    acc.push(exact, vals[j]);
-                    pairs.push((exact, vals[j]));
-                }
-                remaining -= lanes_n as u64;
-            }
+    // Current-block slots first, then reference-block slots.
+    let pack = move |(cur, refb): &SadBatch, planes: &mut [u64]| {
+        for (i, v) in cur.iter().chain(refb).enumerate() {
+            planes[i * pixel..][..pixel].copy_from_slice(&lanes::to_planes(v, pixel));
         }
-        let count = pairs.len() as u64;
-        (acc, xlac_quality::mse_int_pairs(pairs), count)
-    });
-    let result = merge_sad_chunks(&chunks);
-    record_sweep_stats(&result.stats);
-    result
+    };
+    let eval = block_evaluator::<B, _>(prog, pack);
+    sad_drive(prog.n_inputs() / (2 * pixel), opts, B::WORDS, || eval.clone())
 }
 
 #[cfg(test)]
@@ -639,6 +468,10 @@ mod tests {
                 gear_sweep_scalar(&gear, max_iterations, &opts),
                 "{max_iterations:?}"
             );
+            // The plain add is the zero-budget correction loop.
+            if max_iterations.is_none() {
+                assert_eq!(gear_sweep(&gear, None, &opts), gear_sweep(&gear, Some(0), &opts));
+            }
         }
     }
 
@@ -657,6 +490,21 @@ mod tests {
         } else {
             assert_eq!(mse, 0.0);
         }
+    }
+
+    #[test]
+    fn merged_squared_error_tallies_equal_one_tally_over_both() {
+        let tally = |pairs: &[(u64, u64)]| {
+            pairs.iter().fold([0; 2], |t, &(exact, approx)| {
+                add(t, squared_error(&[approx; LANES], 0, exact).1)
+            })
+        };
+        let first = [(10, 7), (0, 255), (2040, 2040)];
+        let second = [(5, 9), (u64::MAX, 0)];
+        let both = [first.as_slice(), &second].concat();
+        assert_eq!(add(tally(&first), tally(&second)), tally(&both));
+        let max = u128::from(u64::MAX);
+        assert_eq!(tally(&both), [9 + 255 * 255 + 16 + max * max, 0]);
     }
 
     #[test]

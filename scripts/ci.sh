@@ -5,7 +5,12 @@
 # --offline and must succeed on a machine with no network access:
 #
 #   1. release build of every crate and target (warnings are errors);
-#   2. the full test suite;
+#   2. the full test suite, then the benchmark package's tests
+#      (`benchmark/`, its own workspace, including a quick smoke of every
+#      workload): the benchmark calls the sweep entry points,
+#      `symbolic::twins` and `components` directly, so a change under
+#      `crates/` that breaks one of those calls fails here instead of at
+#      the next benchmark run;
 #   3. clippy, when the component is installed (optional — toolchains
 #      without it skip the step rather than fail);
 #   4. xlac-lint: static error-bound validation + netlist lint over all
@@ -81,6 +86,9 @@ cargo build --workspace --release --offline --all-targets
 
 echo "==> cargo test (offline)"
 cargo test -q --workspace --offline
+
+echo "==> benchmark package tests (offline, own workspace)"
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 if cargo clippy --version >/dev/null 2>&1; then
     echo "==> cargo clippy (offline)"

@@ -479,10 +479,15 @@ fn sad_datapath_x64_matches_scalar_on_random_blocks() {
 /// two tests resetting and reading it concurrently would race.
 static OBS_REGISTRY_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-/// Runs a fixed multiplier + GeAr sweep workload at the given thread
-/// count and returns the resulting counter table.
+/// Runs a fixed multiplier + GeAr + compiled + interpreted sweep workload
+/// at the given thread count and returns the resulting counter table.
 fn sweep_counters_with_threads(threads: usize) -> Vec<(String, u64)> {
-    use xlac::sim::sweeps::{gear_sweep, multiplier_sweep, SweepOptions};
+    use xlac::sim::sweeps::{
+        compiled_pair_sweep, gear_sweep, interpreted_pair_sweep, multiplier_sweep, SweepOptions,
+    };
+    let wallace = WallaceMultiplier::new(8, FullAdderKind::Apx2, 5).unwrap();
+    let netlist = xlac::multipliers::hw::wallace_netlist(&wallace);
+    let prog = xlac::sim::CompiledProgram::compile(&netlist);
     xlac::obs::reset();
     let opts = SweepOptions::new(6_000, 0xDE7).threads(threads).chunk(512);
     let m = RecursiveMultiplier::new(8, Mul2x2Kind::ApxSoA, SumMode::Accurate).unwrap();
@@ -491,6 +496,9 @@ fn sweep_counters_with_threads(threads: usize) -> Vec<(String, u64)> {
     let gear = GeArAdder::new(8, 2, 2).unwrap();
     let result = gear_sweep(&gear, Some(1), &opts);
     assert_eq!(result.stats.samples, 6_000);
+    let exact = |a: u64, b: u64| a * b;
+    let compiled = compiled_pair_sweep::<[u64; 4], _>(&prog, 8, exact, &opts);
+    assert_eq!(compiled, interpreted_pair_sweep(&netlist, 8, exact, &opts));
     xlac::obs::snapshot().counters
 }
 
@@ -504,9 +512,11 @@ fn obs_counter_totals_are_thread_count_invariant() {
         let counters = |name: &str| {
             baseline.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
         };
-        assert_eq!(counters("sim.trials"), Some(12_000));
-        assert_eq!(counters("sim.chunks"), Some(24));
-        assert!(counters("sim.sweep.lanes").is_some());
+        // Four sweeps of 6000 trials at chunk 512: 11 full chunks of 8
+        // batches and one 368-trial chunk of 6 batches each.
+        assert_eq!(counters("sim.trials"), Some(4 * 6_000));
+        assert_eq!(counters("sim.chunks"), Some(4 * 12));
+        assert_eq!(counters("sim.sweep.lanes"), Some(4 * (11 * 8 + 6) * 64));
     }
     for threads in [2usize, 4, 8] {
         assert_eq!(

@@ -167,6 +167,128 @@ fn bit_sliced_sweeps_match_their_scalar_twins() {
     }
 }
 
+/// The exactly pinned part of a sweep result: every [`ErrorStats`] field
+/// (floats by bit pattern, the distinct set by its length), then the two
+/// GeAr side tallies (detections, correction passes; zero elsewhere).
+type Pin = [u64; 11];
+
+fn pin(s: &xlac::core::metrics::ErrorStats, side: [u64; 2]) -> Pin {
+    [
+        s.samples,
+        s.error_count,
+        s.error_rate.to_bits(),
+        s.mean_error_distance.to_bits(),
+        s.max_error_distance,
+        s.mean_signed_error.to_bits(),
+        s.mean_relative_error.to_bits(),
+        s.distinct_error_values.len() as u64,
+        u64::from(s.distinct_saturated),
+        side[0],
+        side[1],
+    ]
+}
+
+/// Wallace 8×8 (Apx2 in 5 columns) under uniform, then exponentially
+/// decaying operands: shared by all six pair entry points.
+#[rustfmt::skip]
+const GOLDEN_MUL: [Pin; 2] = [
+    [3000, 2879, 0x3fee_b596_de8c_a11c, 0x4037_33e1_f671_529a, 46,
+        0x4036_7513_cc1e_098f, 0x3fd5_4e6d_83a8_8733, 23, 0, 0, 0],
+    [3000, 2885, 0x3fee_c5f9_2c5f_92c6, 0x4037_a921_735e_e403, 46,
+        0x4037_0e2a_5349_0b9b, 0x4000_ff76_9606_1a0f, 23, 0, 0, 0],
+];
+/// GeAr(12,4,4) at `None`, `Some(0)`, `Some(1)`, `Some(usize::MAX)`,
+/// under uniform, then exponentially decaying operands.
+#[rustfmt::skip]
+const GOLDEN_GEAR: [[Pin; 4]; 2] = [
+    [
+        [3000, 92, 0x3f9f_6715_29a4_85cd, 0x401f_6715_29a4_85cd, 256,
+            0xc01f_6715_29a4_85cd, 0x3f65_1a83_52a8_6347, 1, 0, 92, 0],
+        [3000, 92, 0x3f9f_6715_29a4_85cd, 0x401f_6715_29a4_85cd, 256,
+            0xc01f_6715_29a4_85cd, 0x3f65_1a83_52a8_6347, 1, 0, 92, 0],
+        [3000, 0, 0, 0, 0, 0, 0, 0, 0, 0, 92],
+        [3000, 0, 0, 0, 0, 0, 0, 0, 0, 0, 92],
+    ],
+    [
+        [3000, 90, 0x3f9e_b851_eb85_1eb8, 0x401e_b851_eb85_1eb8, 256,
+            0xc01e_b851_eb85_1eb8, 0x3f91_2465_00c1_69c7, 1, 0, 90, 0],
+        [3000, 90, 0x3f9e_b851_eb85_1eb8, 0x401e_b851_eb85_1eb8, 256,
+            0xc01e_b851_eb85_1eb8, 0x3f91_2465_00c1_69c7, 1, 0, 90, 0],
+        [3000, 0, 0, 0, 0, 0, 0, 0, 0, 0, 90],
+        [3000, 0, 0, 0, 0, 0, 0, 0, 0, 0, 90],
+    ],
+];
+/// ApxSAD3 over 8 slots with 3 approximate LSBs: the statistics, then
+/// the MSE and PSNR bit patterns.
+#[rustfmt::skip]
+const GOLDEN_SAD: (Pin, u64, u64) = (
+    [3000, 2914, 0x3fef_1529_a485_cd7c, 0x4024_0f04_c756_b2dc, 47,
+        0x4020_1fbe_76c8_b439, 0x3f90_1881_5606_a293, 44, 0, 0, 0],
+    0x4063_621c_ac08_3127,
+    0x403a_39c3_658c_8517,
+);
+
+#[test]
+fn every_sweep_entry_point_reproduces_its_golden_pin() {
+    // 3000 trials at chunk 512 leave a ragged final chunk, a ragged final
+    // 64-lane batch and partial plane blocks at every compiled width.
+    use xlac::accel::hw::sad_netlist;
+    use xlac::core::dist::InputDistribution;
+    use xlac::multipliers::hw::wallace_netlist;
+    use xlac::multipliers::WallaceMultiplier;
+    use xlac::sim::*;
+    let wallace = WallaceMultiplier::new(8, FullAdderKind::Apx2, 5).unwrap();
+    let nl = wallace_netlist(&wallace);
+    let prog = CompiledProgram::compile(&nl);
+    let exact = |a: u64, b: u64| a * b;
+    let gear = GeArAdder::new(12, 4, 4).unwrap();
+    let sad = SadAccelerator::new(8, SadVariant::ApxSad3, 3).unwrap();
+    let sad_prog = CompiledProgram::compile(&sad_netlist(&sad));
+    let dists = [InputDistribution::Uniform, InputDistribution::ExponentialDecay];
+    for threads in [1usize, 2] {
+        for (d, dist) in dists.into_iter().enumerate() {
+            let opts = SweepOptions::new(3_000, 0x601D).chunk(512).threads(threads).dist(dist);
+            let pair_sweeps = [
+                ("multiplier_sweep", multiplier_sweep(&wallace, &opts)),
+                ("multiplier_sweep_scalar", multiplier_sweep_scalar(&wallace, &opts)),
+                ("compiled u64", compiled_pair_sweep::<u64, _>(&prog, 8, exact, &opts)),
+                ("compiled x4", compiled_pair_sweep::<[u64; 4], _>(&prog, 8, exact, &opts)),
+                ("compiled x8", compiled_pair_sweep::<[u64; 8], _>(&prog, 8, exact, &opts)),
+                ("interpreted", interpreted_pair_sweep(&nl, 8, exact, &opts)),
+            ];
+            for (name, stats) in &pair_sweeps {
+                assert_eq!(pin(stats, [0, 0]), GOLDEN_MUL[d], "{name} {dist:?} t={threads}");
+            }
+            let budgets = [None, Some(0), Some(1), Some(usize::MAX)];
+            for (k, budget) in budgets.into_iter().enumerate() {
+                let sliced = gear_sweep(&gear, budget, &opts);
+                for r in [sliced, gear_sweep_scalar(&gear, budget, &opts)] {
+                    let got = pin(&r.stats, [r.detections, r.correction_iterations]);
+                    assert_eq!(got, GOLDEN_GEAR[d][k], "gear {budget:?} {dist:?} t={threads}");
+                }
+            }
+            // The SAD sweeps always draw uniform pixels, whatever `dist`.
+            let sad_sweeps = [
+                ("sad_sweep", sad_sweep(&sad, &opts)),
+                ("sad_sweep_scalar", sad_sweep_scalar(&sad, &opts)),
+                ("compiled sad u64", compiled_sad_sweep::<u64>(&sad_prog, &opts)),
+                ("compiled sad x4", compiled_sad_sweep::<[u64; 4]>(&sad_prog, &opts)),
+                ("compiled sad x8", compiled_sad_sweep::<[u64; 8]>(&sad_prog, &opts)),
+            ];
+            let (stats, mse, psnr) = GOLDEN_SAD;
+            for (name, r) in &sad_sweeps {
+                assert_eq!(pin(&r.stats, [0, 0]), stats, "{name} {dist:?} t={threads}");
+                // MSE and PSNR are pinned to 1e-12 relative error: only
+                // their rounding is allowed to move.
+                for (got, want) in [(r.mse, mse), (r.psnr, psnr)] {
+                    let (got, want) = (got.expect("3000 trials"), f64::from_bits(want));
+                    assert!((got - want).abs() <= 1e-12 * want.abs(), "{name}: {got} vs {want}");
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn adaptive_controller_is_deterministic() {
     use xlac::video::adaptive::{AdaptiveEncoder, AdaptivePolicy};
