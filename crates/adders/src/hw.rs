@@ -59,36 +59,68 @@ pub fn ripple_netlist(adder: &RippleCarryAdder) -> Netlist {
 /// result-bit selection (`2N` inputs, `N + 1` outputs).
 #[must_use]
 pub fn gear_netlist(adder: &GeArAdder) -> Netlist {
+    gear_edc_netlist(adder, 0)
+}
+
+/// Elaborates a GeAr adder with `passes` unrolled rounds of the §6.1
+/// error detection and recovery stage (`2N` inputs, `N + 1` outputs):
+/// the netlist computes `add_with_correction(a, b, passes).value`.
+///
+/// Each round re-runs the `k` sub-adder chains with carry-ins set to the
+/// injections decided so far, and flags sub-adder `s` when
+/// `prev_cout ∧ propagate(P) ∧ ¬inject[s]` — the detection rule of
+/// `GeArAdder::run`; the flags are ORed into the injections for the next
+/// round. Only the last round drives the outputs. Rounds beyond `k − 1`
+/// change nothing (the recovery loop's fixed point) and are not unrolled;
+/// `passes = 0` is exactly [`gear_netlist`].
+#[must_use]
+pub fn gear_edc_netlist(adder: &GeArAdder, passes: usize) -> Netlist {
     use crate::adder::Adder;
     use crate::full_adder::FullAdderKind;
+    use xlac_logic::GateKind;
     let n = adder.n();
     let (r, p, l) = (adder.r(), adder.p(), adder.l());
     let k = adder.sub_adder_count();
+    let passes = passes.min(k - 1);
     let fa = FullAdderKind::Accurate.structural_netlist();
 
     let mut b = NetlistBuilder::new(adder.name(), 2 * n);
-    let mut result: Vec<Option<Signal>> = vec![None; n + 1];
-
-    for s in 0..k {
-        let lo = s * r;
-        let mut carry: Signal = b.constant(false);
-        for j in 0..l {
-            let bit = lo + j;
-            let outs = b.inline(&fa, &[Signal::Input(bit), Signal::Input(n + bit), carry]);
-            carry = outs[1];
-            // First sub-adder contributes all its bits; later sub-adders
-            // only their R result bits above the P prediction window.
-            if s == 0 || j >= p {
-                result[bit] = Some(outs[0]);
+    let mut inject: Vec<Signal> = vec![b.constant(false); k];
+    for pass in 0..=passes {
+        let mut result: Vec<Option<Signal>> = vec![None; n + 1];
+        let mut detected = Vec::with_capacity(k);
+        let mut prev_carry = b.constant(false);
+        for (s, &cin) in inject.iter().enumerate() {
+            let lo = s * r;
+            let mut carry = cin;
+            for j in 0..l {
+                let bit = lo + j;
+                let outs = b.inline(&fa, &[Signal::Input(bit), Signal::Input(n + bit), carry]);
+                carry = outs[1];
+                // First sub-adder contributes all its bits; later sub-adders
+                // only their R result bits above the P prediction window.
+                if s == 0 || j >= p {
+                    result[bit] = Some(outs[0]);
+                }
+            }
+            if pass < passes && s > 0 {
+                let mut terms = vec![prev_carry, b.gate(GateKind::Not, &[cin])];
+                for bit in lo..lo + p {
+                    terms.push(b.gate(GateKind::Xor2, &[Signal::Input(bit), Signal::Input(n + bit)]));
+                }
+                detected.push((s, b.tree(GateKind::And2, &terms)));
+            }
+            prev_carry = carry;
+        }
+        result[n] = Some(prev_carry);
+        if pass == passes {
+            for bit in result {
+                b.output(bit.expect("every output bit is driven"));
             }
         }
-        if s == k - 1 {
-            result[n] = Some(carry);
+        for (s, flag) in detected {
+            inject[s] = b.gate(GateKind::Or2, &[inject[s], flag]);
         }
-    }
-
-    for bit in result {
-        b.output(bit.expect("every output bit is driven"));
     }
     b.finish().expect("gear elaboration is well-formed")
 }
@@ -242,7 +274,7 @@ mod tests {
 
     #[test]
     fn gear_netlist_matches_behavioural_model() {
-        for (n, r, p) in [(8usize, 2usize, 2usize), (8, 4, 0), (9, 3, 3), (12, 4, 4)] {
+        for (n, r, p) in [(6usize, 1usize, 1usize), (8, 2, 2), (8, 4, 0), (9, 3, 3), (12, 4, 4)] {
             let gear = GeArAdder::new(n, r, p).unwrap();
             let nl = gear_netlist(&gear);
             assert_eq!(nl.n_outputs(), n + 1);
@@ -254,6 +286,22 @@ mod tests {
                         gear.add(a, b).value,
                         "GeAr({n},{r},{p}): {a}+{b}"
                     );
+                }
+            }
+            // The unrolled recovery stage, exhaustively for every pass
+            // count up to one past the fixed point.
+            if [(6, 1, 1), (8, 2, 2)].contains(&(n, r, p)) {
+                for passes in 0..=gear.sub_adder_count() {
+                    let edc = gear_edc_netlist(&gear, passes);
+                    for a in 0u64..(1 << n) {
+                        for b in 0u64..(1 << n) {
+                            assert_eq!(
+                                edc.eval(pack_operands(a, b, n)),
+                                gear.add_with_correction(a, b, passes).value,
+                                "GeAr({n},{r},{p}) + {passes} EDC passes: {a}+{b}"
+                            );
+                        }
+                    }
                 }
             }
         }
@@ -281,6 +329,14 @@ mod tests {
         let rich = gear_netlist(&GeArAdder::new(12, 4, 4).unwrap()); // k=2, L=8
         // Total FA cells: 3*4 = 12 vs 2*8 = 16.
         assert!(rich.area_ge() > lean.area_ge());
+        // The registry geometries, pinned gate for gate.
+        for (n, r, p, gates, area) in
+            [(11usize, 1usize, 9usize, 100usize, 173.0), (12, 4, 4, 80, 138.4), (16, 2, 6, 200, 346.0)]
+        {
+            let nl = gear_netlist(&GeArAdder::new(n, r, p).unwrap());
+            assert_eq!(nl.gate_count(), gates, "GeAr({n},{r},{p}) gates");
+            assert!((nl.area_ge() - area).abs() < 1e-9, "GeAr({n},{r},{p}) area {}", nl.area_ge());
+        }
     }
 
     #[test]

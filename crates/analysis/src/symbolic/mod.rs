@@ -12,9 +12,10 @@
 //! * [`compile`] — compiles every circuit representation the workspace
 //!   ships (built netlists, truth tables, parsed `hdl/` modules) into
 //!   one BDD root per output bit over a caller-chosen variable order.
-//! * [`twins`] — symbolic evaluations of the *composed* datapaths
+//! * [`twins`] — BDDs of the *composed* datapaths
 //!   (ripple/GeAr(+EDC)/subtractor adders; recursive/Wallace/truncated
-//!   multipliers) that mirror the scalar golden models cell for cell.
+//!   multipliers), compiled from their structural `hw` netlists, plus
+//!   the truth-table cells and exact references they are measured by.
 //! * [`metrics`] — exact worst-case error (with a concrete witness
 //!   input), error rate, mean error distance and per-bit flip
 //!   probability from the XOR-miter, via weighted model counting.

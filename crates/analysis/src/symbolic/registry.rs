@@ -29,7 +29,8 @@ use crate::parse::{parse_verilog, RawNetlist};
 use std::path::Path;
 use xlac_adders::hw::{gear_netlist, ripple_netlist};
 use xlac_adders::{
-    approx_cell_descriptors, Adder, FullAdderKind, GeArAdder, RippleCarryAdder, Subtractor,
+    approx_cell_descriptors, Adder, AdderX64, FullAdderKind, GeArAdder, RippleCarryAdder,
+    Subtractor,
 };
 use xlac_core::rng::{Rng, Xoshiro256StarStar};
 use xlac_logic::TruthTable;
@@ -438,40 +439,53 @@ fn configurable_mul_reports(hdl_dir: &Path) -> Result<Vec<ProofReport>, String> 
     Ok(reports)
 }
 
-/// Exhaustively compares a twin's BDD evaluation, a scalar model and a
-/// bit-sliced model over all `2^(2w)` operand pairs (`2w ≤ 20`). The
-/// BDD assignment interleaves operands (`a_i` = var `2i`).
-fn exhaustive_agreement(
+/// All `2^(2w)` operand pairs (`2w ≤ 20`): an exhaustive check is a proof.
+fn all_pairs(width: usize) -> Vec<(u64, u64)> {
+    assert!(2 * width <= 20);
+    (0..1u64 << (2 * width)).map(|x| (x & ((1 << width) - 1), x >> width)).collect()
+}
+
+/// [`SAMPLE_VECTORS`] seeded operand pairs, for datapaths too wide to
+/// enumerate (64 `a` draws, then 64 `b` draws, per lane block).
+fn sampled_pairs(width: usize) -> Vec<(u64, u64)> {
+    let mut rng = Xoshiro256StarStar::seed_from_u64(SAMPLE_SEED ^ (width as u64));
+    let mut lanes = move || (0..64).map(|_| rng.next_u64() & ((1 << width) - 1)).collect::<Vec<_>>();
+    (0..SAMPLE_VECTORS / 64).flat_map(|_| lanes().into_iter().zip(lanes())).collect()
+}
+
+/// Compares a netlist's BDD evaluation (interleaved variables, `a_i` =
+/// var `2i`), a scalar model and a bit-sliced model (`sliced_label` names
+/// it in a refutation) on every operand pair of `pairs`, 64 lanes at a
+/// time.
+fn agreement(
     bdd: &Bdd,
-    twin: &[Ref],
+    roots: &[Ref],
     width: usize,
+    pairs: &[(u64, u64)],
+    sliced_label: &str,
     scalar: impl Fn(u64, u64) -> u64,
     mut sliced: impl FnMut(&[u64], &[u64]) -> Vec<u64>,
 ) -> ProofStatus {
-    let n = 2 * width;
-    assert!(n <= 20);
-    for base in (0..(1u64 << n)).step_by(64) {
-        let planes = input_planes(n, base);
-        let (a_planes, b_planes) = planes.split_at(width);
-        let outs = sliced(a_planes, b_planes);
-        for j in 0..64u64 {
-            let x = base + j;
-            if x >= 1 << n {
-                break;
-            }
-            let (a, b) = (x & ((1 << width) - 1), x >> width);
+    for block in pairs.chunks(64) {
+        let planes = |pick: fn(&(u64, u64)) -> u64| -> Vec<u64> {
+            (0..width)
+                .map(|i| block.iter().enumerate().fold(0, |p, (j, x)| p | (((pick(x) >> i) & 1) << j)))
+                .collect()
+        };
+        let outs = sliced(&planes(|x| x.0), &planes(|x| x.1));
+        for (j, &(a, b)) in block.iter().enumerate() {
             let want = scalar(a, b);
             let from_sliced: u64 =
                 outs.iter().enumerate().map(|(k, &p)| ((p >> j) & 1) << k).sum();
             let assignment = interleave(a, b, width);
-            let from_twin: u64 = twin
+            let from_twin: u64 = roots
                 .iter()
                 .enumerate()
                 .map(|(k, &f)| u64::from(bdd.eval(f, assignment)) << k)
                 .sum();
             if from_sliced != want {
                 return ProofStatus::Refuted(format!(
-                    "eval_x64 disagrees with the scalar model at a={a} b={b}: {from_sliced} vs {want}"
+                    "{sliced_label} disagrees with the scalar model at a={a} b={b}: {from_sliced} vs {want}"
                 ));
             }
             if from_twin != want {
@@ -504,7 +518,6 @@ fn ripple_reports(hdl_dir: &Path) -> Result<Vec<ProofReport>, String> {
         let (a, b) = interleaved_operand_vars(&mut bdd, 8);
         let ports: Vec<Ref> = a.iter().chain(&b).copied().collect();
         let family = vec![
-            ("behavioural twin".to_string(), twins::ripple_adder(&mut bdd, &rca, &a, &b)),
             ("elaborated netlist".to_string(), compile_netlist(&mut bdd, &ripple_netlist(&rca), &ports)),
             (format!("hdl/{file}"), compile_raw(&mut bdd, &raw, &ports)?),
         ];
@@ -512,16 +525,14 @@ fn ripple_reports(hdl_dir: &Path) -> Result<Vec<ProofReport>, String> {
         if status == ProofStatus::Proven {
             // Close the loop to the scalar and bit-sliced models by full
             // enumeration of the 16-bit input space.
-            let mut out = vec![0u64; 9];
-            status = exhaustive_agreement(
+            status = agreement(
                 &bdd,
                 &family[0].1,
                 8,
+                &all_pairs(8),
+                "eval_x64",
                 |x, y| rca.add(x, y),
-                |ap, bp| {
-                    rca.add_x64_into(ap, bp, &mut out);
-                    out.clone()
-                },
+                |ap, bp| rca.add_x64(ap, bp),
             );
         }
         let mut family_labels = family;
@@ -547,7 +558,6 @@ fn gear_reports(hdl_dir: &Path) -> Result<Vec<ProofReport>, String> {
         let (a, b) = interleaved_operand_vars(&mut bdd, n);
         let ports: Vec<Ref> = a.iter().chain(&b).copied().collect();
         let family = vec![
-            ("behavioural twin".to_string(), twins::gear_adder(&mut bdd, &gear, &a, &b, 0)),
             ("elaborated netlist".to_string(), compile_netlist(&mut bdd, &gear_netlist(&gear), &ports)),
             (format!("hdl/{file}"), compile_raw(&mut bdd, &raw, &ports)?),
         ];
@@ -555,7 +565,15 @@ fn gear_reports(hdl_dir: &Path) -> Result<Vec<ProofReport>, String> {
         if status == ProofStatus::Proven {
             // 2n > 20 inputs: seeded-vector agreement with the scalar and
             // bit-sliced models (the symbolic forms above are proven).
-            status = sampled_gear_agreement(&bdd, &family[0].1, &gear);
+            status = agreement(
+                &bdd,
+                &family[0].1,
+                n,
+                &sampled_pairs(n),
+                "add_x64",
+                |x, y| gear.add(x, y).value,
+                |ap, bp| gear.add_x64(ap, bp).value,
+            );
         }
         let mut family_labels = family;
         family_labels.push((format!("add_x64 ({SAMPLE_VECTORS} seeded vectors)"), Vec::new()));
@@ -565,104 +583,54 @@ fn gear_reports(hdl_dir: &Path) -> Result<Vec<ProofReport>, String> {
     Ok(reports)
 }
 
-fn sampled_gear_agreement(bdd: &Bdd, twin: &[Ref], gear: &GeArAdder) -> ProofStatus {
-    let n = gear.n();
-    let mask = (1u64 << n) - 1;
-    let mut rng = Xoshiro256StarStar::seed_from_u64(SAMPLE_SEED ^ (n as u64));
-    for _ in 0..SAMPLE_VECTORS / 64 {
-        let lanes_a: Vec<u64> = (0..64).map(|_| rng.next_u64() & mask).collect();
-        let lanes_b: Vec<u64> = (0..64).map(|_| rng.next_u64() & mask).collect();
-        // Transpose the 64 operand pairs into bit planes.
-        let a_planes: Vec<u64> = (0..n)
-            .map(|i| (0..64).fold(0u64, |pl, j| pl | (((lanes_a[j] >> i) & 1) << j)))
-            .collect();
-        let b_planes: Vec<u64> = (0..n)
-            .map(|i| (0..64).fold(0u64, |pl, j| pl | (((lanes_b[j] >> i) & 1) << j)))
-            .collect();
-        let outs = gear.add_x64(&a_planes, &b_planes).value;
-        for j in 0..64 {
-            let (av, bv) = (lanes_a[j], lanes_b[j]);
-            let want = gear.add(av, bv).value;
-            let from_sliced: u64 =
-                outs.iter().enumerate().map(|(k, &p)| ((p >> j) & 1) << k).sum();
-            let assignment = interleave(av, bv, n);
-            let from_twin: u64 = twin
-                .iter()
-                .enumerate()
-                .map(|(k, &f)| u64::from(bdd.eval(f, assignment)) << k)
-                .sum();
-            if from_sliced != want {
-                return ProofStatus::Refuted(format!(
-                    "add_x64 disagrees with the scalar model at a={av} b={bv}: {from_sliced} vs {want}"
-                ));
-            }
-            if from_twin != want {
-                return ProofStatus::Refuted(format!(
-                    "BDD twin disagrees with the scalar model at a={av} b={bv}: {from_twin} vs {want}"
-                ));
-            }
-        }
-    }
-    ProofStatus::Proven
-}
-
+/// The composite multipliers and the subtractor: the BDD of the elaborated
+/// netlist (through its [`twins`] function), the scalar model and the
+/// bit-sliced model agree on all `2^16` operand pairs.
 fn composed_multiplier_reports() -> Vec<ProofReport> {
     let _span = obs_span!("analysis.composed_multipliers");
-    let mut reports = Vec::new();
-
     // Recursive multiplier, paper configuration: ApxMulOur blocks with
     // approximate summation adders.
-    {
-        let m = RecursiveMultiplier::new(
-            8,
-            Mul2x2Kind::ApxOur,
-            SumMode::ApproxLsbs { kind: FullAdderKind::Apx2, lsbs: 3 },
-        )
-        .expect("valid recursive configuration");
-        let mut bdd = Bdd::new();
-        let (a, b) = interleaved_operand_vars(&mut bdd, 8);
-        let twin = twins::recursive_multiplier(&mut bdd, 8, m.block(), m.sum_mode(), &a, &b);
-        let status =
-            exhaustive_agreement(&bdd, &twin, 8, |x, y| m.mul(x, y), |ap, bp| m.mul_x64(ap, bp));
-        reports.push(composed_report(&bdd, m.name(), &twin_family(), status));
-    }
-
+    let rec = RecursiveMultiplier::new(
+        8,
+        Mul2x2Kind::ApxOur,
+        SumMode::ApproxLsbs { kind: FullAdderKind::Apx2, lsbs: 3 },
+    )
+    .expect("valid recursive configuration");
     // Wallace tree with approximate low columns.
-    {
-        let m = WallaceMultiplier::new(8, FullAdderKind::Apx3, 6).expect("valid Wallace config");
-        let mut bdd = Bdd::new();
-        let (a, b) = interleaved_operand_vars(&mut bdd, 8);
-        let twin = twins::wallace_multiplier(&mut bdd, &m, &a, &b);
-        let status =
-            exhaustive_agreement(&bdd, &twin, 8, |x, y| m.mul(x, y), |ap, bp| m.mul_x64(ap, bp));
-        reports.push(composed_report(&bdd, m.name(), &twin_family(), status));
-    }
-
+    let wal = WallaceMultiplier::new(8, FullAdderKind::Apx3, 6).expect("valid Wallace config");
     // Truncated multiplier with compensation.
-    {
-        let m = TruncatedMultiplier::new(8, 4, true).expect("valid truncated config");
-        let mut bdd = Bdd::new();
-        let (a, b) = interleaved_operand_vars(&mut bdd, 8);
-        let twin = twins::truncated_multiplier(&mut bdd, &m, &a, &b);
-        let status =
-            exhaustive_agreement(&bdd, &twin, 8, |x, y| m.mul(x, y), |ap, bp| m.mul_x64(ap, bp));
-        reports.push(composed_report(&bdd, m.name(), &twin_family(), status));
-    }
-
-    // Subtractor over an approximate ripple datapath (magnitude output).
-    {
-        let rca = RippleCarryAdder::with_approx_lsbs(8, FullAdderKind::Apx3, 4)
-            .expect("valid adder config");
-        let sub = Subtractor::new(rca);
-        let mut bdd = Bdd::new();
-        let (a, b) = interleaved_operand_vars(&mut bdd, 8);
-        let (mag, ge) = twins::subtractor(&mut bdd, &sub, &a, &b);
-        let mut twin = mag;
-        twin.push(ge);
-        let status = exhaustive_agreement(
-            &bdd,
-            &twin,
-            8,
+    let trunc = TruncatedMultiplier::new(8, 4, true).expect("valid truncated config");
+    // Subtractor over an approximate ripple datapath: the magnitude, then
+    // the a >= b flag.
+    let sub = Subtractor::new(
+        RippleCarryAdder::with_approx_lsbs(8, FullAdderKind::Apx3, 4).expect("valid adder config"),
+    );
+    vec![
+        composed_report(
+            rec.name(),
+            |bdd, a, b| twins::recursive_multiplier(bdd, 8, rec.block(), rec.sum_mode(), a, b),
+            |x, y| rec.mul(x, y),
+            |ap, bp| rec.mul_x64(ap, bp),
+        ),
+        composed_report(
+            wal.name(),
+            |bdd, a, b| twins::wallace_multiplier(bdd, &wal, a, b),
+            |x, y| wal.mul(x, y),
+            |ap, bp| wal.mul_x64(ap, bp),
+        ),
+        composed_report(
+            trunc.name(),
+            |bdd, a, b| twins::truncated_multiplier(bdd, &trunc, a, b),
+            |x, y| trunc.mul(x, y),
+            |ap, bp| trunc.mul_x64(ap, bp),
+        ),
+        composed_report(
+            sub.name(),
+            |bdd, a, b| {
+                let (mut out, ge) = twins::subtractor(bdd, &sub, a, b);
+                out.push(ge);
+                out
+            },
             |x, y| {
                 let (m, g) = sub.sub(x, y);
                 m | (u64::from(g) << 8)
@@ -672,11 +640,28 @@ fn composed_multiplier_reports() -> Vec<ProofReport> {
                 planes.push(ge_plane);
                 planes
             },
-        );
-        reports.push(composed_report(&bdd, sub.name(), &twin_family(), status));
-    }
+        ),
+    ]
+}
 
-    reports
+/// One 8-bit composite unit's exhaustive report.
+fn composed_report(
+    name: String,
+    twin: impl FnOnce(&mut Bdd, &[Ref], &[Ref]) -> Vec<Ref>,
+    scalar: impl Fn(u64, u64) -> u64,
+    sliced: impl FnMut(&[u64], &[u64]) -> Vec<u64>,
+) -> ProofReport {
+    let mut bdd = Bdd::new();
+    let (a, b) = interleaved_operand_vars(&mut bdd, 8);
+    let roots = twin(&mut bdd, &a, &b);
+    let status = agreement(&bdd, &roots, 8, &all_pairs(8), "eval_x64", scalar, sliced);
+    let family = [
+        "elaborated netlist",
+        "scalar model (2^16 exhaustive)",
+        "bit-sliced model (2^16 exhaustive)",
+    ]
+    .map(|l| (l.to_string(), Vec::new()));
+    report(&bdd, name, 16, "exhaustive", &family, status)
 }
 
 /// Proof obligations for the `xlac-sim` bytecode compiler: every
@@ -767,23 +752,6 @@ fn jit_report(bdd: &mut Bdd, name: String, nl: &xlac_logic::Netlist, ports: &[Re
     ];
     let status = prove_family(bdd, &family);
     report(bdd, name, nl.n_inputs(), "bdd-jit", &family, status)
-}
-
-fn twin_family() -> Vec<(String, Vec<Ref>)> {
-    vec![
-        ("behavioural twin".to_string(), Vec::new()),
-        ("scalar model (2^16 exhaustive)".to_string(), Vec::new()),
-        ("bit-sliced model (2^16 exhaustive)".to_string(), Vec::new()),
-    ]
-}
-
-fn composed_report(
-    bdd: &Bdd,
-    name: String,
-    family: &[(String, Vec<Ref>)],
-    status: ProofStatus,
-) -> ProofReport {
-    report(bdd, name, 16, "exhaustive", family, status)
 }
 
 #[cfg(test)]

@@ -1,27 +1,38 @@
-//! Symbolic twins: the composed datapaths evaluated over BDD bits.
+//! Symbolic twins: the shipped components evaluated over BDD bits.
 //!
-//! Each function here mirrors, operation for operation, the scalar golden
-//! model of a shipped component — the same LSB→MSB cell walks, the same
-//! window sums, the same reduction schedules, the same truncations — with
-//! every elementary cell expanded from its **truth table** (the single
-//! source of truth the scalar tables also encode). The result is the
-//! component's exact boolean function as one BDD root per output bit,
-//! which is what the error metrics ([`super::metrics`]) and the
-//! equivalence prover ([`super::equiv`]) consume.
-//!
-//! The mirroring itself is verified two ways: differentially against the
-//! scalar models (exhaustively up to 20 input bits, on ≥ 10⁵ seeded
-//! vectors above that — the unit tests below and the proof registry's
-//! [`super::registry`] obligations) and by proving the
-//! twins equal to the independently-built structural netlists where those
-//! exist (`xlac-lint --exact`).
+//! Every composite twin (ripple and GeAr adders with the unrolled EDC
+//! stage, the subtractor, the recursive, Wallace and truncated
+//! multipliers) is derived from its structural netlist in
+//! `xlac_adders::hw` / `xlac_multipliers::hw`, compiled by
+//! [`compile_netlist`] over the ports `a ++ b`. The netlist that
+//! simulation, costing and the `hdl/` export use is thus the very
+//! function the error metrics ([`super::metrics`]) and the equivalence
+//! prover ([`super::equiv`]) consume. What stays hand-written here is the
+//! oracle side: the elementary cells expanded from their **truth tables**
+//! ([`full_adder`], [`mul2x2`]) and the exact references ([`add_exact`],
+//! [`mul_exact`]). The netlists are checked against the scalar models by
+//! the tests below, the `hw` tests and the [`super::registry`] proofs.
 
-use super::bdd::{Bdd, Ref, FALSE, TRUE};
-use super::compile::compile_truth_table;
+use super::bdd::{Bdd, Ref, FALSE};
+use super::compile::{compile_netlist, compile_truth_table};
+use xlac_adders::hw::{gear_edc_netlist, ripple_netlist, subtractor_netlist};
 use xlac_adders::{FullAdderKind, GeArAdder, RippleCarryAdder, Subtractor};
+use xlac_logic::Netlist;
+use xlac_multipliers::hw::{recursive_netlist, truncated_netlist, wallace_netlist};
 use xlac_multipliers::{
-    ConfigurableMul2x2, Mul2x2Kind, SumMode, TruncatedMultiplier, WallaceMultiplier,
+    ConfigurableMul2x2, Mul2x2Kind, Multiplier, RecursiveMultiplier, SumMode,
+    TruncatedMultiplier, WallaceMultiplier,
 };
+
+/// Compiles a two-operand `hw` netlist over the ports `a ++ b` (operand
+/// `a` in inputs `0..width`, `b` in `width..2·width`); panics when an
+/// operand length differs from `width`.
+fn compile_ports(bdd: &mut Bdd, nl: &Netlist, width: usize, a: &[Ref], b: &[Ref]) -> Vec<Ref> {
+    assert_eq!(a.len(), width, "operand a width");
+    assert_eq!(b.len(), width, "operand b width");
+    let ports: Vec<Ref> = a.iter().chain(b).copied().collect();
+    compile_netlist(bdd, nl, &ports)
+}
 
 /// Applies one Table III full-adder cell, expanded from its truth table
 /// (inputs packed `a | b<<1 | cin<<2`, as in
@@ -50,8 +61,8 @@ pub fn configurable_mul2x2_table(cfg: &ConfigurableMul2x2) -> xlac_logic::TruthT
     })
 }
 
-/// Exact ripple addition with explicit carry-in: the workhorse for the
-/// internally-exact stages (GeAr windows, Wallace CPA, increment chains).
+/// Exact ripple addition with explicit carry-in: the adder reference and
+/// the workhorse of the exact signed differences.
 /// Returns `x.len() + 1` bits, carry-out last.
 ///
 /// # Panics
@@ -98,43 +109,21 @@ pub fn mul_exact(bdd: &mut Bdd, a: &[Ref], b: &[Ref]) -> Vec<Ref> {
     acc
 }
 
-/// Adds the constant 1 to `x`, returning `x.len() + 1` bits (the exact
-/// half-adder increment chain of the subtractor).
-fn increment(bdd: &mut Bdd, x: &[Ref]) -> Vec<Ref> {
-    let mut out = Vec::with_capacity(x.len() + 1);
-    let mut carry = TRUE;
-    for &xi in x {
-        out.push(bdd.xor(xi, carry));
-        carry = bdd.and(xi, carry);
-    }
-    out.push(carry);
-    out
-}
-
-/// Symbolic [`RippleCarryAdder`] addition (`Adder::add`): the identical LSB→MSB cell walk.
-/// `a` and `b` must hold exactly `width` bits; returns `width + 1` bits
-/// (carry-out last), matching the scalar `sum | (carry << w)` layout.
+/// Symbolic [`RippleCarryAdder`] addition (`Adder::add`), compiled from
+/// [`ripple_netlist`]. `a` and `b` must hold exactly `width` bits;
+/// returns `width + 1` bits (carry-out last), matching the scalar
+/// `sum | (carry << w)` layout.
 ///
 /// # Panics
 ///
 /// Panics when an operand length differs from the adder width.
 pub fn ripple_adder(bdd: &mut Bdd, rca: &RippleCarryAdder, a: &[Ref], b: &[Ref]) -> Vec<Ref> {
-    let w = rca.cells().len();
-    assert_eq!(a.len(), w, "operand a width");
-    assert_eq!(b.len(), w, "operand b width");
-    let mut out = Vec::with_capacity(w + 1);
-    let mut carry = FALSE;
-    for (i, &cell) in rca.cells().iter().enumerate() {
-        let (s, c) = full_adder(bdd, cell, a[i], b[i], carry);
-        out.push(s);
-        carry = c;
-    }
-    out.push(carry);
-    out
+    compile_ports(bdd, &ripple_netlist(rca), rca.cells().len(), a, b)
 }
 
-/// Symbolic [`GeArAdder`] addition: `correction_passes = 0` mirrors
-/// [`GeArAdder::add`]; `correction_passes ≥ k − 1` mirrors
+/// Symbolic [`GeArAdder`] addition, compiled from [`gear_edc_netlist`]:
+/// `correction_passes = 0` mirrors [`GeArAdder::add`];
+/// `correction_passes ≥ k − 1` mirrors
 /// `add_with_correction(a, b, usize::MAX)` (the recovery loop reaches its
 /// fixed point in at most `k − 1` passes, and extra passes are no-ops
 /// because the detector masks already-injected sub-adders). Returns
@@ -150,66 +139,14 @@ pub fn gear_adder(
     b: &[Ref],
     correction_passes: usize,
 ) -> Vec<Ref> {
-    let k = gear.sub_adder_count();
-    let mut inject = vec![FALSE; k];
-    for _ in 0..correction_passes {
-        let (_, detected) = gear_evaluate(bdd, gear, a, b, &inject);
-        for (inj, det) in inject.iter_mut().zip(&detected) {
-            *inj = bdd.or(*inj, *det);
-        }
-    }
-    gear_evaluate(bdd, gear, a, b, &inject).0
+    compile_ports(bdd, &gear_edc_netlist(gear, correction_passes), gear.n(), a, b)
 }
 
-/// One combinational GeAr evaluation with symbolic carry injections — the
-/// twin of the scalar `evaluate`: per sub-adder an exact `L`-bit window
-/// sum with `cin = inject[s]`, detection `prev_carry ∧ propagate(P) ∧
-/// ¬inject[s]`, result-bit fields assembled identically.
-fn gear_evaluate(
-    bdd: &mut Bdd,
-    gear: &GeArAdder,
-    a: &[Ref],
-    b: &[Ref],
-    inject: &[Ref],
-) -> (Vec<Ref>, Vec<Ref>) {
-    let n = gear.n();
-    let (r, p, l) = (gear.r(), gear.p(), gear.l());
-    let k = gear.sub_adder_count();
-    assert_eq!(a.len(), n, "operand a width");
-    assert_eq!(b.len(), n, "operand b width");
-
-    let mut sum = vec![FALSE; n + 1];
-    let mut detected = vec![FALSE; k];
-    let mut prev_carry_out = FALSE;
-
-    for s in 0..k {
-        let lo = s * r;
-        let window = add_exact(bdd, &a[lo..lo + l], &b[lo..lo + l], inject[s]);
-        let carry_out = window[l];
-        if s == 0 {
-            sum[..l].copy_from_slice(&window[..l]);
-        } else {
-            // Propagate over the P prediction bits (vacuously true at P=0).
-            let mut prop = TRUE;
-            for i in 0..p {
-                let axb = bdd.xor(a[lo + i], b[lo + i]);
-                prop = bdd.and(prop, axb);
-            }
-            let armed = bdd.and(prev_carry_out, prop);
-            let not_inj = bdd.not(inject[s]);
-            detected[s] = bdd.and(armed, not_inj);
-            sum[lo + p..lo + p + r].copy_from_slice(&window[p..p + r]);
-        }
-        prev_carry_out = carry_out;
-    }
-    sum[n] = prev_carry_out;
-    (sum, detected)
-}
-
-/// Symbolic [`Subtractor::sub`] over a ripple-carry datapath: returns
-/// `(magnitude, a_ge_b)` with a `width`-bit magnitude — the same
-/// `a + !b`, `+1` increment (rippling past the adder carry-out) and
-/// conditional two's-complement negation as the scalar model.
+/// Symbolic [`Subtractor::sub`] over a ripple-carry datapath, compiled
+/// from [`subtractor_netlist`]: returns `(magnitude, a_ge_b)` with a
+/// `width`-bit magnitude — the same `a + !b`, `+1` increment (rippling
+/// past the adder carry-out) and conditional two's-complement negation as
+/// the scalar model.
 ///
 /// # Panics
 ///
@@ -221,28 +158,17 @@ pub fn subtractor(
     b: &[Ref],
 ) -> (Vec<Ref>, Ref) {
     let w = sub.width();
-    assert_eq!(a.len(), w, "operand a width");
-    assert_eq!(b.len(), w, "operand b width");
-    let nb: Vec<Ref> = b.iter().map(|&bi| bdd.not(bi)).collect();
-    // a + !b through the (possibly approximate) datapath: w + 1 bits.
-    let raw = ripple_adder(bdd, sub.adder(), a, &nb);
-    // The exact +1 increment over w + 2 bits: the increment can carry past
-    // the adder's carry-out, and both top bits mean "no borrow".
-    let inc = increment(bdd, &raw);
-    let a_ge_b = bdd.or(inc[w], inc[w + 1]);
-    // Two's complement of the low word for the borrow case.
-    let low_not: Vec<Ref> = inc[..w].iter().map(|&i| bdd.not(i)).collect();
-    let neg = increment(bdd, &low_not);
-    let mag = (0..w).map(|i| bdd.mux(a_ge_b, neg[i], inc[i])).collect();
-    (mag, a_ge_b)
+    let mut out = compile_ports(bdd, &subtractor_netlist(sub), w, a, b);
+    let a_ge_b = out.pop().expect("the flag is the last output");
+    (out, a_ge_b)
 }
 
-/// Symbolic [`xlac_multipliers::RecursiveMultiplier`] product
-/// (`Multiplier::mul`): the identical
-/// four-way recursion with OR concatenation (including the stray-carry
-/// overlap at bit `w`) and per-level summation adders rebuilt from the
-/// multiplier's `(block, sum_mode)` configuration. Returns `2·width`
-/// bits (the scalar `mul` truncation).
+/// Symbolic [`RecursiveMultiplier`] product (`Multiplier::mul`), compiled
+/// from [`recursive_netlist`] of the multiplier built from
+/// `(width, block, sum)`: the same four-way recursion with OR
+/// concatenation (including the stray-carry overlap at bit `w`) and
+/// per-level summation adders. Returns `2·width` bits (the scalar `mul`
+/// truncation).
 ///
 /// # Panics
 ///
@@ -257,68 +183,14 @@ pub fn recursive_multiplier(
     a: &[Ref],
     b: &[Ref],
 ) -> Vec<Ref> {
-    assert_eq!(a.len(), width, "operand a width");
-    assert_eq!(b.len(), width, "operand b width");
-    // Summation adders for widths 4..=2·width, index log2(w) − 2 — the
-    // same construction as RecursiveMultiplier::new.
-    let mut adders = Vec::new();
-    let mut w = 4usize;
-    while w <= 2 * width {
-        let adder = match sum {
-            SumMode::Accurate => RippleCarryAdder::accurate(w),
-            SumMode::ApproxLsbs { kind, lsbs } => {
-                RippleCarryAdder::with_approx_lsbs(w, kind, lsbs.min(w))
-                    .expect("valid multiplier configuration")
-            }
-        };
-        adders.push(adder);
-        w *= 2;
-    }
-    let mut product = mul_rec(bdd, block, &adders, width, a, b);
-    product.truncate(2 * width);
-    product
+    let m = RecursiveMultiplier::new(width, block, sum).expect("valid multiplier configuration");
+    compile_ports(bdd, &recursive_netlist(&m), width, a, b)
 }
 
-/// The twin of `RecursiveMultiplier::mul_rec`: returns `2w + 1` bits.
-fn mul_rec(
-    bdd: &mut Bdd,
-    block: Mul2x2Kind,
-    adders: &[RippleCarryAdder],
-    w: usize,
-    a: &[Ref],
-    b: &[Ref],
-) -> Vec<Ref> {
-    if w == 2 {
-        let p = mul2x2(bdd, block, a[0], a[1], b[0], b[1]);
-        return vec![p[0], p[1], p[2], p[3], FALSE];
-    }
-    let adder = |width: usize| &adders[width.trailing_zeros() as usize - 2];
-    let h = w / 2;
-    let (al, ah) = a.split_at(h);
-    let (bl, bh) = b.split_at(h);
-    let p_ll = mul_rec(bdd, block, adders, h, al, bl);
-    let p_lh = mul_rec(bdd, block, adders, h, al, bh);
-    let p_hl = mul_rec(bdd, block, adders, h, ah, bl);
-    let p_hh = mul_rec(bdd, block, adders, h, ah, bh);
-    // outer = p_ll | (p_hh << w): bit w of p_ll (a sub-product's stray
-    // carry) overlaps bit 0 of the shifted p_hh as a bitwise OR.
-    let mut outer = vec![FALSE; 2 * w + 1];
-    outer[..=w].copy_from_slice(&p_ll[..=w]);
-    for i in 0..=w {
-        outer[w + i] = bdd.or(outer[w + i], p_hh[i]);
-    }
-    // The w-bit adder truncates its operands to w bits, dropping the
-    // sub-products' stray carries — as in the scalar datapath.
-    let mid = ripple_adder(bdd, adder(w), &p_lh[..w], &p_hl[..w]);
-    let mut mid_shifted = vec![FALSE; 2 * w];
-    mid_shifted[h..h + w + 1].copy_from_slice(&mid);
-    ripple_adder(bdd, adder(2 * w), &outer[..2 * w], &mid_shifted)
-}
-
-/// Symbolic [`WallaceMultiplier`] product (`Multiplier::mul`): the identical input-independent
-/// reduction schedule (same pop/push order, same half-adder rule, same
-/// per-column cell kinds) followed by the exact carry-propagate addition
-/// with the carry-out dropped. Returns `2·width` bits.
+/// Symbolic [`WallaceMultiplier`] product (`Multiplier::mul`), compiled
+/// from [`wallace_netlist`]: the input-independent reduction schedule
+/// followed by the exact carry-propagate addition with the carry-out
+/// dropped. Returns `2·width` bits.
 ///
 /// # Panics
 ///
@@ -329,66 +201,12 @@ pub fn wallace_multiplier(
     a: &[Ref],
     b: &[Ref],
 ) -> Vec<Ref> {
-    let w = m.width_();
-    assert_eq!(a.len(), w, "operand a width");
-    assert_eq!(b.len(), w, "operand b width");
-    let cols = 2 * w;
-    let cell_for = |c: usize| {
-        if c < m.approx_columns() {
-            m.cell_kind()
-        } else {
-            FullAdderKind::Accurate
-        }
-    };
-
-    let mut columns: Vec<Vec<Ref>> = vec![Vec::new(); cols + 1];
-    for i in 0..w {
-        for j in 0..w {
-            let bit = bdd.and(a[i], b[j]);
-            columns[i + j].push(bit);
-        }
-    }
-
-    loop {
-        let mut reduced = false;
-        for c in 0..cols {
-            while columns[c].len() > 2 {
-                reduced = true;
-                let kind = cell_for(c);
-                let x = columns[c].pop().expect("len >= 3");
-                let y = columns[c].pop().expect("len >= 2");
-                let z = columns[c].pop().expect("len >= 1");
-                let (s, carry) = full_adder(bdd, kind, x, y, z);
-                columns[c].push(s);
-                columns[c + 1].push(carry);
-            }
-            if columns[c].len() == 2 && columns[c + 1].len() > 2 {
-                reduced = true;
-                let kind = cell_for(c);
-                let x = columns[c].pop().expect("len 2");
-                let y = columns[c].pop().expect("len 1");
-                let (s, carry) = full_adder(bdd, kind, x, y, FALSE);
-                columns[c].push(s);
-                columns[c + 1].push(carry);
-            }
-        }
-        if !reduced {
-            break;
-        }
-    }
-
-    // Final exact CPA of the two remaining rows, carry-out dropped.
-    let row0: Vec<Ref> = (0..cols).map(|c| columns[c].first().copied().unwrap_or(FALSE)).collect();
-    let row1: Vec<Ref> = (0..cols).map(|c| columns[c].get(1).copied().unwrap_or(FALSE)).collect();
-    let mut sum = add_exact(bdd, &row0, &row1, FALSE);
-    sum.truncate(cols);
-    sum
+    compile_ports(bdd, &wallace_netlist(m), m.width(), a, b)
 }
 
-/// Symbolic [`TruncatedMultiplier`] product (`Multiplier::mul`): the surviving partial-product
-/// bits plus the compensation constant, summed exactly modulo `2^{2w}` —
-/// the same ripple-into-accumulator walk as the bit-sliced model, which
-/// computes the same arithmetic as the scalar sum-then-truncate. Returns
+/// Symbolic [`TruncatedMultiplier`] product (`Multiplier::mul`), compiled
+/// from [`truncated_netlist`]: the surviving partial-product bits plus
+/// the compensation constant, summed exactly modulo `2^{2w}`. Returns
 /// `2·width` bits.
 ///
 /// # Panics
@@ -400,45 +218,7 @@ pub fn truncated_multiplier(
     a: &[Ref],
     b: &[Ref],
 ) -> Vec<Ref> {
-    let w = m.width_();
-    assert_eq!(a.len(), w, "operand a width");
-    assert_eq!(b.len(), w, "operand b width");
-    let cols = 2 * w;
-    let comp = m.compensation();
-    let mut acc: Vec<Ref> =
-        (0..cols).map(|i| Bdd::constant((comp >> i) & 1 == 1)).collect();
-    for (i, &ai) in a.iter().enumerate() {
-        for (j, &bj) in b.iter().enumerate() {
-            if i + j < m.dropped_columns() {
-                continue;
-            }
-            // Ripple the partial product into the accumulator at weight
-            // i + j; carries past 2w wrap away, as in the scalar truncate.
-            let mut carry = bdd.and(ai, bj);
-            for slot in acc.iter_mut().skip(i + j) {
-                let s = bdd.xor(*slot, carry);
-                carry = bdd.and(*slot, carry);
-                *slot = s;
-            }
-        }
-    }
-    acc
-}
-
-/// Width accessors via the public `Multiplier` trait, imported once here
-/// so the twin signatures stay free of trait bounds at call sites.
-trait WidthOf {
-    fn width_(&self) -> usize;
-}
-impl WidthOf for WallaceMultiplier {
-    fn width_(&self) -> usize {
-        xlac_multipliers::Multiplier::width(self)
-    }
-}
-impl WidthOf for TruncatedMultiplier {
-    fn width_(&self) -> usize {
-        xlac_multipliers::Multiplier::width(self)
-    }
+    compile_ports(bdd, &truncated_netlist(m), m.width(), a, b)
 }
 
 #[cfg(test)]

@@ -17,10 +17,11 @@
 //! `XLAC_BENCH_QUICK=1` for a smoke run.
 
 use xlac_adders::{Adder, FullAdderKind, GeArAdder, RippleCarryAdder};
+use xlac_analysis::parse::parse_verilog;
 use xlac_analysis::symbolic::compile::interleaved_operand_vars;
 use xlac_analysis::symbolic::{
-    exact_metrics, recursive_calculus, truncated_calculus, twins, wallace_calculus, Bdd,
-    ExactMetrics, SiftOptions, FALSE,
+    compile_netlist, compile_raw, exact_metrics, recursive_calculus, truncated_calculus, twins,
+    wallace_calculus, Bdd, ExactMetrics, SiftOptions, FALSE,
 };
 use xlac_bench::{black_box, Harness};
 use xlac_multipliers::{
@@ -99,24 +100,27 @@ fn bench_adder_metrics() {
 
 fn bench_equivalence_proof() {
     // The canonical proof step of `xlac-lint --exact`: compile the
-    // structural hw netlist and the symbolic twin against the same
-    // variables; root equality is the proof.
+    // structural hw netlist and its Verilog export (re-parsed) against
+    // the same variables; root equality is the proof.
     let rca = RippleCarryAdder::with_approx_lsbs(8, FullAdderKind::Apx1, 4).unwrap();
     let netlist = xlac_adders::hw::ripple_netlist(&rca);
+    let (raw, errors) = parse_verilog(&xlac_logic::verilog::to_verilog(&netlist));
+    assert!(errors.is_empty(), "{errors:?}");
+    let raw = raw.expect("the export declares a module");
 
     let prove = || {
         let mut bdd = Bdd::new();
         let (a, b) = interleaved_operand_vars(&mut bdd, 8);
         // `ripple_netlist` declares ports a0..a7 then b0..b7.
         let ports: Vec<_> = a.iter().chain(&b).copied().collect();
-        let compiled = xlac_analysis::symbolic::compile_netlist(&mut bdd, &netlist, &ports);
-        let twin = twins::ripple_adder(&mut bdd, &rca, &a, &b);
-        assert_eq!(compiled, twin, "proof must hold");
+        let compiled = compile_netlist(&mut bdd, &netlist, &ports);
+        let hdl = compile_raw(&mut bdd, &raw, &ports).expect("the export compiles");
+        assert_eq!(compiled, hdl, "proof must hold");
         compiled.len()
     };
 
     let mut h = Harness::group("symbolic_equivalence");
-    h.bench("prove_rca8_netlist_vs_twin", || black_box(prove()));
+    h.bench("prove_rca8_netlist_vs_hdl", || black_box(prove()));
 }
 
 /// A named BDD workload whose engine statistics get reported.

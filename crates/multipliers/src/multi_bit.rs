@@ -104,7 +104,9 @@ impl RecursiveMultiplier {
         self.sum
     }
 
-    fn adder(&self, width: usize) -> &RippleCarryAdder {
+    /// The summation adder of one recursion level (`width` a power of two
+    /// in `4..=2·self.width`).
+    pub(crate) fn adder(&self, width: usize) -> &RippleCarryAdder {
         // Levels are the powers of two 4..=2·width; index by log2 so the
         // hot recursion avoids a hash probe per summation.
         &self.adders[width.trailing_zeros() as usize - 2]

@@ -18,7 +18,8 @@
 #      diagnostic or unsound bound fails the gate;
 #   5. xlac-lint --exact: the symbolic proof gate (DESIGN.md §11) — for
 #      every shipped module the truth-table model, the hdl/ netlist and
-#      the bit-sliced eval_x64 form are proven the same function, and
+#      the bit-sliced eval_x64 form are proven the same function (the
+#      composite datapaths' BDDs are compiled from their hw netlists), and
 #      every ≤8-bit static bound is checked sound against the exact
 #      BDD metrics; any refuted proof or unsound bound fails the gate;
 #      the JSON report is kept as target/LINT_exact.json and absint_gate
