@@ -9,8 +9,13 @@
 //! identical statistics before anything is timed — the RNG-order
 //! discipline makes them the same experiment.
 //!
+//! The `lanes_transpose` group times the plane transposes every sweep
+//! runs around the evaluator (`to_planes` at 8/16-bit operands,
+//! `from_planes` at 16/32 result planes), per 64-lane batch.
+//!
 //! `scripts/ci.sh` records these lines into `BENCH_jit.json` and
-//! `xlac-jit-gate` enforces the compiled-≥-interpreted floors.
+//! `xlac-jit-gate` enforces the compiled-≥-interpreted floors (the
+//! transpose series are recorded for the trend only).
 
 use xlac_adders::hw::ripple_netlist;
 use xlac_adders::{FullAdderKind, RippleCarryAdder};
@@ -122,6 +127,39 @@ fn bench_raw_eval(group: &str, nl: &Netlist, seed: u64) {
     });
 }
 
+/// The two plane transposes on 1024 pre-drawn 64-lane batches.
+fn bench_lanes_transpose(seed: u64) {
+    use xlac_core::lanes::{from_planes, to_planes, LANES};
+    use xlac_core::rng::{DefaultRng, Rng};
+
+    const BATCHES: usize = 1024;
+    let mut rng = DefaultRng::seed_from_u64(seed);
+    let values: Vec<[u64; LANES]> = (0..BATCHES)
+        .map(|_| {
+            let mut v = [0u64; LANES];
+            rng.fill_u64(&mut v);
+            v
+        })
+        .collect();
+    let planes: Vec<Vec<u64>> = values.iter().map(|v| v.to_vec()).collect();
+
+    let mut h = Harness::group("lanes_transpose");
+    for width in [8, 16] {
+        h.bench(&format!("to_planes_w{width}"), || {
+            for v in &values {
+                black_box(to_planes(black_box(v), width));
+            }
+        });
+    }
+    for n in [16, 32] {
+        h.bench(&format!("from_planes_{n}"), || {
+            for p in &planes {
+                black_box(from_planes(black_box(&p[..n])));
+            }
+        });
+    }
+}
+
 fn main() {
     let rca = RippleCarryAdder::with_approx_lsbs(8, FullAdderKind::Apx2, 4).unwrap();
     let rca_nl = ripple_netlist(&rca);
@@ -132,6 +170,8 @@ fn main() {
     let wallace_nl = wallace_netlist(&wallace);
     bench_pair_sweep("jit_wallace8x8_sweep_65536", &wallace_nl, 8, |a, b| a * b);
     bench_raw_eval("jit_wallace8x8_eval_65536", &wallace_nl, 0xE7A2);
+
+    bench_lanes_transpose(0x7A05);
 
     let profile = xlac_obs::export_json_lines();
     if !profile.is_empty() {

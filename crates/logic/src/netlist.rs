@@ -53,10 +53,22 @@ pub enum Signal {
     Const(bool),
 }
 
+/// One gate instance. The fanin is stored inline: the first
+/// `kind.arity()` slots are the operands and the rest hold [`UNUSED`], so
+/// the derived equality compares exactly the operands.
 #[derive(Debug, Clone, PartialEq)]
 struct GateInst {
     kind: GateKind,
-    fanin: Vec<Signal>,
+    fanin: [Signal; 3],
+}
+
+/// The filler of a gate's unused fanin slots.
+const UNUSED: Signal = Signal::Const(false);
+
+impl GateInst {
+    fn fanin(&self) -> &[Signal] {
+        &self.fanin[..self.kind.arity()]
+    }
 }
 
 /// An immutable, validated combinational netlist.
@@ -112,7 +124,9 @@ impl NetlistBuilder {
         for s in fanin {
             self.check_signal(*s);
         }
-        self.gates.push(GateInst { kind, fanin: fanin.to_vec() });
+        let mut slots = [UNUSED; 3];
+        slots[..fanin.len()].copy_from_slice(fanin);
+        self.gates.push(GateInst { kind, fanin: slots });
         Signal::Gate(self.gates.len() - 1)
     }
 
@@ -181,8 +195,11 @@ impl NetlistBuilder {
         };
         let mut map: Vec<Signal> = Vec::with_capacity(sub.gate_count());
         for (kind, fanin) in sub.gates() {
-            let mapped: Vec<Signal> = fanin.iter().map(|s| resolve(*s, &map)).collect();
-            map.push(self.gate(kind, &mapped));
+            let mut mapped = [UNUSED; 3];
+            for (m, &s) in mapped.iter_mut().zip(fanin) {
+                *m = resolve(s, &map);
+            }
+            map.push(self.gate(kind, &mapped[..fanin.len()]));
         }
         sub.outputs().map(|s| resolve(s, &map)).collect()
     }
@@ -251,7 +268,7 @@ impl Netlist {
     /// Iterates the gate instances in topological order as
     /// `(kind, fanin)` pairs.
     pub fn gates(&self) -> impl Iterator<Item = (GateKind, &[Signal])> {
-        self.gates.iter().map(|g| (g.kind, g.fanin.as_slice()))
+        self.gates.iter().map(|g| (g.kind, g.fanin()))
     }
 
     /// Iterates the primary output signals in declaration order.
@@ -279,7 +296,7 @@ impl Netlist {
         let mut arrival = vec![0.0f64; self.gates.len()];
         for (i, g) in self.gates.iter().enumerate() {
             let worst_in = g
-                .fanin
+                .fanin()
                 .iter()
                 .map(|s| match s {
                     Signal::Gate(j) => arrival[*j],
@@ -339,7 +356,7 @@ impl Netlist {
         let mut ops: Vec<u64> = Vec::with_capacity(3);
         for i in 0..self.gates.len() {
             ops.clear();
-            for s in &self.gates[i].fanin {
+            for s in self.gates[i].fanin() {
                 ops.push(self.resolve(*s, inputs, values));
             }
             values[i] = self.gates[i].kind.eval_word(&ops);
@@ -487,6 +504,75 @@ mod tests {
         assert_eq!(nl.delay(), 0.0);
         assert_eq!(nl.eval(0b01), 0b11);
         assert_eq!(nl.eval(0b10), 0b10);
+    }
+
+    /// A netlist mixing every fanin arity: `Not` (1), `Mux2` (3) and
+    /// 2-input gates, with a constant operand.
+    fn mixed_arity() -> Netlist {
+        let mut b = NetlistBuilder::new("sub", 3);
+        let (x, y, sel) = (b.input(0), b.input(1), b.input(2));
+        let nx = b.gate(GateKind::Not, &[x]);
+        let m = b.gate(GateKind::Mux2, &[nx, y, sel]);
+        let k = b.constant(true);
+        let a = b.gate(GateKind::And2, &[m, k]);
+        let o = b.gate(GateKind::Xor2, &[a, x]);
+        b.output(o);
+        b.output(m);
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn inline_round_trips_gates_and_equality_across_arities() {
+        let sub = mixed_arity();
+        let expect: Vec<(GateKind, Vec<Signal>)> =
+            sub.gates().map(|(k, f)| (k, f.to_vec())).collect();
+        let arities: Vec<(GateKind, usize)> = expect.iter().map(|(k, f)| (*k, f.len())).collect();
+        let mixed =
+            [(GateKind::Not, 1), (GateKind::Mux2, 3), (GateKind::And2, 2), (GateKind::Xor2, 2)];
+        assert_eq!(arities, mixed);
+
+        // Inlined on its own inputs into an empty builder, the sub-netlist
+        // comes back gate for gate and compares equal.
+        let mut b = NetlistBuilder::new("sub", 3);
+        let ins: Vec<Signal> = (0..3).map(|i| b.input(i)).collect();
+        for s in b.inline(&sub, &ins) {
+            b.output(s);
+        }
+        let copy = b.finish().unwrap();
+        assert_eq!(copy, sub);
+        let got: Vec<(GateKind, Vec<Signal>)> =
+            copy.gates().map(|(k, f)| (k, f.to_vec())).collect();
+        assert_eq!(got, expect);
+
+        // Behind a prefix gate the indices shift, the shape does not.
+        let mut b = NetlistBuilder::new("shifted", 3);
+        let (x, y, sel) = (b.input(0), b.input(1), b.input(2));
+        let ny = b.gate(GateKind::Not, &[y]);
+        let outs = b.inline(&sub, &[x, ny, sel]);
+        assert_eq!(outs, [Signal::Gate(4), Signal::Gate(2)]);
+        for s in outs {
+            b.output(s);
+        }
+        let shifted = b.finish().unwrap();
+        let fanins: Vec<Vec<Signal>> = shifted.gates().map(|(_, f)| f.to_vec()).collect();
+        assert_eq!(fanins[2], [Signal::Gate(1), Signal::Gate(0), Signal::Input(2)]);
+        assert_eq!(fanins[3], [Signal::Gate(2), Signal::Const(true)]);
+        for v in 0..8 {
+            let flip_y = v ^ 0b010;
+            assert_eq!(shifted.eval(v), sub.eval(flip_y), "vector {v:03b}");
+        }
+
+        // Equality still sees every operand: a different fanin differs.
+        let mut b = NetlistBuilder::new("sub", 3);
+        let (x, y, sel) = (b.input(0), b.input(1), b.input(2));
+        let nx = b.gate(GateKind::Not, &[x]);
+        let m = b.gate(GateKind::Mux2, &[nx, sel, y]);
+        let k = b.constant(true);
+        let a = b.gate(GateKind::And2, &[m, k]);
+        let o = b.gate(GateKind::Xor2, &[a, x]);
+        b.output(o);
+        b.output(m);
+        assert_ne!(b.finish().unwrap(), sub);
     }
 
     #[test]

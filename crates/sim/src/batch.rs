@@ -31,8 +31,9 @@ pub(crate) type Pair = ([u64; LANES], [u64; LANES]);
 /// Writes the input planes of one word of a two-operand program: operand
 /// `a` into planes `0..width`, operand `b` into planes `width..2·width`.
 pub(crate) fn pack_pair(planes: &mut [u64], (a, b): &Pair, width: usize) {
-    planes[..width].copy_from_slice(&lanes::to_planes(a, width));
-    planes[width..].copy_from_slice(&lanes::to_planes(b, width));
+    let (pa, pb) = planes.split_at_mut(width);
+    lanes::to_planes_into(a, width, pa);
+    lanes::to_planes_into(b, width, pb);
 }
 
 /// An evaluator running `prog` on `B`-wide plane blocks: the one place

@@ -53,6 +53,7 @@
 //! ```
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use xlac_core::characterization::HwCost;
 use xlac_core::error::{Result, XlacError};
 use xlac_core::lanes::PlaneBlock;
@@ -174,9 +175,43 @@ enum SsaKind {
     Not(ERef),
 }
 
+/// The CSE table's hasher: a multiplicative word hash (the FxHash mixing
+/// step). Keys are node shapes over ids this compiler assigns, so
+/// SipHash's flooding resistance buys nothing here, and its cost showed
+/// in compile time.
+#[derive(Default)]
+struct CseHasher(u64);
+
+impl CseHasher {
+    #[inline]
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517C_C1B7_2722_0A95);
+    }
+}
+
+impl Hasher for CseHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.mix(u64::from(b));
+        }
+    }
+    fn write_u32(&mut self, n: u32) {
+        self.mix(u64::from(n));
+    }
+    fn write_u64(&mut self, n: u64) {
+        self.mix(n);
+    }
+    fn write_usize(&mut self, n: usize) {
+        self.mix(n as u64);
+    }
+}
+
 struct SsaBuilder {
     nodes: Vec<SsaKind>,
-    cse: HashMap<SsaKind, u32>,
+    cse: HashMap<SsaKind, u32, BuildHasherDefault<CseHasher>>,
     cse_hits: usize,
     materialized_nots: usize,
 }
@@ -354,7 +389,7 @@ impl CompiledProgram {
         let n_inputs = netlist.n_inputs();
         let mut b = SsaBuilder {
             nodes: Vec::with_capacity(n_inputs + netlist.gate_count()),
-            cse: HashMap::new(),
+            cse: HashMap::default(),
             cse_hits: 0,
             materialized_nots: 0,
         };

@@ -169,6 +169,15 @@ fn plain(out: &Values, j: usize, _: u64) -> (u64, Side) {
     (out[j], [0; 2])
 }
 
+/// The `w`-bit planes of both operands of a pair, in the low `w` words of
+/// two stack arrays.
+fn pair_planes((a, b): &Pair, w: usize) -> Pair {
+    let (mut pa, mut pb) = ([0; LANES], [0; LANES]);
+    lanes::to_planes_into(a, w, &mut pa[..w]);
+    lanes::to_planes_into(b, w, &mut pb[..w]);
+    (pa, pb)
+}
+
 /// [`drive`] over `width`-bit operand pairs drawn from `opts.dist` (one
 /// `draw_batch` per operand array, so the uniform path consumes the RNG
 /// byte for byte like the historical sweeps), against `exact(a, b)`.
@@ -190,8 +199,9 @@ fn pair_drive<Out, E: FnMut(&[Pair], &mut Vec<Out>)>(
 pub fn multiplier_sweep<M: MultiplierX64 + ?Sized>(m: &M, opts: &SweepOptions) -> ErrorStats {
     let _span = obs_span!("sim.multiplier_sweep");
     let w = m.width();
-    let eval = |(a, b): &Pair| {
-        lanes::from_planes(&m.mul_x64(&lanes::to_planes(a, w), &lanes::to_planes(b, w)))
+    let eval = |p: &Pair| {
+        let (a, b) = pair_planes(p, w);
+        lanes::from_planes(&m.mul_x64(&a[..w], &b[..w]))
     };
     pair_drive(opts, w, 1, || each(eval), |a, b| a * b, plain).0
 }
@@ -309,8 +319,9 @@ pub fn gear_sweep(
     let _span = obs_span!("sim.gear_sweep");
     // The plain add is the correction loop with a zero-pass budget.
     let (w, k) = (adder.n(), max_iterations.unwrap_or(0));
-    let eval = |(a, b): &Pair| {
-        let o = adder.add_with_correction_x64(&lanes::to_planes(a, w), &lanes::to_planes(b, w), k);
+    let eval = |p: &Pair| {
+        let (a, b) = pair_planes(p, w);
+        let o = adder.add_with_correction_x64(&a[..w], &b[..w], k);
         let widen = |x: [u8; LANES]| x.map(u64::from);
         (lanes::from_planes(&o.value), widen(o.errors_detected), widen(o.correction_iterations))
     };
@@ -438,7 +449,7 @@ pub fn compiled_sad_sweep<B: PlaneBlock>(
     // Current-block slots first, then reference-block slots.
     let pack = move |(cur, refb): &SadBatch, planes: &mut [u64]| {
         for (i, v) in cur.iter().chain(refb).enumerate() {
-            planes[i * pixel..][..pixel].copy_from_slice(&lanes::to_planes(v, pixel));
+            lanes::to_planes_into(v, pixel, &mut planes[i * pixel..][..pixel]);
         }
     };
     let eval = block_evaluator::<B, _>(prog, pack);
