@@ -37,12 +37,14 @@
 //! be derived for the form that actually executes in the serving path.
 
 use xlac_adders::FullAdderKind;
+use xlac_core::lanes::from_planes;
 use xlac_core::XlacError;
 use xlac_logic::{GateKind, Netlist, NetlistBuilder, Signal};
 use xlac_multipliers::{hw::wallace_netlist, Multiplier, WallaceMultiplier};
 use xlac_sim::jit::{CompiledProgram, OpKind, OutSrc};
 
 use crate::bound::ErrorBound;
+use crate::symbolic::metrics::{for_each_block, COUNTING_PATTERNS};
 
 /// The ternary constant-propagation domain: definitely 0, definitely 1,
 /// or unknown.
@@ -683,7 +685,8 @@ pub fn analyze_program(
 ///
 /// # Errors
 ///
-/// Fails when the pair does not share an input count.
+/// Fails when the pair does not share an input count or an output word
+/// is wider than 64 bits.
 pub fn derive_error_bound(approx: &Netlist, exact: &Netlist) -> Result<ErrorBound, XlacError> {
     let dist = InputDistribution::uniform(approx.n_inputs());
     derive_error_bound_with(approx, exact, &dist, &AbsintOptions::default())
@@ -696,7 +699,8 @@ pub fn derive_error_bound(approx: &Netlist, exact: &Netlist) -> Result<ErrorBoun
 ///
 /// # Errors
 ///
-/// Fails when the pair does not share an input count.
+/// Fails when the pair does not share an input count or an output word
+/// is wider than 64 bits.
 pub fn derive_error_bound_with(
     approx: &Netlist,
     exact: &Netlist,
@@ -711,8 +715,15 @@ pub fn derive_error_bound_with(
             exact.n_inputs()
         )));
     }
+    if approx.n_outputs().max(exact.n_outputs()) > 64 {
+        return Err(XlacError::InvalidConfiguration(format!(
+            "absint: output words wider than 64 bits ({} vs {})",
+            approx.n_outputs(),
+            exact.n_outputs()
+        )));
+    }
     if n <= opts.exhaustive_limit && n <= 24 {
-        return Ok(exhaustive_bound(approx, exact, dist, n));
+        return Ok(exhaustive_bound(approx, exact, dist));
     }
     let over = bnb_max_diff(approx, exact, opts);
     let under = bnb_max_diff(exact, approx, opts);
@@ -731,16 +742,7 @@ fn lane_planes(n: usize, fixed: &[Option<bool>], free: &[usize], block: u64) -> 
     }
     for (j, &i) in free.iter().enumerate() {
         planes[i] = if j < 6 {
-            // The six in-word enumeration patterns.
-            const PAT: [u64; 6] = [
-                0xAAAA_AAAA_AAAA_AAAA,
-                0xCCCC_CCCC_CCCC_CCCC,
-                0xF0F0_F0F0_F0F0_F0F0,
-                0xFF00_FF00_FF00_FF00,
-                0xFFFF_0000_FFFF_0000,
-                0xFFFF_FFFF_0000_0000,
-            ];
-            PAT[j]
+            COUNTING_PATTERNS[j]
         } else if (block >> (j - 6)) & 1 == 1 {
             u64::MAX
         } else {
@@ -750,53 +752,32 @@ fn lane_planes(n: usize, fixed: &[Option<bool>], free: &[usize], block: u64) -> 
     planes
 }
 
-fn lane_value(outs: &[u64], lane: usize) -> u128 {
-    outs.iter()
-        .enumerate()
-        .fold(0u128, |acc, (k, w)| acc | (u128::from((w >> lane) & 1) << k))
-}
-
-/// Exact exhaustive metrics for small input counts (bit-parallel, 64
-/// lanes per block).
-fn exhaustive_bound(
-    approx: &Netlist,
-    exact: &Netlist,
-    dist: &InputDistribution,
-    n: usize,
-) -> ErrorBound {
-    let total: u64 = 1u64 << n;
-    let lanes_total = total;
-    let free: Vec<usize> = (0..n).collect();
-    let fixed = vec![None; n];
-    let blocks = total.div_ceil(64).max(1);
-    let (mut over, mut under) = (0u128, 0u128);
+/// Exact exhaustive metrics for small input counts, on the exhaustive
+/// metrics engine's compiled block loop. The distribution weight is one
+/// multiply per differing lane, summed in assignment order.
+fn exhaustive_bound(approx: &Netlist, exact: &Netlist, dist: &InputDistribution) -> ErrorBound {
+    let n = approx.n_inputs();
+    let (mut over, mut under) = (0u64, 0u64);
     let (mut mean, mut rate) = (0.0f64, 0.0f64);
-    let mut va = Vec::new();
-    let mut oa = Vec::new();
-    let mut ve = Vec::new();
-    let mut oe = Vec::new();
-    for b in 0..blocks {
-        let planes = lane_planes(n, &fixed, &free, b);
-        approx.eval_words_into(&planes, &mut va, &mut oa);
-        exact.eval_words_into(&planes, &mut ve, &mut oe);
-        let lanes = (lanes_total - b * 64).min(64) as usize;
-        for l in 0..lanes {
-            let x = b * 64 + l as u64;
-            let av = lane_value(&oa, l);
-            let ev = lane_value(&oe, l);
-            if av >= ev {
+    let (approx, exact) = (CompiledProgram::compile(approx), CompiledProgram::compile(exact));
+    for_each_block(&approx, &exact, |block| {
+        for (x, av, ev) in block.lanes(block.differing()) {
+            if av > ev {
                 over = over.max(av - ev);
             } else {
                 under = under.max(ev - av);
             }
-            if av != ev {
-                let w = dist.weight(x, n);
-                rate += w;
-                mean += w * (av.abs_diff(ev) as f64);
-            }
+            let w = dist.weight(x, n);
+            rate += w;
+            mean += w * (av.abs_diff(ev) as f64);
         }
+    });
+    ErrorBound {
+        over: u128::from(over),
+        under: u128::from(under),
+        mean_abs: mean,
+        error_rate_bound: rate.min(1.0),
     }
-    ErrorBound { over, under, mean_abs: mean, error_rate_bound: rate.min(1.0) }
 }
 
 /// Ternary forward pass under a partial input assignment; returns the
@@ -924,11 +905,10 @@ fn bnb_leaf(pos: &Netlist, neg: &Netlist, assign: &[Option<bool>], free: &[usize
         pos.eval_words_into(&planes, &mut v1, &mut o1);
         neg.eval_words_into(&planes, &mut v2, &mut o2);
         let lanes = (total - b * 64).min(64) as usize;
-        for l in 0..lanes {
-            let pv = lane_value(&o1, l);
-            let nv = lane_value(&o2, l);
+        let (pv, nv) = (from_planes(&o1), from_planes(&o2));
+        for (&pv, &nv) in pv.iter().zip(&nv).take(lanes) {
             if pv > nv {
-                best = best.max(pv - nv);
+                best = best.max(u128::from(pv - nv));
             }
         }
     }

@@ -38,7 +38,7 @@
 //!    with no per-family propagation code. The
 //!    [`xlac_adders::UnitDescriptor`] contract builds on it, and the
 //!    `absint:*` audit family plus the `absint_gate` CI step pin every
-//!    derived bound against exact BDD metrics.
+//!    derived bound against exact metrics.
 //!
 //! The `xlac-lint` binary runs these passes over every built-in
 //! configuration and exits non-zero on any error-severity finding,

@@ -1,5 +1,6 @@
 //! Bound-vs-exact soundness audit: every PR 2 static [`ErrorBound`]
-//! checked against the provable metrics of [`super::metrics`].
+//! checked against the exact metrics of its `(approx, exact)` netlist
+//! pair.
 //!
 //! The static layer promises *sound* over-approximation: for every input
 //! vector, `approx − exact ≤ bound.over` and `exact − approx ≤
@@ -8,23 +9,28 @@
 //! sampling ([`crate::validate`]). This module turns it into a closed
 //! regression: for every shipped configuration with 8-bit-and-under
 //! operands (≤ 16 primary input bits) the exact WCE / directional
-//! extremes / error rate / MED are computed on BDDs and compared field by
-//! field against the static bound. Any exact value exceeding its bound is
-//! an unsoundness — `xlac-lint --exact` fails on it — and the recorded
+//! extremes / error rate / MED are computed by exhaustive compiled
+//! enumeration ([`exhaustive_metrics`]) of the unit's structural netlist
+//! against its accurate reference, and compared field by field against
+//! the static bound. Any exact value exceeding its bound is an
+//! unsoundness — `xlac-lint --exact` fails on it — and the recorded
 //! slack (`bound − exact`) measures how conservative the abstract domain
-//! really is, per configuration.
+//! really is, per configuration. The BDD metrics of [`super::metrics`]
+//! compute the same numbers and remain the oracle the engine is tested
+//! against.
 
 use std::fmt::Write as _;
 
+use xlac_adders::hw::{gear_netlist, ripple_netlist, subtractor_netlist};
 use xlac_adders::{Adder, FullAdderKind, GeArAdder, RippleCarryAdder, Subtractor};
+use xlac_core::XlacError;
+use xlac_logic::{Netlist, NetlistBuilder, Signal};
+use xlac_multipliers::hw::{recursive_netlist, truncated_netlist, wallace_netlist};
 use xlac_multipliers::{
-    Mul2x2Kind, Multiplier, SumMode, TruncatedMultiplier, WallaceMultiplier,
+    Mul2x2Kind, Multiplier, RecursiveMultiplier, SumMode, TruncatedMultiplier, WallaceMultiplier,
 };
 
-use super::bdd::{Bdd, Ref, FALSE};
-use super::compile::{compile_netlist, interleaved_operand_vars};
-use super::metrics::{exact_metrics, ExactMetrics};
-use super::twins;
+use super::metrics::{exhaustive_metrics, ExactMetrics};
 use crate::absint::derive_error_bound;
 use crate::bound::ErrorBound;
 use crate::components;
@@ -97,57 +103,53 @@ impl BoundAudit {
     }
 }
 
-/// Audits one two-operand datapath: builds a fresh manager with the
-/// interleaved order, compiles the approximate twin and the exact
-/// reference, and compares the metrics against the static bound.
+/// Audits `bound` against the exhaustive metrics of the netlist pair.
 fn audit_pair(
     name: String,
-    width: usize,
     bound: &ErrorBound,
-    twin: impl FnOnce(&mut Bdd, &[Ref], &[Ref]) -> Vec<Ref>,
-    reference: impl FnOnce(&mut Bdd, &[Ref], &[Ref]) -> Vec<Ref>,
-) -> BoundAudit {
-    let mut bdd = Bdd::new();
-    let (a, b) = interleaved_operand_vars(&mut bdd, width);
-    let approx = twin(&mut bdd, &a, &b);
-    let exact = reference(&mut bdd, &a, &b);
-    let metrics = exact_metrics(&mut bdd, &approx, &exact, 2 * width);
-    BoundAudit::new(name, 2 * width, bound, &metrics)
+    approx: &Netlist,
+    exact: &Netlist,
+) -> Result<BoundAudit, XlacError> {
+    let metrics = exhaustive_metrics(approx, exact)?;
+    Ok(BoundAudit::new(name, approx.n_inputs(), bound, &metrics))
 }
 
 /// Audits an automatically derived bound: [`derive_error_bound`] runs on
 /// the raw `(approx, exact)` netlist pair — no hand-wired propagation
-/// rule anywhere — and the result is compared against the exact BDD
-/// metrics of the very same pair. Output words are zero-padded to a
-/// common width so adders with carry-out audit against flag-less
-/// references cleanly.
+/// rule anywhere — and the result is compared against the exact metrics
+/// of the very same pair. Shorter output words are zero-extended, so
+/// adders with carry-out audit against flag-less references cleanly.
 fn audit_derived_pair(
     name: &str,
-    approx: &xlac_logic::Netlist,
-    exact: &xlac_logic::Netlist,
-) -> BoundAudit {
-    let bound = derive_error_bound(approx, exact).expect("registry pairs share their input arity");
-    let mut bdd = Bdd::new();
-    let vars: Vec<Ref> = (0..approx.n_inputs()).map(|i| bdd.var(i)).collect();
-    let mut a_roots = compile_netlist(&mut bdd, approx, &vars);
-    let mut e_roots = compile_netlist(&mut bdd, exact, &vars);
-    while a_roots.len() < e_roots.len() {
-        a_roots.push(FALSE);
+    approx: &Netlist,
+    exact: &Netlist,
+) -> Result<BoundAudit, XlacError> {
+    let bound = derive_error_bound(approx, exact)?;
+    audit_pair(format!("absint:{name}"), &bound, approx, exact)
+}
+
+/// The magnitude word `|a − b|` of a subtractor netlist, without its
+/// trailing `a ≥ b` flag: the quantity the subtractor bounds cover.
+fn magnitude_netlist(sub: &Subtractor<RippleCarryAdder>) -> Netlist {
+    let w = sub.width();
+    let full = subtractor_netlist(sub);
+    let mut b = NetlistBuilder::new(sub.name(), 2 * w);
+    let ins: Vec<Signal> = (0..2 * w).map(Signal::Input).collect();
+    for s in b.inline(&full, &ins).into_iter().take(w) {
+        b.output(s);
     }
-    while e_roots.len() < a_roots.len() {
-        e_roots.push(FALSE);
-    }
-    let metrics = exact_metrics(&mut bdd, &a_roots, &e_roots, approx.n_inputs());
-    BoundAudit::new(format!("absint:{name}"), approx.n_inputs(), &bound, &metrics)
+    b.finish().expect("a prefix of a well-formed netlist's outputs is well-formed")
 }
 
 /// The abstract-interpretation sweep: every ≤ 16-input registry module's
 /// automatically derived bound, audited against exact metrics. These are
 /// the entries `scripts/ci.sh`'s `absint_gate` step parses out of the
-/// `--exact --json` report.
-fn absint_audits() -> Vec<BoundAudit> {
-    use xlac_adders::hw::subtractor_netlist;
-    use xlac_multipliers::hw::wallace_netlist;
+/// `--exact --json` report. The references are the accurate 8-bit ripple
+/// adder and 8×8 product.
+fn absint_audits(
+    accurate_rca: &Netlist,
+    accurate_mul: &Netlist,
+) -> Result<Vec<BoundAudit>, XlacError> {
     let mut audits = Vec::new();
 
     for d in xlac_adders::approx_cell_descriptors() {
@@ -155,7 +157,7 @@ fn absint_audits() -> Vec<BoundAudit> {
             &format!("cell/{}", d.name()),
             d.netlist(),
             d.reference_netlist(),
-        ));
+        )?);
     }
     let accurate_fa = FullAdderKind::Accurate.structural_netlist();
     for kind in FullAdderKind::APPROXIMATE {
@@ -163,7 +165,7 @@ fn absint_audits() -> Vec<BoundAudit> {
             &kind.to_string(),
             &kind.structural_netlist(),
             &accurate_fa,
-        ));
+        )?);
     }
     let accurate_mul2x2 = Mul2x2Kind::Accurate.netlist();
     for kind in Mul2x2Kind::ALL {
@@ -172,26 +174,17 @@ fn absint_audits() -> Vec<BoundAudit> {
                 &format!("mul2x2_{kind}"),
                 &kind.netlist(),
                 &accurate_mul2x2,
-            ));
+            )?);
         }
     }
-    let accurate_rca = xlac_adders::hw::ripple_netlist(&RippleCarryAdder::accurate(8));
     for kind in FullAdderKind::APPROXIMATE {
         let rca =
             RippleCarryAdder::with_approx_lsbs(8, kind, 4).expect("shipped configuration");
-        audits.push(audit_derived_pair(
-            &rca.name(),
-            &xlac_adders::hw::ripple_netlist(&rca),
-            &accurate_rca,
-        ));
+        audits.push(audit_derived_pair(&rca.name(), &ripple_netlist(&rca), accurate_rca)?);
     }
     {
         let gear = GeArAdder::new(8, 2, 2).expect("shipped configuration");
-        audits.push(audit_derived_pair(
-            &gear.name(),
-            &xlac_adders::hw::gear_netlist(&gear),
-            &accurate_rca,
-        ));
+        audits.push(audit_derived_pair(&gear.name(), &gear_netlist(&gear), accurate_rca)?);
     }
     let exact_sub =
         subtractor_netlist(&Subtractor::new(RippleCarryAdder::accurate(8)));
@@ -199,20 +192,17 @@ fn absint_audits() -> Vec<BoundAudit> {
         let sub = Subtractor::new(
             RippleCarryAdder::with_approx_lsbs(8, kind, 4).expect("shipped configuration"),
         );
-        audits.push(audit_derived_pair(&sub.name(), &subtractor_netlist(&sub), &exact_sub));
+        audits.push(audit_derived_pair(&sub.name(), &subtractor_netlist(&sub), &exact_sub)?);
     }
-    let accurate_wallace = wallace_netlist(
-        &WallaceMultiplier::new(8, FullAdderKind::Accurate, 0).expect("accurate Wallace"),
-    );
     for (kind, cols) in [
         (FullAdderKind::Apx2, 4),
         (FullAdderKind::Apx4, 8),
         (FullAdderKind::Apx5, 8),
     ] {
         let mul = WallaceMultiplier::new(8, kind, cols).expect("shipped configuration");
-        audits.push(audit_derived_pair(&mul.name(), &wallace_netlist(&mul), &accurate_wallace));
+        audits.push(audit_derived_pair(&mul.name(), &wallace_netlist(&mul), accurate_mul)?);
     }
-    audits
+    Ok(audits)
 }
 
 /// Runs the full audit: every shipped configuration whose operand width
@@ -221,7 +211,18 @@ fn absint_audits() -> Vec<BoundAudit> {
 /// stay covered by the sampled [`crate::validate`] checks.
 #[must_use]
 pub fn audit_bounds() -> Vec<BoundAudit> {
+    // Invariant: the table below is fixed, and every pair in it shares
+    // its input arity and fits the exhaustive engine (≤ 16 inputs, ≤ 64
+    // outputs). A failure is a bug in this table, not an input error.
+    audit_table().expect("audit pairs share their input arity and fit the exhaustive engine")
+}
+
+fn audit_table() -> Result<Vec<BoundAudit>, XlacError> {
     let mut audits = Vec::new();
+    let accurate_rca = ripple_netlist(&RippleCarryAdder::accurate(8));
+    let accurate_mul = wallace_netlist(
+        &WallaceMultiplier::new(8, FullAdderKind::Accurate, 0).expect("accurate Wallace"),
+    );
 
     // Ripple adders: 8-bit, 4 approximate LSB cells, all five Table III
     // approximate full adders. Exact reference: a + b with carry-out.
@@ -229,162 +230,99 @@ pub fn audit_bounds() -> Vec<BoundAudit> {
         let rca = RippleCarryAdder::with_approx_lsbs(8, kind, 4)
             .expect("shipped configuration");
         let bound = components::ripple_adder_bound(&rca);
-        audits.push(audit_pair(
-            rca.name(),
-            8,
-            &bound,
-            |bdd, a, b| twins::ripple_adder(bdd, &rca, a, b),
-            |bdd, a, b| twins::add_exact(bdd, a, b, FALSE),
-        ));
+        audits.push(audit_pair(rca.name(), &bound, &ripple_netlist(&rca), &accurate_rca)?);
     }
 
     // The one GeAr geometry with ≤ 16 input bits. Plain (uncorrected)
     // addition — exactly what the static bound covers.
     let gear = GeArAdder::new(8, 2, 2).expect("shipped configuration");
     let bound = components::gear_adder_bound(&gear);
-    audits.push(audit_pair(
-        gear.name(),
-        8,
-        &bound,
-        |bdd, a, b| twins::gear_adder(bdd, &gear, a, b, 0),
-        |bdd, a, b| twins::add_exact(bdd, a, b, FALSE),
-    ));
+    audits.push(audit_pair(gear.name(), &bound, &gear_netlist(&gear), &accurate_rca)?);
 
     // Subtractors over each approximate ripple core. Exact reference:
     // the same datapath built on an accurate adder, i.e. |a − b|.
+    let exact_sub = magnitude_netlist(&Subtractor::new(RippleCarryAdder::accurate(8)));
     for kind in FullAdderKind::APPROXIMATE {
         let sub = Subtractor::new(
             RippleCarryAdder::with_approx_lsbs(8, kind, 4).expect("shipped configuration"),
         );
         let bound = components::subtractor_bound(&sub);
-        let exact_sub = Subtractor::new(RippleCarryAdder::accurate(8));
-        audits.push(audit_pair(
-            sub.name(),
-            8,
-            &bound,
-            |bdd, a, b| twins::subtractor(bdd, &sub, a, b).0,
-            |bdd, a, b| twins::subtractor(bdd, &exact_sub, a, b).0,
-        ));
+        audits.push(audit_pair(sub.name(), &bound, &magnitude_netlist(&sub), &exact_sub)?);
     }
 
     // Elementary 2×2 blocks (Fig. 5): 4 primary inputs.
+    let accurate_mul2x2 = Mul2x2Kind::Accurate.netlist();
     for kind in Mul2x2Kind::ALL {
         let bound = components::mul2x2_bound(kind);
         audits.push(audit_pair(
             format!("mul2x2_{kind}"),
-            2,
             &bound,
-            |bdd, a, b| twins::mul2x2(bdd, kind, a[0], a[1], b[0], b[1]).to_vec(),
-            |bdd, a, b| {
-                twins::mul2x2(bdd, Mul2x2Kind::Accurate, a[0], a[1], b[0], b[1]).to_vec()
-            },
-        ));
+            &kind.netlist(),
+            &accurate_mul2x2,
+        )?);
     }
 
     // 8-bit recursive multipliers: every block kind × both summation
     // modes, as shipped by `builtin_profiles`.
-    for block in Mul2x2Kind::ALL {
-        for sum in [
-            SumMode::Accurate,
-            SumMode::ApproxLsbs { kind: FullAdderKind::Apx2, lsbs: 2 },
-        ] {
-            let mul = xlac_multipliers::RecursiveMultiplier::new(8, block, sum)
-                .expect("shipped configuration");
-            let bound = components::recursive_multiplier_bound(&mul);
-            audits.push(audit_pair(
-                mul.name(),
-                8,
-                &bound,
-                |bdd, a, b| twins::recursive_multiplier(bdd, 8, block, sum, a, b),
-                twins::mul_exact,
-            ));
-        }
+    let recursive: Vec<RecursiveMultiplier> = Mul2x2Kind::ALL
+        .into_iter()
+        .flat_map(|block| {
+            [SumMode::Accurate, SumMode::ApproxLsbs { kind: FullAdderKind::Apx2, lsbs: 2 }]
+                .map(|sum| RecursiveMultiplier::new(8, block, sum).expect("shipped configuration"))
+        })
+        .collect();
+    for mul in &recursive {
+        let bound = components::recursive_multiplier_bound(mul);
+        audits.push(audit_pair(mul.name(), &bound, &recursive_netlist(mul), &accurate_mul)?);
     }
 
     // 8-bit Wallace trees with approximate low columns.
-    for (kind, cols) in [
-        (FullAdderKind::Apx2, 4),
-        (FullAdderKind::Apx4, 8),
-        (FullAdderKind::Apx5, 8),
-    ] {
-        let mul = WallaceMultiplier::new(8, kind, cols).expect("shipped configuration");
-        let bound = components::wallace_bound(&mul);
-        audits.push(audit_pair(
-            mul.name(),
-            8,
-            &bound,
-            |bdd, a, b| twins::wallace_multiplier(bdd, &mul, a, b),
-            twins::mul_exact,
-        ));
+    let wallace: Vec<WallaceMultiplier> =
+        [(FullAdderKind::Apx2, 4), (FullAdderKind::Apx4, 8), (FullAdderKind::Apx5, 8)]
+            .map(|(kind, cols)| {
+                WallaceMultiplier::new(8, kind, cols).expect("shipped configuration")
+            })
+            .into();
+    for mul in &wallace {
+        let bound = components::wallace_bound(mul);
+        audits.push(audit_pair(mul.name(), &bound, &wallace_netlist(mul), &accurate_mul)?);
     }
 
     // 8-bit truncated multipliers, compensated and not.
-    for (dropped, compensated) in [(2, false), (4, true), (6, true)] {
-        let mul = TruncatedMultiplier::new(8, dropped, compensated)
-            .expect("shipped configuration");
-        let bound = components::truncated_bound(&mul);
-        audits.push(audit_pair(
-            mul.name(),
-            8,
-            &bound,
-            |bdd, a, b| twins::truncated_multiplier(bdd, &mul, a, b),
-            twins::mul_exact,
-        ));
+    let truncated: Vec<TruncatedMultiplier> = [(2, false), (4, true), (6, true)]
+        .map(|(dropped, compensated)| {
+            TruncatedMultiplier::new(8, dropped, compensated).expect("shipped configuration")
+        })
+        .into();
+    for mul in &truncated {
+        let bound = components::truncated_bound(mul);
+        audits.push(audit_pair(mul.name(), &bound, &truncated_netlist(mul), &accurate_mul)?);
     }
 
     // The compositional error calculus' certified envelopes, regressed
     // against the same monolithic metrics. For the Wallace and truncated
     // families the calculus certifies the exact distribution, so the
-    // envelope must match the monolithic proof with zero WCE slack; the
-    // recursive intervals must contain it.
-    for (kind, cols) in [
-        (FullAdderKind::Apx2, 4),
-        (FullAdderKind::Apx4, 8),
-        (FullAdderKind::Apx5, 8),
-    ] {
-        let mul = WallaceMultiplier::new(8, kind, cols).expect("shipped configuration");
-        let bound = super::calculus::wallace_calculus(&mul, None).to_error_bound();
-        audits.push(audit_pair(
-            format!("calculus:{}", mul.name()),
-            8,
-            &bound,
-            |bdd, a, b| twins::wallace_multiplier(bdd, &mul, a, b),
-            twins::mul_exact,
-        ));
+    // envelope must match the exact metrics with zero WCE slack; the
+    // recursive intervals must contain them.
+    for mul in &wallace {
+        let bound = super::calculus::wallace_calculus(mul, None).to_error_bound();
+        let name = format!("calculus:{}", mul.name());
+        audits.push(audit_pair(name, &bound, &wallace_netlist(mul), &accurate_mul)?);
     }
-    for (dropped, compensated) in [(2, false), (4, true), (6, true)] {
-        let mul = TruncatedMultiplier::new(8, dropped, compensated)
-            .expect("shipped configuration");
-        let bound = super::calculus::truncated_calculus(&mul).to_error_bound();
-        audits.push(audit_pair(
-            format!("calculus:{}", mul.name()),
-            8,
-            &bound,
-            |bdd, a, b| twins::truncated_multiplier(bdd, &mul, a, b),
-            twins::mul_exact,
-        ));
+    for mul in &truncated {
+        let bound = super::calculus::truncated_calculus(mul).to_error_bound();
+        let name = format!("calculus:{}", mul.name());
+        audits.push(audit_pair(name, &bound, &truncated_netlist(mul), &accurate_mul)?);
     }
-    for block in Mul2x2Kind::ALL {
-        for sum in [
-            SumMode::Accurate,
-            SumMode::ApproxLsbs { kind: FullAdderKind::Apx2, lsbs: 2 },
-        ] {
-            let mul = xlac_multipliers::RecursiveMultiplier::new(8, block, sum)
-                .expect("shipped configuration");
-            let bound = super::calculus::recursive_calculus(&mul).to_error_bound();
-            audits.push(audit_pair(
-                format!("calculus:{}", mul.name()),
-                8,
-                &bound,
-                |bdd, a, b| twins::recursive_multiplier(bdd, 8, block, sum, a, b),
-                twins::mul_exact,
-            ));
-        }
+    for mul in &recursive {
+        let bound = super::calculus::recursive_calculus(mul).to_error_bound();
+        let name = format!("calculus:{}", mul.name());
+        audits.push(audit_pair(name, &bound, &recursive_netlist(mul), &accurate_mul)?);
     }
 
-    audits.extend(absint_audits());
+    audits.extend(absint_audits(&accurate_rca, &accurate_mul)?);
 
-    audits
+    Ok(audits)
 }
 
 /// Serializes the audit table as a JSON array (hand-rolled like every
@@ -423,6 +361,7 @@ pub fn audits_to_json(audits: &[BoundAudit]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::symbolic::{interleaved_operand_vars, twins, Bdd};
 
     #[test]
     fn every_static_bound_is_sound_against_exact_metrics() {
@@ -496,6 +435,25 @@ mod tests {
                 a.name,
                 a.bound_mean_abs,
                 a.exact_med
+            );
+            // Stricter: the exhaustive leg's f64 sums of `2^-n · d` are
+            // exact at ≤ 16 inputs, so they equal the engine's integer
+            // counts divided once, bit for bit.
+            assert_eq!(
+                a.bound_mean_abs.to_bits(),
+                a.exact_med.to_bits(),
+                "{}: mean {} vs exact {}",
+                a.name,
+                a.bound_mean_abs,
+                a.exact_med
+            );
+            assert_eq!(
+                a.bound_error_rate.to_bits(),
+                a.exact_error_rate.to_bits(),
+                "{}: rate {} vs exact {}",
+                a.name,
+                a.bound_error_rate,
+                a.exact_error_rate
             );
         }
     }

@@ -20,6 +20,17 @@
 //! Everything is exact integer/rational arithmetic on `u128` model
 //! counts — no sampling, no floating-point accumulation error beyond the
 //! final division into `f64` for the reported rates.
+//!
+//! [`exhaustive_metrics`] computes the same [`ExactMetrics`] without
+//! BDDs for units with at most 16 primary inputs: both netlists are
+//! compiled to bit-plane programs and run over every input assignment,
+//! 64 per block. It is the engine behind the bound audit; the BDD path
+//! stays the proof engine and the oracle it is checked against.
+
+use xlac_core::lanes::from_planes;
+use xlac_core::XlacError;
+use xlac_logic::Netlist;
+use xlac_sim::CompiledProgram;
 
 use super::bdd::{Bdd, Ref, FALSE, TRUE};
 
@@ -169,6 +180,172 @@ fn maximize(bdd: &mut Bdd, bits: &[Ref], constraint: Ref) -> (u128, u64) {
     (value, witness)
 }
 
+/// Most primary inputs [`exhaustive_metrics`] enumerates (2¹⁶
+/// assignments, 1024 blocks).
+pub const EXHAUSTIVE_MAX_INPUTS: usize = 16;
+
+/// The in-word counting patterns: lane `l` of a block sees bit `i` of `l`
+/// on input `i < 6`.
+pub(crate) const COUNTING_PATTERNS: [u64; 6] = [
+    0xAAAA_AAAA_AAAA_AAAA,
+    0xCCCC_CCCC_CCCC_CCCC,
+    0xF0F0_F0F0_F0F0_F0F0,
+    0xFF00_FF00_FF00_FF00,
+    0xFFFF_0000_FFFF_0000,
+    0xFFFF_FFFF_0000_0000,
+];
+
+/// One 64-lane block of an exhaustive enumeration: both programs'
+/// output planes for assignments `base .. base + 64`.
+pub(crate) struct Block<'a> {
+    base: u64,
+    live: u64,
+    approx: &'a [u64],
+    exact: &'a [u64],
+}
+
+impl Block<'_> {
+    /// Number of compared output bits (the longer word).
+    pub(crate) fn width(&self) -> usize {
+        self.approx.len().max(self.exact.len())
+    }
+
+    /// Live lanes where output bit `k` differs; the shorter word is
+    /// zero-extended.
+    pub(crate) fn diff(&self, k: usize) -> u64 {
+        let plane = |v: &[u64]| v.get(k).copied().unwrap_or(0);
+        (plane(self.approx) ^ plane(self.exact)) & self.live
+    }
+
+    /// Live lanes where any output bit differs.
+    pub(crate) fn differing(&self) -> u64 {
+        (0..self.width()).fold(0, |any, k| any | self.diff(k))
+    }
+
+    /// `(assignment, approx value, exact value)` of every lane in `mask`,
+    /// in ascending assignment order. The output planes are transposed
+    /// only when `mask` is non-empty.
+    pub(crate) fn lanes(&self, mask: u64) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
+        let (av, ev) = if mask == 0 {
+            ([0; 64], [0; 64])
+        } else {
+            (from_planes(self.approx), from_planes(self.exact))
+        };
+        let mut rest = mask;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let l = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                (self.base | l as u64, av[l], ev[l])
+            })
+        })
+    }
+}
+
+/// Runs both programs over all `2^n` assignments of their shared `n`
+/// inputs, one 64-lane [`Block`] at a time. Lane `l` of block `b` is
+/// input assignment `64·b + l` in [`Netlist::eval`] packing (input `i` in
+/// bit `i`): inputs 0–5 take the [`COUNTING_PATTERNS`], higher inputs are
+/// all-0 or all-1 words from the block index. Lanes past `2^n` (when
+/// `n < 6`) are masked out of every [`Block`] query.
+///
+/// The caller guarantees the shared input arity, `n < 64` and at most 64
+/// outputs per program.
+pub(crate) fn for_each_block(
+    approx: &CompiledProgram,
+    exact: &CompiledProgram,
+    mut visit: impl FnMut(&Block<'_>),
+) {
+    let n = approx.n_inputs();
+    debug_assert_eq!(exact.n_inputs(), n, "callers check the input arity");
+    let live = if n < 6 { (1u64 << (1u32 << n)) - 1 } else { u64::MAX };
+    let mut planes = vec![0u64; n];
+    for (plane, &pattern) in planes.iter_mut().zip(&COUNTING_PATTERNS) {
+        *plane = pattern;
+    }
+    let (mut regs_a, mut out_a, mut regs_e, mut out_e) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    for block in 0..1u64 << n.saturating_sub(6) {
+        for (j, plane) in planes.iter_mut().enumerate().skip(6) {
+            *plane = if (block >> (j - 6)) & 1 == 1 { u64::MAX } else { 0 };
+        }
+        approx.run_into(&planes, &mut regs_a, &mut out_a);
+        exact.run_into(&planes, &mut regs_e, &mut out_e);
+        visit(&Block { base: block << 6, live, approx: &out_a, exact: &out_e });
+    }
+}
+
+/// The exact metric set of `approx` against `exact` by exhaustive
+/// compiled enumeration: both netlists are compiled to bit-plane programs
+/// and run over all `2^n` input assignments, 64 lanes per block. Every
+/// field equals [`exact_metrics`] on the same pair except the witness,
+/// which here is the lowest input assignment (in [`Netlist::eval`]
+/// packing) that reaches the worst-case error. Output words may differ in
+/// length; the shorter is zero-extended.
+///
+/// # Errors
+///
+/// [`XlacError::InvalidConfiguration`] when the two netlists differ in
+/// input arity or either has more than 64 outputs;
+/// [`XlacError::InvalidWidth`] above [`EXHAUSTIVE_MAX_INPUTS`] inputs.
+pub fn exhaustive_metrics(approx: &Netlist, exact: &Netlist) -> Result<ExactMetrics, XlacError> {
+    let n = approx.n_inputs();
+    if exact.n_inputs() != n {
+        return Err(XlacError::InvalidConfiguration(format!(
+            "exhaustive metrics: input arity mismatch ({n} vs {})",
+            exact.n_inputs()
+        )));
+    }
+    if n > EXHAUSTIVE_MAX_INPUTS {
+        return Err(XlacError::InvalidWidth { width: n, max: EXHAUSTIVE_MAX_INPUTS });
+    }
+    let m = approx.n_outputs().max(exact.n_outputs());
+    if m > 64 {
+        return Err(XlacError::InvalidConfiguration(format!(
+            "exhaustive metrics: {m} compared outputs exceed a 64-bit word"
+        )));
+    }
+
+    let mut flips = vec![0u128; m];
+    let (mut error_count, mut med_num) = (0u128, 0u128);
+    let (mut wce, mut witness, mut over, mut under) = (0u64, 0u64, 0u64, 0u64);
+    let (approx, exact) = (CompiledProgram::compile(approx), CompiledProgram::compile(exact));
+    for_each_block(&approx, &exact, |block| {
+        let mut any = 0u64;
+        for (k, flip) in flips.iter_mut().enumerate() {
+            let d = block.diff(k);
+            *flip += u128::from(d.count_ones());
+            any |= d;
+        }
+        error_count += u128::from(any.count_ones());
+        for (x, av, ev) in block.lanes(any) {
+            let d = av.abs_diff(ev);
+            med_num += u128::from(d);
+            if av > ev {
+                over = over.max(d);
+            } else {
+                under = under.max(d);
+            }
+            if d > wce {
+                (wce, witness) = (d, x);
+            }
+        }
+    });
+
+    let denom = (n as f64).exp2();
+    Ok(ExactMetrics {
+        n_inputs: n,
+        worst_case_error: u128::from(wce),
+        worst_case_witness: witness,
+        max_overshoot: u128::from(over),
+        max_undershoot: u128::from(under),
+        error_count,
+        error_rate: count_to_rate(error_count, denom),
+        mean_error_distance: count_to_rate(med_num, denom),
+        bit_flip_probability: flips.iter().map(|&c| count_to_rate(c, denom)).collect(),
+    })
+}
+
 fn count_to_rate(count: u128, denom: f64) -> f64 {
     // u128 → f64 is lossy above 2^53; the denominators here are ≤ 2^64
     // and the rates are reported, not accumulated, so nearest-f64 is the
@@ -183,6 +360,7 @@ mod tests {
     use super::*;
     use crate::symbolic::compile::{compile_truth_table, interleaved_operand_vars};
     use crate::symbolic::twins;
+    use xlac_adders::hw::ripple_netlist;
     use xlac_adders::{Adder, FullAdderKind, RippleCarryAdder};
     use xlac_multipliers::Mul2x2Kind;
 
@@ -239,6 +417,18 @@ mod tests {
                 (m.worst_case_witness & 3) * ((m.worst_case_witness >> 2) & 3),
             );
             assert_eq!(u128::from(av.abs_diff(ev)), m.worst_case_error, "{kind} witness");
+
+            // The exhaustive engine: same numbers, and its witness packs
+            // the netlist inputs `a0 a1 b0 b1` like the brute force.
+            let e = exhaustive_metrics(&kind.netlist(), &Mul2x2Kind::Accurate.netlist()).unwrap();
+            assert_eq!(e.worst_case_error, wce, "{kind} engine wce");
+            assert_eq!(e.max_overshoot, over, "{kind} engine over");
+            assert_eq!(e.max_undershoot, under, "{kind} engine under");
+            assert_eq!(e.error_count, errs, "{kind} engine errors");
+            assert_eq!(e.mean_error_distance.to_bits(), med_f.to_bits(), "{kind} engine med");
+            let x = e.worst_case_witness;
+            let d = kind.mul(x & 3, (x >> 2) & 3).abs_diff((x & 3) * ((x >> 2) & 3));
+            assert_eq!(u128::from(d), wce, "{kind} engine witness");
         }
     }
 
@@ -273,6 +463,66 @@ mod tests {
         assert_eq!(m.max_undershoot, under);
         assert_eq!(m.error_count, errs);
         assert_eq!(m.bit_flip_probability.len(), w + 1);
+
+        // The exhaustive engine on the same adders' netlists (operand `a`
+        // in the low input bits): same metrics, a witness that realises
+        // the WCE.
+        let e = exhaustive_metrics(&ripple_netlist(&rca), &ripple_netlist(&acc)).unwrap();
+        assert_eq!(ExactMetrics { worst_case_witness: 0, ..e.clone() }, ExactMetrics {
+            worst_case_witness: 0,
+            ..m
+        });
+        let (av, bv) = (e.worst_case_witness & 0xF, e.worst_case_witness >> w);
+        assert_eq!(u128::from(rca.add(av, bv).abs_diff(av + bv)), wce);
+    }
+
+    #[test]
+    fn exhaustive_engine_rejects_mismatched_and_oversized_pairs() {
+        let fa = FullAdderKind::Accurate.structural_netlist();
+        let mul2x2 = Mul2x2Kind::Accurate.netlist();
+        assert!(matches!(
+            exhaustive_metrics(&fa, &mul2x2),
+            Err(XlacError::InvalidConfiguration(msg)) if msg.contains("arity")
+        ));
+
+        let wide = ripple_netlist(&RippleCarryAdder::accurate(9));
+        assert_eq!(
+            exhaustive_metrics(&wide, &wide),
+            Err(XlacError::InvalidWidth { width: 18, max: EXHAUSTIVE_MAX_INPUTS })
+        );
+
+        // 65 outputs, each a copy of the single input.
+        let mut b = xlac_logic::NetlistBuilder::new("fanout65", 1);
+        for _ in 0..65 {
+            b.output(xlac_logic::Signal::Input(0));
+        }
+        let fanout = b.finish().unwrap();
+        assert!(matches!(
+            exhaustive_metrics(&fanout, &fanout),
+            Err(XlacError::InvalidConfiguration(msg)) if msg.contains("64")
+        ));
+    }
+
+    #[test]
+    fn exhaustive_engine_zero_extends_the_shorter_word_and_masks_dead_lanes() {
+        // 3 inputs: only 8 of the 64 lanes are live. The approximate cell
+        // drops its carry output, so the exact word is one bit wider.
+        let exact = FullAdderKind::Accurate.structural_netlist();
+        let mut b = xlac_logic::NetlistBuilder::new("sum_only", 3);
+        let ins: Vec<xlac_logic::Signal> = (0..3).map(xlac_logic::Signal::Input).collect();
+        let sum = b.inline(&exact, &ins)[0];
+        b.output(sum);
+        let approx = b.finish().unwrap();
+        let e = exhaustive_metrics(&approx, &exact).unwrap();
+        // The carry is set on 4 of the 8 assignments, each an undershoot
+        // of exactly 2.
+        assert_eq!(e.error_count, 4);
+        assert_eq!(e.worst_case_error, 2);
+        assert_eq!((e.max_overshoot, e.max_undershoot), (0, 2));
+        assert_eq!(e.error_rate, 0.5);
+        assert_eq!(e.mean_error_distance, 1.0);
+        assert_eq!(e.bit_flip_probability, vec![0.0, 0.5]);
+        assert_eq!(e.worst_case_witness, 0b011, "lowest assignment with a carry");
     }
 
     #[test]

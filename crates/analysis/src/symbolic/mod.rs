@@ -18,12 +18,15 @@
 //!   the truth-table cells and exact references they are measured by.
 //! * [`metrics`] — exact worst-case error (with a concrete witness
 //!   input), error rate, mean error distance and per-bit flip
-//!   probability from the XOR-miter, via weighted model counting.
+//!   probability from the XOR-miter, via weighted model counting; and the
+//!   same metric set by exhaustive compiled enumeration for units with
+//!   ≤ 16 inputs ([`exhaustive_metrics`]).
 //! * [`equiv`] — equivalence proofs between representations, with
 //!   counterexample extraction on refutation.
 //! * [`audit`] — the static [`crate::bound`] layer regressed against the
 //!   exact metrics: every 8-bit-and-under configuration's bound is
-//!   checked for soundness (`bound ⊇ exact`) with per-field slack.
+//!   checked for soundness (`bound ⊇ exact`) with per-field slack, on the
+//!   exhaustive engine.
 //! * [`jitproof`] — symbolic execution of `xlac-sim`'s compiled
 //!   bit-plane bytecode, proving every JIT rewrite (inverter fusion, De
 //!   Morgan, mux normalization, CSE, DCE, register reuse) preserved the
@@ -54,7 +57,7 @@ pub use compile::{
     apply_gate, compile_netlist, compile_raw, compile_truth_table, interleaved_operand_vars,
 };
 pub use equiv::{prove_outputs_equal, Counterexample, Verdict};
-pub use metrics::{exact_metrics, ExactMetrics};
+pub use metrics::{exact_metrics, exhaustive_metrics, ExactMetrics, EXHAUSTIVE_MAX_INPUTS};
 pub use pmf::{
     signed_word_pmf, unsigned_word_pmf, ErrorInterval, ErrorModel, ErrorPmf, PmfOverflow,
 };

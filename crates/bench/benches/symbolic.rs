@@ -3,10 +3,11 @@
 //!
 //! The point of the exact engine (DESIGN.md §11) is that it answers
 //! "what is the worst-case error" *provably* — this bench quantifies
-//! what the proof costs relative to the brute-force alternative the
-//! workspace used before: enumerating all 2¹⁶ operand pairs through the
-//! scalar golden models. Both sides compute the same numbers (asserted
-//! before timing starts), so the comparison is like for like.
+//! what the proof costs relative to two brute-force alternatives:
+//! enumerating all 2¹⁶ operand pairs through the scalar golden models,
+//! and the compiled exhaustive engine (`exhaustive_metrics`) the bound
+//! audit runs on. All three compute the same numbers (asserted before
+//! timing starts), so the comparison is like for like.
 //!
 //! Besides the harness timing lines, the run emits one
 //! `symbolic_stats/...` JSON line per representative workload with node
@@ -20,17 +21,19 @@ use xlac_adders::{Adder, FullAdderKind, GeArAdder, RippleCarryAdder};
 use xlac_analysis::parse::parse_verilog;
 use xlac_analysis::symbolic::compile::interleaved_operand_vars;
 use xlac_analysis::symbolic::{
-    compile_netlist, compile_raw, exact_metrics, recursive_calculus, truncated_calculus, twins,
-    wallace_calculus, Bdd, ExactMetrics, SiftOptions, FALSE,
+    compile_netlist, compile_raw, exact_metrics, exhaustive_metrics, recursive_calculus,
+    truncated_calculus, twins, wallace_calculus, Bdd, ExactMetrics, SiftOptions, FALSE,
 };
 use xlac_bench::{black_box, Harness};
+use xlac_adders::hw::ripple_netlist;
+use xlac_multipliers::hw::wallace_netlist;
 use xlac_multipliers::{
     Mul2x2Kind, Multiplier, RecursiveMultiplier, SumMode, TruncatedMultiplier, WallaceMultiplier,
 };
 
 /// The brute-force reference: worst-case error, error count and total
 /// error distance of `approx` against `exact` over all `2^(2w)` pairs.
-fn exhaustive_metrics(
+fn scalar_exhaustive(
     width: usize,
     exact: impl Fn(u64, u64) -> u64,
     approx: impl Fn(u64, u64) -> u64,
@@ -67,35 +70,64 @@ fn ripple_exact(rca: &RippleCarryAdder) -> ExactMetrics {
     exact_metrics(&mut bdd, &approx, &exact, 16)
 }
 
+/// Asserts that the proof, the scalar enumeration and the compiled
+/// engine agree on the worst-case error, error count and total error
+/// distance (the MED numerator).
+fn assert_three_agree(
+    symbolic: &ExactMetrics,
+    scalar: (u128, u128, u128),
+    compiled: &ExactMetrics,
+) {
+    let (wce, errors, total) = scalar;
+    #[allow(clippy::cast_precision_loss)]
+    let med = total as f64 / 65536.0;
+    for m in [symbolic, compiled] {
+        assert_eq!(m.worst_case_error, wce);
+        assert_eq!(m.error_count, errors);
+        assert_eq!(m.mean_error_distance, med);
+    }
+    assert_eq!(symbolic.bit_flip_probability, compiled.bit_flip_probability);
+}
+
 fn bench_multiplier_metrics() {
     let m = WallaceMultiplier::new(8, FullAdderKind::Apx4, 8).unwrap();
+    let approx = wallace_netlist(&m);
+    let exact = wallace_netlist(&WallaceMultiplier::new(8, FullAdderKind::Accurate, 0).unwrap());
+    let compiled = || exhaustive_metrics(&approx, &exact).expect("16 inputs, 16 outputs");
 
-    // Cross-check once: the proof and the enumeration must agree exactly.
-    let symbolic = wallace_exact(&m);
-    let (wce, errors, _) = exhaustive_metrics(8, |a, b| a * b, |a, b| m.mul(a, b));
-    assert_eq!(symbolic.worst_case_error, wce);
-    assert_eq!(symbolic.error_count, errors);
+    // Cross-check once: the proof and both enumerations must agree exactly.
+    assert_three_agree(
+        &wallace_exact(&m),
+        scalar_exhaustive(8, |a, b| a * b, |a, b| m.mul(a, b)),
+        &compiled(),
+    );
 
     let mut h = Harness::group("symbolic_mul8_wallace_metrics");
     h.bench("bdd_exact", || black_box(wallace_exact(&m).worst_case_error));
     h.bench("exhaustive_65536", || {
-        black_box(exhaustive_metrics(8, |a, b| a * b, |a, b| m.mul(a, b)))
+        black_box(scalar_exhaustive(8, |a, b| a * b, |a, b| m.mul(a, b)))
     });
+    h.bench("compiled_exhaustive_65536", || black_box(compiled().worst_case_error));
 }
 
 fn bench_adder_metrics() {
     let rca = RippleCarryAdder::with_approx_lsbs(8, FullAdderKind::Apx3, 4).unwrap();
+    let approx = ripple_netlist(&rca);
+    let exact = ripple_netlist(&RippleCarryAdder::accurate(8));
+    let compiled = || exhaustive_metrics(&approx, &exact).expect("16 inputs, 9 outputs");
 
-    let symbolic = ripple_exact(&rca);
-    let (wce, errors, _) = exhaustive_metrics(8, |a, b| a + b, |a, b| rca.add(a, b));
-    assert_eq!(symbolic.worst_case_error, wce);
-    assert_eq!(symbolic.error_count, errors);
+    assert_three_agree(
+        &ripple_exact(&rca),
+        scalar_exhaustive(8, |a, b| a + b, |a, b| rca.add(a, b)),
+        &compiled(),
+    );
 
     let mut h = Harness::group("symbolic_rca8_apx3_metrics");
     h.bench("bdd_exact", || black_box(ripple_exact(&rca).worst_case_error));
     h.bench("exhaustive_65536", || {
-        black_box(exhaustive_metrics(8, |a, b| a + b, |a, b| rca.add(a, b)))
+        black_box(scalar_exhaustive(8, |a, b| a + b, |a, b| rca.add(a, b)))
     });
+    h.bench("compiled_exhaustive_65536", || black_box(compiled().worst_case_error));
 }
 
 fn bench_equivalence_proof() {

@@ -6,7 +6,7 @@
 //!
 //! * **presence**: the `absint:` audit sweep actually ran — at least
 //!   [`MIN_ENTRIES`] registry modules carry a derived bound;
-//! * **soundness**: every derived bound envelopes the exact BDD metrics
+//! * **soundness**: every derived bound envelopes the exact metrics
 //!   of the same `(approx, exact)` pair (`"sound": true`), with zero
 //!   tolerance — one unsound bound fails CI;
 //! * **tightness**: on every non-Wallace unit the derived worst-case

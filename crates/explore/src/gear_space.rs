@@ -18,9 +18,9 @@
 //! # }
 //! ```
 
-use xlac_adders::{Adder, GeArAdder, GearErrorModel};
-use xlac_analysis::symbolic::compile::interleaved_operand_vars;
-use xlac_analysis::symbolic::{exact_metrics, twins, Bdd};
+use xlac_adders::hw::{gear_netlist, ripple_netlist};
+use xlac_adders::{Adder, GeArAdder, GearErrorModel, RippleCarryAdder};
+use xlac_analysis::symbolic::exhaustive_metrics;
 use xlac_core::error::Result;
 use xlac_obs::{obs_count, obs_span};
 
@@ -44,8 +44,8 @@ pub struct GearDesignPoint {
     /// Static worst-case error bound from `xlac-analysis` (a sound
     /// ceiling on any error the adder can produce).
     pub wce_bound: u64,
-    /// The *exact* worst-case error proven by the symbolic BDD engine,
-    /// where the width permits (`2n ≤ 16` input bits); `None` for the
+    /// The *exact* worst-case error from exhaustive enumeration, where
+    /// the width permits (`2n ≤ 16` input bits); `None` for the
     /// wider Table IV geometries, which keep the analytic bound.
     pub wce_exact: Option<u64>,
     /// Static bound on the mean error distance under uniform inputs.
@@ -54,7 +54,7 @@ pub struct GearDesignPoint {
 
 impl GearDesignPoint {
     /// The sharpest available worst-case ceiling: the proven exact WCE
-    /// when the symbolic engine reached this width, the analytic bound
+    /// when exhaustive enumeration reached this width, the analytic bound
     /// otherwise. Always sound, so selections on it are safe.
     #[must_use]
     pub fn wce_ceiling(&self) -> u64 {
@@ -78,19 +78,17 @@ impl GearDesignPoint {
 }
 
 /// The provable worst-case error of the plain (uncorrected) GeAr adder,
-/// from the symbolic BDD engine, for geometries whose `2n` input bits
-/// stay within exact reach.
+/// by exhaustive compiled enumeration of its netlist against the accurate
+/// ripple adder, for geometries whose `2n` input bits stay within exact
+/// reach.
 fn exact_gear_wce(gear: &GeArAdder) -> Option<u64> {
     let n = gear.n();
     if 2 * n > 16 {
         return None;
     }
-    let mut bdd = Bdd::new();
-    let (a, b) = interleaved_operand_vars(&mut bdd, n);
-    let approx = twins::gear_adder(&mut bdd, gear, &a, &b, 0);
-    let exact = twins::add_exact(&mut bdd, &a, &b, xlac_analysis::symbolic::FALSE);
-    let wce = exact_metrics(&mut bdd, &approx, &exact, 2 * n).worst_case_error;
-    // An n-bit adder's error always fits u64 for the widths the miter
+    let exact = ripple_netlist(&RippleCarryAdder::accurate(n));
+    let wce = exhaustive_metrics(&gear_netlist(gear), &exact).ok()?.worst_case_error;
+    // An n-bit adder's error always fits u64 for the widths the engine
     // reaches (2n ≤ 16), but convert checked: an out-of-range value
     // degrades to "no exact proof" (the sound analytic bound stays in
     // force) instead of panicking mid-enumeration.

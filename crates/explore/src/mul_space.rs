@@ -9,9 +9,9 @@
 //! machinery — the multiplier counterpart of [`crate::gear_space`].
 //!
 //! Since every configuration also has a *free* static error ceiling from
-//! `xlac-analysis` — the exact worst-case error proven by the symbolic
-//! BDD engine where the width permits, the conservative bound beyond
-//! that — [`enumerate_multiplier_space_prefiltered`] prunes statically
+//! `xlac-analysis` — the exact worst-case error from the error calculus
+//! or exhaustive enumeration where the width permits, the conservative
+//! bound beyond that — [`enumerate_multiplier_space_prefiltered`] prunes statically
 //! dominated designs before spending any Monte-Carlo budget: simulation
 //! only runs for members of the static `(area, wce-ceiling)` Pareto
 //! frontier.
@@ -46,8 +46,7 @@ use xlac_analysis::components::{
 use xlac_analysis::symbolic::calculus::{
     recursive_calculus, truncated_calculus, wallace_calculus, CertifiedMetrics,
 };
-use xlac_analysis::symbolic::compile::interleaved_operand_vars;
-use xlac_analysis::symbolic::{exact_metrics, twins, Bdd};
+use xlac_analysis::symbolic::exhaustive_metrics;
 use xlac_core::characterization::HwCost;
 use xlac_core::error::Result;
 use xlac_core::metrics::{exhaustive_binary, ErrorStats};
@@ -56,7 +55,7 @@ use xlac_multipliers::{
     Mul2x2Kind, Multiplier, MultiplierX64, RecursiveMultiplier, SumMode, TruncatedMultiplier,
     WallaceMultiplier,
 };
-use xlac_multipliers::hw::wallace_netlist;
+use xlac_multipliers::hw::{recursive_netlist, truncated_netlist, wallace_netlist};
 use xlac_obs::{obs_count, obs_span};
 use xlac_sim::{compiled_pair_sweep, multiplier_sweep, CompiledProgram, SweepOptions};
 
@@ -117,9 +116,10 @@ impl MulConfig {
 
     /// The *provable* worst-case error: from the compositional calculus
     /// whenever it certifies the exact distribution (any width), else
-    /// from the monolithic symbolic miter where the operand width keeps
-    /// the BDD tractable (the same `2w ≤ 16` cutoff as the exhaustive
-    /// quality path). `None` beyond both.
+    /// from exhaustive compiled enumeration of the unit's `hw` netlist
+    /// against the accurate product where the operand width permits (the
+    /// same `2w ≤ 16` cutoff as the exhaustive quality path). `None`
+    /// beyond both.
     fn exact_wce(&self, certified: &CertifiedMetrics) -> Option<u128> {
         if let Some(wce) = certified.exact_wce() {
             return Some(wce);
@@ -128,17 +128,13 @@ impl MulConfig {
         if 2 * w > 16 {
             return None;
         }
-        let mut bdd = Bdd::new();
-        let (a, b) = interleaved_operand_vars(&mut bdd, w);
         let approx = match self {
-            MulConfig::Recursive(m) => {
-                twins::recursive_multiplier(&mut bdd, w, m.block(), m.sum_mode(), &a, &b)
-            }
-            MulConfig::Wallace(m) => twins::wallace_multiplier(&mut bdd, m, &a, &b),
-            MulConfig::Truncated(m) => twins::truncated_multiplier(&mut bdd, m, &a, &b),
+            MulConfig::Recursive(m) => recursive_netlist(m),
+            MulConfig::Wallace(m) => wallace_netlist(m),
+            MulConfig::Truncated(m) => truncated_netlist(m),
         };
-        let exact = twins::mul_exact(&mut bdd, &a, &b);
-        Some(exact_metrics(&mut bdd, &approx, &exact, 2 * w).worst_case_error)
+        let exact = wallace_netlist(&WallaceMultiplier::new(w, FullAdderKind::Accurate, 0).ok()?);
+        exhaustive_metrics(&approx, &exact).ok().map(|m| m.worst_case_error)
     }
 }
 
@@ -250,7 +246,7 @@ pub struct StaticPoint {
     /// The *exact* worst-case error: proven by the compositional error
     /// calculus wherever it certifies the full distribution (Wallace and
     /// truncated configurations at every shipped width, 16×16 and 32×32
-    /// included), or by the monolithic symbolic miter at `2w ≤ 16`.
+    /// included), or by exhaustive enumeration of the netlist at `2w ≤ 16`.
     /// `None` only where neither applies (wide recursive designs).
     pub wce_exact: Option<u128>,
     /// The calculus' certified worst-case ceiling — sound at every
@@ -285,7 +281,7 @@ pub struct PrefilteredSpace {
 
 /// `true` when `b` dominates `a` on (area, wce-ceiling): no worse on
 /// both axes and strictly better on at least one. The ceiling is the
-/// exact symbolic WCE where the width permits, so at paper widths the
+/// exact WCE where the width permits, so at paper widths the
 /// pruning decision is made on *proven* error, not on the conservative
 /// bound.
 fn statically_dominated(a: &StaticPoint, b: &StaticPoint) -> bool {
@@ -296,8 +292,8 @@ fn statically_dominated(a: &StaticPoint, b: &StaticPoint) -> bool {
 
 /// Enumerates the multiplier space with static error analysis as a
 /// pre-filter: every configuration gets a free `xlac-analysis` error
-/// ceiling — the *exact* worst-case error proven by the symbolic BDD
-/// engine where the width permits (`2w ≤ 16`), the conservative static
+/// ceiling — the *exact* worst-case error from the error calculus or
+/// exhaustive enumeration where the width permits (`2w ≤ 16`), the conservative static
 /// bound beyond that — the `(area, worst-case-error)` Pareto frontier is
 /// computed from those ceilings alone, and only frontier members are
 /// characterized by simulation. Because both ceilings are sound, a

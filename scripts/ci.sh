@@ -21,7 +21,8 @@
 #      the bit-sliced eval_x64 form are proven the same function (the
 #      composite datapaths' BDDs are compiled from their hw netlists), and
 #      every ≤8-bit static bound is checked sound against the exact
-#      BDD metrics; any refuted proof or unsound bound fails the gate;
+#      metrics from exhaustive compiled enumeration; any refuted proof
+#      or unsound bound fails the gate;
 #      the JSON report is kept as target/LINT_exact.json and absint_gate
 #      re-reads it to enforce the abstract-interpretation sweep
 #      (DESIGN.md §16): every automatically derived bound sound, and

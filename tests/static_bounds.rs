@@ -5,16 +5,22 @@
 //! shipped configuration the static worst-case bound dominates every
 //! error the hardware can actually produce.
 
-use xlac::adders::{Adder, FullAdderKind, GeArAdder, RippleCarryAdder};
+use xlac::adders::hw::{gear_netlist, ripple_netlist, subtractor_netlist};
+use xlac::adders::{Adder, FullAdderKind, GeArAdder, RippleCarryAdder, Subtractor};
 use xlac::analysis::components::{
     gear_adder_bound, recursive_multiplier_bound, ripple_adder_bound, truncated_bound,
     wallace_bound,
 };
-use xlac::analysis::symbolic::audit_bounds;
+use xlac::analysis::symbolic::{
+    audit_bounds, compile_netlist, exact_metrics, exhaustive_metrics, interleaved_operand_vars,
+    Bdd, ExactMetrics, Ref,
+};
 use xlac::analysis::symbolic::registry::{ensure_registry_hdl, prove_all};
 use xlac::analysis::validate::run_all_checks;
 use xlac::core::bits;
 use xlac::core::check::{check, DefaultRng, Rng};
+use xlac::logic::Netlist;
+use xlac::multipliers::hw::{recursive_netlist, truncated_netlist, wallace_netlist};
 use xlac::multipliers::{
     Mul2x2Kind, Multiplier, RecursiveMultiplier, SumMode, TruncatedMultiplier, WallaceMultiplier,
 };
@@ -350,4 +356,72 @@ fn audit_and_proof_registry_reproduce_their_golden_pin() {
         .collect();
     let want: Vec<_> = PROOF_PIN.iter().map(|&(n, m, p)| (n.to_string(), m, p)).collect();
     assert_eq!(proofs, want);
+}
+
+/// Runs the exhaustive engine and the BDD metrics on one netlist pair.
+/// Two-operand units use the interleaved BDD order (operand `a` on the
+/// even variables), everything else the natural input order; the engine
+/// needs no order. Every field must agree except the witness, which must
+/// realise the worst-case error under `Netlist::eval`.
+fn assert_engines_agree(name: &str, approx: &Netlist, exact: &Netlist, operand_width: usize) {
+    let engine = exhaustive_metrics(approx, exact).expect("the pair fits the exhaustive engine");
+    let mut bdd = Bdd::new();
+    let vars: Vec<Ref> = if operand_width == 0 {
+        (0..approx.n_inputs()).map(|i| bdd.var(i)).collect()
+    } else {
+        let (a, b) = interleaved_operand_vars(&mut bdd, operand_width);
+        a.into_iter().chain(b).collect()
+    };
+    let a_roots = compile_netlist(&mut bdd, approx, &vars);
+    let e_roots = compile_netlist(&mut bdd, exact, &vars);
+    let oracle = exact_metrics(&mut bdd, &a_roots, &e_roots, approx.n_inputs());
+    assert_eq!(
+        ExactMetrics { worst_case_witness: 0, ..engine.clone() },
+        ExactMetrics { worst_case_witness: 0, ..oracle },
+        "{name}: engine and BDD metrics differ"
+    );
+    let w = engine.worst_case_witness;
+    let d = u128::from(approx.eval(w).abs_diff(exact.eval(w)));
+    assert_eq!(d, engine.worst_case_error, "{name}: witness {w:#x} misses the WCE");
+}
+
+#[test]
+fn exhaustive_engine_matches_bdd_metrics_on_one_unit_per_family() {
+    for d in xlac::adders::approx_cell_descriptors() {
+        if d.netlist().n_inputs() <= 4 {
+            assert_engines_agree(d.name(), d.netlist(), d.reference_netlist(), 0);
+        }
+    }
+    let accurate_fa = FullAdderKind::Accurate.structural_netlist();
+    for kind in FullAdderKind::APPROXIMATE {
+        assert_engines_agree(&kind.to_string(), &kind.structural_netlist(), &accurate_fa, 0);
+    }
+    for kind in Mul2x2Kind::ALL {
+        let name = format!("mul2x2_{kind}");
+        assert_engines_agree(&name, &kind.netlist(), &Mul2x2Kind::Accurate.netlist(), 0);
+    }
+
+    let rca = RippleCarryAdder::with_approx_lsbs(8, FullAdderKind::Apx3, 4).unwrap();
+    let accurate_rca = ripple_netlist(&RippleCarryAdder::accurate(8));
+    assert_engines_agree(&rca.name(), &ripple_netlist(&rca), &accurate_rca, 8);
+    let gear = GeArAdder::new(8, 2, 2).unwrap();
+    assert_engines_agree(&gear.name(), &gear_netlist(&gear), &accurate_rca, 8);
+    let sub =
+        Subtractor::new(RippleCarryAdder::with_approx_lsbs(8, FullAdderKind::Apx5, 4).unwrap());
+    let exact_sub = subtractor_netlist(&Subtractor::new(RippleCarryAdder::accurate(8)));
+    assert_engines_agree(&sub.name(), &subtractor_netlist(&sub), &exact_sub, 8);
+
+    let accurate_mul =
+        wallace_netlist(&WallaceMultiplier::new(8, FullAdderKind::Accurate, 0).unwrap());
+    let rec = RecursiveMultiplier::new(
+        8,
+        Mul2x2Kind::ApxSoA,
+        SumMode::ApproxLsbs { kind: FullAdderKind::Apx2, lsbs: 2 },
+    )
+    .unwrap();
+    assert_engines_agree(&rec.name(), &recursive_netlist(&rec), &accurate_mul, 8);
+    let wallace = WallaceMultiplier::new(8, FullAdderKind::Apx4, 8).unwrap();
+    assert_engines_agree(&wallace.name(), &wallace_netlist(&wallace), &accurate_mul, 8);
+    let trunc = TruncatedMultiplier::new(8, 4, true).unwrap();
+    assert_engines_agree(&trunc.name(), &truncated_netlist(&trunc), &accurate_mul, 8);
 }
