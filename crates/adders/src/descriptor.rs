@@ -228,32 +228,32 @@ impl UnitDescriptor {
             ));
             return out;
         }
-        for x in 0..(1u64 << self.table.n_inputs()) {
-            let want = self.table.row(x);
-            let got = self.netlist.eval(x);
-            if want != got {
-                out.push(format!(
-                    "netlist output {got:#b} differs from table output {want:#b} at input {x:#b}"
-                ));
-            }
-        }
+        row_violations(&self.netlist, &self.table, "", &mut out);
         if self.reference_netlist.n_inputs() == self.reference.n_inputs()
             && self.reference_netlist.n_outputs() == self.reference.n_outputs()
         {
-            for x in 0..(1u64 << self.reference.n_inputs()) {
-                let want = self.reference.row(x);
-                let got = self.reference_netlist.eval(x);
-                if want != got {
-                    out.push(format!(
-                        "reference netlist output {got:#b} differs from reference table \
-                         output {want:#b} at input {x:#b}"
-                    ));
-                }
-            }
+            row_violations(&self.reference_netlist, &self.reference, "reference ", &mut out);
         } else {
             out.push("reference netlist shape differs from reference table shape".to_string());
         }
         out
+    }
+}
+
+/// Appends one message per row where `netlist` disagrees with `table`,
+/// in ascending input order (`what` prefixes "netlist" and "table"). The
+/// netlist is evaluated 64 rows per word pass ([`TruthTable::from_planes`]);
+/// the caller guarantees matching shapes.
+fn row_violations(netlist: &Netlist, table: &TruthTable, what: &str, out: &mut Vec<String>) {
+    let got = TruthTable::from_planes(table.n_inputs(), table.n_outputs(), |p| netlist.eval_words(p));
+    for x in 0..table.n_rows() as u64 {
+        let (got, want) = (got.row(x), table.row(x));
+        if got != want {
+            out.push(format!(
+                "{what}netlist output {got:#b} differs from {what}table output {want:#b} \
+                 at input {x:#b}"
+            ));
+        }
     }
 }
 
@@ -867,6 +867,54 @@ pub fn approx_cell_descriptors() -> Vec<UnitDescriptor> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The one-row-at-a-time contract loop the block pass replaced, kept
+    /// as the oracle it must reproduce message for message.
+    fn violations_scalar(d: &UnitDescriptor) -> Vec<String> {
+        let legs = [("", &d.netlist, &d.table), ("reference ", &d.reference_netlist, &d.reference)];
+        let mut out = Vec::new();
+        for (what, netlist, table) in legs {
+            for x in 0..(1u64 << table.n_inputs()) {
+                let (want, got) = (table.row(x), netlist.eval(x));
+                if want != got {
+                    out.push(format!(
+                        "{what}netlist output {got:#b} differs from {what}table output \
+                         {want:#b} at input {x:#b}"
+                    ));
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn block_violations_match_the_scalar_loop_on_a_16_input_unit() {
+        // An 8-bit ripple adder whose declared table and reference table
+        // both carry seeded defects, in several blocks and lanes.
+        let defects = [0u64, 63, 64, 1000, 0x8001, 0xFFFF];
+        let exact = ripple_netlist(&RippleCarryAdder::accurate(8));
+        let sum = |x: u64| (x & 0xFF) + (x >> 8);
+        let d = UnitDescriptor::new(
+            "Seeded16",
+            16,
+            9,
+            |x| if defects.contains(&x) { sum(x) ^ 0b101 } else { sum(x) },
+            |nb| {
+                let ins: Vec<Signal> = (0..16).map(Signal::Input).collect();
+                nb.inline(&exact, &ins)
+            },
+            TruthTable::from_fn(16, 9, |x| if x % 4099 == 7 { sum(x) ^ 0x100 } else { sum(x) }),
+            exact.clone(),
+        )
+        .unwrap();
+        let got = d.violations();
+        assert_eq!(got, violations_scalar(&d));
+        assert_eq!(got.len(), defects.len() + (0..1u64 << 16).filter(|x| x % 4099 == 7).count());
+        assert!(got[0].ends_with("at input 0b0"), "{}", got[0]);
+        for d in approx_cell_descriptors() {
+            assert_eq!(d.violations(), violations_scalar(&d), "{}", d.name());
+        }
+    }
 
     #[test]
     fn descriptor_cells_honour_the_contract() {

@@ -37,14 +37,14 @@
 //! be derived for the form that actually executes in the serving path.
 
 use xlac_adders::FullAdderKind;
-use xlac_core::lanes::from_planes;
+use xlac_core::lanes::{from_planes, CountingBlocks};
 use xlac_core::XlacError;
 use xlac_logic::{GateKind, Netlist, NetlistBuilder, Signal};
 use xlac_multipliers::{hw::wallace_netlist, Multiplier, WallaceMultiplier};
 use xlac_sim::jit::{CompiledProgram, OpKind, OutSrc};
 
 use crate::bound::ErrorBound;
-use crate::symbolic::metrics::{for_each_block, COUNTING_PATTERNS};
+use crate::symbolic::metrics::for_each_block;
 
 /// The ternary constant-propagation domain: definitely 0, definitely 1,
 /// or unknown.
@@ -741,13 +741,7 @@ fn lane_planes(n: usize, fixed: &[Option<bool>], free: &[usize], block: u64) -> 
         }
     }
     for (j, &i) in free.iter().enumerate() {
-        planes[i] = if j < 6 {
-            COUNTING_PATTERNS[j]
-        } else if (block >> (j - 6)) & 1 == 1 {
-            u64::MAX
-        } else {
-            0
-        };
+        planes[i] = CountingBlocks::plane(j, block);
     }
     planes
 }

@@ -27,7 +27,7 @@
 //! 64 per block. It is the engine behind the bound audit; the BDD path
 //! stays the proof engine and the oracle it is checked against.
 
-use xlac_core::lanes::from_planes;
+use xlac_core::lanes::{from_planes, CountingBlocks};
 use xlac_core::XlacError;
 use xlac_logic::Netlist;
 use xlac_sim::CompiledProgram;
@@ -184,17 +184,6 @@ fn maximize(bdd: &mut Bdd, bits: &[Ref], constraint: Ref) -> (u128, u64) {
 /// assignments, 1024 blocks).
 pub const EXHAUSTIVE_MAX_INPUTS: usize = 16;
 
-/// The in-word counting patterns: lane `l` of a block sees bit `i` of `l`
-/// on input `i < 6`.
-pub(crate) const COUNTING_PATTERNS: [u64; 6] = [
-    0xAAAA_AAAA_AAAA_AAAA,
-    0xCCCC_CCCC_CCCC_CCCC,
-    0xF0F0_F0F0_F0F0_F0F0,
-    0xFF00_FF00_FF00_FF00,
-    0xFFFF_0000_FFFF_0000,
-    0xFFFF_FFFF_0000_0000,
-];
-
 /// One 64-lane block of an exhaustive enumeration: both programs'
 /// output planes for assignments `base .. base + 64`.
 pub(crate) struct Block<'a> {
@@ -243,11 +232,10 @@ impl Block<'_> {
 }
 
 /// Runs both programs over all `2^n` assignments of their shared `n`
-/// inputs, one 64-lane [`Block`] at a time. Lane `l` of block `b` is
-/// input assignment `64·b + l` in [`Netlist::eval`] packing (input `i` in
-/// bit `i`): inputs 0–5 take the [`COUNTING_PATTERNS`], higher inputs are
-/// all-0 or all-1 words from the block index. Lanes past `2^n` (when
-/// `n < 6`) are masked out of every [`Block`] query.
+/// inputs, one 64-lane [`Block`] per [`CountingBlocks`] block: lane `l`
+/// of block `b` is input assignment `64·b + l` in [`Netlist::eval`]
+/// packing (input `i` in bit `i`). Lanes past `2^n` (when `n < 6`) are
+/// masked out of every [`Block`] query.
 ///
 /// The caller guarantees the shared input arity, `n < 64` and at most 64
 /// outputs per program.
@@ -258,20 +246,15 @@ pub(crate) fn for_each_block(
 ) {
     let n = approx.n_inputs();
     debug_assert_eq!(exact.n_inputs(), n, "callers check the input arity");
-    let live = if n < 6 { (1u64 << (1u32 << n)) - 1 } else { u64::MAX };
+    let counting = CountingBlocks::new(n);
     let mut planes = vec![0u64; n];
-    for (plane, &pattern) in planes.iter_mut().zip(&COUNTING_PATTERNS) {
-        *plane = pattern;
-    }
     let (mut regs_a, mut out_a, mut regs_e, mut out_e) =
         (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-    for block in 0..1u64 << n.saturating_sub(6) {
-        for (j, plane) in planes.iter_mut().enumerate().skip(6) {
-            *plane = if (block >> (j - 6)) & 1 == 1 { u64::MAX } else { 0 };
-        }
+    for block in 0..counting.blocks() {
+        counting.fill(block, &mut planes);
         approx.run_into(&planes, &mut regs_a, &mut out_a);
         exact.run_into(&planes, &mut regs_e, &mut out_e);
-        visit(&Block { base: block << 6, live, approx: &out_a, exact: &out_e });
+        visit(&Block { base: block << 6, live: counting.live(), approx: &out_a, exact: &out_e });
     }
 }
 

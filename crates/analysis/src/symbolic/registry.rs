@@ -10,12 +10,15 @@
 //! * representations with a netlist or table form compile to BDDs over
 //!   the same variables, where canonical-root equality is equivalence
 //!   over the full input space ([`super::equiv`]);
-//! * bit-sliced and scalar forms with ≤ 20 input bits are compared
+//! * bit-sliced and scalar forms with ≤ 16 input bits are compared
 //!   exhaustively (an exhaustive check over the whole input space *is* a
-//!   proof), anchored to the BDD twin so all three views meet;
+//!   proof), anchored to the elaborated netlist so all three views meet:
+//!   one [`CountingBlocks`] block drives the netlist's word evaluator,
+//!   the scalar model and the bit-sliced model 64 assignments at a time;
 //! * wider datapaths (the GeAr configurations, 22–32 input bits) get a
-//!   BDD proof between the symbolic forms plus ≥ 10⁵ seeded vectors
-//!   against the scalar and bit-sliced models.
+//!   BDD proof between the symbolic forms plus ≥ 10⁵ seeded vectors,
+//!   packed into the same 64-lane blocks, against the scalar and
+//!   bit-sliced models.
 //!
 //! [`prove_all`] runs the whole registry; one [`ProofReport`] per module
 //! records the representations compared, the method, the verdict and the
@@ -24,21 +27,25 @@
 use super::bdd::{Bdd, Ref};
 use super::compile::{compile_netlist, compile_raw, compile_truth_table, interleaved_operand_vars};
 use super::equiv::{prove_outputs_equal, Verdict};
+use super::metrics::EXHAUSTIVE_MAX_INPUTS;
 use super::twins;
+use crate::lint::json_escape;
 use crate::parse::{parse_verilog, RawNetlist};
 use std::path::Path;
-use xlac_adders::hw::{gear_netlist, ripple_netlist};
+use xlac_adders::hw::{gear_netlist, ripple_netlist, subtractor_netlist};
 use xlac_adders::{
     approx_cell_descriptors, Adder, AdderX64, FullAdderKind, GeArAdder, RippleCarryAdder,
     Subtractor,
 };
+use xlac_core::lanes::{from_planes, to_planes_into, CountingBlocks, LANES};
 use xlac_core::rng::{Rng, Xoshiro256StarStar};
-use xlac_logic::TruthTable;
-use xlac_obs::{obs_count, obs_gauge, obs_span};
+use xlac_logic::{Netlist, TruthTable};
+use xlac_multipliers::hw::{recursive_netlist, truncated_netlist, wallace_netlist};
 use xlac_multipliers::{
     ConfigurableMul2x2, Mul2x2Kind, Multiplier, MultiplierX64, RecursiveMultiplier, SumMode,
     TruncatedMultiplier, WallaceMultiplier,
 };
+use xlac_obs::{obs_count, obs_gauge, obs_span};
 
 /// Seed for the sampled leg of wide-datapath obligations (deterministic:
 /// CI reproduces the exact same vectors).
@@ -91,18 +98,20 @@ pub fn proofs_to_json(reports: &[ProofReport]) -> String {
     for (i, r) in reports.iter().enumerate() {
         let status = match &r.status {
             ProofStatus::Proven => "\"proven\"".to_string(),
-            ProofStatus::Refuted(why) => {
-                format!("\"refuted: {}\"", why.replace('\\', "\\\\").replace('"', "\\\""))
-            }
+            ProofStatus::Refuted(why) => format!("\"refuted: {}\"", json_escape(why)),
         };
         out.push_str(&format!(
             "  {{\"name\": \"{}\", \"n_inputs\": {}, \"method\": \"{}\", \
              \"representations\": [{}], \"status\": {status}, \"bdd_nodes\": {}, \
              \"memo_hit_rate\": {:.4}}}{}\n",
-            r.name,
+            json_escape(&r.name),
             r.n_inputs,
             r.method,
-            r.representations.iter().map(|s| format!("\"{s}\"")).collect::<Vec<_>>().join(", "),
+            r.representations
+                .iter()
+                .map(|s| format!("\"{}\"", json_escape(s)))
+                .collect::<Vec<_>>()
+                .join(", "),
             r.bdd_nodes,
             r.memo_hit_rate,
             if i + 1 < reports.len() { "," } else { "" }
@@ -126,8 +135,7 @@ pub fn prove_all(hdl_dir: &Path) -> Result<Vec<ProofReport>, String> {
     reports.extend(descriptor_reports(hdl_dir)?);
     reports.extend(mul2x2_reports(hdl_dir)?);
     reports.extend(configurable_mul_reports(hdl_dir)?);
-    reports.extend(ripple_reports(hdl_dir)?);
-    reports.extend(gear_reports(hdl_dir)?);
+    reports.extend(adder_reports(hdl_dir)?);
     reports.extend(composed_multiplier_reports());
     Ok(reports)
 }
@@ -216,14 +224,6 @@ fn load_hdl(hdl_dir: &Path, file: &str) -> Result<RawNetlist, String> {
     module.ok_or_else(|| format!("{}: no module found", path.display()))
 }
 
-/// Input planes for one 64-lane block of assignments `base .. base + 64`:
-/// plane `i`, lane `j` carries bit `i` of assignment `base + j`.
-fn input_planes(n_inputs: usize, base: u64) -> Vec<u64> {
-    (0..n_inputs)
-        .map(|i| (0..64).fold(0u64, |p, j| p | ((((base + j) >> i) & 1) << j)))
-        .collect()
-}
-
 /// Proves every labelled representation equal to the reference (the
 /// first entry), reporting the first disagreement.
 fn prove_family(bdd: &mut Bdd, family: &[(String, Vec<Ref>)]) -> ProofStatus {
@@ -239,53 +239,32 @@ fn prove_family(bdd: &mut Bdd, family: &[(String, Vec<Ref>)]) -> ProofStatus {
     ProofStatus::Proven
 }
 
+/// The labels of a BDD proof family, reference first.
+fn labels(family: &[(String, Vec<Ref>)]) -> Vec<String> {
+    family.iter().map(|(l, _)| l.clone()).collect()
+}
+
+/// Records one obligation. `bdd` is the proof's manager, `None` for an
+/// obligation closed by enumeration alone (it reports zero nodes).
 fn report(
-    bdd: &Bdd,
+    bdd: Option<&Bdd>,
     name: String,
     n_inputs: usize,
     method: &'static str,
-    family: &[(String, Vec<Ref>)],
+    representations: Vec<String>,
     status: ProofStatus,
 ) -> ProofReport {
     obs_count!("analysis.proofs", 1);
     if !matches!(status, ProofStatus::Proven) {
         obs_count!("analysis.refuted", 1);
     }
-    obs_gauge!("analysis.bdd_nodes", bdd.stats().nodes as f64);
-    obs_gauge!("analysis.memo_hit_rate", bdd.stats().hit_rate());
-    ProofReport {
-        name,
-        n_inputs,
-        method,
-        representations: family.iter().map(|(l, _)| l.clone()).collect(),
-        status,
-        bdd_nodes: bdd.stats().nodes,
-        memo_hit_rate: bdd.stats().hit_rate(),
+    let stats = bdd.map(Bdd::stats);
+    let (bdd_nodes, memo_hit_rate) = stats.map_or((0, 0.0), |s| (s.nodes, s.hit_rate()));
+    if stats.is_some() {
+        obs_gauge!("analysis.bdd_nodes", bdd_nodes as f64);
+        obs_gauge!("analysis.memo_hit_rate", memo_hit_rate);
     }
-}
-
-/// Recovers the truth table of a ≤ 16-input bit-sliced evaluator by
-/// driving it with exhaustive lane blocks.
-fn table_from_planes(
-    n_inputs: usize,
-    n_outputs: usize,
-    eval: impl Fn(&[u64]) -> Vec<u64>,
-) -> TruthTable {
-    assert!(n_inputs <= 16);
-    let rows: Vec<u64> = (0..(1u64 << n_inputs))
-        .step_by(64)
-        .flat_map(|base| {
-            let outs = eval(&input_planes(n_inputs, base));
-            assert_eq!(outs.len(), n_outputs);
-            let lanes = (1usize << n_inputs).min(64);
-            (0..lanes)
-                .map(move |j| {
-                    (0..n_outputs).fold(0u64, |row, k| row | (((outs[k] >> j) & 1) << k))
-                })
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    TruthTable::from_rows(n_inputs, n_outputs, rows).expect("recovered table is well-formed")
+    ProofReport { name, n_inputs, method, representations, status, bdd_nodes, memo_hit_rate }
 }
 
 fn full_adder_reports(hdl_dir: &Path) -> Result<Vec<ProofReport>, String> {
@@ -294,7 +273,7 @@ fn full_adder_reports(hdl_dir: &Path) -> Result<Vec<ProofReport>, String> {
     for kind in FullAdderKind::ALL {
         let file = format!("{}.v", kind.to_string().to_lowercase());
         let raw = load_hdl(hdl_dir, &file)?;
-        let x64_table = table_from_planes(3, 2, |p| {
+        let x64_table = TruthTable::from_planes(3, 2, |p| {
             let (s, c) = kind.eval_x64(p[0], p[1], p[2]);
             vec![s, c]
         });
@@ -309,7 +288,7 @@ fn full_adder_reports(hdl_dir: &Path) -> Result<Vec<ProofReport>, String> {
             ("eval_x64".to_string(), compile_truth_table(&mut bdd, &x64_table, &vars)),
         ];
         let status = prove_family(&mut bdd, &family);
-        reports.push(report(&bdd, kind.to_string(), 3, "bdd", &family, status));
+        reports.push(report(Some(&bdd), kind.to_string(), 3, "bdd", labels(&family), status));
     }
     Ok(reports)
 }
@@ -327,69 +306,42 @@ fn descriptor_reports(hdl_dir: &Path) -> Result<Vec<ProofReport>, String> {
         let file = format!("{}.v", d.name().to_lowercase());
         let raw = load_hdl(hdl_dir, &file)?;
         let (n, k) = (d.table().n_inputs(), d.table().n_outputs());
-        if n <= 8 {
-            // Narrow cells: the whole four-way family as one BDD proof.
-            let x64_table = table_from_planes(n, k, |p| d.eval_x64(p));
-            let mut bdd = Bdd::new();
-            let vars: Vec<Ref> = (0..n).map(|i| bdd.var(i)).collect();
-            let family = vec![
-                ("truth-table".to_string(), compile_truth_table(&mut bdd, d.table(), &vars)),
-                ("generated netlist".to_string(), compile_netlist(&mut bdd, d.netlist(), &vars)),
-                (format!("hdl/{file}"), compile_raw(&mut bdd, &raw, &vars)?),
-                (
-                    "generated eval_x64".to_string(),
-                    compile_truth_table(&mut bdd, &x64_table, &vars),
-                ),
-            ];
-            let status = prove_family(&mut bdd, &family);
-            reports.push(report(&bdd, format!("cell/{}", d.name()), n, "bdd", &family, status));
-        } else {
-            // Word-level descriptors (the 16-input adders): Shannon-
-            // expanding a 2^16-row table into a BDD is the one expensive
-            // leg, so the table and eval_x64 legs are closed by full
-            // enumeration (an exhaustive check over the whole input space
-            // *is* a proof) while the netlist ≡ HDL leg stays symbolic.
-            let mut bdd = Bdd::new();
-            let vars: Vec<Ref> = (0..n).map(|i| bdd.var(i)).collect();
-            let family = vec![
-                ("generated netlist".to_string(), compile_netlist(&mut bdd, d.netlist(), &vars)),
-                (format!("hdl/{file}"), compile_raw(&mut bdd, &raw, &vars)?),
-            ];
-            let mut status = prove_family(&mut bdd, &family);
-            if status == ProofStatus::Proven {
-                let x64_table = table_from_planes(n, k, |p| d.eval_x64(p));
-                let net_table =
-                    table_from_planes(n, k, |p| d.netlist().eval_words(p));
-                for x in 0..(1u64 << n) {
-                    let want = d.table().row(x);
-                    if net_table.row(x) != want {
-                        status = ProofStatus::Refuted(format!(
-                            "generated netlist disagrees with the truth table at input {x:#b}"
-                        ));
-                        break;
-                    }
-                    if x64_table.row(x) != want {
-                        status = ProofStatus::Refuted(format!(
-                            "generated eval_x64 disagrees with the truth table at input {x:#b}"
-                        ));
-                        break;
-                    }
-                }
-            }
-            let mut family_labels = family;
-            family_labels
-                .push((format!("truth-table (2^{n} exhaustive)"), Vec::new()));
-            family_labels
-                .push((format!("generated eval_x64 (2^{n} exhaustive)"), Vec::new()));
-            reports.push(report(
-                &bdd,
-                format!("cell/{}", d.name()),
-                n,
-                "bdd+exhaustive",
-                &family_labels,
-                status,
-            ));
+        let x64_table = TruthTable::from_planes(n, k, |p| d.eval_x64(p));
+        let mut bdd = Bdd::new();
+        let vars: Vec<Ref> = (0..n).map(|i| bdd.var(i)).collect();
+        let mut family = vec![
+            ("generated netlist".to_string(), compile_netlist(&mut bdd, d.netlist(), &vars)),
+            (format!("hdl/{file}"), compile_raw(&mut bdd, &raw, &vars)?),
+        ];
+        // Narrow cells: the whole four-way family as one BDD proof.
+        // Word-level descriptors (the 16-input adders): Shannon-expanding
+        // a 2^16-row table into a BDD is the one expensive leg, so the
+        // table and eval_x64 legs are closed by full enumeration (an
+        // exhaustive check over the whole input space *is* a proof) while
+        // the netlist ≡ HDL leg stays symbolic.
+        let narrow = n <= 8;
+        if narrow {
+            family.insert(0, ("truth-table".to_string(), compile_truth_table(&mut bdd, d.table(), &vars)));
+            family.push(("generated eval_x64".to_string(), compile_truth_table(&mut bdd, &x64_table, &vars)));
         }
+        let mut status = prove_family(&mut bdd, &family);
+        let mut representations = labels(&family);
+        if !narrow {
+            if status == ProofStatus::Proven {
+                let net_table = TruthTable::from_planes(n, k, |p| d.netlist().eval_words(p));
+                let first = (0..1u64 << n).find_map(|x| {
+                    [(&net_table, "generated netlist"), (&x64_table, "generated eval_x64")]
+                        .into_iter()
+                        .find(|(t, _)| t.row(x) != d.table().row(x))
+                        .map(|(_, label)| format!("{label} disagrees with the truth table at input {x:#b}"))
+                });
+                status = first.map_or(ProofStatus::Proven, ProofStatus::Refuted);
+            }
+            representations.push(format!("truth-table (2^{n} exhaustive)"));
+            representations.push(format!("generated eval_x64 (2^{n} exhaustive)"));
+        }
+        let method = if narrow { "bdd" } else { "bdd+exhaustive" };
+        reports.push(report(Some(&bdd), format!("cell/{}", d.name()), n, method, representations, status));
     }
     Ok(reports)
 }
@@ -401,7 +353,7 @@ fn mul2x2_reports(hdl_dir: &Path) -> Result<Vec<ProofReport>, String> {
         let file = format!("{}.v", kind.to_string().to_lowercase());
         let raw = load_hdl(hdl_dir, &file)?;
         let x64_table =
-            table_from_planes(4, 4, |p| kind.mul_x64(p[0], p[1], p[2], p[3]).to_vec());
+            TruthTable::from_planes(4, 4, |p| kind.mul_x64(p[0], p[1], p[2], p[3]).to_vec());
 
         let mut bdd = Bdd::new();
         let vars: Vec<Ref> = (0..4).map(|i| bdd.var(i)).collect();
@@ -412,7 +364,7 @@ fn mul2x2_reports(hdl_dir: &Path) -> Result<Vec<ProofReport>, String> {
             ("mul_x64".to_string(), compile_truth_table(&mut bdd, &x64_table, &vars)),
         ];
         let status = prove_family(&mut bdd, &family);
-        reports.push(report(&bdd, kind.to_string(), 4, "bdd", &family, status));
+        reports.push(report(Some(&bdd), kind.to_string(), 4, "bdd", labels(&family), status));
     }
     Ok(reports)
 }
@@ -434,158 +386,130 @@ fn configurable_mul_reports(hdl_dir: &Path) -> Result<Vec<ProofReport>, String> 
             (format!("hdl/{file}"), compile_raw(&mut bdd, &raw, &vars)?),
         ];
         let status = prove_family(&mut bdd, &family);
-        reports.push(report(&bdd, cfg.name(), 5, "bdd", &family, status));
+        reports.push(report(Some(&bdd), cfg.name(), 5, "bdd", labels(&family), status));
     }
     Ok(reports)
 }
 
-/// All `2^(2w)` operand pairs (`2w ≤ 20`): an exhaustive check is a proof.
-fn all_pairs(width: usize) -> Vec<(u64, u64)> {
-    assert!(2 * width <= 20);
-    (0..1u64 << (2 * width)).map(|x| (x & ((1 << width) - 1), x >> width)).collect()
-}
-
-/// [`SAMPLE_VECTORS`] seeded operand pairs, for datapaths too wide to
-/// enumerate (64 `a` draws, then 64 `b` draws, per lane block).
-fn sampled_pairs(width: usize) -> Vec<(u64, u64)> {
-    let mut rng = Xoshiro256StarStar::seed_from_u64(SAMPLE_SEED ^ (width as u64));
-    let mut lanes = move || (0..64).map(|_| rng.next_u64() & ((1 << width) - 1)).collect::<Vec<_>>();
-    (0..SAMPLE_VECTORS / 64).flat_map(|_| lanes().into_iter().zip(lanes())).collect()
-}
-
-/// Compares a netlist's BDD evaluation (interleaved variables, `a_i` =
-/// var `2i`), a scalar model and a bit-sliced model (`sliced_label` names
-/// it in a refutation) on every operand pair of `pairs`, 64 lanes at a
-/// time.
+/// A two-operand datapath's three executable forms — the elaborated
+/// netlist (through [`Netlist::eval_words_into`], its reference
+/// semantics), the scalar model and the bit-sliced model (`sliced_label`
+/// names it in a refutation) — compared 64 lanes per block. A datapath
+/// of at most [`EXHAUSTIVE_MAX_INPUTS`] inputs runs all `2^(2w)` operand
+/// pairs in [`CountingBlocks`] order (an exhaustive check is a proof);
+/// a wider one runs [`SAMPLE_VECTORS`] seeded pairs, 64 `a` draws then
+/// 64 `b` draws per block. Operand `a` is netlist inputs `0..w`, `b` is
+/// `w..2w`. Reports the first disagreeing `a`/`b` in lane order, the
+/// sliced model before the netlist.
 fn agreement(
-    bdd: &Bdd,
-    roots: &[Ref],
-    width: usize,
-    pairs: &[(u64, u64)],
+    netlist: &Netlist,
     sliced_label: &str,
     scalar: impl Fn(u64, u64) -> u64,
     mut sliced: impl FnMut(&[u64], &[u64]) -> Vec<u64>,
 ) -> ProofStatus {
-    for block in pairs.chunks(64) {
-        let planes = |pick: fn(&(u64, u64)) -> u64| -> Vec<u64> {
-            (0..width)
-                .map(|i| block.iter().enumerate().fold(0, |p, (j, x)| p | (((pick(x) >> i) & 1) << j)))
-                .collect()
-        };
-        let outs = sliced(&planes(|x| x.0), &planes(|x| x.1));
-        for (j, &(a, b)) in block.iter().enumerate() {
-            let want = scalar(a, b);
-            let from_sliced: u64 =
-                outs.iter().enumerate().map(|(k, &p)| ((p >> j) & 1) << k).sum();
-            let assignment = interleave(a, b, width);
-            let from_twin: u64 = roots
-                .iter()
-                .enumerate()
-                .map(|(k, &f)| u64::from(bdd.eval(f, assignment)) << k)
-                .sum();
-            if from_sliced != want {
-                return ProofStatus::Refuted(format!(
-                    "{sliced_label} disagrees with the scalar model at a={a} b={b}: {from_sliced} vs {want}"
-                ));
+    let (n, width) = (netlist.n_inputs(), netlist.n_inputs() / 2);
+    let counting = CountingBlocks::new(n);
+    let exhaustive = n <= EXHAUSTIVE_MAX_INPUTS;
+    assert!(n >= 6 && n % 2 == 0, "{n} inputs: not two operands filling 64 lanes");
+    let blocks = if exhaustive { counting.blocks() } else { (SAMPLE_VECTORS / LANES) as u64 };
+    let mut rng = Xoshiro256StarStar::seed_from_u64(SAMPLE_SEED ^ (width as u64));
+    let (mut planes, mut lanes) = (vec![0u64; n], [0u64; LANES]);
+    let (mut values, mut outs) = (Vec::new(), Vec::new());
+    for block in 0..blocks {
+        if exhaustive {
+            counting.fill(block, &mut planes);
+        } else {
+            for operand in planes.chunks_mut(width) {
+                rng.fill_u64(&mut lanes);
+                to_planes_into(&lanes, width, operand);
             }
-            if from_twin != want {
-                return ProofStatus::Refuted(format!(
-                    "BDD twin disagrees with the scalar model at a={a} b={b}: {from_twin} vs {want}"
-                ));
+        }
+        netlist.eval_words_into(&planes, &mut values, &mut outs);
+        let (ap, bp) = planes.split_at(width);
+        let (from_net, from_sliced) = (from_planes(&outs), from_planes(&sliced(ap, bp)));
+        for (l, (&a, &b)) in from_planes(ap).iter().zip(&from_planes(bp)).enumerate() {
+            let want = scalar(a, b);
+            for (got, label) in [(from_sliced[l], sliced_label), (from_net[l], "elaborated netlist")] {
+                if got != want {
+                    return ProofStatus::Refuted(format!(
+                        "{label} disagrees with the scalar model at a={a} b={b}: {got} vs {want}"
+                    ));
+                }
             }
         }
     }
     ProofStatus::Proven
 }
 
-/// Packs operands into the interleaved BDD variable assignment.
-fn interleave(a: u64, b: u64, width: usize) -> u64 {
-    (0..width).fold(0u64, |acc, i| {
-        acc | (((a >> i) & 1) << (2 * i)) | (((b >> i) & 1) << (2 * i + 1))
-    })
-}
-
-fn ripple_reports(hdl_dir: &Path) -> Result<Vec<ProofReport>, String> {
-    let _span = obs_span!("analysis.ripple_adders");
+/// The adders with an `hdl/` export: the elaborated netlist ≡ `hdl/` by
+/// BDD, then the [`agreement`] leg — exhaustive for the rca8 variants (16
+/// inputs), seeded for the GeAr geometries (22–32 inputs).
+fn adder_reports(hdl_dir: &Path) -> Result<Vec<ProofReport>, String> {
+    let _span = obs_span!("analysis.adders");
     let mut reports = Vec::new();
     for kind in FullAdderKind::APPROXIMATE {
-        let file = format!("rca8_{}_lsb4.v", kind.to_string().to_lowercase());
-        let raw = load_hdl(hdl_dir, &file)?;
         let rca = RippleCarryAdder::with_approx_lsbs(8, kind, 4)
             .expect("8-bit adder with 4 approximate LSBs is valid");
-
-        let mut bdd = Bdd::new();
-        let (a, b) = interleaved_operand_vars(&mut bdd, 8);
-        let ports: Vec<Ref> = a.iter().chain(&b).copied().collect();
-        let family = vec![
-            ("elaborated netlist".to_string(), compile_netlist(&mut bdd, &ripple_netlist(&rca), &ports)),
-            (format!("hdl/{file}"), compile_raw(&mut bdd, &raw, &ports)?),
-        ];
-        let mut status = prove_family(&mut bdd, &family);
-        if status == ProofStatus::Proven {
-            // Close the loop to the scalar and bit-sliced models by full
-            // enumeration of the 16-bit input space.
-            status = agreement(
-                &bdd,
-                &family[0].1,
-                8,
-                &all_pairs(8),
-                "eval_x64",
-                |x, y| rca.add(x, y),
-                |ap, bp| rca.add_x64(ap, bp),
-            );
-        }
-        let mut family_labels = family;
-        family_labels.push(("add_x64 (2^16 exhaustive)".to_string(), Vec::new()));
-        family_labels.push(("scalar model (2^16 exhaustive)".to_string(), Vec::new()));
-        reports.push(report(&bdd, rca.name(), 16, "bdd+exhaustive", &family_labels, status));
+        let file = format!("rca8_{}_lsb4.v", kind.to_string().to_lowercase());
+        reports.push(adder_report(
+            hdl_dir,
+            &file,
+            rca.name(),
+            &ripple_netlist(&rca),
+            |x, y| rca.add(x, y),
+            |ap, bp| rca.add_x64(ap, bp),
+        )?);
     }
-    Ok(reports)
-}
-
-fn gear_reports(hdl_dir: &Path) -> Result<Vec<ProofReport>, String> {
-    let _span = obs_span!("analysis.gear_adders");
-    let mut reports = Vec::new();
-    for (n, r, p, file) in [
-        (11usize, 1usize, 9usize, "gear_n11_r1_p9.v"),
-        (12, 4, 4, "gear_n12_r4_p4.v"),
-        (16, 2, 6, "gear_n16_r2_p6.v"),
-    ] {
-        let raw = load_hdl(hdl_dir, file)?;
+    for (n, r, p) in [(11usize, 1usize, 9usize), (12, 4, 4), (16, 2, 6)] {
         let gear = GeArAdder::new(n, r, p).expect("shipped GeAr configs are valid");
-
-        let mut bdd = Bdd::new();
-        let (a, b) = interleaved_operand_vars(&mut bdd, n);
-        let ports: Vec<Ref> = a.iter().chain(&b).copied().collect();
-        let family = vec![
-            ("elaborated netlist".to_string(), compile_netlist(&mut bdd, &gear_netlist(&gear), &ports)),
-            (format!("hdl/{file}"), compile_raw(&mut bdd, &raw, &ports)?),
-        ];
-        let mut status = prove_family(&mut bdd, &family);
-        if status == ProofStatus::Proven {
-            // 2n > 20 inputs: seeded-vector agreement with the scalar and
-            // bit-sliced models (the symbolic forms above are proven).
-            status = agreement(
-                &bdd,
-                &family[0].1,
-                n,
-                &sampled_pairs(n),
-                "add_x64",
-                |x, y| gear.add(x, y).value,
-                |ap, bp| gear.add_x64(ap, bp).value,
-            );
-        }
-        let mut family_labels = family;
-        family_labels.push((format!("add_x64 ({SAMPLE_VECTORS} seeded vectors)"), Vec::new()));
-        family_labels.push((format!("scalar model ({SAMPLE_VECTORS} seeded vectors)"), Vec::new()));
-        reports.push(report(&bdd, gear.name(), 2 * n, "bdd+sampled", &family_labels, status));
+        reports.push(adder_report(
+            hdl_dir,
+            &format!("gear_n{n}_r{r}_p{p}.v"),
+            gear.name(),
+            &gear_netlist(&gear),
+            |x, y| gear.add(x, y).value,
+            |ap, bp| gear.add_x64(ap, bp).value,
+        )?);
     }
     Ok(reports)
 }
 
-/// The composite multipliers and the subtractor: the BDD of the elaborated
-/// netlist (through its [`twins`] function), the scalar model and the
-/// bit-sliced model agree on all `2^16` operand pairs.
+fn adder_report(
+    hdl_dir: &Path,
+    file: &str,
+    name: String,
+    netlist: &Netlist,
+    scalar: impl Fn(u64, u64) -> u64,
+    sliced: impl FnMut(&[u64], &[u64]) -> Vec<u64>,
+) -> Result<ProofReport, String> {
+    let raw = load_hdl(hdl_dir, file)?;
+    let n = netlist.n_inputs();
+    let mut bdd = Bdd::new();
+    let (a, b) = interleaved_operand_vars(&mut bdd, n / 2);
+    let ports: Vec<Ref> = a.iter().chain(&b).copied().collect();
+    let family = vec![
+        ("elaborated netlist".to_string(), compile_netlist(&mut bdd, netlist, &ports)),
+        (format!("hdl/{file}"), compile_raw(&mut bdd, &raw, &ports)?),
+    ];
+    let mut status = prove_family(&mut bdd, &family);
+    if status == ProofStatus::Proven {
+        status = agreement(netlist, "add_x64", scalar, sliced);
+    }
+    let (method, leg) = if n <= EXHAUSTIVE_MAX_INPUTS {
+        ("bdd+exhaustive", format!("2^{n} exhaustive"))
+    } else {
+        ("bdd+sampled", format!("{SAMPLE_VECTORS} seeded vectors"))
+    };
+    let mut representations = labels(&family);
+    representations.push(format!("add_x64 ({leg})"));
+    representations.push(format!("scalar model ({leg})"));
+    Ok(report(Some(&bdd), name, n, method, representations, status))
+}
+
+/// The composite multipliers and the subtractor: the elaborated netlist,
+/// the scalar model and the bit-sliced model agree on all `2^16` operand
+/// pairs. No BDD is built: enumerating the whole input space is itself
+/// the proof.
 fn composed_multiplier_reports() -> Vec<ProofReport> {
     let _span = obs_span!("analysis.composed_multipliers");
     // Recursive multiplier, paper configuration: ApxMulOur blocks with
@@ -608,29 +532,25 @@ fn composed_multiplier_reports() -> Vec<ProofReport> {
     vec![
         composed_report(
             rec.name(),
-            |bdd, a, b| twins::recursive_multiplier(bdd, 8, rec.block(), rec.sum_mode(), a, b),
+            &recursive_netlist(&rec),
             |x, y| rec.mul(x, y),
             |ap, bp| rec.mul_x64(ap, bp),
         ),
         composed_report(
             wal.name(),
-            |bdd, a, b| twins::wallace_multiplier(bdd, &wal, a, b),
+            &wallace_netlist(&wal),
             |x, y| wal.mul(x, y),
             |ap, bp| wal.mul_x64(ap, bp),
         ),
         composed_report(
             trunc.name(),
-            |bdd, a, b| twins::truncated_multiplier(bdd, &trunc, a, b),
+            &truncated_netlist(&trunc),
             |x, y| trunc.mul(x, y),
             |ap, bp| trunc.mul_x64(ap, bp),
         ),
         composed_report(
             sub.name(),
-            |bdd, a, b| {
-                let (mut out, ge) = twins::subtractor(bdd, &sub, a, b);
-                out.push(ge);
-                out
-            },
+            &subtractor_netlist(&sub),
             |x, y| {
                 let (m, g) = sub.sub(x, y);
                 m | (u64::from(g) << 8)
@@ -647,21 +567,19 @@ fn composed_multiplier_reports() -> Vec<ProofReport> {
 /// One 8-bit composite unit's exhaustive report.
 fn composed_report(
     name: String,
-    twin: impl FnOnce(&mut Bdd, &[Ref], &[Ref]) -> Vec<Ref>,
+    netlist: &Netlist,
     scalar: impl Fn(u64, u64) -> u64,
     sliced: impl FnMut(&[u64], &[u64]) -> Vec<u64>,
 ) -> ProofReport {
-    let mut bdd = Bdd::new();
-    let (a, b) = interleaved_operand_vars(&mut bdd, 8);
-    let roots = twin(&mut bdd, &a, &b);
-    let status = agreement(&bdd, &roots, 8, &all_pairs(8), "eval_x64", scalar, sliced);
-    let family = [
+    let status = agreement(netlist, "eval_x64", scalar, sliced);
+    let representations = [
         "elaborated netlist",
         "scalar model (2^16 exhaustive)",
         "bit-sliced model (2^16 exhaustive)",
     ]
-    .map(|l| (l.to_string(), Vec::new()));
-    report(&bdd, name, 16, "exhaustive", &family, status)
+    .map(String::from)
+    .to_vec();
+    report(None, name, 16, "exhaustive", representations, status)
 }
 
 /// Proof obligations for the `xlac-sim` bytecode compiler: every
@@ -690,7 +608,6 @@ pub fn jit_equivalence_reports() -> Vec<ProofReport> {
 #[must_use]
 pub fn jit_equivalence_sweep() -> (Vec<ProofReport>, super::bdd::BddStats) {
     let _span = obs_span!("analysis.jit_equivalence");
-    use xlac_multipliers::hw::wallace_netlist;
     let mut reports = Vec::new();
     let mut bdd = Bdd::new();
 
@@ -751,7 +668,7 @@ fn jit_report(bdd: &mut Bdd, name: String, nl: &xlac_logic::Netlist, ports: &[Re
         ("compiled bytecode".to_string(), super::jitproof::compile_program(bdd, &prog, ports)),
     ];
     let status = prove_family(bdd, &family);
-    report(bdd, name, nl.n_inputs(), "bdd-jit", &family, status)
+    report(Some(bdd), name, nl.n_inputs(), "bdd-jit", labels(&family), status)
 }
 
 #[cfg(test)]
@@ -850,6 +767,98 @@ mod tests {
                 assert!(msg.contains("output bit"), "{msg}");
             }
         }
+    }
+
+    /// `nl` with output bit 0 inverted on the single input assignment `x`.
+    fn flipped_at(nl: &Netlist, x: u64) -> Netlist {
+        use xlac_logic::{GateKind, NetlistBuilder};
+        let mut b = NetlistBuilder::new("flipped", nl.n_inputs());
+        let ins: Vec<_> = (0..nl.n_inputs()).map(|i| b.input(i)).collect();
+        let mut outs = b.inline(nl, &ins);
+        let literals: Vec<_> = (0..ins.len())
+            .map(|i| if (x >> i) & 1 == 1 { ins[i] } else { b.gate(GateKind::Not, &[ins[i]]) })
+            .collect();
+        let hit = b.tree(GateKind::And2, &literals);
+        outs[0] = b.gate(GateKind::Xor2, &[outs[0], hit]);
+        outs.into_iter().for_each(|o| b.output(o));
+        b.finish().unwrap()
+    }
+
+    /// The rca8 agreement leg over `netlist`; the sliced model's sum bit 0
+    /// is inverted in the lanes of `flip` in every block.
+    fn rca8_agreement(netlist: &Netlist, label: &str, flip: u64) -> ProofStatus {
+        let rca = RippleCarryAdder::with_approx_lsbs(8, FullAdderKind::Apx2, 4).unwrap();
+        let sliced = |ap: &[u64], bp: &[u64]| {
+            let mut planes = rca.add_x64(ap, bp);
+            planes[0] ^= flip;
+            planes
+        };
+        agreement(netlist, label, |x, y| rca.add(x, y), sliced)
+    }
+
+    #[test]
+    fn exhaustive_agreement_refutes_a_netlist_defect_at_its_pair() {
+        let rca = RippleCarryAdder::with_approx_lsbs(8, FullAdderKind::Apx2, 4).unwrap();
+        let (a, b, want) = (37, 201, rca.add(37, 201));
+        let broken = flipped_at(&ripple_netlist(&rca), a | (b << 8));
+        let msg = format!("at a={a} b={b}: {} vs {want}", want ^ 1);
+        assert_eq!(
+            rca8_agreement(&broken, "add_x64", 0),
+            ProofStatus::Refuted(format!("elaborated netlist disagrees with the scalar model {msg}"))
+        );
+        assert_eq!(rca8_agreement(&ripple_netlist(&rca), "add_x64", 0), ProofStatus::Proven);
+    }
+
+    #[test]
+    fn a_wrong_sliced_model_is_refuted_under_its_label() {
+        // Lane 7 of every block is wrong: assignment 7 (a = 7, b = 0) is
+        // the first disagreement.
+        let rca = RippleCarryAdder::with_approx_lsbs(8, FullAdderKind::Apx2, 4).unwrap();
+        let want = rca.add(7, 0);
+        assert_eq!(
+            rca8_agreement(&ripple_netlist(&rca), "my_add_x64", 1 << 7),
+            ProofStatus::Refuted(format!(
+                "my_add_x64 disagrees with the scalar model at a=7 b=0: {} vs {want}",
+                want ^ 1
+            ))
+        );
+    }
+
+    #[test]
+    fn sampled_agreement_refutes_a_netlist_defect_at_a_drawn_pair() {
+        let gear = GeArAdder::new(12, 4, 4).unwrap();
+        // Lane 5 of the first block: the sixth `a` and the sixth `b` draw.
+        let mut rng = Xoshiro256StarStar::seed_from_u64(SAMPLE_SEED ^ 12);
+        let draws: Vec<u64> = (0..128).map(|_| rng.next_u64() & 0xFFF).collect();
+        let (a, b) = (draws[5], draws[64 + 5]);
+        let broken = flipped_at(&gear_netlist(&gear), a | (b << 12));
+        let status =
+            agreement(&broken, "add_x64", |x, y| gear.add(x, y).value, |ap, bp| gear.add_x64(ap, bp).value);
+        let want = gear.add(a, b).value;
+        let msg = format!("at a={a} b={b}: {} vs {want}", want ^ 1);
+        assert_eq!(
+            status,
+            ProofStatus::Refuted(format!("elaborated netlist disagrees with the scalar model {msg}"))
+        );
+    }
+
+    #[test]
+    fn proof_json_escapes_every_string() {
+        let report = ProofReport {
+            name: "odd \"name\" \\ here\n".to_string(),
+            n_inputs: 3,
+            method: "bdd",
+            representations: vec!["a \"label\"\n".to_string()],
+            status: ProofStatus::Refuted("bad\n\"input\" \\ 0b1\u{1}".to_string()),
+            bdd_nodes: 2,
+            memo_hit_rate: 0.0,
+        };
+        let json = proofs_to_json(&[report]);
+        assert!(json.contains(r#""name": "odd \"name\" \\ here\n""#), "{json}");
+        assert!(json.contains(r#""representations": ["a \"label\"\n"]"#), "{json}");
+        assert!(json.contains(r#""status": "refuted: bad\n\"input\" \\ 0b1\u0001""#), "{json}");
+        // No raw control character survives: every line is one record.
+        assert_eq!(json.lines().count(), 3, "{json}");
     }
 
     #[test]

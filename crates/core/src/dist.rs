@@ -120,19 +120,18 @@ impl InputDistribution {
                 v
             }
             InputDistribution::SumOfUniforms { .. } => {
+                // The sum of k ≤ 4 words needs up to 66 bits: accumulate in
+                // u128; the mean fits a word again.
                 let k = self.k_clamped();
-                let mut acc = [0u64; 64];
+                let mut acc = [0u128; 64];
                 let mut draw = [0u64; 64];
                 for _ in 0..k {
                     rng.fill_u64(&mut draw);
                     for (a, d) in acc.iter_mut().zip(&draw) {
-                        *a += bits::truncate(*d, width);
+                        *a += u128::from(bits::truncate(*d, width));
                     }
                 }
-                for a in &mut acc {
-                    *a /= k;
-                }
-                acc
+                acc.map(|a| u64::try_from(a / u128::from(k)).expect("the mean of k words fits a word"))
             }
             InputDistribution::ExponentialDecay => {
                 let hb = DECAY_BITS.min(width);
@@ -153,15 +152,7 @@ impl InputDistribution {
                 let mut uni = [0u64; 64];
                 rng.fill_u64(&mut sel);
                 rng.fill_u64(&mut uni);
-                let mut v = [0u64; 64];
-                for j in 0..64 {
-                    v[j] = match sel[j] & 3 {
-                        0 | 1 => 1u64 << (width - 1),
-                        2 => 0,
-                        _ => bits::truncate(uni[j], width),
-                    };
-                }
-                v
+                std::array::from_fn(|j| sparse_peaked(sel[j], uni[j], width))
             }
         }
     }
@@ -226,6 +217,18 @@ impl InputDistribution {
         debug_assert_eq!(weights.iter().sum::<u128>(), 1u128 << shift);
         Ok(DistPmf { width, shift, weights })
     }
+}
+
+/// One [`InputDistribution::SparsePeaked`] lane from its selector and
+/// uniform words: `sel & 3` of 0 or 1 gives the peak `2^(width−1)`, 2
+/// gives zero, 3 the uniform word. Mask selects, not a branch: the
+/// selector is random, so a `match` mispredicts about half the time.
+#[inline]
+fn sparse_peaked(sel: u64, uni: u64, width: usize) -> u64 {
+    let hi = (sel >> 1) & 1;
+    let peak_mask = hi.wrapping_sub(1); // all-ones when sel & 3 < 2
+    let uni_mask = 0u64.wrapping_sub(hi & sel); // all-ones when sel & 3 == 3
+    ((1u64 << (width - 1)) & peak_mask) | (bits::truncate(uni, width) & uni_mask)
 }
 
 /// An exact rational PMF over `[0, 2^width)`: value `v` has probability
@@ -350,6 +353,69 @@ mod tests {
                     pmf.weights.iter().all(|&w| w > 0),
                     "{dist:?} w={width}: zero-mass value"
                 );
+            }
+        }
+    }
+
+    /// The per-lane `match` the mask select replaced, kept as its oracle.
+    fn sparse_peaked_match(sel: u64, uni: u64, width: usize) -> u64 {
+        match sel & 3 {
+            0 | 1 => 1u64 << (width - 1),
+            2 => 0,
+            _ => bits::truncate(uni, width),
+        }
+    }
+
+    #[test]
+    fn sparse_peaked_mask_select_matches_the_match_at_every_width() {
+        let mut rng = DefaultRng::seed_from_u64(0x5E1E);
+        for width in 1..=64 {
+            for _ in 0..64 {
+                let (sel, uni) = (rng.next_u64(), rng.next_u64());
+                for s in 0..4 {
+                    let sel = (sel & !3) | s;
+                    assert_eq!(
+                        sparse_peaked(sel, uni, width),
+                        sparse_peaked_match(sel, uni, width),
+                        "w={width} sel={sel:#x}"
+                    );
+                }
+            }
+            // The batch draw agrees lane for lane, from the same stream.
+            let mut a = DefaultRng::seed_from_u64(width as u64);
+            let mut b = DefaultRng::seed_from_u64(width as u64);
+            let batch = InputDistribution::SparsePeaked.draw_batch(&mut a, width);
+            let (mut sel, mut uni) = ([0u64; 64], [0u64; 64]);
+            b.fill_u64(&mut sel);
+            b.fill_u64(&mut uni);
+            for j in 0..64 {
+                assert_eq!(batch[j], sparse_peaked_match(sel[j], uni[j], width), "w={width}");
+            }
+            assert_eq!(a.next_u64(), b.next_u64(), "w={width}: same RNG consumption");
+        }
+    }
+
+    #[test]
+    fn sum_of_uniforms_does_not_overflow_at_full_width() {
+        for k in 1u8..=4 {
+            let dist = InputDistribution::SumOfUniforms { k };
+            for width in [63usize, 64] {
+                let mut a = DefaultRng::seed_from_u64(0x5011 + u64::from(k));
+                let mut b = a.clone();
+                let batch = dist.draw_batch(&mut a, width);
+                // u128 reference: the floor of the exact mean.
+                let mut sum = [0u128; 64];
+                let mut draw = [0u64; 64];
+                for _ in 0..k {
+                    b.fill_u64(&mut draw);
+                    for (s, &d) in sum.iter_mut().zip(&draw) {
+                        *s += u128::from(bits::truncate(d, width));
+                    }
+                }
+                for (j, &s) in sum.iter().enumerate() {
+                    assert_eq!(u128::from(batch[j]), s / u128::from(k), "k={k} w={width} lane {j}");
+                }
+                assert!(batch.iter().all(|&v| v <= bits::mask(width)), "k={k} w={width}");
             }
         }
     }

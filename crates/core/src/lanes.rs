@@ -186,6 +186,96 @@ pub fn const_planes(value: u64, width: usize) -> Vec<u64> {
     (0..width).map(|i| if (value >> i) & 1 == 1 { u64::MAX } else { 0 }).collect()
 }
 
+/// The in-word counting patterns: lane `l` of every [`CountingBlocks`]
+/// block sees bit `i` of `l` on input `i < 6`.
+pub const COUNTING_PATTERNS: [u64; 6] = [
+    0xAAAA_AAAA_AAAA_AAAA,
+    0xCCCC_CCCC_CCCC_CCCC,
+    0xF0F0_F0F0_F0F0_F0F0,
+    0xFF00_FF00_FF00_FF00,
+    0xFFFF_0000_FFFF_0000,
+    0xFFFF_FFFF_0000_0000,
+];
+
+/// The exhaustive enumeration of all `2^n` assignments of `n` inputs,
+/// one 64-lane block at a time: lane `l` of block `b` carries assignment
+/// `64·b + l`, input `i` in bit `i` (the `Netlist::eval` packing of
+/// `xlac-logic`). Inputs 0–5 take the [`COUNTING_PATTERNS`]; higher
+/// inputs are all-0 or all-1 words from the block index, so a block
+/// costs no transpose and no RNG. When `n < 6` the single block has
+/// `2^n` live lanes ([`CountingBlocks::live`]).
+///
+/// # Example
+///
+/// ```
+/// use xlac_core::lanes::{from_planes, CountingBlocks};
+///
+/// let counting = CountingBlocks::new(8);
+/// let mut planes = [0u64; 8];
+/// counting.fill(3, &mut planes);
+/// assert_eq!(counting.blocks(), 4);
+/// assert_eq!(from_planes(&planes)[5], 3 * 64 + 5);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CountingBlocks {
+    n_inputs: usize,
+}
+
+impl CountingBlocks {
+    /// The enumeration of `n_inputs` inputs.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `n_inputs >= 64` (assignments are packed in a `u64`).
+    #[must_use]
+    pub fn new(n_inputs: usize) -> CountingBlocks {
+        assert!(n_inputs < 64, "{n_inputs} inputs exceed a u64 assignment");
+        CountingBlocks { n_inputs }
+    }
+
+    /// Number of 64-lane blocks: `2^(n − 6)`, at least one.
+    #[must_use]
+    pub fn blocks(self) -> u64 {
+        1 << self.n_inputs.saturating_sub(6)
+    }
+
+    /// Mask of the lanes that carry an assignment: all 64 unless
+    /// `n < 6`.
+    #[must_use]
+    pub fn live(self) -> u64 {
+        if self.n_inputs < 6 {
+            (1u64 << (1u32 << self.n_inputs)) - 1
+        } else {
+            u64::MAX
+        }
+    }
+
+    /// Input plane `input` of block `block`: lane `l` carries bit `input`
+    /// of assignment `64·block + l`.
+    #[inline]
+    #[must_use]
+    pub fn plane(input: usize, block: u64) -> u64 {
+        match COUNTING_PATTERNS.get(input) {
+            Some(&pattern) => pattern,
+            None if (block >> (input - 6)) & 1 == 1 => u64::MAX,
+            None => 0,
+        }
+    }
+
+    /// Overwrites `planes` with the input planes of block `block`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `planes.len()` differs from the input count.
+    #[inline]
+    pub fn fill(self, block: u64, planes: &mut [u64]) {
+        assert_eq!(planes.len(), self.n_inputs, "expected {} input planes", self.n_inputs);
+        for (i, plane) in planes.iter_mut().enumerate() {
+            *plane = CountingBlocks::plane(i, block);
+        }
+    }
+}
+
 /// A fixed-width block of bit-plane words — the value type one compiled
 /// bit-plane program operates on.
 ///
@@ -439,6 +529,23 @@ mod tests {
         let planes = const_planes(0b1010_0110, 8);
         let values = from_planes(&planes);
         assert!(values.iter().all(|&v| v == 0b1010_0110));
+    }
+
+    #[test]
+    fn counting_blocks_enumerate_every_assignment_once_in_order() {
+        for n in [0usize, 1, 3, 5, 6, 7, 10] {
+            let counting = CountingBlocks::new(n);
+            let lanes = (1usize << n).min(LANES);
+            assert_eq!(counting.live().count_ones() as usize, lanes, "n={n}");
+            let mut planes = vec![0u64; n];
+            let mut seen = Vec::new();
+            for b in 0..counting.blocks() {
+                counting.fill(b, &mut planes);
+                seen.extend_from_slice(&from_planes(&planes)[..lanes]);
+            }
+            let all: Vec<u64> = (0..1u64 << n).collect();
+            assert_eq!(seen, all, "n={n}");
+        }
     }
 
     #[test]

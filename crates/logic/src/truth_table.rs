@@ -21,6 +21,7 @@
 //! ```
 
 use xlac_core::error::{Result, XlacError};
+use xlac_core::lanes::{from_planes, CountingBlocks};
 
 /// Maximum number of inputs a truth table may have.
 pub const MAX_INPUTS: usize = 16;
@@ -85,6 +86,36 @@ impl TruthTable {
             return Err(XlacError::OperandOutOfRange { value: *bad, width: n_outputs });
         }
         Ok(TruthTable { n_inputs, n_outputs, rows })
+    }
+
+    /// Recovers the table of a 64-lane bit-sliced evaluator: `eval`
+    /// receives the input planes of each [`CountingBlocks`] block (lane
+    /// `l` of block `b` is row `64·b + l`) and returns `n_outputs` output
+    /// planes, LSB-first.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the shapes [`TruthTable::from_fn`] rejects and when
+    /// `eval` returns a different number of planes.
+    #[must_use]
+    pub fn from_planes(
+        n_inputs: usize,
+        n_outputs: usize,
+        mut eval: impl FnMut(&[u64]) -> Vec<u64>,
+    ) -> Self {
+        assert!(n_inputs <= MAX_INPUTS, "{n_inputs} inputs exceed {MAX_INPUTS}");
+        assert!((1..=64).contains(&n_outputs), "{n_outputs} outputs out of 1..=64");
+        let counting = CountingBlocks::new(n_inputs);
+        let mut planes = vec![0u64; n_inputs];
+        let mut rows = Vec::with_capacity(1 << n_inputs);
+        for block in 0..counting.blocks() {
+            counting.fill(block, &mut planes);
+            let outs = eval(&planes);
+            assert_eq!(outs.len(), n_outputs, "expected {n_outputs} output planes");
+            rows.extend_from_slice(&from_planes(&outs));
+        }
+        rows.truncate(1 << n_inputs);
+        TruthTable { n_inputs, n_outputs, rows }
     }
 
     /// Number of inputs.
@@ -190,6 +221,18 @@ impl TruthTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn from_planes_recovers_the_table_of_a_sliced_evaluator() {
+        for n in [1usize, 3, 6, 9] {
+            let f = |x: u64| ((x & 1) ^ ((x >> (n - 1)) & 1)) | (u64::from(x.count_ones() > 1) << 1);
+            let sliced = |p: &[u64]| {
+                let ones = p.iter().fold((0u64, 0u64), |(one, more), &w| (one | w, more | (one & w)));
+                vec![p[0] ^ p[n - 1], ones.1]
+            };
+            assert_eq!(TruthTable::from_planes(n, 2, sliced), TruthTable::from_fn(n, 2, f), "n={n}");
+        }
+    }
 
     fn full_adder() -> TruthTable {
         TruthTable::from_fn(3, 2, |x| {

@@ -19,8 +19,10 @@
 #   5. xlac-lint --exact: the symbolic proof gate (DESIGN.md §11) — for
 #      every shipped module the truth-table model, the hdl/ netlist and
 #      the bit-sliced eval_x64 form are proven the same function (the
-#      composite datapaths' BDDs are compiled from their hw netlists), and
-#      every ≤8-bit static bound is checked sound against the exact
+#      ≤16-input agreement legs compare the scalar and bit-sliced models
+#      with the elaborated netlist on every assignment, 64 lanes per
+#      block; the GeAr legs on seeded vectors), and every ≤8-bit static
+#      bound is checked sound against the exact
 #      metrics from exhaustive compiled enumeration; any refuted proof
 #      or unsound bound fails the gate;
 #      the JSON report is kept as target/LINT_exact.json and absint_gate
