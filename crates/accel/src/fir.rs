@@ -26,7 +26,7 @@
 //! ```
 
 use crate::config::ApproxMode;
-use xlac_adders::{Adder, AdderX64, RippleCarryAdder};
+use xlac_adders::{Adder, RippleCarryAdder};
 use xlac_core::bits;
 use xlac_core::characterization::HwCost;
 use xlac_core::error::{Result, XlacError};

@@ -11,8 +11,8 @@
 //! Port convention: the *current* block's pixels first, slot-major
 //! (`slot · 8 + bit`), then the *reference* block at offset
 //! `slots · 8`. Outputs are the final tree level's sum LSB-first with its
-//! carry-out last — identical to [`SadAccelerator::sad_x64`]'s plane
-//! vector.
+//! carry-out last. Compiled by `xlac-sim`, this netlist is the SAD's only
+//! 64-lane form.
 //!
 //! # Example
 //!
@@ -124,37 +124,39 @@ mod tests {
     }
 
     #[test]
-    fn sad_netlist_matches_x64_on_random_lanes() {
-        let sad = SadAccelerator::new(8, SadVariant::ApxSad3, 2).unwrap();
-        let nl = sad_netlist(&sad);
+    fn sad_netlist_matches_scalar_on_random_lanes() {
         let mut rng = DefaultRng::seed_from_u64(0x5AD3);
-        let blocks: Vec<(Vec<u64>, Vec<u64>)> = (0..64)
-            .map(|_| {
-                let c: Vec<u64> = (0..8).map(|_| rng.gen_range(0..256)).collect();
-                let r: Vec<u64> = (0..8).map(|_| rng.gen_range(0..256)).collect();
-                (c, r)
-            })
-            .collect();
-        let slot = |reference: bool, i: usize| {
-            let mut vals = [0u64; 64];
-            for (j, b) in blocks.iter().enumerate() {
-                vals[j] = if reference { b.1[i] } else { b.0[i] };
-            }
-            lanes::to_planes(&vals, SadAccelerator::PIXEL_BITS)
-        };
-        let cur: Vec<Vec<u64>> = (0..8).map(|i| slot(false, i)).collect();
-        let refb: Vec<Vec<u64>> = (0..8).map(|i| slot(true, i)).collect();
-        let planes = sad.sad_x64(&cur, &refb).unwrap();
-        for (j, (c, r)) in blocks.iter().enumerate() {
-            let mut packed_inputs = vec![0u64; 128];
-            for (slot, &p) in c.iter().chain(r.iter()).enumerate() {
-                for bit in 0..8 {
-                    packed_inputs[slot * 8 + bit] = if (p >> bit) & 1 == 1 { u64::MAX } else { 0 };
+        for (variant, lsbs) in [
+            (SadVariant::ApxSad3, 2),
+            (SadVariant::Accurate, 0),
+            (SadVariant::ApxSad2, 3),
+            (SadVariant::ApxSad5, 4),
+        ] {
+            let sad = SadAccelerator::new(8, variant, lsbs).unwrap();
+            let nl = sad_netlist(&sad);
+            let blocks: Vec<(Vec<u64>, Vec<u64>)> = (0..64)
+                .map(|_| {
+                    let c: Vec<u64> = (0..8).map(|_| rng.gen_range(0..256)).collect();
+                    let r: Vec<u64> = (0..8).map(|_| rng.gen_range(0..256)).collect();
+                    (c, r)
+                })
+                .collect();
+            // Slot-major input planes: current slots, then reference slots.
+            let mut planes = Vec::with_capacity(128);
+            for reference in [false, true] {
+                for i in 0..8 {
+                    let vals: [u64; 64] = std::array::from_fn(|j| {
+                        let (c, r) = &blocks[j];
+                        if reference { r[i] } else { c[i] }
+                    });
+                    planes.extend(lanes::to_planes(&vals, SadAccelerator::PIXEL_BITS));
                 }
             }
-            let out = nl.eval_words(&packed_inputs);
-            let hw: u64 = out.iter().enumerate().fold(0, |acc, (i, w)| acc | ((w & 1) << i));
-            assert_eq!(hw, lanes::lane(&planes, j), "lane {j}");
+            let out = nl.eval_words(&planes);
+            for (j, (c, r)) in blocks.iter().enumerate() {
+                let want = sad.sad(c, r).unwrap();
+                assert_eq!(lanes::lane(&out, j), want, "{variant}/{lsbs} lane {j}");
+            }
         }
     }
 }

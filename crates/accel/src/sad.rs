@@ -27,7 +27,7 @@
 //! ```
 
 use std::fmt;
-use xlac_adders::{Adder, AdderX64, FullAdderKind, RippleCarryAdder, Subtractor};
+use xlac_adders::{Adder, FullAdderKind, RippleCarryAdder, Subtractor};
 use xlac_core::characterization::HwCost;
 use xlac_core::error::{Result, XlacError};
 
@@ -219,61 +219,6 @@ impl SadAccelerator {
         Ok(values[0])
     }
 
-    /// Bit-sliced 64-batch SAD: evaluates the full datapath for 64
-    /// independent block pairs at once.
-    ///
-    /// `current[i]` / `reference[i]` are the 64-lane bit-plane batches
-    /// (`xlac_core::lanes` layout) of pixel slot `i`: plane `p` holds bit
-    /// `p` of slot `i` across all 64 blocks. The result planes satisfy,
-    /// for every lane `j`,
-    ///
-    /// ```text
-    /// lanes::lane(&sad.sad_x64(&c, &r)?, j)
-    ///     == sad.sad(&per-lane c values, &per-lane r values)?
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// Returns [`XlacError::ShapeMismatch`] unless both batches have
-    /// exactly `lanes` pixel slots, or [`XlacError::OperandOutOfRange`]
-    /// when any lane of a slot exceeds 8 bits (a non-zero plane at index
-    /// ≥ 8).
-    pub fn sad_x64(&self, current: &[Vec<u64>], reference: &[Vec<u64>]) -> Result<Vec<u64>> {
-        if current.len() != self.lanes || reference.len() != self.lanes {
-            return Err(XlacError::ShapeMismatch {
-                expected: (1, self.lanes),
-                actual: (1, current.len().min(reference.len())),
-            });
-        }
-        for batch in current.iter().chain(reference) {
-            let high: u64 = batch.iter().skip(Self::PIXEL_BITS).fold(0, |m, &p| m | p);
-            if high != 0 {
-                let lane = high.trailing_zeros() as usize;
-                return Err(XlacError::OperandOutOfRange {
-                    value: xlac_core::lanes::lane(batch, lane),
-                    width: Self::PIXEL_BITS,
-                });
-            }
-        }
-        // Stage 1: absolute differences through approximate subtractors.
-        let mut values: Vec<Vec<u64>> = current
-            .iter()
-            .zip(reference)
-            .map(|(c, r)| self.subtractor.abs_diff_x64(c, r))
-            .collect();
-        // Stage 2: balanced adder tree (operand planes beyond each level's
-        // width read as zero, matching the scalar truncate-on-input).
-        for adder in &self.tree_adders {
-            let mut next = Vec::with_capacity(values.len() / 2);
-            for pair in values.chunks(2) {
-                next.push(adder.add_x64(&pair[0], &pair[1]));
-            }
-            values = next;
-        }
-        debug_assert_eq!(values.len(), 1);
-        Ok(values.swap_remove(0))
-    }
-
     /// The exact software-model SAD (the behavioural reference of the
     /// paper's flow).
     #[must_use]
@@ -434,54 +379,5 @@ mod tests {
     fn names() {
         let sad = SadAccelerator::new(16, SadVariant::ApxSad3, 4).unwrap();
         assert_eq!(sad.name(), "ApxSAD3(16 lanes, 4 LSBs)");
-    }
-
-    #[test]
-    fn bit_sliced_sad_matches_scalar_per_lane() {
-        use xlac_core::lanes;
-        use xlac_core::rng::{DefaultRng, Rng};
-        let mut rng = DefaultRng::seed_from_u64(0x5AD);
-        for (variant, lsbs) in
-            [(SadVariant::Accurate, 0), (SadVariant::ApxSad2, 3), (SadVariant::ApxSad5, 4)]
-        {
-            let sad = SadAccelerator::new(8, variant, lsbs).unwrap();
-            // 64 random block pairs, pixel-slot-major.
-            let blocks: Vec<(Vec<u64>, Vec<u64>)> = (0..64)
-                .map(|_| {
-                    let c: Vec<u64> = (0..8).map(|_| rng.gen_range(0..256)).collect();
-                    let r: Vec<u64> = (0..8).map(|_| rng.gen_range(0..256)).collect();
-                    (c, r)
-                })
-                .collect();
-            let slot = |reference: bool, i: usize| {
-                let mut vals = [0u64; 64];
-                for (j, b) in blocks.iter().enumerate() {
-                    vals[j] = if reference { b.1[i] } else { b.0[i] };
-                }
-                lanes::to_planes(&vals, SadAccelerator::PIXEL_BITS)
-            };
-            let cur: Vec<Vec<u64>> = (0..8).map(|i| slot(false, i)).collect();
-            let refb: Vec<Vec<u64>> = (0..8).map(|i| slot(true, i)).collect();
-            let planes = sad.sad_x64(&cur, &refb).unwrap();
-            for (j, (c, r)) in blocks.iter().enumerate() {
-                assert_eq!(
-                    lanes::lane(&planes, j),
-                    sad.sad(c, r).unwrap(),
-                    "{variant}/{lsbs} lane {j}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn bit_sliced_sad_validates_shapes_and_range() {
-        let sad = SadAccelerator::accurate(4).unwrap();
-        let ok: Vec<Vec<u64>> = (0..4).map(|_| vec![0u64; 8]).collect();
-        assert!(sad.sad_x64(&ok[..3], &ok).is_err());
-        let mut bad = ok.clone();
-        bad[2] = vec![0u64; 9];
-        bad[2][8] = 1; // lane 0 of slot 2 reads 256
-        let err = sad.sad_x64(&ok, &bad).unwrap_err();
-        assert!(matches!(err, XlacError::OperandOutOfRange { value: 256, width: 8 }));
     }
 }

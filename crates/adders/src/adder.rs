@@ -117,57 +117,11 @@ impl Adder for AccurateAdder {
     }
 }
 
-/// Bit-sliced 64-lane companion to [`Adder`].
-///
-/// Operand batches are **bit-plane vectors** (`xlac_core::lanes` layout):
-/// `a[i]` holds bit `i` of all 64 lane values. Planes past the slice end
-/// read as zero and planes at index `>= width` are ignored, mirroring the
-/// truncate-on-input semantics of [`Adder::add`]. The result always has
-/// exactly `width + 1` planes with the carry-out in the last plane, so
-/// for every lane `j`
-///
-/// ```text
-/// lanes::lane(&adder.add_x64(&a, &b), j) == adder.add(lanes::lane(&a, j), lanes::lane(&b, j))
-/// ```
-///
-/// `Sync` is a supertrait so `dyn AdderX64` batches can be shared across
-/// the `xlac-sim` sweep threads.
-pub trait AdderX64: Adder + Sync {
-    /// Adds two `width`-bit 64-lane operand batches; returns `width + 1`
-    /// planes (carry-out last).
-    fn add_x64(&self, a: &[u64], b: &[u64]) -> Vec<u64>;
-}
-
 /// Reads plane `i`, treating missing planes as zero.
 #[inline]
 #[must_use]
 pub(crate) fn plane(planes: &[u64], i: usize) -> u64 {
     planes.get(i).copied().unwrap_or(0)
-}
-
-impl AdderX64 for AccurateAdder {
-    fn add_x64(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-        // An exact ripple of accurate cells is the (unique) exact sum.
-        let mut out = Vec::with_capacity(self.width + 1);
-        let mut carry = 0u64;
-        for i in 0..self.width {
-            let (s, c) = crate::full_adder::FullAdderKind::Accurate.eval_x64(
-                plane(a, i),
-                plane(b, i),
-                carry,
-            );
-            out.push(s);
-            carry = c;
-        }
-        out.push(carry);
-        out
-    }
-}
-
-impl<T: AdderX64 + ?Sized> AdderX64 for &T {
-    fn add_x64(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-        (**self).add_x64(a, b)
-    }
 }
 
 #[cfg(test)]

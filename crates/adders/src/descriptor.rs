@@ -2,14 +2,15 @@
 //!
 //! Every cell the workspace has shipped so far carried six hand-wired
 //! integrations: a truth-table model, a structural netlist, a hand-derived
-//! bit-sliced `eval_x64`, a symbolic BDD twin, a static error bound, and
+//! bit-sliced evaluator, a symbolic BDD twin, a static error bound, and
 //! an equivalence-registry entry. A [`UnitDescriptor`] collapses that to
 //! the two artifacts that actually define a cell — **one truth table and
 //! one netlist builder** — and *generates* the rest:
 //!
-//! * `eval` / [`UnitDescriptor::eval_x64`] — the scalar and bit-sliced
-//!   behavioural twins come from the table and the netlist's generic
-//!   64-lane evaluator; no per-cell boolean algebra.
+//! * [`UnitDescriptor::eval`] is the scalar behavioural model, read from
+//!   the table; 64-lane evaluation is the netlist's own (its word
+//!   evaluator, or the `xlac-sim` compiled program) — no per-cell boolean
+//!   algebra.
 //! * the symbolic twin, the absint-derived `ErrorBound` and the
 //!   equivalence-registry proof family are built by `xlac-analysis`
 //!   straight from the descriptor (`symbolic::registry` and `absint`);
@@ -174,13 +175,6 @@ impl UnitDescriptor {
         self.table.row(x)
     }
 
-    /// The *generated* 64-lane bit-sliced twin: the netlist's generic
-    /// word evaluator, no hand-written boolean algebra.
-    #[must_use]
-    pub fn eval_x64(&self, planes: &[u64]) -> Vec<u64> {
-        self.netlist.eval_words(planes)
-    }
-
     /// Rows where the cell differs from its exact reference.
     #[must_use]
     pub fn error_cases(&self) -> usize {
@@ -341,7 +335,7 @@ fn finish_builder(
 /// (`build` runs twice — once for the cell netlist, once for the
 /// reference netlist), so `error_cases() == 0` and the derived absint
 /// bound is zero. Exact units still earn their keep in the registry:
-/// the equivalence proof pins table ≡ netlist ≡ HDL ≡ `eval_x64`.
+/// the equivalence proof pins table ≡ netlist ≡ HDL.
 fn exact_unit(
     name: &str,
     n_inputs: usize,
@@ -475,7 +469,7 @@ pub fn ofloca8() -> UnitDescriptor {
 /// CLA8: an exact 8-bit carry-lookahead adder with two 4-bit groups.
 /// Within each group every carry is a two-level AND-OR expansion of the
 /// generate/propagate terms, so the descriptor proof (table ≡ netlist ≡
-/// HDL ≡ `eval_x64` ≡ accurate ripple reference) certifies the lookahead
+/// HDL ≡ accurate ripple reference) certifies the lookahead
 /// algebra gate by gate.
 ///
 /// # Panics
@@ -948,14 +942,14 @@ mod tests {
     }
 
     #[test]
-    fn generated_eval_x64_matches_the_table_on_every_lane() {
+    fn netlist_words_match_the_table_on_every_lane() {
         use xlac_core::rng::{DefaultRng, Rng};
         let mut rng = DefaultRng::seed_from_u64(0xDE5C);
         for d in approx_cell_descriptors() {
             let n_in = d.table().n_inputs();
             let n_out = d.table().n_outputs();
             let planes: Vec<u64> = (0..n_in).map(|_| rng.next_u64()).collect();
-            let outs = d.eval_x64(&planes);
+            let outs = d.netlist().eval_words(&planes);
             for lane in 0..64 {
                 let mut x = 0u64;
                 for (i, p) in planes.iter().enumerate() {

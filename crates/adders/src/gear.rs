@@ -49,7 +49,7 @@
 //! # }
 //! ```
 
-use crate::adder::{Adder, AdderX64};
+use crate::adder::Adder;
 use crate::full_adder::FullAdderKind;
 use xlac_core::bits;
 use xlac_core::characterization::HwCost;
@@ -467,12 +467,6 @@ impl GeArAdder {
     #[must_use]
     pub fn worst_case_error(&self) -> u64 {
         (1..self.sub_adder_count()).map(|s| 1u64 << (s * self.r + self.p)).sum()
-    }
-}
-
-impl AdderX64 for GeArAdder {
-    fn add_x64(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-        GeArAdder::add_x64(self, a, b).value
     }
 }
 

@@ -136,12 +136,12 @@ pub fn pack_operands(a: u64, b: u64, n: usize) -> u64 {
 /// `2N` inputs, `N + 1` outputs — `|a − b|` LSB-first, then the `a >= b`
 /// (no-borrow) flag.
 ///
-/// The structure mirrors [`crate::Subtractor::sub_x64`] stage for stage:
+/// The structure mirrors [`crate::Subtractor::sub`] stage for stage:
 /// the (possibly approximate) ripple adder on `a + !b`, the exact `+1`
 /// increment rippled across `N + 2` bit positions (the increment can
-/// carry *past* the adder's carry-out), the no-borrow flag as the OR of
-/// both top carry positions, and a conditional two's-complement negation
-/// selected per lane by that flag.
+/// carry *past* the adder's carry-out, and both top carries mean "no
+/// borrow"), the no-borrow flag as the OR of both top carry positions,
+/// and a conditional two's-complement negation selected by that flag.
 #[must_use]
 pub fn subtractor_netlist(sub: &crate::Subtractor<RippleCarryAdder>) -> Netlist {
     use xlac_logic::GateKind;
@@ -400,7 +400,7 @@ mod tests {
     }
 
     #[test]
-    fn subtractor_netlist_matches_x64_on_random_lanes() {
+    fn subtractor_netlist_matches_scalar_on_random_lanes() {
         use crate::Subtractor;
         use xlac_core::lanes::{from_planes, to_planes, LANES};
         use xlac_core::rng::{DefaultRng, Rng};
@@ -414,12 +414,14 @@ mod tests {
         rng.fill_u64(&mut b);
         let a = a.map(|v| v & 0xFF);
         let b = b.map(|v| v & 0xFF);
-        let (mag, a_ge_b) = sub.sub_x64(&to_planes(&a, 8), &to_planes(&b, 8));
-        let mags = from_planes(&mag);
+        let mut planes = to_planes(&a, 8);
+        planes.extend(to_planes(&b, 8));
+        let words = from_planes(&nl.eval_words(&planes));
         for j in 0..LANES {
-            let hw = nl.eval(pack_operands(a[j], b[j], 8));
-            assert_eq!(hw & 0xFF, mags[j], "lane {j}");
-            assert_eq!((hw >> 8) & 1, (a_ge_b >> j) & 1, "lane {j} flag");
+            let (mag, a_ge_b) = sub.sub(a[j], b[j]);
+            assert_eq!(words[j] & 0xFF, mag, "lane {j}");
+            assert_eq!((words[j] >> 8) & 1, u64::from(a_ge_b), "lane {j} flag");
+            assert_eq!(nl.eval(pack_operands(a[j], b[j], 8)), words[j], "lane {j}");
         }
     }
 

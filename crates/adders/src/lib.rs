@@ -58,7 +58,7 @@ pub mod ripple;
 pub mod soa;
 pub mod subtractor;
 
-pub use adder::{AccurateAdder, Adder, AdderX64};
+pub use adder::{AccurateAdder, Adder};
 pub use cla::CarryLookaheadAdder;
 pub use descriptor::{
     approx_cell_descriptors, axa3, booth_r2, booth_r4, booth_r4_apx, cla8, cmp42, cmp42_miscount,

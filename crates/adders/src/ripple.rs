@@ -23,7 +23,7 @@
 //! # }
 //! ```
 
-use crate::adder::{plane, Adder, AdderX64};
+use crate::adder::{plane, Adder};
 use crate::full_adder::FullAdderKind;
 use xlac_core::bits;
 use xlac_core::characterization::HwCost;
@@ -95,10 +95,31 @@ impl RippleCarryAdder {
 }
 
 impl RippleCarryAdder {
-    /// The allocation-free core of [`AdderX64::add_x64`]: ripples into a
-    /// caller-provided buffer of exactly `width() + 1` planes (carry-out
-    /// last). Hot paths (the recursive multiplier, `xlac-sim` sweeps) use
-    /// this with stack buffers.
+    /// Bit-sliced [`Adder::add`]: 64 independent additions per call, the
+    /// same LSB→MSB cell walk as the scalar model with each cell evaluated
+    /// on 64 lanes at once via [`FullAdderKind::eval_x64`].
+    ///
+    /// Operand batches are **bit-plane vectors** (`xlac_core::lanes`
+    /// layout): `a[i]` holds bit `i` of all 64 lane values. Planes past the
+    /// slice end read as zero and planes at index `>= width` are ignored,
+    /// mirroring the truncate-on-input semantics of [`Adder::add`]. The
+    /// result always has exactly `width + 1` planes with the carry-out in
+    /// the last plane, so for every lane `j`
+    ///
+    /// ```text
+    /// lanes::lane(&rca.add_x64(&a, &b), j) == rca.add(lanes::lane(&a, j), lanes::lane(&b, j))
+    /// ```
+    #[must_use]
+    pub fn add_x64(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
+        let mut out = vec![0u64; self.cells.len() + 1];
+        self.add_x64_into(a, b, &mut out);
+        out
+    }
+
+    /// The allocation-free core of [`RippleCarryAdder::add_x64`]: ripples
+    /// into a caller-provided buffer of exactly `width() + 1` planes
+    /// (carry-out last). Hot paths (the recursive multiplier, `xlac-sim`
+    /// sweeps) use this with stack buffers.
     ///
     /// # Panics
     ///
@@ -114,17 +135,6 @@ impl RippleCarryAdder {
             carry = c;
         }
         out[w] = carry;
-    }
-}
-
-impl AdderX64 for RippleCarryAdder {
-    /// Bit-sliced ripple: the same LSB→MSB cell walk as
-    /// [`RippleCarryAdder::add`], with each cell evaluated on 64 lanes at
-    /// once via [`FullAdderKind::eval_x64`].
-    fn add_x64(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-        let mut out = vec![0u64; self.cells.len() + 1];
-        self.add_x64_into(a, b, &mut out);
-        out
     }
 }
 

@@ -20,7 +20,7 @@
 //! assert_eq!((mag, a_ge_b), (145, false));
 //! ```
 
-use crate::adder::{plane, Adder, AdderX64};
+use crate::adder::Adder;
 use xlac_core::bits;
 use xlac_core::characterization::HwCost;
 
@@ -85,59 +85,6 @@ impl<A: Adder> Subtractor<A> {
     #[must_use]
     pub fn abs_diff(&self, a: u64, b: u64) -> u64 {
         self.sub(a, b).0
-    }
-
-    /// Bit-sliced [`Subtractor::sub`]: 64 subtractions per call.
-    ///
-    /// Returns `(magnitude, a_ge_b)` where the magnitude is a `width`-plane
-    /// batch and `a_ge_b` is a lane mask (bit `j` set when lane `j` had no
-    /// borrow).
-    ///
-    /// The exact `+1` increment stage is rippled across `width + 2`
-    /// planes: the increment can carry **past the adder's carry-out**
-    /// (`raw >> w == 2` on `a + !b == 2^{w+1} − 2` shapes), and both
-    /// carry planes mean "no borrow". Collapsing them to one plane is the
-    /// latent wrap bug the PR 2 reachability analysis flagged; the
-    /// regression tests in `tests/bitslice_differential.rs` pin the
-    /// behaviour on those witnesses.
-    #[must_use]
-    pub fn sub_x64(&self, a: &[u64], b: &[u64]) -> (Vec<u64>, u64)
-    where
-        A: AdderX64,
-    {
-        let w = self.width();
-        let nb: Vec<u64> = (0..w).map(|i| !plane(b, i)).collect();
-        let raw = self.adder.add_x64(a, &nb);
-        // The +1 increment over w+2 planes (carry-in of 1 on every lane).
-        let mut inc = Vec::with_capacity(w + 2);
-        let mut carry = u64::MAX;
-        for &r in raw.iter().take(w + 1) {
-            inc.push(r ^ carry);
-            carry &= r;
-        }
-        inc.push(carry);
-        // No borrow when raw + 1 reached bit w *or* bit w+1.
-        let a_ge_b = inc[w] | inc[w + 1];
-        // Per-lane two's complement of the low word for the borrow lanes.
-        let mut neg = Vec::with_capacity(w);
-        let mut c = u64::MAX;
-        for &i in inc.iter().take(w) {
-            let ni = !i;
-            neg.push(ni ^ c);
-            c &= ni;
-        }
-        let mag =
-            (0..w).map(|i| (inc[i] & a_ge_b) | (neg[i] & !a_ge_b)).collect();
-        (mag, a_ge_b)
-    }
-
-    /// Bit-sliced [`Subtractor::abs_diff`].
-    #[must_use]
-    pub fn abs_diff_x64(&self, a: &[u64], b: &[u64]) -> Vec<u64>
-    where
-        A: AdderX64,
-    {
-        self.sub_x64(a, b).0
     }
 
     /// Hardware cost: the adder plus an increment/negate stage of roughly

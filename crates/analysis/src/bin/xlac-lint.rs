@@ -10,8 +10,8 @@
 //! * **Bounds**: Monte-Carlo / exhaustive validation that every static
 //!   error bound covers the observed errors of its component.
 //! * **Exact** (`--exact`): the symbolic engine's proof obligations —
-//!   for every shipped module, the truth-table model, the `hdl/*.v`
-//!   netlist and the bit-sliced `eval_x64` form are formally the same
+//!   for every shipped module, the truth-table or scalar model, the
+//!   `hdl/*.v` netlist and any hand bit-sliced form are formally the same
 //!   function (BDD root equality, backed by exhaustive or seeded-vector
 //!   legs for the wide datapaths) — plus the bound-vs-exact soundness
 //!   audit on every 8-bit-and-under configuration.

@@ -25,9 +25,9 @@
 //!    same circuit?** [`symbolic`] compiles netlists, truth tables and
 //!    the composed datapaths into ROBDDs, computes provable
 //!    WCE/ER/MED/per-bit flip probabilities by model counting, and
-//!    proves (not samples) that the truth-table model, the `hdl/*.v`
-//!    netlist and the bit-sliced `eval_x64` form of every shipped module
-//!    agree.
+//!    proves (not samples) that the truth-table or scalar model, the
+//!    `hdl/*.v` netlist and any hand bit-sliced form of every shipped
+//!    module agree.
 //! 4. **Can a bound be derived for a unit nobody hand-analyzed?**
 //!    [`absint`] answers by bit-level abstract interpretation under
 //!    three cooperating domains (ternary, Fréchet probability

@@ -32,8 +32,8 @@
 //!   Morgan, mux normalization, CSE, DCE, register reuse) preserved the
 //!   source netlist's functions.
 //! * [`registry`] — the shipped-module proof obligations behind
-//!   `xlac-lint --exact`: for every component, the truth-table model,
-//!   the structural/`hdl/` netlists and the bit-sliced `eval_x64` form
+//!   `xlac-lint --exact`: for every component, the truth-table or scalar
+//!   model, the structural/`hdl/` netlists and any hand bit-sliced form
 //!   are the same function.
 
 pub mod audit;

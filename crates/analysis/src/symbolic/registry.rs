@@ -2,19 +2,22 @@
 //!
 //! Every component the workspace ships exists in several representations
 //! — a truth-table specification, a scalar behavioural model, a
-//! structural/synthesized netlist, a `hdl/*.v` export, a bit-sliced
-//! `eval_x64` form. PR 1's `xlac_logic::equiv` checked them against each
-//! other by sampling; this module replaces those spot checks with
-//! *proofs*:
+//! structural/synthesized netlist, a `hdl/*.v` export and, for the cells,
+//! the recursive multiplier and the adders, a hand bit-sliced form.
+//! `xlac_logic::equiv` checks such forms against each other by sampling;
+//! this module replaces those spot checks with *proofs*:
 //!
 //! * representations with a netlist or table form compile to BDDs over
 //!   the same variables, where canonical-root equality is equivalence
 //!   over the full input space ([`super::equiv`]);
-//! * bit-sliced and scalar forms with ≤ 16 input bits are compared
-//!   exhaustively (an exhaustive check over the whole input space *is* a
-//!   proof), anchored to the elaborated netlist so all three views meet:
-//!   one [`CountingBlocks`] block drives the netlist's word evaluator,
-//!   the scalar model and the bit-sliced model 64 assignments at a time;
+//! * scalar and (where one exists) hand bit-sliced forms with ≤ 16 input
+//!   bits are compared exhaustively (an exhaustive check over the whole
+//!   input space *is* a proof), anchored to the elaborated netlist so
+//!   every view meets it: one [`CountingBlocks`] block drives the
+//!   netlist's word evaluator, the scalar model and the bit-sliced model
+//!   64 assignments at a time. Units whose only 64-lane form is their
+//!   compiled netlist (Wallace, truncated, subtractor) compare the
+//!   netlist with the scalar model;
 //! * wider datapaths (the GeAr configurations, 22–32 input bits) get a
 //!   BDD proof between the symbolic forms plus ≥ 10⁵ seeded vectors,
 //!   packed into the same 64-lane blocks, against the scalar and
@@ -34,8 +37,7 @@ use crate::parse::{parse_verilog, RawNetlist};
 use std::path::Path;
 use xlac_adders::hw::{gear_netlist, ripple_netlist, subtractor_netlist};
 use xlac_adders::{
-    approx_cell_descriptors, Adder, AdderX64, FullAdderKind, GeArAdder, RippleCarryAdder,
-    Subtractor,
+    approx_cell_descriptors, Adder, FullAdderKind, GeArAdder, RippleCarryAdder, Subtractor,
 };
 use xlac_core::lanes::{from_planes, to_planes_into, CountingBlocks, LANES};
 use xlac_core::rng::{Rng, Xoshiro256StarStar};
@@ -293,12 +295,12 @@ fn full_adder_reports(hdl_dir: &Path) -> Result<Vec<ProofReport>, String> {
     Ok(reports)
 }
 
-/// The six-way descriptor contract, symbolically: the declared truth
-/// table, the generated netlist, the `hdl/*.v` export and the *generated*
-/// bit-sliced evaluator of every [`xlac_adders::UnitDescriptor`] are
-/// proven to be the same function. None of these representations were
-/// written by hand — the proof certifies the generators, not per-cell
-/// code.
+/// The descriptor contract, symbolically: the declared truth table, the
+/// generated netlist and the `hdl/*.v` export of every
+/// [`xlac_adders::UnitDescriptor`] are proven to be the same function.
+/// None of these representations were written by hand — the proof
+/// certifies the generators, not per-cell code. (The netlist is also the
+/// cell's only 64-lane form, so there is no bit-sliced leg to add.)
 fn descriptor_reports(hdl_dir: &Path) -> Result<Vec<ProofReport>, String> {
     let _span = obs_span!("analysis.descriptors");
     let mut reports = Vec::new();
@@ -306,39 +308,33 @@ fn descriptor_reports(hdl_dir: &Path) -> Result<Vec<ProofReport>, String> {
         let file = format!("{}.v", d.name().to_lowercase());
         let raw = load_hdl(hdl_dir, &file)?;
         let (n, k) = (d.table().n_inputs(), d.table().n_outputs());
-        let x64_table = TruthTable::from_planes(n, k, |p| d.eval_x64(p));
         let mut bdd = Bdd::new();
         let vars: Vec<Ref> = (0..n).map(|i| bdd.var(i)).collect();
         let mut family = vec![
             ("generated netlist".to_string(), compile_netlist(&mut bdd, d.netlist(), &vars)),
             (format!("hdl/{file}"), compile_raw(&mut bdd, &raw, &vars)?),
         ];
-        // Narrow cells: the whole four-way family as one BDD proof.
+        // Narrow cells: the whole three-way family as one BDD proof.
         // Word-level descriptors (the 16-input adders): Shannon-expanding
         // a 2^16-row table into a BDD is the one expensive leg, so the
-        // table and eval_x64 legs are closed by full enumeration (an
-        // exhaustive check over the whole input space *is* a proof) while
-        // the netlist ≡ HDL leg stays symbolic.
+        // table leg is closed by full enumeration (an exhaustive check
+        // over the whole input space *is* a proof) while the netlist ≡ HDL
+        // leg stays symbolic.
         let narrow = n <= 8;
         if narrow {
             family.insert(0, ("truth-table".to_string(), compile_truth_table(&mut bdd, d.table(), &vars)));
-            family.push(("generated eval_x64".to_string(), compile_truth_table(&mut bdd, &x64_table, &vars)));
         }
         let mut status = prove_family(&mut bdd, &family);
         let mut representations = labels(&family);
         if !narrow {
             if status == ProofStatus::Proven {
                 let net_table = TruthTable::from_planes(n, k, |p| d.netlist().eval_words(p));
-                let first = (0..1u64 << n).find_map(|x| {
-                    [(&net_table, "generated netlist"), (&x64_table, "generated eval_x64")]
-                        .into_iter()
-                        .find(|(t, _)| t.row(x) != d.table().row(x))
-                        .map(|(_, label)| format!("{label} disagrees with the truth table at input {x:#b}"))
+                let first = (0..1u64 << n).find(|&x| net_table.row(x) != d.table().row(x)).map(|x| {
+                    format!("generated netlist disagrees with the truth table at input {x:#b}")
                 });
                 status = first.map_or(ProofStatus::Proven, ProofStatus::Refuted);
             }
             representations.push(format!("truth-table (2^{n} exhaustive)"));
-            representations.push(format!("generated eval_x64 (2^{n} exhaustive)"));
         }
         let method = if narrow { "bdd" } else { "bdd+exhaustive" };
         reports.push(report(Some(&bdd), format!("cell/{}", d.name()), n, method, representations, status));
@@ -391,21 +387,27 @@ fn configurable_mul_reports(hdl_dir: &Path) -> Result<Vec<ProofReport>, String> 
     Ok(reports)
 }
 
-/// A two-operand datapath's three executable forms — the elaborated
-/// netlist (through [`Netlist::eval_words_into`], its reference
-/// semantics), the scalar model and the bit-sliced model (`sliced_label`
-/// names it in a refutation) — compared 64 lanes per block. A datapath
-/// of at most [`EXHAUSTIVE_MAX_INPUTS`] inputs runs all `2^(2w)` operand
-/// pairs in [`CountingBlocks`] order (an exhaustive check is a proof);
-/// a wider one runs [`SAMPLE_VECTORS`] seeded pairs, 64 `a` draws then
-/// 64 `b` draws per block. Operand `a` is netlist inputs `0..w`, `b` is
-/// `w..2w`. Reports the first disagreeing `a`/`b` in lane order, the
-/// sliced model before the netlist.
+/// A hand bit-sliced model of a two-operand datapath: operand planes in,
+/// result planes out.
+type SlicedFn<'a> = &'a mut dyn FnMut(&[u64], &[u64]) -> Vec<u64>;
+
+/// A [`SlicedFn`] under the label that names it in a refutation.
+type Sliced<'a> = (&'a str, SlicedFn<'a>);
+
+/// A two-operand datapath's executable forms — the elaborated netlist
+/// (through [`Netlist::eval_words_into`], its reference semantics), the
+/// scalar model and, when the unit has one, its hand bit-sliced model —
+/// compared 64 lanes per block. A datapath of at most
+/// [`EXHAUSTIVE_MAX_INPUTS`] inputs runs all `2^(2w)` operand pairs in
+/// [`CountingBlocks`] order (an exhaustive check is a proof); a wider one
+/// runs [`SAMPLE_VECTORS`] seeded pairs, 64 `a` draws then 64 `b` draws
+/// per block. Operand `a` is netlist inputs `0..w`, `b` is `w..2w`.
+/// Reports the first disagreeing `a`/`b` in lane order, the sliced model
+/// before the netlist.
 fn agreement(
     netlist: &Netlist,
-    sliced_label: &str,
     scalar: impl Fn(u64, u64) -> u64,
-    mut sliced: impl FnMut(&[u64], &[u64]) -> Vec<u64>,
+    mut sliced: Option<Sliced<'_>>,
 ) -> ProofStatus {
     let (n, width) = (netlist.n_inputs(), netlist.n_inputs() / 2);
     let counting = CountingBlocks::new(n);
@@ -426,10 +428,13 @@ fn agreement(
         }
         netlist.eval_words_into(&planes, &mut values, &mut outs);
         let (ap, bp) = planes.split_at(width);
-        let (from_net, from_sliced) = (from_planes(&outs), from_planes(&sliced(ap, bp)));
+        let from_net = from_planes(&outs);
+        let from_sliced = sliced.as_mut().map(|(label, f)| (*label, from_planes(&f(ap, bp))));
         for (l, (&a, &b)) in from_planes(ap).iter().zip(&from_planes(bp)).enumerate() {
             let want = scalar(a, b);
-            for (got, label) in [(from_sliced[l], sliced_label), (from_net[l], "elaborated netlist")] {
+            let sliced_lane = from_sliced.as_ref().map(|(label, lanes)| (lanes[l], *label));
+            let net_lane = (from_net[l], "elaborated netlist");
+            for (got, label) in sliced_lane.into_iter().chain([net_lane]) {
                 if got != want {
                     return ProofStatus::Refuted(format!(
                         "{label} disagrees with the scalar model at a={a} b={b}: {got} vs {want}"
@@ -457,7 +462,7 @@ fn adder_reports(hdl_dir: &Path) -> Result<Vec<ProofReport>, String> {
             rca.name(),
             &ripple_netlist(&rca),
             |x, y| rca.add(x, y),
-            |ap, bp| rca.add_x64(ap, bp),
+            &mut |ap, bp| rca.add_x64(ap, bp),
         )?);
     }
     for (n, r, p) in [(11usize, 1usize, 9usize), (12, 4, 4), (16, 2, 6)] {
@@ -468,7 +473,7 @@ fn adder_reports(hdl_dir: &Path) -> Result<Vec<ProofReport>, String> {
             gear.name(),
             &gear_netlist(&gear),
             |x, y| gear.add(x, y).value,
-            |ap, bp| gear.add_x64(ap, bp).value,
+            &mut |ap, bp| gear.add_x64(ap, bp).value,
         )?);
     }
     Ok(reports)
@@ -480,7 +485,7 @@ fn adder_report(
     name: String,
     netlist: &Netlist,
     scalar: impl Fn(u64, u64) -> u64,
-    sliced: impl FnMut(&[u64], &[u64]) -> Vec<u64>,
+    sliced: SlicedFn<'_>,
 ) -> Result<ProofReport, String> {
     let raw = load_hdl(hdl_dir, file)?;
     let n = netlist.n_inputs();
@@ -493,7 +498,7 @@ fn adder_report(
     ];
     let mut status = prove_family(&mut bdd, &family);
     if status == ProofStatus::Proven {
-        status = agreement(netlist, "add_x64", scalar, sliced);
+        status = agreement(netlist, scalar, Some(("add_x64", sliced)));
     }
     let (method, leg) = if n <= EXHAUSTIVE_MAX_INPUTS {
         ("bdd+exhaustive", format!("2^{n} exhaustive"))
@@ -506,10 +511,10 @@ fn adder_report(
     Ok(report(Some(&bdd), name, n, method, representations, status))
 }
 
-/// The composite multipliers and the subtractor: the elaborated netlist,
-/// the scalar model and the bit-sliced model agree on all `2^16` operand
-/// pairs. No BDD is built: enumerating the whole input space is itself
-/// the proof.
+/// The composite multipliers and the subtractor: the elaborated netlist
+/// and the scalar model (and the recursive multiplier's hand bit-sliced
+/// model) agree on all `2^16` operand pairs. No BDD is built: enumerating
+/// the whole input space is itself the proof.
 fn composed_multiplier_reports() -> Vec<ProofReport> {
     let _span = obs_span!("analysis.composed_multipliers");
     // Recursive multiplier, paper configuration: ApxMulOur blocks with
@@ -534,20 +539,10 @@ fn composed_multiplier_reports() -> Vec<ProofReport> {
             rec.name(),
             &recursive_netlist(&rec),
             |x, y| rec.mul(x, y),
-            |ap, bp| rec.mul_x64(ap, bp),
+            Some(&mut |ap, bp| rec.mul_x64(ap, bp)),
         ),
-        composed_report(
-            wal.name(),
-            &wallace_netlist(&wal),
-            |x, y| wal.mul(x, y),
-            |ap, bp| wal.mul_x64(ap, bp),
-        ),
-        composed_report(
-            trunc.name(),
-            &truncated_netlist(&trunc),
-            |x, y| trunc.mul(x, y),
-            |ap, bp| trunc.mul_x64(ap, bp),
-        ),
+        composed_report(wal.name(), &wallace_netlist(&wal), |x, y| wal.mul(x, y), None),
+        composed_report(trunc.name(), &truncated_netlist(&trunc), |x, y| trunc.mul(x, y), None),
         composed_report(
             sub.name(),
             &subtractor_netlist(&sub),
@@ -555,30 +550,25 @@ fn composed_multiplier_reports() -> Vec<ProofReport> {
                 let (m, g) = sub.sub(x, y);
                 m | (u64::from(g) << 8)
             },
-            |ap, bp| {
-                let (mut planes, ge_plane) = sub.sub_x64(ap, bp);
-                planes.push(ge_plane);
-                planes
-            },
+            None,
         ),
     ]
 }
 
-/// One 8-bit composite unit's exhaustive report.
+/// One 8-bit composite unit's exhaustive report; `sliced` is the unit's
+/// hand bit-sliced model, if it has one.
 fn composed_report(
     name: String,
     netlist: &Netlist,
     scalar: impl Fn(u64, u64) -> u64,
-    sliced: impl FnMut(&[u64], &[u64]) -> Vec<u64>,
+    sliced: Option<SlicedFn<'_>>,
 ) -> ProofReport {
-    let status = agreement(netlist, "eval_x64", scalar, sliced);
-    let representations = [
-        "elaborated netlist",
-        "scalar model (2^16 exhaustive)",
-        "bit-sliced model (2^16 exhaustive)",
-    ]
-    .map(String::from)
-    .to_vec();
+    let mut representations =
+        ["elaborated netlist", "scalar model (2^16 exhaustive)"].map(String::from).to_vec();
+    if sliced.is_some() {
+        representations.push("bit-sliced model (2^16 exhaustive)".to_string());
+    }
+    let status = agreement(netlist, scalar, sliced.map(|f| ("eval_x64", f)));
     report(None, name, 16, "exhaustive", representations, status)
 }
 
@@ -732,10 +722,9 @@ mod tests {
         assert!(reports.len() >= 14, "library regressed below the ROADMAP-3 roster");
         for r in &reports {
             assert!(r.is_proven(), "{}: {:?}", r.name, r.status);
-            // All four legs are generated from the descriptor's two
-            // defining artifacts; the labels record that.
+            // Every leg is generated from the descriptor's two defining
+            // artifacts; the labels record that.
             assert!(r.representations.iter().any(|l| l == "generated netlist"));
-            assert!(r.representations.iter().any(|l| l.starts_with("generated eval_x64")));
             assert!(r.representations.iter().any(|l| l.starts_with("truth-table")));
         }
         // The word-level descriptors take the bdd+exhaustive wide path.
@@ -788,12 +777,12 @@ mod tests {
     /// is inverted in the lanes of `flip` in every block.
     fn rca8_agreement(netlist: &Netlist, label: &str, flip: u64) -> ProofStatus {
         let rca = RippleCarryAdder::with_approx_lsbs(8, FullAdderKind::Apx2, 4).unwrap();
-        let sliced = |ap: &[u64], bp: &[u64]| {
+        let mut sliced = |ap: &[u64], bp: &[u64]| {
             let mut planes = rca.add_x64(ap, bp);
             planes[0] ^= flip;
             planes
         };
-        agreement(netlist, label, |x, y| rca.add(x, y), sliced)
+        agreement(netlist, |x, y| rca.add(x, y), Some((label, &mut sliced)))
     }
 
     #[test]
@@ -832,8 +821,9 @@ mod tests {
         let draws: Vec<u64> = (0..128).map(|_| rng.next_u64() & 0xFFF).collect();
         let (a, b) = (draws[5], draws[64 + 5]);
         let broken = flipped_at(&gear_netlist(&gear), a | (b << 12));
-        let status =
-            agreement(&broken, "add_x64", |x, y| gear.add(x, y).value, |ap, bp| gear.add_x64(ap, bp).value);
+        let mut sliced = |ap: &[u64], bp: &[u64]| gear.add_x64(ap, bp).value;
+        let scalar = |x, y| gear.add(x, y).value;
+        let status = agreement(&broken, scalar, Some(("add_x64", &mut sliced)));
         let want = gear.add(a, b).value;
         let msg = format!("at a={a} b={b}: {} vs {want}", want ^ 1);
         assert_eq!(

@@ -1,10 +1,12 @@
 //! The bit-sliced simulation engine vs the scalar golden models.
 //!
 //! Measures the throughput claim behind `xlac-sim` (DESIGN.md §10): the
-//! Monte-Carlo error sweep of an approximate 8×8 multiplier through the
-//! bit-sliced 64-lane evaluator against the identical sweep through the
-//! scalar model, single-threaded and multi-threaded. Also asserts, every
-//! run, that all flavours produce identical statistics — a benchmark that
+//! Monte-Carlo error sweep of an approximate 8×8 multiplier through its
+//! 64-lane evaluator against the identical sweep through the scalar
+//! model, single-threaded and multi-threaded. The Wallace tree's 64-lane
+//! evaluator is its compiled netlist (`CompiledMultiplier::wallace`); the
+//! recursive multiplier's is the hand `mul_x64`. Also asserts, every run,
+//! that all flavours produce identical statistics — a benchmark that
 //! measured two *different* computations would be meaningless.
 //!
 //! Runs on the in-house harness (`xlac_bench::harness`); set
@@ -16,25 +18,27 @@ use xlac_multipliers::{
     Mul2x2Kind, Multiplier, MultiplierX64, RecursiveMultiplier, SumMode, WallaceMultiplier,
 };
 use xlac_sim::{
-    gear_sweep, gear_sweep_scalar, multiplier_sweep, multiplier_sweep_scalar, SweepOptions,
+    gear_sweep, gear_sweep_scalar, multiplier_sweep, multiplier_sweep_scalar, CompiledMultiplier,
+    SweepOptions,
 };
 
 /// Trials per sweep: big enough that the fixed chunk overhead is noise,
 /// small enough for the bench-smoke CI lane.
 const TRIALS: u64 = 1 << 16;
 
-fn bench_one_multiplier<M: Multiplier + MultiplierX64>(group: &str, m: &M) {
+/// Benches the scalar model `m` against its 64-lane evaluator `sliced`.
+fn bench_one_multiplier(group: &str, m: &(dyn Multiplier + Sync), sliced: &dyn MultiplierX64) {
     let mut h = Harness::group(group);
     let opts = SweepOptions::new(TRIALS, 0xB17).chunk(4096);
 
     // Guard: every measured flavour computes the same statistics.
-    let sliced = multiplier_sweep(m, &opts.threads(1));
-    assert_eq!(sliced, multiplier_sweep_scalar(m, &opts.threads(1)));
-    assert_eq!(sliced, multiplier_sweep(m, &opts.threads(8)));
+    let one = multiplier_sweep(sliced, &opts.threads(1));
+    assert_eq!(one, multiplier_sweep_scalar(m, &opts.threads(1)));
+    assert_eq!(one, multiplier_sweep(sliced, &opts.threads(8)));
 
     h.bench("scalar_1thread", || black_box(multiplier_sweep_scalar(m, &opts.threads(1))));
-    h.bench("sliced_1thread", || black_box(multiplier_sweep(m, &opts.threads(1))));
-    h.bench("sliced_8threads", || black_box(multiplier_sweep(m, &opts.threads(8))));
+    h.bench("sliced_1thread", || black_box(multiplier_sweep(sliced, &opts.threads(1))));
+    h.bench("sliced_8threads", || black_box(multiplier_sweep(sliced, &opts.threads(8))));
 }
 
 fn bench_multiplier_sweeps() {
@@ -42,7 +46,8 @@ fn bench_multiplier_sweeps() {
     // low columns. Its scalar golden model assembles the partial-product
     // matrix per trial — the gate-structural workload bit-slicing targets.
     let wallace = WallaceMultiplier::new(8, FullAdderKind::Apx4, 8).unwrap();
-    bench_one_multiplier("bitslice_mul8x8_wallace_sweep_65536", &wallace);
+    let compiled = CompiledMultiplier::wallace(&wallace);
+    bench_one_multiplier("bitslice_mul8x8_wallace_sweep_65536", &wallace, &compiled);
 
     // Second data point: the recursive 2×2-block multiplier. Its scalar
     // model is already word-level (one match per 2×2 block), so the sliced
@@ -53,7 +58,7 @@ fn bench_multiplier_sweeps() {
         SumMode::ApproxLsbs { kind: FullAdderKind::Apx1, lsbs: 2 },
     )
     .unwrap();
-    bench_one_multiplier("bitslice_mul8x8_recursive_sweep_65536", &recursive);
+    bench_one_multiplier("bitslice_mul8x8_recursive_sweep_65536", &recursive, &recursive);
 }
 
 fn bench_gear_sweep() {

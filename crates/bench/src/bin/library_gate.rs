@@ -7,8 +7,8 @@
 //!
 //! 1. **Lint + XL014** — every descriptor from
 //!    `xlac_adders::approx_cell_descriptors()` passes the netlist lint
-//!    and the XL014 descriptor contract (eval/eval_x64/netlist/bound
-//!    agreement) with zero error-severity diagnostics;
+//!    and the XL014 descriptor contract (table/netlist/bound agreement)
+//!    with zero error-severity diagnostics;
 //! 2. **Coverage** — the library spans the §17 families: at least 14
 //!    units, including the word-level adders and the compressor cells;
 //! 3. **Registry proof** — every shipped equivalence obligation in

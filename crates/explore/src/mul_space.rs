@@ -51,13 +51,13 @@ use xlac_core::characterization::HwCost;
 use xlac_core::error::Result;
 use xlac_core::metrics::{exhaustive_binary, ErrorStats};
 use xlac_core::ComponentProfile;
+use xlac_logic::Netlist;
 use xlac_multipliers::{
-    Mul2x2Kind, Multiplier, MultiplierX64, RecursiveMultiplier, SumMode, TruncatedMultiplier,
-    WallaceMultiplier,
+    Mul2x2Kind, Multiplier, RecursiveMultiplier, SumMode, TruncatedMultiplier, WallaceMultiplier,
 };
 use xlac_multipliers::hw::{recursive_netlist, truncated_netlist, wallace_netlist};
 use xlac_obs::{obs_count, obs_span};
-use xlac_sim::{compiled_pair_sweep, multiplier_sweep, CompiledProgram, SweepOptions};
+use xlac_sim::{compiled_pair_sweep, CompiledProgram, SweepOptions};
 
 /// One multiplier configuration, kept as its concrete family type so the
 /// static bound can be computed without simulation at construction time.
@@ -76,11 +76,12 @@ impl MulConfig {
         }
     }
 
-    fn as_multiplier_x64(&self) -> &dyn MultiplierX64 {
+    /// The configuration's elaborated `hw` netlist.
+    fn netlist(&self) -> Netlist {
         match self {
-            MulConfig::Recursive(m) => m,
-            MulConfig::Wallace(m) => m,
-            MulConfig::Truncated(m) => m,
+            MulConfig::Recursive(m) => recursive_netlist(m),
+            MulConfig::Wallace(m) => wallace_netlist(m),
+            MulConfig::Truncated(m) => truncated_netlist(m),
         }
     }
 
@@ -90,8 +91,8 @@ impl MulConfig {
     /// netlist pair ([`wallace_bound_absint`]) — no hand-wired per-family
     /// propagation — intersected with the certified calculus envelope
     /// (both are sound on the same quantity, so their fieldwise min is
-    /// too). The recursive and truncated families have no netlist
-    /// emitters to analyze and keep their compositional calculus bounds.
+    /// too). The recursive and truncated families keep their
+    /// compositional calculus bounds.
     fn bound(&self) -> ErrorBound {
         match self {
             MulConfig::Recursive(m) => recursive_multiplier_bound(m),
@@ -128,13 +129,8 @@ impl MulConfig {
         if 2 * w > 16 {
             return None;
         }
-        let approx = match self {
-            MulConfig::Recursive(m) => recursive_netlist(m),
-            MulConfig::Wallace(m) => wallace_netlist(m),
-            MulConfig::Truncated(m) => truncated_netlist(m),
-        };
         let exact = wallace_netlist(&WallaceMultiplier::new(w, FullAdderKind::Accurate, 0).ok()?);
-        exhaustive_metrics(&approx, &exact).ok().map(|m| m.worst_case_error)
+        exhaustive_metrics(&self.netlist(), &exact).ok().map(|m| m.worst_case_error)
     }
 }
 
@@ -193,17 +189,12 @@ fn quality(config: &MulConfig, samples: u64) -> ErrorStats {
     } else {
         obs_count!("explore.mul.mc_trials", samples);
         let opts = SweepOptions::new(samples, 0x3113);
-        // Beyond exhaustive reach, the Monte-Carlo budget runs bit-sliced:
-        // 64+ trials per arithmetic pass, deterministic for any worker
-        // count (`xlac-sim`'s chunked runner). Wallace trees additionally
-        // go through the netlist JIT at 512-lane blocks — same RNG
-        // discipline, so the statistics are bit-identical to the
-        // behavioural sweep, several times faster.
-        if let MulConfig::Wallace(m) = config {
-            let prog = CompiledProgram::compile(&wallace_netlist(m));
-            return compiled_pair_sweep::<[u64; 8], _>(&prog, m.width(), |a, b| a * b, &opts);
-        }
-        multiplier_sweep(config.as_multiplier_x64(), &opts)
+        // Beyond exhaustive reach, the Monte-Carlo budget runs the
+        // configuration's compiled netlist at 512-lane blocks,
+        // deterministic for any worker count (`xlac-sim`'s chunked
+        // runner) and bit-identical to the scalar model's sweep.
+        let prog = CompiledProgram::compile(&config.netlist());
+        compiled_pair_sweep::<[u64; 8], _>(&prog, w, |a, b| a * b, &opts)
     }
 }
 
@@ -349,6 +340,7 @@ pub fn enumerate_multiplier_space_prefiltered(
 mod tests {
     use super::*;
     use crate::pareto_frontier;
+    use xlac_sim::multiplier_sweep_scalar;
 
     #[test]
     fn space_has_the_three_families() {
@@ -365,18 +357,19 @@ mod tests {
     }
 
     #[test]
-    fn wallace_monte_carlo_path_matches_the_behavioural_sweep() {
+    fn monte_carlo_path_matches_the_scalar_sweep() {
         // Width 16 is beyond exhaustive reach (2w = 32 > 16), so quality()
-        // routes Wallace configs through the compiled-netlist sweep. The
-        // RNG discipline guarantees stats identical to the behavioural
-        // bit-sliced sweep.
+        // routes every family through the compiled-netlist sweep. The
+        // RNG discipline guarantees stats identical to the scalar model's
+        // sweep.
         let m = WallaceMultiplier::new(16, FullAdderKind::Apx2, 6).unwrap();
-        let config = MulConfig::Wallace(m);
-        let samples = 4_096;
-        assert_eq!(
-            quality(&config, samples),
-            multiplier_sweep(&m, &SweepOptions::new(samples, 0x3113))
-        );
+        let rec = RecursiveMultiplier::new(16, Mul2x2Kind::ApxSoA, SumMode::Accurate).unwrap();
+        let trunc = TruncatedMultiplier::new(16, 6, true).unwrap();
+        let opts = SweepOptions::new(4_096, 0x3113);
+        let scalar = |m: &(dyn Multiplier + Sync)| multiplier_sweep_scalar(m, &opts);
+        assert_eq!(quality(&MulConfig::Wallace(m), 4_096), scalar(&m));
+        assert_eq!(quality(&MulConfig::Recursive(rec.clone()), 4_096), scalar(&rec));
+        assert_eq!(quality(&MulConfig::Truncated(trunc), 4_096), scalar(&trunc));
     }
 
     #[test]
@@ -525,5 +518,51 @@ mod tests {
         // All sampled profiles saw the configured number of samples.
         let sampled = space.iter().find(|p| !p.quality.is_exact()).expect("approx exists");
         assert_eq!(sampled.quality.samples, 5_000);
+        // Every profile's sampled statistics, pinned: (name, samples,
+        // error_count, max_error_distance, distinct error magnitudes).
+        // The Monte-Carlo leg's evaluator may change form; its draws and
+        // results may not.
+        let pins: [(&str, u64, u64, u64, usize); 26] = [
+            ("RecMul(N=16,AccMul)", 5000, 0, 0, 0),
+            ("RecMul(N=16,AccMul,2xApxFA1)", 5000, 5000, 273274744, 4096),
+            ("RecMul(N=16,AccMul,4xApxFA3)", 5000, 5000, 3947692464, 4096),
+            ("RecMul(N=16,AccMul,4xApxFA5)", 5000, 4999, 3766230255, 4096),
+            ("RecMul(N=16,ApxMulSoA)", 5000, 4058, 928457344, 1782),
+            ("RecMul(N=16,ApxMulSoA,2xApxFA1)", 5000, 5000, 980098612, 4096),
+            ("RecMul(N=16,ApxMulSoA,4xApxFA3)", 5000, 5000, 1286002405, 4096),
+            ("RecMul(N=16,ApxMulSoA,4xApxFA5)", 5000, 4999, 1581449908, 4096),
+            ("RecMul(N=16,ApxMulOur)", 5000, 4917, 476288000, 4096),
+            ("RecMul(N=16,ApxMulOur,2xApxFA1)", 5000, 5000, 640462174, 4096),
+            ("RecMul(N=16,ApxMulOur,4xApxFA3)", 5000, 5000, 3964473776, 4096),
+            ("RecMul(N=16,ApxMulOur,4xApxFA5)", 5000, 4999, 3785931066, 4096),
+            ("Wallace(N=16)", 5000, 0, 0, 0),
+            ("Wallace(N=16,4cols ApxFA2)", 5000, 4562, 22, 11),
+            ("Wallace(N=16,8cols ApxFA2)", 5000, 4989, 724, 319),
+            ("Wallace(N=16,4cols ApxFA4)", 5000, 3992, 26, 12),
+            ("Wallace(N=16,8cols ApxFA4)", 5000, 4898, 858, 328),
+            ("Wallace(N=16,4cols ApxFA5)", 5000, 3501, 30, 12),
+            ("Wallace(N=16,8cols ApxFA5)", 5000, 4834, 1084, 372),
+            ("TruncMul(N=16,D=0)", 5000, 0, 0, 0),
+            ("TruncMul(N=16,D=2)", 5000, 2505, 5, 4),
+            ("TruncMul(N=16,D=2+comp)", 5000, 4700, 4, 3),
+            ("TruncMul(N=16,D=4)", 5000, 4115, 49, 33),
+            ("TruncMul(N=16,D=4+comp)", 5000, 4481, 37, 23),
+            ("TruncMul(N=16,D=6)", 5000, 4670, 321, 203),
+            ("TruncMul(N=16,D=6+comp)", 5000, 4925, 241, 133),
+        ];
+        let got: Vec<_> = space
+            .iter()
+            .map(|p| {
+                let q = &p.quality;
+                (
+                    p.name.as_str(),
+                    q.samples,
+                    q.error_count,
+                    q.max_error_distance,
+                    q.distinct_error_values.len(),
+                )
+            })
+            .collect();
+        assert_eq!(got, pins);
     }
 }

@@ -317,8 +317,20 @@ impl Netlist {
     /// Evaluates the netlist on a single input vector packed LSB-first
     /// (input 0 in bit 0). Returns the outputs packed LSB-first (output 0 in
     /// bit 0).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the netlist has more than 64 inputs or more than 64
+    /// outputs: one packed `u64` cannot carry them. Wider netlists
+    /// evaluate through [`Netlist::eval_words`].
     #[must_use]
     pub fn eval(&self, inputs: u64) -> u64 {
+        let n_outputs = self.outputs.len();
+        assert!(
+            self.n_inputs <= 64 && n_outputs <= 64,
+            "{} inputs / {n_outputs} outputs exceed a packed u64",
+            self.n_inputs
+        );
         let words: Vec<u64> = (0..self.n_inputs)
             .map(|i| if (inputs >> i) & 1 == 1 { u64::MAX } else { 0 })
             .collect();
@@ -478,6 +490,20 @@ mod tests {
         assert_eq!(ha.eval(0b01), 0b01);
         assert_eq!(ha.eval(0b10), 0b01);
         assert_eq!(ha.eval(0b11), 0b10);
+    }
+
+    /// A 65-input netlist whose only output is input 64.
+    fn wide_passthrough() -> Netlist {
+        let mut b = NetlistBuilder::new("wide", 65);
+        let top = b.input(64);
+        b.output(top);
+        b.finish().unwrap()
+    }
+
+    #[test]
+    #[should_panic(expected = "65 inputs / 1 outputs exceed a packed u64")]
+    fn scalar_eval_rejects_more_than_64_inputs() {
+        let _ = wide_passthrough().eval(1);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! the *netlist* of a 4:2 compressor tree by inlining the descriptor
 //! cells from `xlac_adders` ([`xlac_adders::cmp42`],
 //! [`xlac_adders::cmp42_miscount`], [`xlac_adders::cmp42_or`]) — so one
-//! structure drives scalar evaluation, 64-lane bit-sliced evaluation,
+//! structure drives scalar evaluation, 64-lane bit-sliced evaluation
+//! (the netlist's word evaluator, or its compiled `xlac-sim` program),
 //! Verilog export and the abstract-interpretation error analysis.
 //!
 //! Three orthogonal approximation knobs from the compressor-tree
@@ -41,7 +42,7 @@
 //! # }
 //! ```
 
-use crate::{Multiplier, MultiplierX64};
+use crate::Multiplier;
 use xlac_adders::{cmp42, cmp42_miscount, cmp42_or};
 use xlac_core::bits;
 use xlac_core::characterization::HwCost;
@@ -369,16 +370,6 @@ impl Multiplier for CompressorMultiplier {
     }
 }
 
-impl MultiplierX64 for CompressorMultiplier {
-    fn mul_x64(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-        let w = self.width;
-        let plane = |p: &[u64], i: usize| p.get(i).copied().unwrap_or(0);
-        let inputs: Vec<u64> =
-            (0..w).map(|i| plane(a, i)).chain((0..w).map(|j| plane(b, j))).collect();
-        self.netlist.eval_words(&inputs)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -470,7 +461,7 @@ mod tests {
     }
 
     #[test]
-    fn bit_sliced_twin_matches_scalar() {
+    fn netlist_word_evaluation_matches_scalar() {
         let mut rng = DefaultRng::seed_from_u64(0xC0117);
         for knob in [CompressKnob::Exact, CompressKnob::Miscount, CompressKnob::OrCompress] {
             let m = CompressorMultiplier::new(8, knob, 10, 1, 1).unwrap();
@@ -480,9 +471,9 @@ mod tests {
                 a_vals[j] = rng.gen::<u64>() & 0xFF;
                 b_vals[j] = rng.gen::<u64>() & 0xFF;
             }
-            let a = lanes::to_planes(&a_vals, 8);
-            let b = lanes::to_planes(&b_vals, 8);
-            let out = m.mul_x64(&a, &b);
+            let mut planes = lanes::to_planes(&a_vals, 8);
+            planes.extend(lanes::to_planes(&b_vals, 8));
+            let out = m.netlist().eval_words(&planes);
             for j in 0..64 {
                 assert_eq!(lanes::lane(&out, j), m.mul(a_vals[j], b_vals[j]), "lane {j}");
             }

@@ -25,7 +25,7 @@
 //! # }
 //! ```
 
-use crate::{Multiplier, MultiplierX64};
+use crate::Multiplier;
 use xlac_adders::FullAdderKind;
 use xlac_core::bits;
 use xlac_core::characterization::HwCost;
@@ -101,43 +101,6 @@ impl TruncatedMultiplier {
             .flat_map(|i| (0..n).map(move |j| i + j))
             .filter(|&col| col >= self.dropped)
             .count()
-    }
-}
-
-impl MultiplierX64 for TruncatedMultiplier {
-    /// Bit-sliced truncated product: the surviving partial-product planes
-    /// plus the compensation constant are summed exactly per lane, modulo
-    /// `2^{2w}` — the same arithmetic as the scalar `mul`, which performs
-    /// an exact sum of the surviving columns and truncates.
-    fn mul_x64(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-        let w = self.width;
-        let cols = 2 * w;
-        let plane = |p: &[u64], i: usize| p.get(i).copied().unwrap_or(0);
-        let comp = self.compensation();
-        let mut acc: Vec<u64> =
-            (0..cols).map(|i| if (comp >> i) & 1 == 1 { u64::MAX } else { 0 }).collect();
-        for i in 0..w {
-            let ai = plane(a, i);
-            if ai == 0 {
-                continue;
-            }
-            for j in 0..w {
-                if i + j < self.dropped {
-                    continue;
-                }
-                // Ripple the single partial-product plane into the
-                // accumulator at weight i + j (exact add, wraps at 2w).
-                let mut carry = ai & plane(b, j);
-                let mut idx = i + j;
-                while carry != 0 && idx < cols {
-                    let s = acc[idx] ^ carry;
-                    carry &= acc[idx];
-                    acc[idx] = s;
-                    idx += 1;
-                }
-            }
-        }
-        acc
     }
 }
 

@@ -25,7 +25,7 @@
 //! # }
 //! ```
 
-use crate::{Multiplier, MultiplierX64};
+use crate::Multiplier;
 use xlac_adders::FullAdderKind;
 use xlac_core::bits;
 use xlac_core::characterization::HwCost;
@@ -194,68 +194,6 @@ impl WallaceMultiplier {
         // carry past u64; the wrap is exactly the mod-2^{2w} truncation.
         let product = bits::truncate(row0.wrapping_add(row1), cols);
         (product, fa, ha)
-    }
-
-    /// Bit-sliced mirror of `reduce` on live bits: the schedule is
-    /// input-independent, so the identical pop/push walk runs on 64-lane
-    /// words with [`FullAdderKind::eval_x64`] cells, followed by an exact
-    /// bit-sliced carry-propagate add (carry-out dropped, as in the
-    /// scalar `truncate`).
-    fn reduce_x64(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-        let w = self.width;
-        let cols = 2 * w;
-        let plane = |p: &[u64], i: usize| p.get(i).copied().unwrap_or(0);
-        let mut columns: Vec<Vec<u64>> = vec![Vec::new(); cols + 1];
-        for i in 0..w {
-            for j in 0..w {
-                columns[i + j].push(plane(a, i) & plane(b, j));
-            }
-        }
-
-        loop {
-            let mut reduced = false;
-            for c in 0..cols {
-                while columns[c].len() > 2 {
-                    reduced = true;
-                    let kind = self.cell_for(c);
-                    let x = columns[c].pop().expect("len >= 3");
-                    let y = columns[c].pop().expect("len >= 2");
-                    let z = columns[c].pop().expect("len >= 1");
-                    let (s, carry) = kind.eval_x64(x, y, z);
-                    columns[c].push(s);
-                    columns[c + 1].push(carry);
-                }
-                if columns[c].len() == 2 && columns[c + 1].len() > 2 {
-                    reduced = true;
-                    let kind = self.cell_for(c);
-                    let x = columns[c].pop().expect("len 2");
-                    let y = columns[c].pop().expect("len 1");
-                    let (s, carry) = kind.eval_x64(x, y, 0);
-                    columns[c].push(s);
-                    columns[c + 1].push(carry);
-                }
-            }
-            if !reduced {
-                break;
-            }
-        }
-
-        let mut out = Vec::with_capacity(cols);
-        let mut carry = 0u64;
-        for col in columns.iter().take(cols) {
-            let r0 = col.first().copied().unwrap_or(0);
-            let r1 = col.get(1).copied().unwrap_or(0);
-            let axb = r0 ^ r1;
-            out.push(axb ^ carry);
-            carry = (r0 & r1) | (axb & carry);
-        }
-        out
-    }
-}
-
-impl MultiplierX64 for WallaceMultiplier {
-    fn mul_x64(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-        self.reduce_x64(a, b)
     }
 }
 

@@ -5,7 +5,8 @@
 //! **batch-composition invariant**: lane `i`'s value depends only on
 //! item `i`, because the underlying plane paths pad absent lanes with
 //! zero operands and mask them back out ([`xlac_sim::eval_pairs`]'s
-//! discipline, and the per-lane contracts of `sad_x64` / `apply_x64`).
+//! discipline, and the per-lane contracts of the compiled SAD program and
+//! `apply_x64`).
 //! That invariance is what makes server replies bit-identical to the
 //! single-threaded library twins regardless of how requests happen to
 //! share a batch — the property `tests/server_differential.rs` pins.
@@ -27,34 +28,32 @@ pub fn eval_mul(entry: &MulEntry, pairs: &[(u8, u8)]) -> Vec<u16> {
         .collect()
 }
 
-/// Evaluates a batch of 16-pixel SADs through the accelerator's 64-lane
-/// datapath. Bit-identical to `entry.sad.sad(cur, ref)` per item.
+/// Evaluates a batch of 16-pixel SADs through the entry's compiled
+/// datapath program, 64 blocks per pass. Bit-identical to
+/// `entry.sad.sad(cur, ref)` per item.
 #[must_use]
 pub fn eval_sad(entry: &SadEntry, blocks: &[SadPair]) -> Vec<u32> {
+    // Lane `j` of word `k` packs 8 pixels of block `j`, byte `i` holding
+    // pixel `8k + i` of the current block, then of the reference block.
+    // Transposing 64 bits at once yields planes `64k..64k + 64` in
+    // `sad_netlist`'s port order (pixel-slot-major, current block first).
+    const WORDS: usize = 2 * SAD_PIXELS / 8;
     let mut out = Vec::with_capacity(blocks.len());
-    let mut word = [0u64; LANES];
+    let mut inputs = vec![0u64; WORDS * 64];
+    let (mut regs, mut planes) = (Vec::new(), Vec::new());
     for chunk in blocks.chunks(LANES) {
-        let mut current = Vec::with_capacity(SAD_PIXELS);
-        let mut reference = Vec::with_capacity(SAD_PIXELS);
-        for slot in 0..SAD_PIXELS {
-            word.fill(0);
-            for (j, b) in chunk.iter().enumerate() {
-                word[j] = u64::from(b.cur[slot]);
+        let mut words = [[0u64; LANES]; WORDS];
+        for (j, b) in chunk.iter().enumerate() {
+            let octets = b.cur.chunks_exact(8).chain(b.refb.chunks_exact(8));
+            for (word, pixels) in words.iter_mut().zip(octets) {
+                word[j] = u64::from_le_bytes(pixels.try_into().expect("8-pixel chunks"));
             }
-            current.push(lanes::to_planes(&word, 8));
-            word.fill(0);
-            for (j, b) in chunk.iter().enumerate() {
-                word[j] = u64::from(b.refb[slot]);
-            }
-            reference.push(lanes::to_planes(&word, 8));
         }
-        let planes = entry
-            .sad
-            .sad_x64(&current, &reference)
-            .expect("u8 pixels and a 16-slot shape are in-domain by construction");
-        for j in 0..chunk.len() {
-            out.push(lanes::lane(&planes, j) as u32);
+        for (word, dst) in words.iter().zip(inputs.chunks_exact_mut(64)) {
+            lanes::to_planes_into(word, 64, dst);
         }
+        entry.prog.run_into::<u64>(&inputs, &mut regs, &mut planes);
+        out.extend(lanes::from_planes(&planes)[..chunk.len()].iter().map(|&v| v as u32));
     }
     out
 }

@@ -69,12 +69,16 @@ pub struct MulEntry {
     pub prog: CompiledProgram,
 }
 
-/// One SAD configuration.
+/// One SAD configuration: the golden model plus its compiled datapath
+/// (the batched fast path).
 pub struct SadEntry {
     /// Shared characterization.
     pub info: EntryInfo,
-    /// The accelerator (scalar and `sad_x64` paths).
+    /// The scalar golden model.
     pub sad: SadAccelerator,
+    /// The JIT-compiled `sad_netlist`, bit-identical to `sad` on every
+    /// lane.
+    pub prog: CompiledProgram,
 }
 
 /// One FIR configuration.
@@ -199,6 +203,7 @@ impl Ladders {
                     med_bound: sad_bound(&s).mean_abs,
                     power_nw: s.hw_cost().power_nw,
                 },
+                prog: CompiledProgram::compile(&xlac_accel::hw::sad_netlist(&s)),
                 sad: s,
             }
         })

@@ -2,11 +2,11 @@
 //! a register-allocated straight-line bytecode and interpret it over wide
 //! SIMD plane blocks.
 //!
-//! The hand-written `eval_x64` forms on `xlac-adders`/`xlac-multipliers`
-//! are fast because they are *straight-line word code*: no per-gate
-//! dispatch, no fanin `Vec`s, no interpreter bookkeeping. This module
-//! gives every netlist — built-in, `hdl/*.v`-parsed or optimizer output —
-//! the same shape mechanically:
+//! Hand-written bit-sliced evaluators are fast because they are
+//! *straight-line word code*: no per-gate dispatch, no fanin `Vec`s, no
+//! interpreter bookkeeping. This module gives every netlist — built-in,
+//! `hdl/*.v`-parsed or optimizer output — the same shape mechanically, and
+//! is the only 64-lane form of most shipped units:
 //!
 //! 1. **SSA rewrite.** Gates stream through a hash-consing builder in
 //!    their (already topological) order. Inverters never become nodes:
@@ -874,8 +874,20 @@ impl CompiledProgram {
 
     /// Scalar evaluation with [`Netlist::eval`]'s packing convention:
     /// input `i` in bit `i`, output `k` in bit `k` of the result.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the program has more than 64 inputs or more than 64
+    /// outputs: one packed `u64` cannot carry them. Wider programs
+    /// evaluate through [`CompiledProgram::run`].
     #[must_use]
     pub fn eval(&self, inputs: u64) -> u64 {
+        let n_outputs = self.outputs.len();
+        assert!(
+            self.n_inputs <= 64 && n_outputs <= 64,
+            "{} inputs / {n_outputs} outputs exceed a packed u64",
+            self.n_inputs
+        );
         let words: Vec<u64> = (0..self.n_inputs)
             .map(|i| if (inputs >> i) & 1 == 1 { u64::MAX } else { 0 })
             .collect();
@@ -945,13 +957,19 @@ impl CompiledMultiplier {
     /// # Errors
     ///
     /// Returns [`XlacError::InvalidConfiguration`] when the netlist's
-    /// input count is not `2 × width`.
+    /// input count is not `2 × width`, or when `width > 32`: the scalar
+    /// [`Multiplier::mul`] packs both operands into one `u64`.
     pub fn new(
         netlist: &Netlist,
         width: usize,
         name: impl Into<String>,
         cost: HwCost,
     ) -> Result<Self> {
+        if width > 32 {
+            return Err(XlacError::InvalidConfiguration(format!(
+                "compiled multiplier width {width} exceeds 32 (two operands in one u64)"
+            )));
+        }
         if netlist.n_inputs() != 2 * width {
             return Err(XlacError::InvalidConfiguration(format!(
                 "multiplier netlist has {} inputs, expected {}",
@@ -1277,6 +1295,31 @@ mod tests {
         b.output(g);
         let nl = b.finish().unwrap();
         assert!(CompiledMultiplier::new(&nl, 2, "bad", HwCost::ZERO).is_err());
+    }
+
+    /// An `n`-input netlist whose only output is its top input.
+    fn top_input_passthrough(n: usize) -> Netlist {
+        let mut b = NetlistBuilder::new("wide", n);
+        let top = b.input(n - 1);
+        b.output(top);
+        b.finish().unwrap()
+    }
+
+    #[test]
+    #[should_panic(expected = "65 inputs / 1 outputs exceed a packed u64")]
+    fn scalar_eval_rejects_more_than_64_inputs() {
+        let prog = CompiledProgram::compile(&top_input_passthrough(65));
+        let _ = prog.eval(1);
+    }
+
+    #[test]
+    fn compiled_multiplier_rejects_operands_wider_than_32_bits() {
+        // Arity is right (2 × 33 inputs); the packed scalar `mul` is not.
+        let nl = top_input_passthrough(66);
+        let err = CompiledMultiplier::new(&nl, 33, "wide", HwCost::ZERO).unwrap_err();
+        assert!(matches!(err, XlacError::InvalidConfiguration(_)), "{err}");
+        let nl = top_input_passthrough(64);
+        assert!(CompiledMultiplier::new(&nl, 32, "ok", HwCost::ZERO).is_ok());
     }
 
     #[test]

@@ -4,12 +4,15 @@
 //! Fig.5 2×2 multiplier blocks) is a small boolean function, so 64
 //! independent evaluations fit in one set of `u64` word operations: lane
 //! `j` of every word holds test vector `j`, and plane `i` holds bit `i`
-//! of all 64 vectors (`xlac_core::lanes` layout). The `*_x64` evaluators
-//! on [`xlac_adders`], [`xlac_multipliers`] and [`xlac_accel`] compose
-//! those word-level cells into full ripple chains, GeAr correction loops,
-//! recursive/Wallace/truncated multipliers and accelerator datapaths —
-//! bit-exact with the scalar golden models on every lane, ~an order of
-//! magnitude faster per trial.
+//! of all 64 vectors (`xlac_core::lanes` layout). A few hand `*_x64`
+//! evaluators on [`xlac_adders`], [`xlac_multipliers`] and [`xlac_accel`]
+//! compose those word-level cells into ripple chains, GeAr correction
+//! loops, the recursive multiplier and the FIR datapath. Every other unit
+//! — Wallace, truncated and compressor-tree multipliers, the subtractor,
+//! the SAD datapath, the descriptor cells — runs 64 lanes only through
+//! its elaborated netlist compiled by [`jit`]. Both forms are bit-exact
+//! with the scalar golden models on every lane, ~an order of magnitude
+//! faster per trial.
 //!
 //! This crate supplies the machinery that turns those evaluators into
 //! Monte-Carlo *sweeps*:
@@ -18,7 +21,7 @@
 //!   lowers to register-allocated straight-line bytecode interpreted
 //!   match-free over SIMD plane blocks of 64, 256 or 512 lanes
 //!   (`u64` / `[u64; 4]` / `[u64; 8]`), so parsed and generated netlists
-//!   reach hand-written `eval_x64` speed mechanically.
+//!   reach hand-written bit-sliced speed mechanically.
 //! * [`batch`] — request-sized batched entry points for the serving
 //!   layer: arbitrary-length operand batches ride the compiled programs
 //!   with a deterministic pad-and-mask discipline, so batches smaller

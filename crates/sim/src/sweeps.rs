@@ -395,19 +395,15 @@ fn sad_drive<E: FnMut(&[SadBatch], &mut Vec<Values>)>(
     SadSweepResult { stats, mse, psnr }
 }
 
-/// Monte-Carlo sweep of a SAD accelerator on the bit-sliced datapath:
+/// Monte-Carlo sweep of a SAD accelerator on its bit-sliced datapath:
 /// uniform random block pairs, exact SAD as reference. Each trial is one
-/// block pair; 64 pairs evaluate per datapath pass.
+/// block pair. The datapath is the accelerator's elaborated netlist
+/// (`xlac_accel::hw::sad_netlist`), compiled once and run by
+/// [`compiled_sad_sweep`] 512 block pairs per pass.
 pub fn sad_sweep(sad: &SadAccelerator, opts: &SweepOptions) -> SadSweepResult {
     let _span = obs_span!("sim.sad_sweep");
-    let planes = |vals: &Vec<Values>| -> Vec<Vec<u64>> {
-        vals.iter().map(|v| lanes::to_planes(v, SadAccelerator::PIXEL_BITS)).collect()
-    };
-    let eval = |(cur, refb): &SadBatch| {
-        let sums = sad.sad_x64(&planes(cur), &planes(refb));
-        lanes::from_planes(&sums.expect("drawn pixels are 8-bit and slot counts match"))
-    };
-    sad_drive(sad.lanes(), opts, 1, || each(eval))
+    let prog = CompiledProgram::compile(&xlac_accel::hw::sad_netlist(sad));
+    compiled_sad_sweep::<[u64; 8]>(&prog, opts)
 }
 
 /// The scalar twin of [`sad_sweep`] (see [`multiplier_sweep_scalar`]).
@@ -425,9 +421,9 @@ pub fn sad_sweep_scalar(sad: &SadAccelerator, opts: &SweepOptions) -> SadSweepRe
 /// Monte-Carlo sweep of a *compiled* SAD datapath
 /// (`xlac_accel::hw::sad_netlist` → [`CompiledProgram`]) on `B`-wide
 /// plane blocks, with the exact SAD as reference. Draws the identical
-/// block batches as [`sad_sweep`] in the identical order (wide blocks
-/// pack consecutive batches into block words), so the result equals the
-/// bit-sliced and scalar sweeps by construction.
+/// block batches as [`sad_sweep_scalar`] in the identical order (wide
+/// blocks pack consecutive batches into block words), so the result
+/// equals the scalar sweep at every block width by construction.
 ///
 /// The slot count comes from the program: `n_inputs / 16` (two 8-bit
 /// pixel operands per slot, current block first, slot-major).
@@ -459,6 +455,7 @@ pub fn compiled_sad_sweep<B: PlaneBlock>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jit::CompiledMultiplier;
     use xlac_accel::sad::SadVariant;
     use xlac_multipliers::{Mul2x2Kind, RecursiveMultiplier, SumMode};
 
@@ -579,13 +576,13 @@ mod tests {
         // 3000 trials: not a multiple of 64·WORDS, so partial blocks and a
         // ragged final batch are exercised at every width.
         let opts = SweepOptions::new(3_000, 0x3113).chunk(512);
-        let sliced = multiplier_sweep(&m, &opts);
+        let scalar = multiplier_sweep_scalar(&m, &opts);
         let exact = |a: u64, b: u64| a * b;
-        assert_eq!(compiled_pair_sweep::<u64, _>(&prog, 8, exact, &opts), sliced);
-        assert_eq!(compiled_pair_sweep::<[u64; 4], _>(&prog, 8, exact, &opts), sliced);
-        assert_eq!(compiled_pair_sweep::<[u64; 8], _>(&prog, 8, exact, &opts), sliced);
-        assert_eq!(interpreted_pair_sweep(&nl, 8, exact, &opts), sliced);
-        assert_eq!(multiplier_sweep_scalar(&m, &opts), sliced);
+        assert_eq!(compiled_pair_sweep::<u64, _>(&prog, 8, exact, &opts), scalar);
+        assert_eq!(compiled_pair_sweep::<[u64; 4], _>(&prog, 8, exact, &opts), scalar);
+        assert_eq!(compiled_pair_sweep::<[u64; 8], _>(&prog, 8, exact, &opts), scalar);
+        assert_eq!(interpreted_pair_sweep(&nl, 8, exact, &opts), scalar);
+        assert_eq!(multiplier_sweep(&CompiledMultiplier::wallace(&m), &opts), scalar);
     }
 
     #[test]
@@ -598,18 +595,19 @@ mod tests {
         let exact = |a: u64, b: u64| a * b;
         let one = compiled_pair_sweep::<[u64; 8], _>(&prog, 4, exact, &base.threads(1));
         assert_eq!(one, compiled_pair_sweep::<[u64; 8], _>(&prog, 4, exact, &base.threads(4)));
-        assert_eq!(one, multiplier_sweep(&m, &base));
+        assert_eq!(one, multiplier_sweep_scalar(&m, &base));
     }
 
     #[test]
-    fn compiled_sad_sweep_matches_the_datapath_sweeps() {
+    fn compiled_sad_sweep_matches_the_scalar_sweep() {
         let sad = SadAccelerator::new(4, SadVariant::ApxSad3, 2).unwrap();
         let prog = CompiledProgram::compile(&xlac_accel::hw::sad_netlist(&sad));
         let opts = SweepOptions::new(500, 0x5AD1).chunk(128);
-        let sliced = sad_sweep(&sad, &opts);
-        assert_eq!(compiled_sad_sweep::<u64>(&prog, &opts), sliced);
-        assert_eq!(compiled_sad_sweep::<[u64; 4]>(&prog, &opts), sliced);
-        assert_eq!(compiled_sad_sweep::<[u64; 8]>(&prog, &opts), sliced);
+        let scalar = sad_sweep_scalar(&sad, &opts);
+        assert_eq!(sad_sweep(&sad, &opts), scalar);
+        assert_eq!(compiled_sad_sweep::<u64>(&prog, &opts), scalar);
+        assert_eq!(compiled_sad_sweep::<[u64; 4]>(&prog, &opts), scalar);
+        assert_eq!(compiled_sad_sweep::<[u64; 8]>(&prog, &opts), scalar);
     }
 
     #[test]
@@ -622,11 +620,10 @@ mod tests {
         let exact = |a: u64, b: u64| a * b;
         for dist in InputDistribution::ALL {
             let opts = SweepOptions::new(2_000, 0xD157).chunk(256).dist(dist);
-            let sliced = multiplier_sweep(&m, &opts);
-            assert_eq!(multiplier_sweep_scalar(&m, &opts), sliced, "{dist:?}");
-            assert_eq!(interpreted_pair_sweep(&nl, 8, exact, &opts), sliced, "{dist:?}");
-            assert_eq!(compiled_pair_sweep::<[u64; 8], _>(&prog, 8, exact, &opts), sliced);
-            assert_eq!(sliced.samples, 2_000);
+            let scalar = multiplier_sweep_scalar(&m, &opts);
+            assert_eq!(interpreted_pair_sweep(&nl, 8, exact, &opts), scalar, "{dist:?}");
+            assert_eq!(compiled_pair_sweep::<[u64; 8], _>(&prog, 8, exact, &opts), scalar);
+            assert_eq!(scalar.samples, 2_000);
         }
     }
 

@@ -17,11 +17,12 @@
 #      built-in configs and hdl/ (DESIGN.md §9) — any error-severity
 #      diagnostic or unsound bound fails the gate;
 #   5. xlac-lint --exact: the symbolic proof gate (DESIGN.md §11) — for
-#      every shipped module the truth-table model, the hdl/ netlist and
-#      the bit-sliced eval_x64 form are proven the same function (the
-#      ≤16-input agreement legs compare the scalar and bit-sliced models
-#      with the elaborated netlist on every assignment, 64 lanes per
-#      block; the GeAr legs on seeded vectors), and every ≤8-bit static
+#      every shipped module the truth-table or scalar model, the hdl/
+#      netlist and any remaining hand bit-sliced form are proven the same
+#      function (the ≤16-input agreement legs compare the scalar model,
+#      and the hand bit-sliced model where one exists, with the
+#      elaborated netlist on every assignment, 64 lanes per block; the
+#      GeAr legs on seeded vectors), and every ≤8-bit static
 #      bound is checked sound against the exact
 #      metrics from exhaustive compiled enumeration; any refuted proof
 #      or unsound bound fails the gate;
@@ -37,7 +38,8 @@
 #   6. rustdoc with warnings as errors (broken intra-doc links etc.);
 #   7. the bit-sliced differential suite on its own (DESIGN.md §10) —
 #      it is part of step 2 already, but a dedicated invocation keeps
-#      the sliced-vs-scalar lockstep visible as a named gate;
+#      the lockstep of every 64-lane form (hand *_x64 body or compiled
+#      hw netlist) with the scalar models visible as a named gate;
 #   8. a smoke run of the micro-benchmarks (XLAC_BENCH_QUICK) so bench
 #      bit-rot is caught without spending minutes measuring; the
 #      bitslice bench's JSON lines are recorded into BENCH_bitslice.json

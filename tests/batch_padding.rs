@@ -8,11 +8,15 @@
 //! value on how many other lanes share its block — silently corrupts
 //! sliced sweeps. Every batch size here is an adversarial boundary:
 //! `1` (a single live lane), `63`/`64`/`65` (one u64 word ± 1) and
-//! `511`/`513` (one `[u64; 8]` block ± 1).
+//! `511`/`513` (one `[u64; 8]` block ± 1). The server's SAD path (its
+//! compiled datapath, 64 blocks per pass) rides the same sizes.
 
 use xlac_adders::FullAdderKind;
 use xlac_core::rng::{DefaultRng, Rng};
 use xlac_multipliers::{Multiplier, WallaceMultiplier};
+use xlac_server::engine::eval_sad;
+use xlac_server::ladder::Ladders;
+use xlac_server::proto::{SadPair, SAD_PIXELS};
 use xlac_sim::{auto_chunk_size, eval_pairs, eval_pairs_auto, CompiledProgram, MIN_AUTO_CHUNK};
 
 const SIZES: [usize; 6] = [1, 63, 64, 65, 511, 513];
@@ -28,8 +32,31 @@ fn seeded_pairs(n: usize, seed: u64) -> Vec<(u64, u64)> {
     (0..n).map(|_| (rng.next_u64() & 0xFF, rng.next_u64() & 0xFF)).collect()
 }
 
+/// `n` SAD block pairs: seeded random pixels, all-0 blocks, all-255
+/// blocks, current 255 against reference 0, and those four patterns
+/// interleaved lane by lane.
+fn sad_batches(n: usize, seed: u64) -> Vec<Vec<SadPair>> {
+    let mut rng = DefaultRng::seed_from_u64(seed);
+    let random: Vec<SadPair> = (0..n)
+        .map(|_| SadPair {
+            cur: std::array::from_fn(|_| rng.next_u64() as u8),
+            refb: std::array::from_fn(|_| rng.next_u64() as u8),
+        })
+        .collect();
+    let flat = |cur: u8, refb: u8| SadPair { cur: [cur; SAD_PIXELS], refb: [refb; SAD_PIXELS] };
+    let edges = [flat(0, 0), flat(255, 255), flat(255, 0)];
+    let mixed =
+        (0..n).map(|i| if i % 4 == 0 { random[i] } else { edges[i % 4 - 1] }).collect();
+    let mut batches = vec![random];
+    batches.extend(edges.iter().map(|&e| vec![e; n]));
+    batches.push(mixed);
+    batches
+}
+
 /// Every boundary batch size, at every plane-block width and through the
-/// auto-width dispatcher, reproduces the scalar golden model per item.
+/// auto-width dispatcher, reproduces the scalar golden model per item —
+/// for the multiplier pairs and, on every SAD ladder rung, for the
+/// server's batched SAD path.
 #[test]
 fn boundary_batch_sizes_match_scalar() {
     for (kind, cols) in [(FullAdderKind::Accurate, 0), (FullAdderKind::Apx2, 5)] {
@@ -51,6 +78,19 @@ fn boundary_batch_sizes_match_scalar() {
                 m.name()
             );
             assert_eq!(eval_pairs_auto(&prog, 8, &pairs), expect, "{} n={n} auto", m.name());
+        }
+    }
+    let ladders = Ladders::build();
+    for entry in &ladders.sad {
+        let widen = |px: &[u8; SAD_PIXELS]| px.map(u64::from);
+        for (si, &n) in SIZES.iter().enumerate() {
+            for (k, blocks) in sad_batches(n, 0x5AD_0000 + si as u64).iter().enumerate() {
+                let expect: Vec<u32> = blocks
+                    .iter()
+                    .map(|b| entry.sad.sad(&widen(&b.cur), &widen(&b.refb)).unwrap() as u32)
+                    .collect();
+                assert_eq!(eval_sad(entry, blocks), expect, "{} n={n} batch {k}", entry.info.label);
+            }
         }
     }
 }

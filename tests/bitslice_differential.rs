@@ -1,20 +1,26 @@
 //! Differential tests locking the bit-sliced 64-way evaluators to the
 //! scalar golden models.
 //!
-//! Every `*_x64` evaluator must agree with its scalar twin **on every
-//! lane**: configurations whose input space fits in 2^20 pairs are swept
+//! Every 64-lane form — a hand `*_x64` evaluator, or the compiled `hw`
+//! netlist of a unit that has no hand form (Wallace, truncated,
+//! subtractor, SAD) — must agree with its scalar twin **on every lane**:
+//! configurations whose input space fits in 2^20 pairs are swept
 //! exhaustively; wider ones see at least 10^5 seeded random vectors. The
 //! scalar models are the specification — any divergence is a bug in the
 //! bit-sliced engine, never tolerated as "approximately equal".
 
-use xlac::adders::{AdderX64, FullAdderKind, GeArAdder, RippleCarryAdder, Subtractor};
+use xlac::adders::hw::subtractor_netlist;
+use xlac::adders::{Adder, FullAdderKind, GeArAdder, RippleCarryAdder, Subtractor};
 use xlac::core::bits;
 use xlac::core::lanes;
 use xlac::core::rng::{DefaultRng, Rng};
+use xlac::logic::Netlist;
+use xlac::multipliers::hw::{truncated_netlist, wallace_netlist};
 use xlac::multipliers::{
     Mul2x2Kind, Multiplier, MultiplierX64, RecursiveMultiplier, SumMode, TruncatedMultiplier,
     WallaceMultiplier,
 };
+use xlac::sim::{CompiledMultiplier, CompiledProgram};
 
 /// Minimum random vectors for configurations beyond exhaustive reach.
 const RANDOM_TRIALS: u64 = 100_096; // 1564 full 64-lane batches
@@ -65,10 +71,10 @@ fn random_batches(
     }
 }
 
-/// Asserts lane-by-lane equality of an `AdderX64` against its scalar
-/// `Adder` model on one batch.
-fn assert_adder_batch<A: AdderX64 + ?Sized>(
-    adder: &A,
+/// Asserts lane-by-lane equality of a ripple adder's `add_x64` against
+/// its scalar `Adder` model on one batch.
+fn assert_adder_batch(
+    adder: &RippleCarryAdder,
     w: usize,
     a: &[u64; 64],
     b: &[u64; 64],
@@ -87,17 +93,18 @@ fn assert_adder_batch<A: AdderX64 + ?Sized>(
     }
 }
 
-/// Asserts lane-by-lane equality of a `MultiplierX64` against its scalar
-/// `Multiplier` model on one batch.
-fn assert_mul_batch<M: MultiplierX64 + ?Sized>(
-    m: &M,
+/// Asserts lane-by-lane equality of a 64-lane multiplier form against
+/// the scalar `Multiplier` model on one batch.
+fn assert_mul_batch(
+    m: &dyn Multiplier,
+    sliced: &dyn MultiplierX64,
     a: &[u64; 64],
     b: &[u64; 64],
     n: usize,
     name: &str,
 ) {
     let w = m.width();
-    let planes = m.mul_x64(&lanes::to_planes(a, w), &lanes::to_planes(b, w));
+    let planes = sliced.mul_x64(&lanes::to_planes(a, w), &lanes::to_planes(b, w));
     for l in 0..n {
         assert_eq!(
             lanes::lane(&planes, l),
@@ -107,6 +114,20 @@ fn assert_mul_batch<M: MultiplierX64 + ?Sized>(
             b[l]
         );
     }
+}
+
+/// The compiled `hw` netlist of multiplier `m`: its only 64-lane form
+/// when it has no hand `mul_x64`.
+fn compiled(m: &dyn Multiplier, netlist: &Netlist) -> CompiledMultiplier {
+    CompiledMultiplier::new(netlist, m.width(), m.name(), m.hw_cost()).unwrap()
+}
+
+/// Runs a compiled two-operand program on 64-lane operand batches
+/// (operand `a` in inputs `0..w`, `b` in `w..2w`).
+fn run_pair(prog: &CompiledProgram, w: usize, a: &[u64; 64], b: &[u64; 64]) -> Vec<u64> {
+    let mut inputs = lanes::to_planes(a, w);
+    inputs.extend(lanes::to_planes(b, w));
+    prog.run::<u64>(&inputs)
 }
 
 // ---------------------------------------------------------------------
@@ -291,7 +312,7 @@ fn recursive_multipliers_x64_match_scalar_exhaustively() {
             for sum in sum_modes {
                 let m = RecursiveMultiplier::new(w, block, sum).unwrap();
                 let name = m.name();
-                exhaustive_batches(w, |a, b, n| assert_mul_batch(&m, a, b, n, &name));
+                exhaustive_batches(w, |a, b, n| assert_mul_batch(&m, &m, a, b, n, &name));
             }
         }
     }
@@ -307,8 +328,8 @@ fn wallace_multipliers_x64_match_scalar_exhaustively_at_8_bits() {
     ];
     for (kind, cols) in configs {
         let m = WallaceMultiplier::new(8, kind, cols).unwrap();
-        let name = m.name();
-        exhaustive_batches(8, |a, b, n| assert_mul_batch(&m, a, b, n, &name));
+        let (name, hw) = (m.name(), compiled(&m, &wallace_netlist(&m)));
+        exhaustive_batches(8, |a, b, n| assert_mul_batch(&m, &hw, a, b, n, &name));
     }
 }
 
@@ -317,8 +338,8 @@ fn truncated_multipliers_x64_match_scalar_exhaustively_at_8_bits() {
     for dropped in [0usize, 3, 6] {
         for compensated in [false, true] {
             let m = TruncatedMultiplier::new(8, dropped, compensated).unwrap();
-            let name = m.name();
-            exhaustive_batches(8, |a, b, n| assert_mul_batch(&m, a, b, n, &name));
+            let (name, hw) = (m.name(), compiled(&m, &truncated_netlist(&m)));
+            exhaustive_batches(8, |a, b, n| assert_mul_batch(&m, &hw, a, b, n, &name));
         }
     }
 }
@@ -333,19 +354,28 @@ fn sixteen_bit_multipliers_x64_match_scalar_on_random_vectors() {
     .unwrap();
     let wal = WallaceMultiplier::new(16, FullAdderKind::Apx4, 8).unwrap();
     let tru = TruncatedMultiplier::new(16, 8, true).unwrap();
-    let muls: [&dyn MultiplierX64; 3] = [&rec, &wal, &tru];
-    for m in muls {
+    let wal_hw = compiled(&wal, &wallace_netlist(&wal));
+    let tru_hw = compiled(&tru, &truncated_netlist(&tru));
+    let muls: [(&dyn Multiplier, &dyn MultiplierX64); 3] =
+        [(&rec, &rec), (&wal, &wal_hw), (&tru, &tru_hw)];
+    for (m, sliced) in muls {
         let name = m.name();
         random_batches(16, RANDOM_TRIALS, 0x3113, |a, b, n| {
-            assert_mul_batch(m, a, b, n, &name);
+            assert_mul_batch(m, sliced, a, b, n, &name);
         });
     }
 }
 
 // ---------------------------------------------------------------------
 // Subtractor: exhaustive differential plus the PR 2 wrap-hazard
-// regressions pinned at lane boundaries.
+// regressions pinned at lane boundaries, on the compiled netlist
+// (magnitude planes, then the a >= b plane).
 // ---------------------------------------------------------------------
+
+/// The compiled `subtractor_netlist` of `sub`.
+fn compiled_sub(sub: &Subtractor<RippleCarryAdder>) -> CompiledProgram {
+    CompiledProgram::compile(&subtractor_netlist(sub))
+}
 
 #[test]
 fn subtractor_x64_matches_scalar_exhaustively_at_8_bits() {
@@ -357,12 +387,14 @@ fn subtractor_x64_matches_scalar_exhaustively_at_8_bits() {
     ] {
         let sub = Subtractor::new(RippleCarryAdder::with_approx_lsbs(8, kind, lsbs).unwrap());
         let name = format!("Sub(8,{kind},lsbs={lsbs})");
+        let prog = compiled_sub(&sub);
         exhaustive_batches(8, |a, b, n| {
-            let (planes, ge_mask) = sub.sub_x64(&lanes::to_planes(a, 8), &lanes::to_planes(b, 8));
+            let out = run_pair(&prog, 8, a, b);
+            let (planes, ge_mask) = (&out[..8], out[8]);
             for l in 0..n {
                 let (mag, a_ge_b) = sub.sub(a[l], b[l]);
                 assert_eq!(
-                    lanes::lane(&planes, l),
+                    lanes::lane(planes, l),
                     mag,
                     "{name}: magnitude, lane {l}, a={}, b={}",
                     a[l],
@@ -398,6 +430,7 @@ fn subtractor_x64_wrap_hazard_regressions_at_lane_boundaries() {
     let vectors = [(0xF8u64, 0u64), (0xFF, 0), (0xFF, 0xFF), (0x80, 0x7F), (1, 0), (0, 0xFF)];
     for (kind, lsbs) in hazard_configs {
         let sub = Subtractor::new(RippleCarryAdder::with_approx_lsbs(8, kind, lsbs).unwrap());
+        let prog = compiled_sub(&sub);
         for &(va, vb) in &vectors {
             for hot_lane in [0usize, 31, 63] {
                 // Neighbour lanes carry the complementary pattern so a
@@ -406,12 +439,12 @@ fn subtractor_x64_wrap_hazard_regressions_at_lane_boundaries() {
                 let mut b = [va; 64];
                 a[hot_lane] = va;
                 b[hot_lane] = vb;
-                let (planes, ge_mask) =
-                    sub.sub_x64(&lanes::to_planes(&a, 8), &lanes::to_planes(&b, 8));
+                let out = run_pair(&prog, 8, &a, &b);
+                let (planes, ge_mask) = (&out[..8], out[8]);
                 for l in 0..64 {
                     let (mag, a_ge_b) = sub.sub(a[l], b[l]);
                     assert_eq!(
-                        lanes::lane(&planes, l),
+                        lanes::lane(planes, l),
                         mag,
                         "{kind}/{lsbs}: ({va},{vb}) at lane {hot_lane}, checking lane {l}"
                     );
@@ -428,6 +461,7 @@ fn subtractor_x64_wrap_hazard_regressions_at_lane_boundaries() {
 
 #[test]
 fn sad_datapath_x64_matches_scalar_on_random_blocks() {
+    use xlac::accel::hw::sad_netlist;
     use xlac::accel::sad::{SadAccelerator, SadVariant};
     let mut rng = DefaultRng::seed_from_u64(0x5AD5);
     for (variant, lsbs) in [
@@ -437,6 +471,7 @@ fn sad_datapath_x64_matches_scalar_on_random_blocks() {
         (SadVariant::ApxSad5, 6),
     ] {
         let sad = SadAccelerator::new(16, variant, lsbs).unwrap();
+        let prog = CompiledProgram::compile(&sad_netlist(&sad));
         for _ in 0..20 {
             let blocks: Vec<(Vec<u64>, Vec<u64>)> = (0..64)
                 .map(|_| {
@@ -446,9 +481,10 @@ fn sad_datapath_x64_matches_scalar_on_random_blocks() {
                     )
                 })
                 .collect();
-            let batch = |reference: bool| -> Vec<Vec<u64>> {
+            // Slot-major input planes: current block, then reference.
+            let batch = |reference: bool| -> Vec<u64> {
                 (0..16)
-                    .map(|i| {
+                    .flat_map(|i| {
                         let mut vals = [0u64; 64];
                         for (j, b) in blocks.iter().enumerate() {
                             vals[j] = if reference { b.1[i] } else { b.0[i] };
@@ -457,7 +493,7 @@ fn sad_datapath_x64_matches_scalar_on_random_blocks() {
                     })
                     .collect()
             };
-            let planes = sad.sad_x64(&batch(false), &batch(true)).unwrap();
+            let planes = prog.run::<u64>(&[batch(false), batch(true)].concat());
             for (j, (c, r)) in blocks.iter().enumerate() {
                 assert_eq!(
                     lanes::lane(&planes, j),

@@ -240,6 +240,7 @@ fn every_sweep_entry_point_reproduces_its_golden_pin() {
     let wallace = WallaceMultiplier::new(8, FullAdderKind::Apx2, 5).unwrap();
     let nl = wallace_netlist(&wallace);
     let prog = CompiledProgram::compile(&nl);
+    let compiled_wallace = CompiledMultiplier::wallace(&wallace);
     let exact = |a: u64, b: u64| a * b;
     let gear = GeArAdder::new(12, 4, 4).unwrap();
     let sad = SadAccelerator::new(8, SadVariant::ApxSad3, 3).unwrap();
@@ -249,7 +250,7 @@ fn every_sweep_entry_point_reproduces_its_golden_pin() {
         for (d, dist) in dists.into_iter().enumerate() {
             let opts = SweepOptions::new(3_000, 0x601D).chunk(512).threads(threads).dist(dist);
             let pair_sweeps = [
-                ("multiplier_sweep", multiplier_sweep(&wallace, &opts)),
+                ("multiplier_sweep", multiplier_sweep(&compiled_wallace, &opts)),
                 ("multiplier_sweep_scalar", multiplier_sweep_scalar(&wallace, &opts)),
                 ("compiled u64", compiled_pair_sweep::<u64, _>(&prog, 8, exact, &opts)),
                 ("compiled x4", compiled_pair_sweep::<[u64; 4], _>(&prog, 8, exact, &opts)),

@@ -538,7 +538,6 @@ fn gear_error_model_matches_simulation() {
 fn bit_sliced_adders_are_lane_independent() {
     // Permuting the input lanes of a bit-sliced evaluation permutes the
     // output lanes identically: no state leaks across lane boundaries.
-    use xlac::adders::AdderX64;
     use xlac::core::lanes;
     check(
         "bit_sliced_adders_are_lane_independent",

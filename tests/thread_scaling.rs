@@ -12,11 +12,11 @@
 use std::time::{Duration, Instant};
 use xlac_adders::FullAdderKind;
 use xlac_multipliers::WallaceMultiplier;
-use xlac_sim::{auto_chunk_size, multiplier_sweep, SweepOptions};
+use xlac_sim::{auto_chunk_size, multiplier_sweep, CompiledMultiplier, SweepOptions};
 
 const TRIALS: u64 = 65_536;
 
-fn sweep_time(m: &WallaceMultiplier, threads: usize) -> Duration {
+fn sweep_time(m: &CompiledMultiplier, threads: usize) -> Duration {
     // Best-of-N: the minimum is the least-noisy location estimator for
     // a quantity with a hard lower bound.
     (0..5)
@@ -32,7 +32,8 @@ fn sweep_time(m: &WallaceMultiplier, threads: usize) -> Duration {
 
 #[test]
 fn auto_chunked_sweeps_scale_with_threads() {
-    let m = WallaceMultiplier::new(8, FullAdderKind::Apx2, 5).unwrap();
+    let wallace = WallaceMultiplier::new(8, FullAdderKind::Apx2, 5).unwrap();
+    let m = CompiledMultiplier::wallace(&wallace);
 
     // Determinism first, on any machine: auto-chunking must not let the
     // thread count leak into the statistics.
