@@ -37,8 +37,8 @@
 //!    exact for ≤ 16 inputs, anytime-sound branch-and-bound beyond —
 //!    with no per-family propagation code. The
 //!    [`xlac_adders::UnitDescriptor`] contract builds on it, and the
-//!    `absint:*` audit family plus the `absint_gate` CI step pin every
-//!    derived bound against exact metrics.
+//!    `absint:*` audit family plus the `absint.*` rules of
+//!    `scripts/gates.jsonl` pin every derived bound against exact metrics.
 //!
 //! The `xlac-lint` binary runs these passes over every built-in
 //! configuration and exits non-zero on any error-severity finding,

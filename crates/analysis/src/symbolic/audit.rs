@@ -143,7 +143,7 @@ fn magnitude_netlist(sub: &Subtractor<RippleCarryAdder>) -> Netlist {
 
 /// The abstract-interpretation sweep: every ≤ 16-input registry module's
 /// automatically derived bound, audited against exact metrics. These are
-/// the entries `scripts/ci.sh`'s `absint_gate` step parses out of the
+/// the entries the `absint.*` rules of `scripts/gates.jsonl` read from the
 /// `--exact --json` report. The references are the accurate 8-bit ripple
 /// adder and 8×8 product.
 fn absint_audits(

@@ -209,8 +209,8 @@ fn report_engine_stats() {
 
 /// The compositional calculus at widths where the monolithic miter is
 /// impossible: each bench produces a *certified* worst-case error. The
-/// 16×16 Wallace workload carries a wall-clock ceiling enforced by
-/// `symbolic_gate`.
+/// 16×16 Wallace workload carries a wall-clock ceiling enforced by the
+/// `symbolic.calculus.wallace16x16` rule of `scripts/gates.jsonl`.
 fn bench_calculus() {
     let w16 = WallaceMultiplier::new(16, FullAdderKind::Apx2, 8).expect("valid Wallace config");
     let t32 = TruncatedMultiplier::new(32, 6, true).expect("valid truncated config");
@@ -227,8 +227,8 @@ fn bench_calculus() {
 /// operand order (the most significant interactions land at the outer
 /// levels, the reverse of what a product function wants). Rudell
 /// sifting must recover at least a 2× reduction from it and land under
-/// 200k nodes — both enforced by `symbolic_gate` on the emitted JSON
-/// line. The run is fully deterministic, so the floors are stable.
+/// 200k nodes — both enforced by the `symbolic.sift.*` rules of
+/// `scripts/gates.jsonl` on the emitted JSON line. The run is fully deterministic, so the floors are stable.
 fn report_sift_stats() {
     const A_ORDER: [usize; 8] = [7, 8, 6, 9, 5, 10, 4, 11];
     const B_ORDER: [usize; 8] = [3, 12, 2, 13, 1, 14, 0, 15];

@@ -17,7 +17,11 @@
 //!   nanosecond durations;
 //! * **a JSON-lines exporter** ([`export_json_lines`]) whose span lines
 //!   use the exact field set of the `BENCH_*.json` reports emitted by
-//!   `xlac-bench`, so one toolchain reads both.
+//!   `xlac-bench`, so one toolchain reads both;
+//! * **the workspace's JSON reader** ([`json`]) and **the report gate**
+//!   ([`gate`]), which checks every report against the rules in
+//!   `scripts/gates.jsonl`. Both are plain code, built with or without
+//!   the `obs` feature.
 //!
 //! # Naming scheme
 //!
@@ -29,7 +33,7 @@
 //!
 //! # Feature gating
 //!
-//! Everything is behind the `obs` cargo feature, **off by default**. In
+//! The registry is behind the `obs` cargo feature, **off by default**. In
 //! a default build each function here is an `#[inline(always)]` empty
 //! body, [`Span`] is a zero-sized type, and the `obs_count!` /
 //! `obs_gauge!` / `obs_observe!` / `obs_span!` macros expand without
@@ -51,6 +55,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod gate;
+pub mod json;
 
 /// A point-in-time copy of the registry, sorted by metric name.
 ///
@@ -417,11 +424,11 @@ pub fn reset() {}
 ///
 /// Span lines carry the exact field set of `xlac-bench`'s
 /// `BENCH_*.json` reports (`name` / `samples` / `iters_per_sample` /
-/// `median_ns` / `mean_ns` / `min_ns` / `max_ns`), so the same tooling
-/// — including `xlac-obs-report --gate` — consumes bench output and
-/// span output interchangeably. Counters, gauges and histograms use
-/// kind-prefixed names (`counter/…`, `gauge/…`, `hist/…`); non-finite
-/// gauge values are emitted as `null`, never `NaN`.
+/// `median_ns` / `mean_ns` / `min_ns` / `max_ns`), so [`json`] and the
+/// [`gate`] rules read bench output and span output interchangeably.
+/// Counters, gauges and histograms use kind-prefixed names (`counter/…`,
+/// `gauge/…`, `hist/…`); non-finite gauge values are emitted as `null`,
+/// never `NaN`.
 ///
 /// With the `obs` feature off, returns an empty string.
 #[must_use]

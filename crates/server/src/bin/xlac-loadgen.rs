@@ -10,7 +10,7 @@
 //! `--self-host` spawns the server in-process on an ephemeral port (no
 //! port races in CI). `--profile smoke` runs the two CI workloads —
 //! `server/mul_smoke` (multiplier-only closed loop, the throughput
-//! floor `server_gate` enforces) and `server/mixed_smoke` (all four
+//! floor of `scripts/gates.jsonl`) and `server/mixed_smoke` (all four
 //! kernels) — and prints one JSON line per run on stdout; everything
 //! else goes to stderr. Pipe stdout through `grep '^{'` into
 //! `BENCH_server.json`.
@@ -18,9 +18,11 @@
 //! `--capacity` runs the predicted-vs-measured capacity check instead
 //! of a plain load run: the per-item compute cost is folded in from the
 //! `--bench-jit` record, the wire costs are calibrated from two
-//! closed-loop runs, and the measured throughput at the protocol's
-//! maximum batch size must land within 2× of the model's prediction or
-//! the binary exits non-zero. A missing, empty or series-less bench
+//! closed-loop runs, and the line reports the measured/predicted `ratio`
+//! at the protocol's maximum batch size. The `capacity.ratio` rule of
+//! `scripts/gates.jsonl` holds that ratio to [0.5, 2.0]; the binary
+//! itself exits non-zero only when the check cannot run or a reply
+//! mismatches the golden model. A missing, empty or series-less bench
 //! record is a hard error (exit 2) with a diagnostic naming the file
 //! and the expected series — pass `--measure` to calibrate the
 //! per-evaluation cost in-process instead of reading a record.
@@ -202,16 +204,10 @@ fn run_capacity(args: &Args, ladders: &Ladders) -> i32 {
                 report.mismatches,
             );
             println!("{}", report.json_line());
-            if report.mismatches != 0 {
-                eprintln!("capacity: FAILED: replies mismatched the golden model");
-                1
-            } else if report.within_2x() {
+            if report.mismatches == 0 {
                 0
             } else {
-                eprintln!(
-                    "capacity: FAILED: measured/predicted ratio {:.2} outside [0.5, 2.0]",
-                    report.ratio
-                );
+                eprintln!("capacity: FAILED: replies mismatched the golden model");
                 1
             }
         }

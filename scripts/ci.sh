@@ -25,11 +25,9 @@
 #      GeAr legs on seeded vectors), and every ≤8-bit static
 #      bound is checked sound against the exact
 #      metrics from exhaustive compiled enumeration; any refuted proof
-#      or unsound bound fails the gate;
-#      the JSON report is kept as target/LINT_exact.json and absint_gate
-#      re-reads it to enforce the abstract-interpretation sweep
-#      (DESIGN.md §16): every automatically derived bound sound, and
-#      non-Wallace units within 8× of the exact worst case; then the
+#      or unsound bound (the `absint:` derived bounds of DESIGN.md §16
+#      included) fails the gate; the JSON report is kept as
+#      target/LINT_exact.json for the report gate (step 12); then the
 #      library gate (DESIGN.md §17) re-checks every shipped descriptor
 #      in-process — lint + XL014 contract, registry equivalence proofs,
 #      zero unsound bound audits — and times the combined distribution
@@ -46,34 +44,36 @@
 #      and the symbolic engine's into BENCH_symbolic.json so the
 #      throughput and proof-cost trajectories are tracked in-tree; the
 #      symbolic report also carries sifted-vs-unsifted node counts and
-#      the compositional-calculus timings (DESIGN.md §14), gated by
-#      symbolic_gate: the Wallace 8×8 miter must sift to < 200k nodes
-#      with a ≥ 2× reduction, and the 16×16 Wallace calculus must
-#      certify its metrics inside a wall-clock ceiling;
-#   9. the JIT gates (DESIGN.md §13): the differential fuzz suite, the
+#      the compositional-calculus timings (DESIGN.md §14);
+#   9. the JIT suites (DESIGN.md §13): the differential fuzz suite, the
 #      symbolic golden proofs and the register-allocator fixtures as a
-#      named step, then the jit bench recorded into BENCH_jit.json with
-#      jit_gate enforcing the compiled-≥-interpreted floors (including
-#      the 5× Wallace 8×8 evaluation claim);
+#      named step, then the jit bench recorded into BENCH_jit.json;
 #  10. the compute server (DESIGN.md §15): xlac-server unit tests in
 #      both feature configurations, the server differential suite
 #      (batched replies bit-identical to the scalar library models at
 #      1/4/8 workers), the protocol-robustness suite (golden malformed-
 #      frame fixtures + seeded fuzz), the capped soak/backpressure
 #      suite and the pad-and-mask batch regression; then the loadgen
-#      smoke profile recorded into BENCH_server.json with server_gate
-#      enforcing the serving floors (mul_smoke ≥ 100k req/s, p99 ≤
-#      50 ms, zero mismatches against the scalar path), and the
+#      smoke profile recorded into BENCH_server.json, followed by the
 #      capacity model (xlac-loadgen --capacity) folding the BENCH_jit
 #      per-evaluation cost into a predicted req/s at the protocol's
-#      maximum batch size that the measured run must match within 2×;
+#      maximum batch size, with the measured/predicted ratio appended;
 #  11. the observability layer (DESIGN.md §12): xlac-obs unit tests in
 #      both feature configurations, then the differential + lint +
 #      exact gates re-run under the instrumented build (--features obs)
 #      to prove instrumentation changes no result, and finally the
-#      instrumented bitslice bench recorded into BENCH_obs.json with
-#      xlac-obs-report gating the overhead against BENCH_bitslice.json:
-#      any shared bench whose min_ns regresses more than 5% fails CI.
+#      instrumented bitslice bench recorded into BENCH_obs.json and
+#      profiled;
+#  12. the report gate: `xlac-obs-report --check scripts/gates.jsonl`
+#      checks every floor and ceiling on the reports written above, one
+#      rule per line of the spec (DESIGN.md §12): the JIT ratio floors
+#      (compiled ≥ interpreted, Wallace 8×8 x8 ≥ 5×), the sift node
+#      ceiling and ≥ 2× reduction, the 16×16 calculus ceiling, the
+#      serving floors (every request answered, zero errors and
+#      mismatches, mul_smoke ≥ 100k req/s and p99 ≤ 50 ms), the capacity
+#      ratio in [0.5, 2] with zero mismatches, ≥ 20 absint audit entries
+#      with non-Wallace bounds within 8× of exact, and every bench shared
+#      by BENCH_obs.json and BENCH_bitslice.json within 5% on min_ns.
 #
 # Any failing step exits non-zero immediately (set -e).
 
@@ -110,9 +110,6 @@ echo "==> xlac-lint --exact (equivalence proofs + bound soundness audit)"
 cargo run -q --release -p xlac-analysis --offline --bin xlac-lint -- \
     --exact --lint-only --json > target/LINT_exact.json
 
-echo "==> absint gate (derived bounds: zero unsound, non-Wallace within 8x of exact)"
-cargo run -q --release -p xlac-bench --offline --bin absint_gate -- target/LINT_exact.json
-
 echo "==> library gate (descriptor lint+XL014, registry proofs, sound audits) + distribution sweep (BENCH_explore.json)"
 cargo run -q --release -p xlac-bench --offline --bin library_gate \
     | grep '^{' > BENCH_explore.json
@@ -126,7 +123,7 @@ cargo test -q --offline --release --test bitslice_differential
 echo "==> bench smoke run (XLAC_BENCH_QUICK=1)"
 XLAC_BENCH_QUICK=1 cargo bench -q -p xlac-bench --offline >/dev/null
 
-# The two bitslice reports feed the observability overhead gate below,
+# The two bitslice reports feed the obs.overhead rule of the report gate,
 # so they need real minima: 7 measured samples (quick mode would force 3
 # noisy ones) with a short calibration target.
 echo "==> bitslice throughput report (BENCH_bitslice.json)"
@@ -138,9 +135,6 @@ echo "==> symbolic engine report (BENCH_symbolic.json)"
 XLAC_BENCH_QUICK=1 cargo bench -q -p xlac-bench --bench symbolic --offline \
     | grep '^{' > BENCH_symbolic.json
 
-echo "==> symbolic gate (sift < 200k nodes, >= 2x reduction; 16x16 calculus ceiling)"
-cargo run -q --release -p xlac-bench --offline --bin symbolic_gate -- BENCH_symbolic.json
-
 echo "==> jit differential suite (compiled vs interpreted vs scalar)"
 cargo test -q --offline --release --test jit_differential --test jit_golden \
     --test jit_regalloc --test thread_scaling
@@ -149,9 +143,6 @@ echo "==> jit throughput report (BENCH_jit.json)"
 XLAC_BENCH_SAMPLES=7 XLAC_BENCH_MIN_SAMPLE_MS=1 cargo bench -q -p xlac-bench \
     --bench jit --offline \
     | grep '^{' > BENCH_jit.json
-
-echo "==> jit throughput gate (compiled >= interpreted; Wallace x8 >= 5x)"
-cargo run -q --release -p xlac-bench --offline --bin jit_gate -- BENCH_jit.json
 
 echo "==> compute-server unit tests (default, then --features obs)"
 cargo test -q -p xlac-server --offline
@@ -169,10 +160,7 @@ echo "==> serving throughput report (BENCH_server.json)"
 cargo run -q --release -p xlac-server --offline --bin xlac-loadgen -- \
     --self-host --profile smoke | grep '^{' > BENCH_server.json
 
-echo "==> serving gate (mul_smoke >= 100k req/s, p99 <= 50ms, bit-exact replies)"
-cargo run -q --release -p xlac-bench --offline --bin server_gate -- BENCH_server.json
-
-echo "==> server capacity model (BENCH_jit per-op cost folded in; within 2x)"
+echo "==> server capacity model (BENCH_jit per-op cost folded in)"
 cargo run -q --release -p xlac-server --offline --bin xlac-loadgen -- \
     --self-host --capacity --bench-jit BENCH_jit.json | grep '^{' >> BENCH_server.json
 
@@ -199,8 +187,8 @@ XLAC_BENCH_SAMPLES=7 XLAC_BENCH_MIN_SAMPLE_MS=1 cargo bench -q -p xlac-bench \
 echo "==> observability profile"
 cargo run -q --release -p xlac-obs --offline --bin xlac-obs-report -- BENCH_obs.json
 
-echo "==> observability overhead gate (<=5% vs BENCH_bitslice.json)"
+echo "==> report gate (every rule in scripts/gates.jsonl)"
 cargo run -q --release -p xlac-obs --offline --bin xlac-obs-report -- \
-    --gate BENCH_bitslice.json BENCH_obs.json
+    --check scripts/gates.jsonl
 
 echo "CI OK"
