@@ -13,9 +13,15 @@
 //! runs around the evaluator (`to_planes` at 8/16-bit operands,
 //! `from_planes` at 16/32 result planes), per 64-lane batch.
 //!
-//! `scripts/ci.sh` records these lines into `BENCH_jit.json` and
-//! `xlac-jit-gate` enforces the compiled-≥-interpreted floors (the
-//! transpose series are recorded for the trend only).
+//! The `metrics_accumulate_65536` group times the error accumulation
+//! behind every sweep on one recorded Wallace 8×8 pair stream: per-lane
+//! `ErrorAccumulator::push` against one `push_lanes` call per 64-lane
+//! batch, the way the sweep driver feeds it.
+//!
+//! `scripts/ci.sh` records these lines into `BENCH_jit.json` and the
+//! report gate (`scripts/gates.jsonl`) enforces the compiled-≥-interpreted
+//! and batched-≤-per-lane floors (the transpose series are recorded for
+//! the trend only).
 
 use xlac_adders::hw::ripple_netlist;
 use xlac_adders::{FullAdderKind, RippleCarryAdder};
@@ -160,6 +166,45 @@ fn bench_lanes_transpose(seed: u64) {
     }
 }
 
+/// Per-lane against batched accumulation of one 65 536-pair stream:
+/// the Wallace multiplier's products and the exact ones on uniform 8-bit
+/// operands. Each iteration starts from an empty accumulator, as each
+/// sweep chunk does.
+fn bench_metrics_accumulate(m: &WallaceMultiplier, seed: u64) {
+    use xlac_core::lanes::LANES;
+    use xlac_core::metrics::ErrorAccumulator;
+    use xlac_core::rng::{DefaultRng, Rng};
+    use xlac_multipliers::Multiplier;
+
+    let mut rng = DefaultRng::seed_from_u64(seed);
+    let (exact, approx): (Vec<u64>, Vec<u64>) = (0..TRIALS)
+        .map(|_| {
+            let (a, b) = (rng.next_u64() & 0xFF, rng.next_u64() & 0xFF);
+            (a * b, m.mul(a, b))
+        })
+        .unzip();
+    let per_lane = || {
+        let mut acc = ErrorAccumulator::new();
+        for (&e, &a) in black_box(&exact).iter().zip(black_box(&approx)) {
+            acc.push(e, a);
+        }
+        acc
+    };
+    let batched = || {
+        let mut acc = ErrorAccumulator::new();
+        for (e, a) in black_box(&exact).chunks(LANES).zip(black_box(&approx).chunks(LANES)) {
+            acc.push_lanes(e, a);
+        }
+        acc
+    };
+    // Guard: both feeds leave the same state.
+    assert_eq!(per_lane(), batched());
+
+    let mut h = Harness::group("metrics_accumulate_65536");
+    h.bench("push", || black_box(per_lane()));
+    h.bench("push_lanes", || black_box(batched()));
+}
+
 fn main() {
     let rca = RippleCarryAdder::with_approx_lsbs(8, FullAdderKind::Apx2, 4).unwrap();
     let rca_nl = ripple_netlist(&rca);
@@ -170,6 +215,7 @@ fn main() {
     let wallace_nl = wallace_netlist(&wallace);
     bench_pair_sweep("jit_wallace8x8_sweep_65536", &wallace_nl, 8, |a, b| a * b);
     bench_raw_eval("jit_wallace8x8_eval_65536", &wallace_nl, 0xE7A2);
+    bench_metrics_accumulate(&wallace, 0xACC5);
 
     bench_lanes_transpose(0x7A05);
 

@@ -107,9 +107,11 @@ impl SweepOptions {
 /// [`run_chunks`] draws exactly `ceil(n / 64)` batches with `draw`, in
 /// order, and hands them up to `pass` at a time to its own evaluator (one
 /// output per batch). Lanes past the chunk's last trial are masked; the
-/// others go batch by batch, lane by lane, into the error accumulator as
-/// `(exact, approx)`, where `lane(output, j, exact)` gives `approx` and
-/// the side sums. Chunks merge in chunk order, whatever the thread count.
+/// others fill one `exact` and one `approx` array per batch, where
+/// `lane(output, j, exact)` gives `approx` and the side sums, and each
+/// batch goes into the error accumulator in one
+/// [`ErrorAccumulator::push_lanes`] call. Chunks merge in chunk order,
+/// whatever the thread count.
 fn drive<Op, Out, E: FnMut(&[Op], &mut Vec<Out>)>(
     opts: &SweepOptions,
     pass: usize,
@@ -130,12 +132,14 @@ fn drive<Op, Out, E: FnMut(&[Op], &mut Vec<Out>)>(
             eval(&ops, &mut outs);
             for (op, out) in ops.iter().zip(&outs) {
                 let lanes_n = remaining.min(LANES as u64) as usize;
+                let (mut e, mut a) = ([0; LANES], [0; LANES]);
                 for j in 0..lanes_n {
-                    let e = exact(op, j);
-                    let (a, s) = lane(out, j, e);
-                    acc.push(e, a);
+                    e[j] = exact(op, j);
+                    let (v, s) = lane(out, j, e[j]);
+                    a[j] = v;
                     side = add(side, s);
                 }
+                acc.push_lanes(&e[..lanes_n], &a[..lanes_n]);
                 remaining -= lanes_n as u64;
             }
         }
@@ -583,6 +587,39 @@ mod tests {
         assert_eq!(compiled_pair_sweep::<[u64; 8], _>(&prog, 8, exact, &opts), scalar);
         assert_eq!(interpreted_pair_sweep(&nl, 8, exact, &opts), scalar);
         assert_eq!(multiplier_sweep(&CompiledMultiplier::wallace(&m), &opts), scalar);
+    }
+
+    #[test]
+    fn saturated_error_spectra_agree_across_threads_blocks_and_twins() {
+        use std::collections::BTreeSet;
+        use xlac_adders::FullAdderKind;
+        use xlac_multipliers::WallaceMultiplier;
+        // Twelve approximate columns of a 12×12 Wallace tree: about 4800
+        // distinct error magnitudes in 12 000 uniform trials, more than
+        // MAX_DISTINCT, so every sweep below saturates mid-stream.
+        let m = WallaceMultiplier::new(12, FullAdderKind::Apx2, 12).unwrap();
+        let mut rng = DefaultRng::seed_from_u64(0x5A7);
+        let spectrum: BTreeSet<u64> = (0..12_000)
+            .map(|_| (rng.next_u64() & 0xFFF, rng.next_u64() & 0xFFF))
+            .map(|(a, b)| (a * b).abs_diff(m.mul(a, b)))
+            .filter(|&d| d != 0)
+            .collect();
+        assert!(spectrum.len() > ErrorStats::MAX_DISTINCT, "{}", spectrum.len());
+
+        let nl = xlac_multipliers::hw::wallace_netlist(&m);
+        let prog = CompiledProgram::compile(&nl);
+        let exact = |a: u64, b: u64| a * b;
+        let base = SweepOptions::new(12_000, 0x5A70).chunk(1024);
+        let scalar = multiplier_sweep_scalar(&m, &base);
+        assert!(scalar.distinct_saturated);
+        assert_eq!(scalar.distinct_error_values.len(), ErrorStats::MAX_DISTINCT);
+        for threads in [1, 2, 8] {
+            let opts = base.threads(threads);
+            assert_eq!(compiled_pair_sweep::<u64, _>(&prog, 12, exact, &opts), scalar);
+            assert_eq!(compiled_pair_sweep::<[u64; 4], _>(&prog, 12, exact, &opts), scalar);
+            assert_eq!(compiled_pair_sweep::<[u64; 8], _>(&prog, 12, exact, &opts), scalar);
+            assert_eq!(multiplier_sweep_scalar(&m, &opts), scalar, "t={threads}");
+        }
     }
 
     #[test]

@@ -67,7 +67,8 @@
 #  12. the report gate: `xlac-obs-report --check scripts/gates.jsonl`
 #      checks every floor and ceiling on the reports written above, one
 #      rule per line of the spec (DESIGN.md §12): the JIT ratio floors
-#      (compiled ≥ interpreted, Wallace 8×8 x8 ≥ 5×), the sift node
+#      (compiled ≥ interpreted, Wallace 8×8 x8 ≥ 5×), batched error
+#      accumulation (push_lanes) no slower than per-lane push, the sift node
 #      ceiling and ≥ 2× reduction, the 16×16 calculus ceiling, the
 #      serving floors (every request answered, zero errors and
 #      mismatches, mul_smoke ≥ 100k req/s and p99 ≤ 50 ms), the capacity

@@ -123,7 +123,7 @@ fn set(ids: &[&str]) -> BTreeSet<String> {
 fn shipped_spec_passes_on_the_fixtures() {
     let rules = rules();
     let ids: Vec<&str> = rules.iter().map(|r| r.id.as_str()).collect();
-    assert_eq!(ids.len(), 21, "{ids:?}");
+    assert_eq!(ids.len(), 22, "{ids:?}");
     for report in rules.iter().flat_map(|r| std::iter::once(&r.file).chain(&r.ref_file)) {
         assert!(REPORTS.contains(&report.as_str()), "no fixture for {report}");
     }
@@ -174,6 +174,20 @@ fn each_pushed_value_fails_exactly_its_readers() {
             "median_ns",
             1.0,
             &["jit.wallace8x8.sweep"],
+        ),
+        (
+            jit,
+            "metrics_accumulate_65536/push",
+            "median_ns",
+            1.0,
+            &["metrics.accumulate.batched"],
+        ),
+        (
+            jit,
+            "metrics_accumulate_65536/push_lanes",
+            "median_ns",
+            1e12,
+            &["metrics.accumulate.batched"],
         ),
         (
             sym,
@@ -233,6 +247,7 @@ fn each_pushed_value_fails_exactly_its_readers() {
 fn values_on_the_bound_pass() {
     let srv = "BENCH_server.json";
     let edges: &[(&str, &str, &str, f64)] = &[
+        ("BENCH_jit.json", "metrics_accumulate_65536/push", "median_ns", 616_824.0),
         ("BENCH_symbolic.json", "symbolic_sift/wallace8x8_miter", "sifted_nodes", 15_947.0),
         ("BENCH_symbolic.json", "symbolic_sift/wallace8x8_miter", "unsifted_nodes", 30_308.0),
         ("BENCH_symbolic.json", "symbolic_calculus/wallace16x16_apx2_cols8", "median_ns", 1e10),
@@ -264,6 +279,7 @@ fn missing_files_series_and_fields_fail_their_rules() {
         "jit.wallace8x8.eval",
         "jit.wallace8x8.sweep",
         "jit.wallace8x8.eval_x8",
+        "metrics.accumulate.batched",
     ]);
     assert_eq!(failing_after("no-jit", Change::RemoveFile("BENCH_jit.json")), jit);
     let absint = set(&["absint.entries", "absint.tightness"]);
@@ -406,7 +422,7 @@ fn emitters_round_trip_with_the_fields_the_spec_names() {
         }
         checked += 1;
     }
-    assert_eq!(checked, 19);
+    assert_eq!(checked, 20);
 }
 
 #[test]
