@@ -1004,20 +1004,14 @@ pub fn observability_dead_gates(nl: &Netlist, max_inputs: usize) -> Vec<usize> {
             }
         }
     }
-    let total = 1u64 << n;
-    let blocks = total.div_ceil(64).max(1);
-    let free: Vec<usize> = (0..n).collect();
-    let fixed = vec![None; n];
+    let counting = CountingBlocks::new(n);
+    let lane_mask = counting.live();
     let mut dead: Vec<bool> = live.clone();
     let mut vals = vec![0u64; g];
     let mut base_vals = vec![0u64; g];
-    for b in 0..blocks {
-        let planes = lane_planes(n, &fixed, &free, b);
-        let lane_mask = if total - b * 64 >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << (total - b * 64)) - 1
-        };
+    let mut planes = vec![0u64; n];
+    for b in 0..counting.blocks() {
+        counting.fill(b, &mut planes);
         eval_forced(&gates, &planes, usize::MAX, 0, &mut base_vals);
         let base_outs: Vec<u64> =
             nl.outputs().map(|s| resolve_word(s, &planes, &base_vals)).collect();

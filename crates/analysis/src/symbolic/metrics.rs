@@ -26,7 +26,12 @@
 //! compiled to bit-plane programs and run over every input assignment,
 //! 64 per block. It is the engine behind the bound audit; the BDD path
 //! stays the proof engine and the oracle it is checked against.
+//! [`exhaustive_metrics_under`] runs the same accumulation with every
+//! assignment weighted by the probability of its two operands under an
+//! [`InputDistribution`], the exact leg of `xlac-explore`'s
+//! per-distribution fronts.
 
+use xlac_core::dist::{DistPmf, InputDistribution};
 use xlac_core::lanes::{from_planes, CountingBlocks};
 use xlac_core::XlacError;
 use xlac_logic::Netlist;
@@ -220,14 +225,7 @@ impl Block<'_> {
         } else {
             (from_planes(self.approx), from_planes(self.exact))
         };
-        let mut rest = mask;
-        std::iter::from_fn(move || {
-            (rest != 0).then(|| {
-                let l = rest.trailing_zeros() as usize;
-                rest &= rest - 1;
-                (self.base | l as u64, av[l], ev[l])
-            })
-        })
+        set_lanes(mask).map(move |l| (self.base | l as u64, av[l], ev[l]))
     }
 }
 
@@ -272,6 +270,50 @@ pub(crate) fn for_each_block(
 /// input arity or either has more than 64 outputs;
 /// [`XlacError::InvalidWidth`] above [`EXHAUSTIVE_MAX_INPUTS`] inputs.
 pub fn exhaustive_metrics(approx: &Netlist, exact: &Netlist) -> Result<ExactMetrics, XlacError> {
+    weighted_metrics(approx, exact, None)
+}
+
+/// [`exhaustive_metrics`] with the inputs read as two operands drawn
+/// independently from `dist`: inputs `0..w` are operand `a`, inputs
+/// `w..2w` operand `b`, and assignment `a | b << w` weighs
+/// `pmf[a] · pmf[b]` ([`InputDistribution::pmf`] at width `w`). The error
+/// rate, mean error distance and bit-flip probabilities are weighted
+/// (integer weight sums, divided once); the worst-case error, witness,
+/// over- and undershoot and `error_count` are taken over the assignments
+/// of non-zero weight. Under [`InputDistribution::Uniform`] every field
+/// equals [`exhaustive_metrics`].
+///
+/// # Errors
+///
+/// [`XlacError::InvalidConfiguration`] on an odd input count, an input
+/// arity mismatch or more than 64 outputs; [`XlacError::InvalidWidth`]
+/// when the operand width `w` is zero or above
+/// [`xlac_core::dist::MAX_PMF_WIDTH`].
+pub fn exhaustive_metrics_under(
+    approx: &Netlist,
+    exact: &Netlist,
+    dist: InputDistribution,
+) -> Result<ExactMetrics, XlacError> {
+    let n = approx.n_inputs();
+    if n % 2 == 1 {
+        return Err(XlacError::InvalidConfiguration(format!(
+            "exhaustive metrics: {n} inputs do not split into two operands"
+        )));
+    }
+    weighted_metrics(approx, exact, Some(&dist.pmf(n / 2)?))
+}
+
+/// The one accumulation behind [`exhaustive_metrics`] and
+/// [`exhaustive_metrics_under`]. Without a `pmf` every assignment weighs
+/// one and each weight sum is a popcount; with one, assignment
+/// `a | b << w` weighs `pmf[a] · pmf[b]`. Weighted sums stay below
+/// `2^128`: the shipped PMFs' weights total at most `2^64` and every
+/// distance is below `2^64`.
+fn weighted_metrics(
+    approx: &Netlist,
+    exact: &Netlist,
+    pmf: Option<&DistPmf>,
+) -> Result<ExactMetrics, XlacError> {
     let n = approx.n_inputs();
     if exact.n_inputs() != n {
         return Err(XlacError::InvalidConfiguration(format!(
@@ -290,20 +332,28 @@ pub fn exhaustive_metrics(approx: &Netlist, exact: &Netlist) -> Result<ExactMetr
     }
 
     let mut flips = vec![0u128; m];
-    let (mut error_count, mut med_num) = (0u128, 0u128);
+    let (mut error_count, mut error_weight, mut med_num) = (0u128, 0u128, 0u128);
     let (mut wce, mut witness, mut over, mut under) = (0u64, 0u64, 0u64, 0u64);
+    let mut weights = [1u128; 64];
     let (approx, exact) = (CompiledProgram::compile(approx), CompiledProgram::compile(exact));
     for_each_block(&approx, &exact, |block| {
+        let support = pmf.map_or(u64::MAX, |pmf| operand_weights(pmf, block.base, &mut weights));
+        let sum = |mask: u64| match pmf {
+            None => u128::from(mask.count_ones()),
+            Some(_) => set_lanes(mask).map(|l| weights[l]).sum(),
+        };
         let mut any = 0u64;
         for (k, flip) in flips.iter_mut().enumerate() {
             let d = block.diff(k);
-            *flip += u128::from(d.count_ones());
+            *flip += sum(d);
             any |= d;
         }
+        any &= support;
         error_count += u128::from(any.count_ones());
+        error_weight += sum(any);
         for (x, av, ev) in block.lanes(any) {
             let d = av.abs_diff(ev);
-            med_num += u128::from(d);
+            med_num += weights[(x & 63) as usize] * u128::from(d);
             if av > ev {
                 over = over.max(d);
             } else {
@@ -315,7 +365,8 @@ pub fn exhaustive_metrics(approx: &Netlist, exact: &Netlist) -> Result<ExactMetr
         }
     });
 
-    let denom = (n as f64).exp2();
+    let log2_total = pmf.map_or(n as u32, |pmf| 2 * pmf.shift);
+    let denom = f64::from(log2_total).exp2();
     Ok(ExactMetrics {
         n_inputs: n,
         worst_case_error: u128::from(wce),
@@ -323,9 +374,34 @@ pub fn exhaustive_metrics(approx: &Netlist, exact: &Netlist) -> Result<ExactMetr
         max_overshoot: u128::from(over),
         max_undershoot: u128::from(under),
         error_count,
-        error_rate: count_to_rate(error_count, denom),
+        error_rate: count_to_rate(error_weight, denom),
         mean_error_distance: count_to_rate(med_num, denom),
         bit_flip_probability: flips.iter().map(|&c| count_to_rate(c, denom)).collect(),
+    })
+}
+
+/// Sets `weights[l]` to the weight `pmf[a] · pmf[b]` of assignment
+/// `base + l = a | b << w` (zero past `2^(2w)`) and returns the lanes of
+/// non-zero weight.
+fn operand_weights(pmf: &DistPmf, base: u64, weights: &mut [u128; 64]) -> u64 {
+    let of = |v: u64| pmf.weights.get(v as usize).copied().unwrap_or(0);
+    let mut support = 0u64;
+    for (l, weight) in (0u64..).zip(weights.iter_mut()) {
+        let x = base | l;
+        *weight = of(x & ((1 << pmf.width) - 1)) * of(x >> pmf.width);
+        support |= u64::from(*weight != 0) << l;
+    }
+    support
+}
+
+/// The indices of the set bits of `mask`, ascending.
+fn set_lanes(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let l = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            l
+        })
     })
 }
 

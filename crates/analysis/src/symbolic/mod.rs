@@ -20,7 +20,8 @@
 //!   input), error rate, mean error distance and per-bit flip
 //!   probability from the XOR-miter, via weighted model counting; and the
 //!   same metric set by exhaustive compiled enumeration for units with
-//!   ≤ 16 inputs ([`exhaustive_metrics`]).
+//!   ≤ 16 inputs ([`exhaustive_metrics`]), uniformly or weighted by an
+//!   operand distribution ([`exhaustive_metrics_under`]).
 //! * [`equiv`] — equivalence proofs between representations, with
 //!   counterexample extraction on refutation.
 //! * [`audit`] — the static [`crate::bound`] layer regressed against the
@@ -57,7 +58,10 @@ pub use compile::{
     apply_gate, compile_netlist, compile_raw, compile_truth_table, interleaved_operand_vars,
 };
 pub use equiv::{prove_outputs_equal, Counterexample, Verdict};
-pub use metrics::{exact_metrics, exhaustive_metrics, ExactMetrics, EXHAUSTIVE_MAX_INPUTS};
+pub use metrics::{
+    exact_metrics, exhaustive_metrics, exhaustive_metrics_under, ExactMetrics,
+    EXHAUSTIVE_MAX_INPUTS,
+};
 pub use pmf::{
     signed_word_pmf, unsigned_word_pmf, ErrorInterval, ErrorModel, ErrorPmf, PmfOverflow,
 };

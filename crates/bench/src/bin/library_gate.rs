@@ -20,7 +20,10 @@
 //! The gate then runs the combined distribution sweep once
 //! (`distribution_fronts(8)`: exact PMF metrics for every config ×
 //! every shipped `InputDistribution`, one Pareto front per operator
-//! class) and prints a single bench JSON line recording its wall-clock.
+//! class) and prints one bench JSON line per distribution with the
+//! configs it scored (`explore_dist_fronts_w8/<label>`, read by the
+//! `explore.fronts.coverage` rule of `scripts/gates.jsonl`) and a
+//! summary line recording its wall-clock.
 //!
 //! Usage: `xlac-bench --bin library_gate [HDL_DIR]`. Verdict lines go
 //! to stderr; the JSON line goes to stdout so `scripts/ci.sh` can
@@ -159,6 +162,9 @@ fn run(hdl_dir: &str) -> Result<(), String> {
             f.adder_front.len(),
             f.multiplier_front.len()
         );
+        // The report gate checks that every front scored the whole space.
+        let (label, scored) = (f.dist.label(), f.points.len());
+        println!("{{\"name\":\"explore_dist_fronts_w8/{label}\",\"configs\":{scored}}}");
     }
     // One bench line for BENCH_explore.json (the `grep '^{'` idiom).
     println!(

@@ -244,12 +244,12 @@ pub struct DistPmf {
 }
 
 impl DistPmf {
-    /// Probability of value `v` as a float (for reports; the exact
-    /// arithmetic below never goes through this).
+    /// Probability of value `v` as a float (for reports; exact metrics
+    /// sum the integer weights and divide once).
     #[must_use]
     pub fn prob(&self, v: u64) -> f64 {
         let w = self.weights.get(v as usize).copied().unwrap_or(0);
-        weight_to_f64(w) / (self.denominator())
+        w as f64 / self.denominator()
     }
 
     /// The common denominator `2^shift` as a float.
@@ -263,74 +263,8 @@ impl DistPmf {
     pub fn mean(&self) -> f64 {
         let num: u128 =
             self.weights.iter().enumerate().map(|(v, &w)| w * v as u128).sum();
-        weight_to_f64(num) / self.denominator()
+        num as f64 / self.denominator()
     }
-}
-
-fn weight_to_f64(w: u128) -> f64 {
-    // u128 → f64 is lossless for every weight the 8-bit PMFs produce
-    // (≤ 2^34); the generic conversion keeps the helper total.
-    let hi = (w >> 64) as u64;
-    let lo = (w & u128::from(u64::MAX)) as u64;
-    (hi as f64) * (u64::MAX as f64 + 1.0) + lo as f64
-}
-
-/// Exact per-distribution metrics of a two-operand pair
-/// `(approx, exact)` — the distribution-weighted analogue of the
-/// uniform exhaustive sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DistExactMetrics {
-    /// Probability of `approx != exact` under independent draws of both
-    /// operands from the distribution.
-    pub error_rate: f64,
-    /// Distribution-weighted mean of `|approx − exact|`.
-    pub mean_error_distance: f64,
-    /// Worst `|approx − exact|` over the distribution's support (every
-    /// shipped variant has full support, so this equals the uniform WCE).
-    pub max_error_distance: u64,
-}
-
-/// Computes the exact error metrics of `approx` against `exact` with
-/// both `width`-bit operands drawn independently from `dist`: a full
-/// `2^(2w)` enumeration with exact integer weight products, divided
-/// once at the end.
-///
-/// # Errors
-///
-/// Returns [`XlacError::InvalidWidth`] when `width` exceeds
-/// [`MAX_PMF_WIDTH`] (the enumeration would be intractable).
-pub fn exact_pair_metrics(
-    dist: InputDistribution,
-    width: usize,
-    mut approx: impl FnMut(u64, u64) -> u64,
-    mut exact: impl FnMut(u64, u64) -> u64,
-) -> Result<DistExactMetrics> {
-    let pmf = dist.pmf(width)?;
-    let n = 1u64 << width;
-    let mut err_weight: u128 = 0;
-    let mut err_sum: u128 = 0;
-    let mut wce: u64 = 0;
-    for a in 0..n {
-        let wa = pmf.weights[a as usize];
-        for b in 0..n {
-            let wb = pmf.weights[b as usize];
-            let e = exact(a, b);
-            let x = approx(a, b);
-            let d = e.abs_diff(x);
-            if d != 0 {
-                let w = wa * wb;
-                err_weight += w;
-                err_sum += w * u128::from(d);
-                wce = wce.max(d);
-            }
-        }
-    }
-    let denom = pmf.denominator() * pmf.denominator();
-    Ok(DistExactMetrics {
-        error_rate: weight_to_f64(err_weight) / denom,
-        mean_error_distance: weight_to_f64(err_sum) / denom,
-        max_error_distance: wce,
-    })
 }
 
 #[cfg(test)]
@@ -517,28 +451,14 @@ mod tests {
     }
 
     #[test]
-    fn exact_pair_metrics_match_hand_computation_on_a_tiny_case() {
-        // 1-bit "adder" that drops the carry: approx = (a+b) & 1.
-        let m = exact_pair_metrics(
-            InputDistribution::Uniform,
-            1,
-            |a, b| (a + b) & 1,
-            |a, b| a + b,
-        )
-        .unwrap();
-        // Only (1,1) errs: p = 1/4, |error| = 2.
-        assert!((m.error_rate - 0.25).abs() < 1e-12);
-        assert!((m.mean_error_distance - 0.5).abs() < 1e-12);
-        assert_eq!(m.max_error_distance, 2);
-    }
-
-    #[test]
-    fn exact_metrics_of_an_exact_pair_are_zero_under_every_distribution() {
-        for dist in InputDistribution::ALL {
-            let m = exact_pair_metrics(dist, 4, |a, b| a * b, |a, b| a * b).unwrap();
-            assert_eq!(m.error_rate, 0.0);
-            assert_eq!(m.mean_error_distance, 0.0);
-            assert_eq!(m.max_error_distance, 0);
-        }
+    fn mean_rounds_its_numerator_once() {
+        // Numerator 2^64 + 2^63 + 2^11 + 1 over a denominator of 1: the
+        // exactly rounded quotient, not the sum of a rounded low word and
+        // the high word.
+        let numerator = (1u128 << 64) + (1u128 << 63) + (1u128 << 11) + 1;
+        let pmf = DistPmf { width: 1, shift: 0, weights: vec![0, numerator] };
+        assert_eq!(pmf.mean().to_bits(), (numerator as f64).to_bits());
+        assert_eq!(pmf.mean(), 27_670_116_110_564_330_000.0);
+        assert_eq!(pmf.prob(1).to_bits(), pmf.mean().to_bits());
     }
 }

@@ -61,7 +61,7 @@ pub mod taxonomy;
 pub mod wire;
 
 pub use characterization::{ComponentProfile, HwCost};
-pub use dist::{DistExactMetrics, DistPmf, InputDistribution};
+pub use dist::{DistPmf, InputDistribution};
 pub use error::XlacError;
 pub use grid::Grid;
 pub use metrics::ErrorStats;

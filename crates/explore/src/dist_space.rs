@@ -8,9 +8,11 @@
 //! combined space — the word-level adder descriptors from `xlac_adders`
 //! plus the netlist-backed multiplier trees from `xlac_multipliers` —
 //! under every [`InputDistribution`], with **exact** PMF-weighted error
-//! metrics (no sampling noise: the 8-bit operand space is enumerated in
-//! full, weighted by the distribution's integer PMF), and extracts a
-//! Pareto front per distribution and per operator class.
+//! metrics (no sampling noise: [`exhaustive_metrics_under`] enumerates the
+//! whole 8-bit operand space on compiled programs against the
+//! configuration's exact reference netlist, weighted by the
+//! distribution's integer PMF), and extracts a Pareto front per
+//! distribution and per operator class.
 //!
 //! The Monte-Carlo twin ([`measured_stats`]) runs the same configuration
 //! through the bit-sliced `xlac-sim` engine with the same distribution
@@ -33,10 +35,10 @@
 
 use crate::pareto::try_pareto_frontier;
 use xlac_adders::{cla8, csa8, loa8_l3, ofloca8, skl8, UnitDescriptor};
+use xlac_analysis::symbolic::{exhaustive_metrics_under, ExactMetrics};
 use xlac_core::characterization::HwCost;
-use xlac_core::dist::{exact_pair_metrics, DistExactMetrics, InputDistribution};
+use xlac_core::dist::InputDistribution;
 use xlac_core::error::{Result, XlacError};
-use xlac_core::lanes;
 use xlac_core::metrics::ErrorStats;
 use xlac_logic::netlist::Netlist;
 use xlac_multipliers::hw::wallace_netlist;
@@ -68,6 +70,8 @@ pub struct DistConfig {
     family: Family,
     width: usize,
     netlist: Netlist,
+    /// The exact reference of the class, as a netlist of the same inputs.
+    reference: Netlist,
     cost: HwCost,
 }
 
@@ -123,55 +127,32 @@ impl DistConfig {
             family: Family::Adder,
             width: netlist.n_inputs() / 2,
             netlist,
+            reference: d.reference_netlist().clone(),
             cost,
         }
     }
 
-    fn from_comptree(m: &CompressorMultiplier) -> DistConfig {
+    fn from_comptree(m: &CompressorMultiplier, reference: &Netlist) -> DistConfig {
         DistConfig {
             name: m.name(),
             family: Family::Multiplier,
             width: m.width(),
             netlist: m.netlist().clone(),
+            reference: reference.clone(),
             cost: m.hw_cost(),
         }
     }
 
-    fn from_wallace(m: &WallaceMultiplier) -> DistConfig {
+    fn from_wallace(m: &WallaceMultiplier, reference: &Netlist) -> DistConfig {
         DistConfig {
             name: m.name(),
             family: Family::Multiplier,
             width: m.width(),
             netlist: wallace_netlist(m),
+            reference: reference.clone(),
             cost: m.hw_cost(),
         }
     }
-}
-
-/// Exhaustive response table of a `2w`-input netlist, indexed by the
-/// packed operand pair `a | (b << w)`, computed 64 rows per
-/// `eval_words` pass.
-fn response_table(netlist: &Netlist, n_inputs: usize) -> Vec<u64> {
-    let total = 1usize << n_inputs;
-    let mut table = Vec::with_capacity(total);
-    let mut planes = vec![0u64; n_inputs];
-    let mut base = 0usize;
-    while base < total {
-        let lanes_n = 64.min(total - base);
-        for (i, p) in planes.iter_mut().enumerate() {
-            let mut word = 0u64;
-            for lane in 0..lanes_n {
-                word |= ((((base + lane) >> i) as u64) & 1) << lane;
-            }
-            *p = word;
-        }
-        let outs = netlist.eval_words(&planes);
-        for lane in 0..lanes_n {
-            table.push(lanes::lane(&outs, lane));
-        }
-        base += lanes_n;
-    }
-    table
 }
 
 /// Enumerates the combined per-distribution space at the given operand
@@ -197,6 +178,11 @@ pub fn enumerate_distribution_space(width: usize) -> Result<Vec<DistConfig>> {
         }
     }
 
+    // Both multiplier families are scored against the accurate Wallace
+    // tree.
+    let accurate = WallaceMultiplier::new(width, xlac_adders::FullAdderKind::Accurate, 0)?;
+    let reference = wallace_netlist(&accurate);
+
     // Compressor-tree family: exact baseline plus each knob axis.
     let comptrees = [
         (CompressKnob::Exact, 0, 0, 0),
@@ -206,22 +192,18 @@ pub fn enumerate_distribution_space(width: usize) -> Result<Vec<DistConfig>> {
         (CompressKnob::Miscount, width, 1, 1),
     ];
     for (knob, kc, tc, tr) in comptrees {
-        configs.push(DistConfig::from_comptree(&CompressorMultiplier::new(
-            width, knob, kc, tc, tr,
-        )?));
+        configs.push(DistConfig::from_comptree(
+            &CompressorMultiplier::new(width, knob, kc, tc, tr)?,
+            &reference,
+        ));
     }
 
     // Wallace family: exact baseline plus approximate low columns.
-    configs.push(DistConfig::from_wallace(&WallaceMultiplier::new(
-        width,
-        xlac_adders::FullAdderKind::Accurate,
-        0,
-    )?));
-    configs.push(DistConfig::from_wallace(&WallaceMultiplier::new(
-        width,
-        xlac_adders::FullAdderKind::Apx5,
-        width / 2 + 2,
-    )?));
+    configs.push(DistConfig::from_wallace(&accurate, &reference));
+    configs.push(DistConfig::from_wallace(
+        &WallaceMultiplier::new(width, xlac_adders::FullAdderKind::Apx5, width / 2 + 2)?,
+        &reference,
+    ));
 
     Ok(configs)
 }
@@ -236,7 +218,7 @@ pub struct DistPoint {
     /// Hardware cost.
     pub cost: HwCost,
     /// Exact PMF-weighted error metrics under the distribution.
-    pub metrics: DistExactMetrics,
+    pub metrics: ExactMetrics,
 }
 
 /// The scored space and its Pareto fronts under one input distribution.
@@ -253,21 +235,16 @@ pub struct DistFront {
 }
 
 /// Exact PMF-weighted error metrics of one configuration under a
-/// distribution: the full `2^{2w}` operand space is enumerated through
-/// the netlist (64 rows at a time) and weighted by the distribution's
-/// integer PMF — no sampling anywhere.
+/// distribution: [`exhaustive_metrics_under`] of its netlist against its
+/// exact reference, the full `2^{2w}` operand space weighted by the
+/// distribution's integer PMF — no sampling anywhere.
 ///
 /// # Errors
 ///
-/// Propagates the PMF width gate ([`XlacError::InvalidWidth`]).
-pub fn exact_config_metrics(
-    config: &DistConfig,
-    dist: InputDistribution,
-) -> Result<DistExactMetrics> {
-    let w = config.width();
-    let table = response_table(&config.netlist, 2 * w);
-    let exact = config.exact_fn();
-    exact_pair_metrics(dist, w, |a, b| table[(a | (b << w)) as usize], exact)
+/// Propagates the engine's gates ([`XlacError::InvalidWidth`] past the
+/// PMF width).
+pub fn exact_config_metrics(config: &DistConfig, dist: InputDistribution) -> Result<ExactMetrics> {
+    exhaustive_metrics_under(&config.netlist, &config.reference, dist)
 }
 
 fn family_front(points: &[DistPoint], family: Family) -> Result<Vec<String>> {
@@ -381,7 +358,7 @@ mod tests {
             for name in ["CLA8", "CSA8", "SKL8", "CompTree(N=8)", "Wallace(N=8)"] {
                 let pt = find(&front.points, name);
                 assert_eq!(pt.metrics.error_rate, 0.0, "{name} under {}", front.dist.label());
-                assert_eq!(pt.metrics.max_error_distance, 0, "{name}");
+                assert_eq!(pt.metrics.worst_case_error, 0, "{name}");
             }
         }
     }
@@ -479,12 +456,12 @@ mod tests {
                 // Every drawn operand pair lies in the PMF's support, so
                 // the observed worst error never exceeds the proven one.
                 assert!(
-                    mc.max_error_distance <= exact.max_error_distance,
+                    u128::from(mc.max_error_distance) <= exact.worst_case_error,
                     "{} under {}: observed {} above exact WCE {}",
                     config.name(),
                     dist.label(),
                     mc.max_error_distance,
-                    exact.max_error_distance
+                    exact.worst_case_error
                 );
             }
         }

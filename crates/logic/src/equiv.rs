@@ -44,6 +44,7 @@
 
 use crate::netlist::Netlist;
 use xlac_core::error::{Result, XlacError};
+use xlac_core::lanes::CountingBlocks;
 
 /// Exhaustively checks two netlists for combinational equivalence.
 ///
@@ -66,32 +67,21 @@ pub fn check_equivalence(a: &Netlist, b: &Netlist) -> Result<Option<u64>> {
     if n > 26 {
         return Err(XlacError::InvalidWidth { width: n, max: 26 });
     }
-    let total = 1u64 << n;
-    let mut base = 0u64;
+    let counting = CountingBlocks::new(n);
     // Reused evaluation buffers — the sweep allocates nothing per word.
     let mut words = vec![0u64; n];
     let (mut vals_a, mut vals_b) = (Vec::new(), Vec::new());
     let (mut outs_a, mut outs_b) = (Vec::new(), Vec::new());
-    while base < total {
-        let lanes = (total - base).min(64) as usize;
-        // Lane l carries input assignment base + l.
-        for (i, w) in words.iter_mut().enumerate() {
-            *w = 0;
-            for l in 0..lanes {
-                *w |= (((base + l as u64) >> i) & 1) << l;
-            }
-        }
+    for block in 0..counting.blocks() {
+        // Lane l carries input assignment 64·block + l.
+        counting.fill(block, &mut words);
         a.eval_words_into(&words, &mut vals_a, &mut outs_a);
         b.eval_words_into(&words, &mut vals_b, &mut outs_b);
-        let lane_mask = if lanes >= 64 { u64::MAX } else { (1u64 << lanes) - 1 };
-        let mut diff = 0u64;
-        for (wa, wb) in outs_a.iter().zip(&outs_b) {
-            diff |= (wa ^ wb) & lane_mask;
-        }
+        let diff =
+            outs_a.iter().zip(&outs_b).fold(0, |d, (wa, wb)| d | (wa ^ wb)) & counting.live();
         if diff != 0 {
-            return Ok(Some(base + diff.trailing_zeros() as u64));
+            return Ok(Some((block << 6) | u64::from(diff.trailing_zeros())));
         }
-        base += lanes as u64;
     }
     Ok(None)
 }

@@ -17,8 +17,9 @@ use xlac_core::prop_assert;
 
 const SPEC: &str = include_str!("../scripts/gates.jsonl");
 const FIXTURES: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/gates");
-const REPORTS: [&str; 6] = [
+const REPORTS: [&str; 7] = [
     "BENCH_jit.json",
+    "BENCH_explore.json",
     "BENCH_symbolic.json",
     "BENCH_server.json",
     "BENCH_obs.json",
@@ -123,7 +124,7 @@ fn set(ids: &[&str]) -> BTreeSet<String> {
 fn shipped_spec_passes_on_the_fixtures() {
     let rules = rules();
     let ids: Vec<&str> = rules.iter().map(|r| r.id.as_str()).collect();
-    assert_eq!(ids.len(), 22, "{ids:?}");
+    assert_eq!(ids.len(), 23, "{ids:?}");
     for report in rules.iter().flat_map(|r| std::iter::once(&r.file).chain(&r.ref_file)) {
         assert!(REPORTS.contains(&report.as_str()), "no fixture for {report}");
     }
@@ -229,6 +230,13 @@ fn each_pushed_value_fails_exactly_its_readers() {
         (lint, "absint:Wallace(N=8,8cols ApxFA4)", "bound_wce", -1.0, &["absint.entries"]),
         ("BENCH_obs.json", slice, "min_ns", 1e12, &["obs.overhead"]),
         ("BENCH_bitslice.json", slice, "min_ns", 1.0, &["obs.overhead"]),
+        (
+            "BENCH_explore.json",
+            "explore_dist_fronts_w8/sparse_peaked",
+            "configs",
+            11.0,
+            &["explore.fronts.coverage"],
+        ),
     ];
     let mut covered = BTreeSet::new();
     for &(file, series, field, value, expected) in pushes {
@@ -258,6 +266,7 @@ fn values_on_the_bound_pass() {
         ("target/LINT_exact.json", "absint:cell/TCAA", "bound_wce", 16.0),
         ("target/LINT_exact.json", "absint:Wallace(N=8,8cols ApxFA4)", "bound_wce", 1e9),
         ("target/LINT_exact.json", "RCA(N=8,4xApxFA1)", "bound_wce", 1e9),
+        ("BENCH_explore.json", "explore_dist_fronts_w8/uniform", "configs", 12.0),
     ];
     for &(file, series, field, value) in edges {
         assert!(failing_with(file, series, field, value).is_empty(), "{series} {field} = {value}");
@@ -286,12 +295,18 @@ fn missing_files_series_and_fields_fail_their_rules() {
     assert_eq!(failing_after("no-lint", Change::RemoveFile("target/LINT_exact.json")), absint);
     let obs = set(&["obs.overhead"]);
     assert_eq!(failing_after("no-ref-file", Change::RemoveFile("BENCH_bitslice.json")), obs);
+    let coverage = set(&["explore.fronts.coverage"]);
+    assert_eq!(failing_after("no-explore", Change::RemoveFile("BENCH_explore.json")), coverage);
 
     let drop_series =
         |series: &'static str| move |obj: &mut Object| json::name(obj) != Some(series);
     let capacity = set(&["capacity.ratio", "capacity.mismatches"]);
     let edit = drop_series("server/capacity");
     assert_eq!(failing_after("no-capacity", Change::Edit("BENCH_server.json", &edit)), capacity);
+    // Three distribution fronts of the four.
+    let edit = drop_series("explore_dist_fronts_w8/exponential_decay");
+    let fronts = failing_after("3-fronts", Change::Edit("BENCH_explore.json", &edit));
+    assert_eq!(fronts, coverage);
     let edit = drop_series("jit_wallace8x8_eval_65536/compiled_x8");
     let x8 = set(&["jit.wallace8x8.eval_x8"]);
     assert_eq!(failing_after("no-ref-series", Change::Edit("BENCH_jit.json", &edit)), x8);
@@ -401,9 +416,10 @@ fn emitters_round_trip_with_the_fields_the_spec_names() {
     };
     let mut checked = 0;
     for rule in rules() {
-        // The sift line is printed by the symbolic bench itself; the
-        // fixture tests above cover its format.
-        if rule.series.starts_with("symbolic_sift/") {
+        // The sift and front lines are printed by the symbolic bench and
+        // `library_gate` themselves; the fixture tests above cover their
+        // format.
+        if rule.series.starts_with("symbolic_sift/") || rule.file == "BENCH_explore.json" {
             continue;
         }
         let name = rule.series.replace('*', "x");

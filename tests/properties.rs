@@ -10,11 +10,14 @@
 //! vacuously on invalid tuples (the `prop_filter` idiom).
 
 use xlac::adders::{Adder, FullAdderKind, GeArAdder, RippleCarryAdder, Subtractor};
+use xlac::analysis::symbolic::{exhaustive_metrics, exhaustive_metrics_under, ExactMetrics};
 use xlac::core::bits;
 use xlac::core::check::{check, check_with, Config, DefaultRng, Rng};
+use xlac::core::dist::{InputDistribution, MAX_PMF_WIDTH};
 use xlac::logic::qm::{eval_cover, minimize};
+use xlac::logic::random::{random_netlist, RandomNetlistSpec};
 use xlac::logic::synth::{synthesize, verify_against};
-use xlac::logic::TruthTable;
+use xlac::logic::{Netlist, TruthTable};
 use xlac::multipliers::{Mul2x2Kind, Multiplier, RecursiveMultiplier, SumMode, WallaceMultiplier};
 use xlac_core::{prop_assert, prop_assert_eq};
 
@@ -610,4 +613,164 @@ fn bit_sliced_multipliers_are_lane_independent() {
             Ok(())
         },
     );
+}
+
+/// The scalar oracle of `exhaustive_metrics_under`: a double loop over
+/// both operands, each assignment weighted by the integer product of its
+/// operands' PMF weights and every sum divided once at the end.
+fn pmf_oracle(approx: &Netlist, exact: &Netlist, dist: InputDistribution) -> ExactMetrics {
+    let n = approx.n_inputs();
+    let w = n / 2;
+    let pmf = dist.pmf(w).unwrap();
+    let mut flips = vec![0u128; approx.n_outputs().max(exact.n_outputs())];
+    let (mut error_count, mut error_weight, mut med_num) = (0u128, 0u128, 0u128);
+    let (mut wce, mut witness, mut over, mut under) = (0u64, 0u64, 0u64, 0u64);
+    // Operand `b` outer, `a` inner: ascending assignments `a | b << w`.
+    for b in 0..1u64 << w {
+        for a in 0..1u64 << w {
+            let weight = pmf.weights[a as usize] * pmf.weights[b as usize];
+            let x = a | (b << w);
+            let (av, ev) = (approx.eval(x), exact.eval(x));
+            if av == ev || weight == 0 {
+                continue;
+            }
+            for (k, flip) in flips.iter_mut().enumerate() {
+                if ((av ^ ev) >> k) & 1 == 1 {
+                    *flip += weight;
+                }
+            }
+            let d = av.abs_diff(ev);
+            error_count += 1;
+            error_weight += weight;
+            med_num += weight * u128::from(d);
+            if av > ev {
+                over = over.max(d);
+            } else {
+                under = under.max(d);
+            }
+            if d > wce {
+                (wce, witness) = (d, x);
+            }
+        }
+    }
+    let denom = f64::from(2 * pmf.shift).exp2();
+    ExactMetrics {
+        n_inputs: n,
+        worst_case_error: u128::from(wce),
+        worst_case_witness: witness,
+        max_overshoot: u128::from(over),
+        max_undershoot: u128::from(under),
+        error_count,
+        error_rate: error_weight as f64 / denom,
+        mean_error_distance: med_num as f64 / denom,
+        bit_flip_probability: flips.iter().map(|&c| c as f64 / denom).collect(),
+    }
+}
+
+/// Every field of an [`ExactMetrics`], floats as their bit patterns.
+fn metric_bits(m: &ExactMetrics) -> (Vec<u128>, u64, u64, Vec<u64>) {
+    (
+        vec![
+            m.n_inputs as u128,
+            m.worst_case_error,
+            m.max_overshoot,
+            m.max_undershoot,
+            m.error_count,
+        ],
+        m.worst_case_witness,
+        m.error_rate.to_bits(),
+        std::iter::once(m.mean_error_distance)
+            .chain(m.bit_flip_probability.iter().copied())
+            .map(f64::to_bits)
+            .collect(),
+    )
+}
+
+#[test]
+fn pmf_weighted_metrics_match_the_scalar_oracle() {
+    // Random netlist pairs at operand widths 2..=8 (4..=16 inputs) under
+    // every shipped distribution; each enumerates up to 2^16 assignments
+    // per pair, so fewer cases.
+    let config = Config::from_env();
+    let config = config.with_cases(config.cases.min(24));
+    check_with(
+        "pmf_weighted_metrics_match_the_scalar_oracle",
+        &config,
+        |rng| (rng.gen_range(2..=8usize), rng.gen::<u64>(), rng.gen::<u64>()),
+        |&(w, seed_a, seed_b)| {
+            if !(2..=8).contains(&w) {
+                return Ok(());
+            }
+            let spec = RandomNetlistSpec {
+                min_inputs: 2 * w,
+                max_inputs: 2 * w,
+                ..RandomNetlistSpec::default()
+            };
+            let (approx, exact) = (random_netlist(seed_a, &spec), random_netlist(seed_b, &spec));
+            for dist in InputDistribution::ALL {
+                let engine = exhaustive_metrics_under(&approx, &exact, dist).unwrap();
+                let oracle = pmf_oracle(&approx, &exact, dist);
+                prop_assert_eq!(metric_bits(&engine), metric_bits(&oracle));
+                // A netlist against itself is exact under every weighting.
+                let same = exhaustive_metrics_under(&exact, &exact, dist).unwrap();
+                prop_assert!(same.is_exact() && same.mean_error_distance == 0.0);
+                prop_assert_eq!(same.error_rate, 0.0);
+            }
+            let uniform = exhaustive_metrics_under(&approx, &exact, InputDistribution::Uniform);
+            prop_assert_eq!(
+                metric_bits(&uniform.unwrap()),
+                metric_bits(&exhaustive_metrics(&approx, &exact).unwrap())
+            );
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn pmf_weighted_metrics_match_a_hand_computation() {
+    use xlac::logic::{GateKind, NetlistBuilder};
+    // A 1-bit adder that drops its carry, against the full 2-bit sum:
+    // only (1, 1) errs, by 2, with probability 1/4 under uniform inputs.
+    let mut b = NetlistBuilder::new("sum", 2);
+    let sum = b.gate(GateKind::Xor2, &[b.input(0), b.input(1)]);
+    b.output(sum);
+    let approx = b.finish().unwrap();
+    let mut b = NetlistBuilder::new("sum_carry", 2);
+    let sum = b.gate(GateKind::Xor2, &[b.input(0), b.input(1)]);
+    let carry = b.gate(GateKind::And2, &[b.input(0), b.input(1)]);
+    b.output(sum);
+    b.output(carry);
+    let exact = b.finish().unwrap();
+    let m = exhaustive_metrics_under(&approx, &exact, InputDistribution::Uniform).unwrap();
+    assert_eq!((m.error_rate, m.mean_error_distance), (0.25, 0.5));
+    assert_eq!((m.worst_case_error, m.worst_case_witness, m.error_count), (2, 0b11, 1));
+    assert_eq!((m.max_overshoot, m.max_undershoot), (0, 2));
+    assert_eq!(m.bit_flip_probability, vec![0.0, 0.25]);
+}
+
+#[test]
+fn pmf_weighted_metrics_reject_odd_wide_and_mismatched_pairs() {
+    use xlac::core::XlacError;
+    let with_inputs = |n: usize| {
+        random_netlist(
+            n as u64,
+            &RandomNetlistSpec { min_inputs: n, max_inputs: n, ..RandomNetlistSpec::default() },
+        )
+    };
+    for dist in InputDistribution::ALL {
+        let odd = with_inputs(5);
+        assert!(matches!(
+            exhaustive_metrics_under(&odd, &odd, dist),
+            Err(XlacError::InvalidConfiguration(msg)) if msg.contains("two operands")
+        ));
+        let wide = with_inputs(2 * (MAX_PMF_WIDTH + 1));
+        assert_eq!(
+            exhaustive_metrics_under(&wide, &wide, dist),
+            Err(XlacError::InvalidWidth { width: MAX_PMF_WIDTH + 1, max: MAX_PMF_WIDTH })
+        );
+        assert!(matches!(
+            exhaustive_metrics_under(&with_inputs(4), &with_inputs(6), dist),
+            Err(XlacError::InvalidConfiguration(msg)) if msg.contains("arity")
+        ));
+    }
 }
