@@ -284,7 +284,9 @@ fn main() {
         }
     }
     if let Some(s) = server {
-        s.shutdown();
+        let st = s.shutdown();
+        let replies = st.values_replies + st.error_replies + st.overloaded + st.pongs;
+        eprintln!("self-hosted server: {replies} replies in {} socket writes", st.reply_writes);
     }
     if failed {
         std::process::exit(1);

@@ -4,11 +4,20 @@
 //!
 //! ```text
 //! acceptor ──▶ reader (1/conn) ──▶ shard queues ──▶ workers (1/shard)
-//!                   │ frame decode,      bounded,        decide → batch →
-//!                   │ typed errors,      Overloaded      evaluate → reply
-//!                   ▼ PING inline        when full
-//!               conn writer  ◀────────────────────────────┘
+//!                   │ frame decode,      bounded; one       decide, charge,
+//!                   │ typed errors,      lock + notify      sample (arrival
+//!                   │ PING inline        per shard per      order) → coalesced
+//!                   │                    read; Overloaded   evaluate → replies
+//!                   ▼                    when full          framed per conn
+//!               conn writer  ◀──── one write per connection per batch ──┘
 //! ```
+//!
+//! **Syscalls scale with batches.** A reader enqueues every kernel
+//! request decoded from one `read` with one lock and one notify per
+//! shard, and sends its own replies (pongs, typed errors, `Overloaded`)
+//! in one write. A worker frames a batch's replies into one buffer per
+//! connection and writes each with one `write_all`, so the reply path
+//! costs one write per connection per batch, not one per reply.
 //!
 //! **Sharding.** Requests land on shard `tenant % workers`, so one
 //! worker owns all state of a tenant and processes that tenant's
@@ -98,8 +107,12 @@ pub struct ServerStats {
     pub exact_forced: AtomicU64,
     /// Highest shard-queue depth observed.
     pub queue_depth_hw: AtomicU64,
-    /// Reply writes that failed (peer gone).
+    /// Replies lost to failed socket writes (peer gone), one per reply
+    /// the failed write carried.
     pub write_failures: AtomicU64,
+    /// Socket writes of reply frames: one per connection per worker
+    /// batch, and one per reader wake-up that answered inline.
+    pub reply_writes: AtomicU64,
 }
 
 /// A point-in-time copy of [`ServerStats`].
@@ -117,6 +130,7 @@ pub struct StatsSnapshot {
     pub exact_forced: u64,
     pub queue_depth_hw: u64,
     pub write_failures: u64,
+    pub reply_writes: u64,
 }
 
 impl ServerStats {
@@ -134,37 +148,67 @@ impl ServerStats {
             exact_forced: ld(&self.exact_forced),
             queue_depth_hw: ld(&self.queue_depth_hw),
             write_failures: ld(&self.write_failures),
+            reply_writes: ld(&self.reply_writes),
         }
     }
 }
 
 /// Serialized writer half of one connection. Reader threads (errors,
-/// pongs, overloads) and worker threads (value replies) share it; the
-/// mutex keeps frames whole.
+/// pongs, overloads) and worker threads (value replies) share it; each
+/// [`ReplyBuf::flush`] is one `write_all` under the mutex, so frames stay
+/// whole.
 struct ConnWriter {
     stream: Mutex<TcpStream>,
 }
 
-impl ConnWriter {
-    fn send(&self, stats: &ServerStats, reply: &Reply) {
-        let payload = encode_reply(reply);
-        let frame = wire::frame(&payload)
+/// Bytes of capacity a reply buffer keeps between flushes, so one burst
+/// of large replies does not pin its peak size for the thread's life.
+const REPLY_BUF_RETAIN: usize = 64 * 1024;
+
+/// Framed replies bound for one connection, sent with one socket write.
+#[derive(Default)]
+struct ReplyBuf {
+    bytes: Vec<u8>,
+    /// Replies held, by kind: values, error, overloaded, pong.
+    held: [u64; 4],
+}
+
+impl ReplyBuf {
+    fn push(&mut self, reply: &Reply) {
+        wire::frame_into(&mut self.bytes, &encode_reply(reply))
             .expect("reply frames are bounded well inside the frame cap");
-        let ok = {
-            let mut s = self.stream.lock().expect("writer lock");
-            s.write_all(&frame).is_ok()
+        let kind = match reply {
+            Reply::Values { .. } => 0,
+            Reply::Error { .. } => 1,
+            Reply::Overloaded { .. } => 2,
+            Reply::Pong { .. } => 3,
         };
-        if ok {
-            obs_count!("server.replies", 1);
-            match reply {
-                Reply::Values { .. } => stats.values_replies.fetch_add(1, Ordering::Relaxed),
-                Reply::Error { .. } => stats.error_replies.fetch_add(1, Ordering::Relaxed),
-                Reply::Overloaded { .. } => stats.overloaded.fetch_add(1, Ordering::Relaxed),
-                Reply::Pong { .. } => stats.pongs.fetch_add(1, Ordering::Relaxed),
-            };
-        } else {
-            stats.write_failures.fetch_add(1, Ordering::Relaxed);
+        self.held[kind] += 1;
+    }
+
+    /// Writes every held frame with one `write_all` and empties the
+    /// buffer. A failed write loses every reply it carried.
+    fn flush(&mut self, writer: &ConnWriter, stats: &ServerStats) {
+        let n: u64 = self.held.iter().sum();
+        if n == 0 {
+            return;
         }
+        let ok = writer.stream.lock().expect("writer lock").write_all(&self.bytes).is_ok();
+        stats.reply_writes.fetch_add(1, Ordering::Relaxed);
+        obs_count!("server.reply_writes", 1);
+        if ok {
+            obs_count!("server.replies", n);
+            let counters =
+                [&stats.values_replies, &stats.error_replies, &stats.overloaded, &stats.pongs];
+            for (counter, &k) in counters.into_iter().zip(&self.held) {
+                counter.fetch_add(k, Ordering::Relaxed);
+            }
+        } else {
+            stats.write_failures.fetch_add(n, Ordering::Relaxed);
+        }
+        self.bytes.clear();
+        self.bytes.shrink_to(REPLY_BUF_RETAIN);
+        self.held = [0; 4];
     }
 }
 
@@ -325,6 +369,10 @@ fn reader_loop(shared: &Arc<Shared>, stream: TcpStream) {
     });
     let mut reader = stream;
     let mut decoder = FrameDecoder::new(shared.config.max_frame);
+    let mut inbox = Inbox {
+        runs: (0..shared.shards.len()).map(|_| Vec::new()).collect(),
+        replies: ReplyBuf::default(),
+    };
     let mut buf = vec![0u8; 16 * 1024];
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
@@ -334,7 +382,7 @@ fn reader_loop(shared: &Arc<Shared>, stream: TcpStream) {
             Ok(0) => return,
             Ok(n) => {
                 decoder.feed(&buf[..n]);
-                if drain_frames(shared, &writer, &mut decoder).is_err() {
+                if inbox.drain_frames(shared, &writer, &mut decoder).is_err() {
                     return;
                 }
             }
@@ -349,86 +397,122 @@ fn reader_loop(shared: &Arc<Shared>, stream: TcpStream) {
     }
 }
 
-/// Decodes and dispatches every complete frame buffered in `decoder`.
-/// `Err(())` means the stream is poisoned (frame-level failure) and the
-/// connection must close; payload-level errors are answered and survive.
-fn drain_frames(
-    shared: &Arc<Shared>,
-    writer: &Arc<ConnWriter>,
-    decoder: &mut FrameDecoder,
-) -> Result<(), ()> {
-    loop {
-        match decoder.next_frame() {
-            Ok(Some(frame)) => handle_frame(shared, writer, &frame),
-            Ok(None) => return Ok(()),
-            Err(e) => {
-                let code = match e {
-                    WireError::Oversized { .. } => ErrorCode::FrameOversized,
-                    _ => ErrorCode::FrameEmpty,
-                };
-                writer.send(
-                    &shared.stats,
-                    &Reply::Error { req_id: 0, code, msg: e.to_string() },
-                );
-                return Err(());
-            }
-        }
-    }
+/// A reader's state for one read: the kernel requests it decoded, held
+/// per shard with their decode position until they are enqueued
+/// together, and the replies the reader gives itself.
+struct Inbox {
+    runs: Vec<Vec<(usize, Request)>>,
+    replies: ReplyBuf,
 }
 
-fn handle_frame(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, frame: &[u8]) {
-    let _span = obs_span!("server.dispatch");
-    match decode_request(frame) {
-        Err(pe) => {
-            writer.send(
-                &shared.stats,
-                &Reply::Error { req_id: pe.req_id.unwrap_or(0), code: pe.code, msg: pe.msg },
-            );
-        }
-        Ok(req) => match req.body {
-            RequestBody::Ping => {
-                writer.send(&shared.stats, &Reply::Pong { req_id: req.req_id });
-            }
-            _ => {
-                let shard = &shared.shards[req.tenant as usize % shared.shards.len()];
-                let req_id = req.req_id;
-                let mut q = shard.queue.lock().expect("shard queue lock");
-                if q.len() >= shared.config.queue_cap {
-                    // Reply outside the lock; the request is dropped, the
-                    // client retries. Bounded queues are the memory bound.
-                    drop(q);
-                    obs_count!("server.overloaded", 1);
-                    writer.send(
-                        &shared.stats,
-                        &Reply::Overloaded {
-                            req_id,
-                            queue_depth: shared.config.queue_cap as u32,
-                        },
-                    );
-                } else {
-                    q.push_back(Job { writer: Arc::clone(writer), req });
-                    let depth = q.len() as u64;
-                    drop(q);
-                    shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-                    shared.stats.queue_depth_hw.fetch_max(depth, Ordering::Relaxed);
-                    obs_count!("server.enqueued", 1);
-                    shard.cond.notify_one();
+impl Inbox {
+    /// Decodes every complete frame buffered in `decoder`, enqueues the
+    /// kernel requests under one lock and one notify per shard, and sends
+    /// the reader's own replies in one write. `Err(())` means the stream
+    /// is poisoned (frame-level failure) and the connection must close;
+    /// payload-level errors are answered and survive.
+    fn drain_frames(
+        &mut self,
+        shared: &Shared,
+        writer: &Arc<ConnWriter>,
+        decoder: &mut FrameDecoder,
+    ) -> Result<(), ()> {
+        let mut result = Ok(());
+        let mut seq = 0;
+        loop {
+            let frame = match decoder.next_frame() {
+                Ok(Some(frame)) => frame,
+                Ok(None) => break,
+                Err(e) => {
+                    let code = match e {
+                        WireError::Oversized { .. } => ErrorCode::FrameOversized,
+                        _ => ErrorCode::FrameEmpty,
+                    };
+                    self.enqueue(shared, writer);
+                    self.replies.push(&Reply::Error { req_id: 0, code, msg: e.to_string() });
+                    result = Err(());
+                    break;
+                }
+            };
+            let _span = obs_span!("server.dispatch");
+            // Pings and bad payloads are answered by the reader, after the
+            // requests decoded before them are enqueued, so the reader's
+            // replies keep request order.
+            match decode_request(&frame) {
+                Ok(Request { req_id, body: RequestBody::Ping, .. }) => {
+                    self.enqueue(shared, writer);
+                    self.replies.push(&Reply::Pong { req_id });
+                }
+                Ok(req) => {
+                    let shard = req.tenant as usize % self.runs.len();
+                    self.runs[shard].push((seq, req));
+                    seq += 1;
+                }
+                Err(pe) => {
+                    self.enqueue(shared, writer);
+                    self.replies.push(&Reply::Error {
+                        req_id: pe.req_id.unwrap_or(0),
+                        code: pe.code,
+                        msg: pe.msg,
+                    });
                 }
             }
-        },
+        }
+        self.enqueue(shared, writer);
+        self.replies.flush(writer, &shared.stats);
+        result
+    }
+
+    /// Moves each shard's held run into its queue under one lock, with
+    /// one notify. Requests past `queue_cap` get `Overloaded`, in decode
+    /// order: they are dropped and the client retries, so bounded queues
+    /// stay the memory bound.
+    fn enqueue(&mut self, shared: &Shared, writer: &Arc<ConnWriter>) {
+        let mut refused = Vec::new();
+        for (shard, run) in shared.shards.iter().zip(&mut self.runs) {
+            if run.is_empty() {
+                continue;
+            }
+            let mut q = shard.queue.lock().expect("shard queue lock");
+            let take = run.len().min(shared.config.queue_cap.saturating_sub(q.len()));
+            q.extend(run.drain(..take).map(|(_, req)| Job { writer: Arc::clone(writer), req }));
+            let depth = q.len() as u64;
+            drop(q);
+            if take > 0 {
+                shard.cond.notify_one();
+                shared.stats.requests.fetch_add(take as u64, Ordering::Relaxed);
+                shared.stats.queue_depth_hw.fetch_max(depth, Ordering::Relaxed);
+                obs_count!("server.enqueued", take as u64);
+            }
+            refused.extend(run.drain(..).map(|(seq, req)| (seq, req.req_id)));
+        }
+        if refused.is_empty() {
+            return;
+        }
+        obs_count!("server.overloaded", refused.len() as u64);
+        refused.sort_unstable();
+        for (_, req_id) in refused {
+            self.replies
+                .push(&Reply::Overloaded { req_id, queue_depth: shared.config.queue_cap as u32 });
+        }
     }
 }
 
 fn worker_loop(shared: &Arc<Shared>, idx: usize) {
     let mut tenants = ShardTenants::new(shared.config.policy);
     let shard = &shared.shards[idx];
+    let (mut batch, mut writers, mut outbox) = (Vec::new(), Vec::new(), Outbox::default());
     loop {
-        let batch: Vec<Job> = {
+        {
             let mut q = shard.queue.lock().expect("shard queue lock");
             loop {
                 if !q.is_empty() {
                     let take = q.len().min(shared.config.max_batch);
-                    break q.drain(..take).collect();
+                    for job in q.drain(..take) {
+                        writers.push(job.writer);
+                        batch.push(job.req);
+                    }
+                    break;
                 }
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;
@@ -439,139 +523,188 @@ fn worker_loop(shared: &Arc<Shared>, idx: usize) {
                     .expect("shard queue lock");
                 q = guard;
             }
-        };
-        process_batch(shared, &mut tenants, batch);
+        }
+        let replies = serve_batch(&shared.ladders, &mut tenants, &shared.stats, &batch);
+        outbox.send(&mut writers, &replies, &shared.stats);
+        batch.clear();
     }
 }
 
-struct Plan {
-    kernel: Kernel,
-    config: usize,
-    sample: bool,
+/// A worker's reply buffers, one per connection of the current batch,
+/// kept across batches so their capacity is reused.
+#[derive(Default)]
+struct Outbox {
+    conns: Vec<Arc<ConnWriter>>,
+    bufs: Vec<ReplyBuf>,
 }
 
-fn process_batch(shared: &Arc<Shared>, tenants: &mut ShardTenants, batch: Vec<Job>) {
+impl Outbox {
+    /// Sends `replies[i]` to `writers[i]`, draining `writers`: each
+    /// connection gets its replies in batch order, in one write.
+    fn send(&mut self, writers: &mut Vec<Arc<ConnWriter>>, replies: &[Reply], stats: &ServerStats) {
+        for (writer, reply) in writers.drain(..).zip(replies) {
+            let slot = match self.conns.iter().position(|c| Arc::ptr_eq(c, &writer)) {
+                Some(slot) => slot,
+                None => {
+                    self.conns.push(writer);
+                    if self.bufs.len() < self.conns.len() {
+                        self.bufs.push(ReplyBuf::default());
+                    }
+                    self.conns.len() - 1
+                }
+            };
+            self.bufs[slot].push(reply);
+        }
+        for (conn, buf) in self.conns.drain(..).zip(&mut self.bufs) {
+            buf.flush(&conn, stats);
+        }
+    }
+}
+
+/// Serves one shard's batch of kernel requests and returns their replies
+/// in arrival order.
+///
+/// Each request is decided, charged against its tenant's budget and,
+/// when sampled, fed back to the monitor before the next request is
+/// decided, so a tenant's configs depend on its own request order alone,
+/// never on where batch boundaries fall. Evaluation is then coalesced
+/// per `(kernel, config)` group.
+pub(crate) fn serve_batch(
+    ladders: &Ladders,
+    tenants: &mut ShardTenants,
+    stats: &ServerStats,
+    batch: &[Request],
+) -> Vec<Reply> {
     let _span = obs_span!("server.batch");
-    shared.stats.batches.fetch_add(1, Ordering::Relaxed);
+    stats.batches.fetch_add(1, Ordering::Relaxed);
     obs_count!("server.batched_requests", batch.len() as u64);
 
-    // Phase 1 — per-request control decisions, strictly in arrival order
-    // (the determinism contract of `crate::tenant`).
-    let plans: Vec<Plan> = batch
-        .iter()
-        .map(|job| {
-            let kernel = job.req.body.kernel().expect("pings never reach the queue");
-            let base = shared.ladders.select(kernel, job.req.max_med);
-            let state = tenants.state(job.req.tenant, kernel, job.req.max_med);
-            let d = state.decide(base, job.req.max_med, job.req.body.items());
-            if d.exact_forced {
-                shared.stats.exact_forced.fetch_add(1, Ordering::Relaxed);
-            }
-            Plan { kernel, config: d.config, sample: d.sample }
-        })
-        .collect();
+    // Control, strictly in arrival order (the determinism contract of
+    // `crate::tenant`). A sampled request's first item is evaluated on
+    // its own, so its feedback lands before the tenant's next decide.
+    let mut plans = Vec::with_capacity(batch.len());
+    for req in batch {
+        let kernel = req.body.kernel().expect("pings never reach the queue");
+        let items = req.body.items();
+        let base = ladders.select(kernel, req.max_med);
+        let state = tenants.state(req.tenant, kernel, req.max_med);
+        let d = state.decide(base, req.max_med, items);
+        if d.exact_forced {
+            stats.exact_forced.fetch_add(1, Ordering::Relaxed);
+        }
+        state.charge(items, ladders.med_bound(kernel, d.config));
+        let mut sampled = None;
+        if d.sample && items > 0 {
+            let one = first_item(&req.body);
+            let vals = evaluate(ladders, kernel, d.config, &[&one]).remove(0);
+            let (approx, exact) = first_item_pair(&one, &vals);
+            state.record_sample(approx, exact);
+            stats.samples.fetch_add(1, Ordering::Relaxed);
+            obs_count!("server.samples", 1);
+            sampled = Some(approx);
+        }
+        plans.push((kernel, d.config, sampled));
+    }
 
-    // Phase 2 — coalesced evaluation per (kernel, config) group.
+    // Coalesced evaluation per (kernel, config) group.
     let mut values: Vec<Option<Values>> = (0..batch.len()).map(|_| None).collect();
     let mut groups: HashMap<(Kernel, usize), Vec<usize>> = HashMap::new();
-    for (i, plan) in plans.iter().enumerate() {
-        groups.entry((plan.kernel, plan.config)).or_default().push(i);
+    for (i, &(kernel, config, _)) in plans.iter().enumerate() {
+        groups.entry((kernel, config)).or_default().push(i);
     }
     for ((kernel, config), indices) in groups {
-        evaluate_group(shared, kernel, config, &indices, &batch, &mut values);
+        let bodies: Vec<&RequestBody> = indices.iter().map(|&i| &batch[i].body).collect();
+        for (i, vals) in indices.into_iter().zip(evaluate(ladders, kernel, config, &bodies)) {
+            values[i] = Some(vals);
+        }
     }
 
-    // Phase 3 — sampling feedback, budget charge and replies, again in
-    // arrival order.
-    for ((job, plan), vals) in batch.iter().zip(&plans).zip(values) {
-        let vals = vals.expect("every request was evaluated");
-        let items = job.req.body.items();
-        let state = tenants.state(job.req.tenant, plan.kernel, job.req.max_med);
-        if plan.sample && items > 0 {
-            let (approx0, exact0) = first_item_pair(&job.req.body, &vals);
-            state.record_sample(approx0, exact0);
-            shared.stats.samples.fetch_add(1, Ordering::Relaxed);
-            obs_count!("server.samples", 1);
-        }
-        state.charge(items, shared.ladders.med_bound(plan.kernel, plan.config));
-        job.writer.send(
-            &shared.stats,
-            &Reply::Values { req_id: job.req.req_id, config: plan.config as u32, values: vals },
-        );
-    }
+    batch
+        .iter()
+        .zip(plans)
+        .zip(values)
+        .map(|((req, (_, config, sampled)), vals)| {
+            let values = vals.expect("every request was evaluated");
+            debug_assert!(
+                sampled.is_none_or(|approx| approx == first_item_pair(&req.body, &values).0),
+                "batch evaluation is composition-invariant"
+            );
+            Reply::Values { req_id: req.req_id, config: config as u32, values }
+        })
+        .collect()
 }
 
-fn evaluate_group(
-    shared: &Arc<Shared>,
+/// Evaluates request bodies of one kernel at one config in one coalesced
+/// pass and returns their values in `bodies` order.
+fn evaluate(
+    ladders: &Ladders,
     kernel: Kernel,
     config: usize,
-    indices: &[usize],
-    batch: &[Job],
-    values: &mut [Option<Values>],
-) {
+    bodies: &[&RequestBody],
+) -> Vec<Values> {
     match kernel {
         Kernel::Mul => {
-            let entry = &shared.ladders.mul[config];
-            let mut all: Vec<(u8, u8)> = Vec::new();
-            let mut counts = Vec::with_capacity(indices.len());
-            for &i in indices {
-                let RequestBody::Mul(pairs) = &batch[i].req.body else { unreachable!() };
+            let mut all = Vec::new();
+            for body in bodies {
+                let RequestBody::Mul(pairs) = body else { unreachable!() };
                 all.extend_from_slice(pairs);
-                counts.push(pairs.len());
             }
-            let mut results = engine::eval_mul(entry, &all).into_iter();
-            for (&i, n) in indices.iter().zip(counts) {
-                values[i] = Some(Values::Mul(results.by_ref().take(n).collect()));
-            }
+            let mut results = engine::eval_mul(&ladders.mul[config], &all).into_iter();
+            bodies.iter().map(|b| Values::Mul(results.by_ref().take(b.items()).collect())).collect()
         }
         Kernel::Sad => {
-            let entry = &shared.ladders.sad[config];
             let mut all = Vec::new();
-            let mut counts = Vec::with_capacity(indices.len());
-            for &i in indices {
-                let RequestBody::Sad(blocks) = &batch[i].req.body else { unreachable!() };
+            for body in bodies {
+                let RequestBody::Sad(blocks) = body else { unreachable!() };
                 all.extend_from_slice(blocks);
-                counts.push(blocks.len());
             }
-            let mut results = engine::eval_sad(entry, &all).into_iter();
-            for (&i, n) in indices.iter().zip(counts) {
-                values[i] = Some(Values::Sad(results.by_ref().take(n).collect()));
-            }
+            let mut results = engine::eval_sad(&ladders.sad[config], &all).into_iter();
+            bodies.iter().map(|b| Values::Sad(results.by_ref().take(b.items()).collect())).collect()
         }
         Kernel::Fir => {
-            let entry = &shared.ladders.fir[config];
             // Streams only share lanes when they share a length.
+            let mut out: Vec<Option<Values>> = (0..bodies.len()).map(|_| None).collect();
             let mut by_len: HashMap<usize, Vec<usize>> = HashMap::new();
-            for &i in indices {
-                by_len.entry(batch[i].req.body.items()).or_default().push(i);
+            for (i, body) in bodies.iter().enumerate() {
+                by_len.entry(body.items()).or_default().push(i);
             }
-            for (_, idxs) in by_len {
+            for idxs in by_len.into_values() {
                 let streams: Vec<&[u8]> = idxs
                     .iter()
                     .map(|&i| {
-                        let RequestBody::Fir(s) = &batch[i].req.body else { unreachable!() };
+                        let RequestBody::Fir(s) = bodies[i] else { unreachable!() };
                         s.as_slice()
                     })
                     .collect();
-                for (&i, out) in idxs.iter().zip(engine::eval_fir(entry, &streams)) {
-                    values[i] = Some(Values::Fir(out));
+                let filtered = engine::eval_fir(&ladders.fir[config], &streams);
+                for (i, o) in idxs.into_iter().zip(filtered) {
+                    out[i] = Some(Values::Fir(o));
                 }
             }
+            out.into_iter().map(|v| v.expect("every stream was filtered")).collect()
         }
         Kernel::Dct => {
-            let entry = &shared.ladders.dct[config];
             let mut all = Vec::new();
-            let mut counts = Vec::with_capacity(indices.len());
-            for &i in indices {
-                let RequestBody::Dct(blocks) = &batch[i].req.body else { unreachable!() };
+            for body in bodies {
+                let RequestBody::Dct(blocks) = body else { unreachable!() };
                 all.extend_from_slice(blocks);
-                counts.push(blocks.len());
             }
-            let mut results = engine::eval_dct(entry, &all).into_iter();
-            for (&i, n) in indices.iter().zip(counts) {
-                values[i] = Some(Values::Dct(results.by_ref().take(n).collect()));
-            }
+            let mut results = engine::eval_dct(&ladders.dct[config], &all).into_iter();
+            bodies.iter().map(|b| Values::Dct(results.by_ref().take(b.items()).collect())).collect()
         }
+    }
+}
+
+/// A body holding only the item the sampling monitor compares: the
+/// first one. A FIR output reads its neighbouring samples, so a FIR body
+/// keeps its whole stream.
+fn first_item(body: &RequestBody) -> RequestBody {
+    match body {
+        RequestBody::Mul(pairs) => RequestBody::Mul(pairs[..1].to_vec()),
+        RequestBody::Sad(blocks) => RequestBody::Sad(blocks[..1].to_vec()),
+        RequestBody::Fir(samples) => RequestBody::Fir(samples.clone()),
+        RequestBody::Dct(blocks) => RequestBody::Dct(blocks[..1].to_vec()),
+        RequestBody::Ping => unreachable!("pings never reach the queue"),
     }
 }
 
@@ -604,3 +737,117 @@ fn first_item_pair(body: &RequestBody, vals: &Values) -> (i64, i64) {
     }
 }
 
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::Shutdown;
+
+    use crate::proto::decode_reply;
+
+    fn mul(req_id: u64, tenant: u32, max_med: f64, pairs: &[(u8, u8)]) -> Request {
+        Request { req_id, tenant, max_med, body: RequestBody::Mul(pairs.to_vec()) }
+    }
+
+    /// A server-side writer and the client end of one loopback connection.
+    fn loopback() -> (Arc<ConnWriter>, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server_end, _) = listener.accept().unwrap();
+        (Arc::new(ConnWriter { stream: Mutex::new(server_end) }), client)
+    }
+
+    fn read_replies(stream: &mut TcpStream, n: usize) -> Vec<Reply> {
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let (mut decoder, mut buf, mut out) = (FrameDecoder::new(0), [0u8; 4096], Vec::new());
+        while out.len() < n {
+            match decoder.next_frame().unwrap() {
+                Some(frame) => out.push(decode_reply(&frame).unwrap()),
+                None => {
+                    let got = stream.read(&mut buf).unwrap();
+                    assert!(got > 0, "connection closed after {} replies", out.len());
+                    decoder.feed(&buf[..got]);
+                }
+            }
+        }
+        out
+    }
+
+    /// The same per-tenant request sequence served as one batch and as
+    /// single-request batches draws the same `(req_id, config, values)`
+    /// trail: a request's budget charge and sample land before its
+    /// tenant's next decision, wherever the batch boundaries fall.
+    #[test]
+    fn tenant_decisions_do_not_depend_on_batch_boundaries() {
+        let ladders = Ladders::build();
+        let policy = TenantPolicy {
+            budget_med_per_window: 4.0,
+            window_items: 8,
+            sample_every: 2,
+            monitor_window: 4,
+            cec_capacity: 1e9,
+        };
+        let requests: Vec<Request> = (0..48u64)
+            .map(|i| {
+                let a = (i * 37 + 11) as u8;
+                mul(i, (i % 3) as u32, 4.0, &[(a, 200 - a / 2), (255, a)])
+            })
+            .collect();
+        let stats = ServerStats::default();
+        let one_batch = serve_batch(&ladders, &mut ShardTenants::new(policy), &stats, &requests);
+        let mut tenants = ShardTenants::new(policy);
+        let singles: Vec<Reply> = requests
+            .iter()
+            .flat_map(|r| serve_batch(&ladders, &mut tenants, &stats, std::slice::from_ref(r)))
+            .collect();
+        assert_eq!(one_batch, singles);
+        let configs: Vec<u32> = singles
+            .iter()
+            .map(|r| match r {
+                Reply::Values { config, .. } => *config,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert!(configs.contains(&0), "the budget never forced exact: {configs:?}");
+        assert!(configs.iter().any(|&c| c > 0), "nothing was approximate: {configs:?}");
+    }
+
+    /// One 5-request batch across 2 connections makes exactly 2 socket
+    /// writes, and each connection decodes its own replies in arrival
+    /// order.
+    #[test]
+    fn one_batch_writes_once_per_connection() {
+        let ladders = Ladders::build();
+        let ((a, mut client_a), (b, mut client_b)) = (loopback(), loopback());
+        let batch: Vec<Request> =
+            (0..5u64).map(|i| mul(i, i as u32, 0.0, &[(i as u8 + 3, 7)])).collect();
+        let mut writers = [&a, &b, &a, &a, &b].map(Arc::clone).to_vec();
+        let stats = ServerStats::default();
+        let replies =
+            serve_batch(&ladders, &mut ShardTenants::new(TenantPolicy::default()), &stats, &batch);
+        Outbox::default().send(&mut writers, &replies, &stats);
+        let snap = stats.snapshot();
+        assert_eq!((snap.reply_writes, snap.values_replies, snap.write_failures), (2, 5, 0));
+        let pick = |idx: &[usize]| idx.iter().map(|&i| replies[i].clone()).collect::<Vec<_>>();
+        assert_eq!(read_replies(&mut client_a, 3), pick(&[0, 2, 3]));
+        assert_eq!(read_replies(&mut client_b, 2), pick(&[1, 4]));
+        assert!(matches!(
+            &replies[4],
+            Reply::Values { req_id: 4, config: 0, values: Values::Mul(v) } if v == &[49]
+        ));
+    }
+
+    /// A failed write loses every reply it carried, each counted once.
+    #[test]
+    fn a_failed_write_counts_every_reply_it_carried() {
+        let (writer, _client) = loopback();
+        writer.stream.lock().unwrap().shutdown(Shutdown::Write).unwrap();
+        let (stats, mut buf) = (ServerStats::default(), ReplyBuf::default());
+        for req_id in 0..3 {
+            buf.push(&Reply::Pong { req_id });
+        }
+        buf.flush(&writer, &stats);
+        let snap = stats.snapshot();
+        assert_eq!((snap.reply_writes, snap.write_failures, snap.pongs), (1, 3, 0));
+        assert!(buf.bytes.is_empty());
+    }
+}

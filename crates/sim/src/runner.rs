@@ -7,9 +7,9 @@
 //! function of `(seed, chunk size)` and never depends on which thread
 //! happens to pick the chunk up. Workers pull chunk indices from an
 //! atomic counter, store each chunk's result in its own slot, and the
-//! caller folds the slots **in chunk-index order**. Floating-point
-//! accumulation order is therefore fixed, making every sweep
-//! bitwise-identical for any worker count (the property
+//! slots are folded **in chunk-index order** as soon as they are ready.
+//! Floating-point accumulation order is therefore fixed, making every
+//! sweep bitwise-identical for any worker count (the property
 //! `tests/determinism.rs` locks in).
 //!
 //! [`Xoshiro256StarStar::split`]: xlac_core::rng::Xoshiro256StarStar::split
@@ -68,17 +68,29 @@ pub fn default_threads() -> usize {
 
 /// Runs `eval` over `trials` trials split into chunks of `chunk` trials
 /// (`0` → [`auto_chunk_size`]), on `threads` worker threads
-/// (`0` → [`default_threads`]), and returns the per-chunk results **in
-/// chunk-index order**.
+/// (`0` → [`default_threads`]), and folds the per-chunk results into
+/// `init` with `fold` **in chunk-index order**.
 ///
 /// `eval(chunk_index, chunk_trials, rng)` evaluates one chunk with its
-/// own pre-split RNG stream. The result is independent of the thread
-/// count by construction; callers must preserve that property by merging
-/// the returned vector front to back.
-pub fn run_chunks<T, F>(trials: u64, seed: u64, threads: usize, chunk: u64, eval: F) -> Vec<T>
+/// own pre-split RNG stream. The fold order is fixed, so the result is
+/// independent of the thread count. After storing a result, a worker
+/// folds every ready result in order if no other worker is folding (it
+/// never waits for the fold), so only the results that finished ahead
+/// of the fold's position stay alive; the caller folds what is left.
+pub fn run_chunks<T, A, F, M>(
+    trials: u64,
+    seed: u64,
+    threads: usize,
+    chunk: u64,
+    eval: F,
+    init: A,
+    fold: M,
+) -> A
 where
     T: Send,
+    A: Send,
     F: Fn(usize, u64, DefaultRng) -> T + Sync,
+    M: Fn(&mut A, T) + Sync,
 {
     let _span = obs_span!("sim.run_chunks");
     let chunk = if chunk == 0 { auto_chunk_size(trials) } else { chunk };
@@ -90,6 +102,17 @@ where
     let mut parent = DefaultRng::seed_from_u64(seed);
     let rngs: Vec<DefaultRng> = (0..n_chunks).map(|_| parent.split()).collect();
     let slots: Vec<Mutex<Option<T>>> = (0..n_chunks).map(|_| Mutex::new(None)).collect();
+    // The folded value and the index of the next chunk it takes.
+    let folded = Mutex::new((init, 0usize));
+    let fold_ready = |state: &mut (A, usize)| {
+        while let Some(result) = slots
+            .get(state.1)
+            .and_then(|slot| slot.lock().expect("no panics hold the slot lock").take())
+        {
+            fold(&mut state.0, result);
+            state.1 += 1;
+        }
+    };
     let next = AtomicUsize::new(0);
     let workers = if threads == 0 { default_threads() } else { threads }.min(n_chunks.max(1));
     std::thread::scope(|scope| {
@@ -106,15 +129,16 @@ where
                     eval(i, n, rngs[i].clone())
                 };
                 *slots[i].lock().expect("no panics hold the slot lock") = Some(result);
+                if let Ok(mut state) = folded.try_lock() {
+                    fold_ready(&mut state);
+                }
             });
         }
     });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner().expect("no panics hold the slot lock").expect("chunk evaluated")
-        })
-        .collect()
+    let mut state = folded.into_inner().expect("no panics hold the fold lock");
+    fold_ready(&mut state);
+    assert_eq!(state.1, n_chunks, "every chunk was evaluated and folded");
+    state.0
 }
 
 #[cfg(test)]
@@ -123,7 +147,7 @@ mod tests {
 
     #[test]
     fn chunk_results_are_ordered_and_cover_all_trials() {
-        let results = run_chunks(10_000, 7, 4, 1024, |i, n, _| (i, n));
+        let results = run_chunks(10_000, 7, 4, 1024, |i, n, _| (i, n), Vec::new(), Vec::push);
         assert_eq!(results.len(), 10);
         let total: u64 = results.iter().map(|&(_, n)| n).sum();
         assert_eq!(total, 10_000);
@@ -137,9 +161,15 @@ mod tests {
     fn results_are_identical_for_any_thread_count() {
         use xlac_core::rng::Rng;
         let sweep = |threads| {
-            run_chunks(5_000, 0xD37, threads, 512, |_, n, mut rng| {
-                (0..n).map(|_| rng.next_u64()).fold(0u64, u64::wrapping_add)
-            })
+            run_chunks(
+                5_000,
+                0xD37,
+                threads,
+                512,
+                |_, n, mut rng| (0..n).map(|_| rng.next_u64()).fold(0u64, u64::wrapping_add),
+                Vec::new(),
+                Vec::push,
+            )
         };
         let one = sweep(1);
         assert_eq!(one, sweep(2));
@@ -149,7 +179,7 @@ mod tests {
 
     #[test]
     fn zero_trials_yield_no_chunks() {
-        let results = run_chunks(0, 1, 4, 64, |_, _, _| 0u64);
+        let results = run_chunks(0, 1, 4, 64, |_, _, _| 0u64, Vec::new(), Vec::push);
         assert!(results.is_empty());
     }
 
@@ -173,9 +203,15 @@ mod tests {
     fn auto_chunk_sweeps_are_thread_count_invariant() {
         use xlac_core::rng::Rng;
         let sweep = |threads| {
-            run_chunks(10_000, 0xAC4, threads, 0, |_, n, mut rng| {
-                (0..n).map(|_| rng.next_u64()).fold(0u64, u64::wrapping_add)
-            })
+            run_chunks(
+                10_000,
+                0xAC4,
+                threads,
+                0,
+                |_, n, mut rng| (0..n).map(|_| rng.next_u64()).fold(0u64, u64::wrapping_add),
+                Vec::new(),
+                Vec::push,
+            )
         };
         let one = sweep(1);
         assert_eq!(one, sweep(2));

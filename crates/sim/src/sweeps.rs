@@ -110,8 +110,8 @@ impl SweepOptions {
 /// others fill one `exact` and one `approx` array per batch, where
 /// `lane(output, j, exact)` gives `approx` and the side sums, and each
 /// batch goes into the error accumulator in one
-/// [`ErrorAccumulator::push_lanes`] call. Chunks merge in chunk order,
-/// whatever the thread count.
+/// [`ErrorAccumulator::push_lanes`] call. Chunks merge in chunk order as
+/// they finish, whatever the thread count.
 fn drive<Op, Out, E: FnMut(&[Op], &mut Vec<Out>)>(
     opts: &SweepOptions,
     pass: usize,
@@ -120,7 +120,7 @@ fn drive<Op, Out, E: FnMut(&[Op], &mut Vec<Out>)>(
     exact: impl Fn(&Op, usize) -> u64 + Sync,
     lane: impl Fn(&Out, usize, u64) -> (u64, Side) + Sync,
 ) -> (ErrorStats, Side) {
-    let chunks = run_chunks(opts.trials, opts.seed, opts.threads, opts.chunk, |_, n, mut rng| {
+    let eval_chunk = |_, n: u64, mut rng: DefaultRng| {
         let (mut eval, mut acc, mut side) = (evaluator(), ErrorAccumulator::new(), [0; 2]);
         let (mut ops, mut outs) = (Vec::with_capacity(pass), Vec::with_capacity(pass));
         let mut remaining = n;
@@ -145,12 +145,19 @@ fn drive<Op, Out, E: FnMut(&[Op], &mut Vec<Out>)>(
         }
         obs_count!("sim.sweep.lanes", n.div_ceil(LANES as u64) * LANES as u64);
         (acc, side)
-    });
-    let (mut total, mut side) = (ErrorAccumulator::new(), [0; 2]);
-    for (acc, s) in &chunks {
-        total.merge(acc);
-        side = add(side, *s);
-    }
+    };
+    let (total, side) = run_chunks(
+        opts.trials,
+        opts.seed,
+        opts.threads,
+        opts.chunk,
+        eval_chunk,
+        (ErrorAccumulator::new(), [0; 2]),
+        |(total, side): &mut (ErrorAccumulator, Side), (acc, s): (ErrorAccumulator, Side)| {
+            total.merge(&acc);
+            *side = add(*side, s);
+        },
+    );
     let stats = total.finish();
     // Published on the caller thread after the deterministic merge.
     obs_count!("sim.sweep.errors", stats.error_count);

@@ -247,3 +247,78 @@ fn seeded_fuzz_never_corrupts_concurrent_streams() {
     let stats = server.shutdown();
     assert!(stats.values_replies >= 400, "honest replies went missing: {stats:?}");
 }
+
+/// One client write of 64 kernel frames, with a ping and a malformed
+/// payload in the middle, against 4-deep shard queues: the reader
+/// enqueues each shard's run under one lock, so most of the run is
+/// refused. Every request is still answered exactly once, with values or
+/// `Overloaded`; the pong and the typed error arrive; the connection
+/// stays open; and each tenant's value replies keep send order.
+#[test]
+fn batched_enqueue_answers_every_frame_of_one_write() {
+    let server =
+        Server::spawn(ServerConfig { workers: 2, queue_cap: 4, ..ServerConfig::default() })
+            .unwrap();
+    let frame =
+        |req: &Request| xlac_core::wire::frame(&xlac_server::proto::encode_request(req)).unwrap();
+    let mut bytes = Vec::new();
+    for i in 0..64u64 {
+        if i == 20 {
+            bytes.extend(frame(&Request {
+                req_id: 1000,
+                tenant: 0,
+                max_med: 0.0,
+                body: RequestBody::Ping,
+            }));
+        }
+        if i == 40 {
+            bytes.extend(fixture("bad_opcode.bin"));
+        }
+        bytes.extend(frame(&Request {
+            req_id: 100 + i,
+            tenant: (i % 3) as u32,
+            max_med: 0.0,
+            body: RequestBody::Mul(vec![(i as u8, 3)]),
+        }));
+    }
+    let mut c = connect(&server);
+    c.send_raw(&bytes).unwrap();
+
+    let mut answered = std::collections::BTreeMap::new();
+    let mut values_by_tenant: [Vec<u64>; 3] = Default::default();
+    let (mut pong, mut error) = (false, false);
+    for _ in 0..66 {
+        match c.recv().unwrap() {
+            Reply::Values { req_id, config, values: Values::Mul(v) } => {
+                let i = req_id - 100;
+                assert_eq!((config, v), (0, vec![i as u16 * 3]), "req {req_id}");
+                values_by_tenant[(i % 3) as usize].push(req_id);
+                assert_eq!(answered.insert(req_id, true), None, "req {req_id} answered twice");
+            }
+            Reply::Overloaded { req_id, queue_depth } => {
+                assert_eq!(queue_depth, 4);
+                assert_eq!(answered.insert(req_id, false), None, "req {req_id} answered twice");
+            }
+            Reply::Pong { req_id } => {
+                assert_eq!(req_id, 1000);
+                assert!(!std::mem::replace(&mut pong, true), "two pongs");
+            }
+            Reply::Error { req_id, code, .. } => {
+                assert_eq!((code, req_id), (ErrorCode::BadOpcode, 42));
+                assert!(!std::mem::replace(&mut error, true), "two errors");
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+    assert!(pong && error, "pong {pong}, error {error}");
+    assert_eq!(answered.keys().copied().collect::<Vec<_>>(), (100..164).collect::<Vec<_>>());
+    for (tenant, ids) in values_by_tenant.iter().enumerate() {
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "tenant {tenant} out of order: {ids:?}");
+    }
+    // The connection survived the bad payload and the refusals.
+    c.send(&Request { req_id: 1001, tenant: 0, max_med: 0.0, body: RequestBody::Ping }).unwrap();
+    assert_eq!(c.recv().unwrap(), Reply::Pong { req_id: 1001 });
+    let stats = server.shutdown();
+    assert_eq!(stats.requests + stats.overloaded, 64, "{stats:?}");
+    assert!(stats.overloaded > 0, "the 4-deep queues never refused a request: {stats:?}");
+}
