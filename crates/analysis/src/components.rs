@@ -12,9 +12,7 @@
 use crate::bound::ErrorBound;
 use xlac_accel::fir::FirAccelerator;
 use xlac_accel::sad::SadAccelerator;
-use xlac_adders::{
-    Adder, FullAdderKind, GeArAdder, GearErrorModel, RippleCarryAdder, Subtractor,
-};
+use xlac_adders::{Adder, FullAdderKind, GeArAdder, GearErrorModel, RippleCarryAdder, Subtractor};
 use xlac_core::characterization::HwCost;
 use xlac_core::error::Result;
 use xlac_multipliers::{
@@ -168,11 +166,8 @@ pub fn subtractor_bound(sub: &Subtractor<RippleCarryAdder>) -> ErrorBound {
     let base = ripple_adder_bound(adder);
     let w = sub.width();
     let mag = base.over.max(base.under);
-    let under = if all_ones_with_carry_reachable(adder.cells()) {
-        mag.max((1u128 << w) - 1)
-    } else {
-        mag
-    };
+    let under =
+        if all_ones_with_carry_reachable(adder.cells()) { mag.max((1u128 << w) - 1) } else { mag };
     // Any output error implies at least one cell deviated, so the adder's
     // rate bound carries over (`a` and `!b` are uniform when `a, b` are);
     // the mean is then bounded by wce·rate.
@@ -218,10 +213,7 @@ pub fn mul2x2_bound(kind: Mul2x2Kind) -> ErrorBound {
 
 /// Largest value a 2×2 block can emit, for the recursion's overlap gate.
 fn mul2x2_max_value(kind: Mul2x2Kind) -> u128 {
-    (0..4u64)
-        .flat_map(|a| (0..4u64).map(move |b| kind.mul(a, b)))
-        .max()
-        .unwrap_or(0) as u128
+    (0..4u64).flat_map(|a| (0..4u64).map(move |b| kind.mul(a, b))).max().unwrap_or(0) as u128
 }
 
 /// Distribution-free fallback for one recursion level of width `w`:
@@ -231,12 +223,7 @@ fn recursive_trivial(w: usize) -> (ErrorBound, u128) {
     let max_val = (1u128 << (2 * w + 1)) - 1;
     let over = max_val;
     let under = ((1u128 << w) - 1) * ((1u128 << w) - 1);
-    let bound = ErrorBound {
-        over,
-        under,
-        mean_abs: over.max(under) as f64,
-        error_rate_bound: 1.0,
-    };
+    let bound = ErrorBound { over, under, mean_abs: over.max(under) as f64, error_rate_bound: 1.0 };
     (bound, max_val)
 }
 
@@ -285,15 +272,13 @@ fn recursive_level(w: usize, block: Mul2x2Kind, sum: SumMode) -> (ErrorBound, u1
     // Sub-multiplier operands are digit fields of uniform primary inputs,
     // hence themselves uniform: the sub rate/mean apply at all four sites.
     // The internal adders sit on non-uniform signals → distribution-free.
-    let rate =
-        (4.0 * sub.error_rate_bound + adder_presence_flag(&bw) + adder_presence_flag(&b2w)).min(1.0);
-    let mean = sub.mean_abs * scale as f64
-        + (bw.wce() << h) as f64
-        + b2w.wce() as f64;
+    let rate = (4.0 * sub.error_rate_bound + adder_presence_flag(&bw) + adder_presence_flag(&b2w))
+        .min(1.0);
+    let mean = sub.mean_abs * scale as f64 + (bw.wce() << h) as f64 + b2w.wce() as f64;
 
     let mid_max = ((1u128 << (w + 1)) - 1).min(2 * m_h + bw.over);
-    let max_val = ((1u128 << (2 * w + 1)) - 1)
-        .min(m_h * (1 + (1u128 << w)) + (mid_max << h) + b2w.over);
+    let max_val =
+        ((1u128 << (2 * w + 1)) - 1).min(m_h * (1 + (1u128 << w)) + (mid_max << h) + b2w.over);
     (ErrorBound { over, under, mean_abs: mean, error_rate_bound: rate }, max_val)
 }
 
@@ -362,12 +347,12 @@ pub fn wallace_bound(mul: &WallaceMultiplier) -> ErrorBound {
 ///
 /// The structural bound sums every cell's worst deviation as if all could
 /// fire at once, which overshoots the true worst case by well over an
-/// order of magnitude. The calculus instead model-counts the deviation
+/// order of magnitude. The calculus instead enumerates the deviation
 /// over the approximate cone, certifying the exact distribution at every
 /// shipped width; its envelope intersects the structural one fieldwise
-/// (both are sound for the same quantity). A node budget keeps the
-/// symbolic replay from churning — past it the structural bound stands
-/// alone.
+/// (both are sound for the same quantity). A budget of `2^18` cone
+/// assignments bounds the enumeration — past it the structural bound
+/// stands alone.
 #[must_use]
 pub fn certified_wallace_bound(mul: &WallaceMultiplier) -> ErrorBound {
     let structural = wallace_bound(mul);
@@ -393,8 +378,7 @@ pub fn truncated_bound(mul: &TruncatedMultiplier) -> ErrorBound {
     let dropped = mul.dropped_columns();
     let comp = mul.compensation() as u128;
     let k = dropped.min(w);
-    let max_dropped: u128 =
-        (0..dropped.min(2 * w - 1)).map(|c| column_population(c, w) << c).sum();
+    let max_dropped: u128 = (0..dropped.min(2 * w - 1)).map(|c| column_population(c, w) << c).sum();
     let mut bound = if k <= 8 {
         let mut over = 0u128;
         let mut under = 0u128;
@@ -475,11 +459,7 @@ pub fn sad_bound(sad: &SadAccelerator) -> ErrorBound {
 /// deviation. The rail is only affine while every intermediate stays below
 /// the `2^22` accumulator range — gated statically from the coefficients;
 /// otherwise the rail collapses to the full-range fallback.
-fn fir_rail_bound(
-    coefs: &[u64],
-    mul_bound: &ErrorBound,
-    acc_bound: &ErrorBound,
-) -> ErrorBound {
+fn fir_rail_bound(coefs: &[u64], mul_bound: &ErrorBound, acc_bound: &ErrorBound) -> ErrorBound {
     let count = coefs.len() as u128;
     if count == 0 {
         return ErrorBound::EXACT;
@@ -514,8 +494,7 @@ fn fir_rail_bound(
 pub fn fir_bound(fir: &FirAccelerator) -> ErrorBound {
     let mul_bound = recursive_multiplier_bound(fir.multiplier()).distribution_free();
     let acc_bound = ripple_adder_bound(fir.accumulator()).distribution_free();
-    let pos: Vec<u64> =
-        fir.coefficients().iter().filter(|&&h| h > 0).map(|&h| h as u64).collect();
+    let pos: Vec<u64> = fir.coefficients().iter().filter(|&&h| h > 0).map(|&h| h as u64).collect();
     let neg: Vec<u64> =
         fir.coefficients().iter().filter(|&&h| h < 0).map(|&h| h.unsigned_abs()).collect();
     let pos_rail = fir_rail_bound(&pos, &mul_bound, &acc_bound);
@@ -578,10 +557,7 @@ pub fn builtin_profiles() -> Result<Vec<StaticProfile>> {
     }
 
     for block in Mul2x2Kind::ALL {
-        for sum in [
-            SumMode::Accurate,
-            SumMode::ApproxLsbs { kind: FullAdderKind::Apx2, lsbs: 2 },
-        ] {
+        for sum in [SumMode::Accurate, SumMode::ApproxLsbs { kind: FullAdderKind::Apx2, lsbs: 2 }] {
             let mul = RecursiveMultiplier::new(8, block, sum)?;
             profiles.push(StaticProfile {
                 name: mul.name(),
@@ -590,11 +566,9 @@ pub fn builtin_profiles() -> Result<Vec<StaticProfile>> {
             });
         }
     }
-    for (kind, cols) in [
-        (FullAdderKind::Apx2, 4),
-        (FullAdderKind::Apx4, 8),
-        (FullAdderKind::Apx5, 8),
-    ] {
+    for (kind, cols) in
+        [(FullAdderKind::Apx2, 4), (FullAdderKind::Apx4, 8), (FullAdderKind::Apx5, 8)]
+    {
         let mul = WallaceMultiplier::new(8, kind, cols)?;
         profiles.push(StaticProfile {
             name: mul.name(),
@@ -648,8 +622,7 @@ mod tests {
     fn exact_components_get_exact_bounds() {
         assert!(ripple_adder_bound(&RippleCarryAdder::accurate(8)).is_exact());
         assert!(mul2x2_bound(Mul2x2Kind::Accurate).is_exact());
-        let mul =
-            RecursiveMultiplier::new(8, Mul2x2Kind::Accurate, SumMode::Accurate).unwrap();
+        let mul = RecursiveMultiplier::new(8, Mul2x2Kind::Accurate, SumMode::Accurate).unwrap();
         assert!(recursive_multiplier_bound(&mul).is_exact());
         let wal = WallaceMultiplier::new(8, FullAdderKind::Accurate, 0).unwrap();
         assert!(wallace_bound(&wal).is_exact());
@@ -673,9 +646,8 @@ mod tests {
         // ApxFA5 forwards `a` into the carry chain, so the all-ones raw
         // pattern with a final carry is reachable; the static pass must
         // include the wrap hazard.
-        let hazard = Subtractor::new(
-            RippleCarryAdder::with_approx_lsbs(8, FullAdderKind::Apx5, 4).unwrap(),
-        );
+        let hazard =
+            Subtractor::new(RippleCarryAdder::with_approx_lsbs(8, FullAdderKind::Apx5, 4).unwrap());
         let b = subtractor_bound(&hazard);
         assert!(b.under >= (1 << 8) - 1, "wrap hazard missing: {b:?}");
         // The hazard witness itself: 0xF8 − 0 reports (0, borrow-free).
@@ -709,10 +681,7 @@ mod tests {
             assert!(p.cost.area_ge > 0.0, "{}", p.name);
         }
         for needle in ["GeAr", "RCA", "Sub", "RecMul", "Wallace", "TruncMul", "SAD", "FIR"] {
-            assert!(
-                profiles.iter().any(|p| p.name.contains(needle)),
-                "no profile for {needle}"
-            );
+            assert!(profiles.iter().any(|p| p.name.contains(needle)), "no profile for {needle}");
         }
     }
 }

@@ -5,21 +5,25 @@
 //! all `2w` operand variables and model-count it — inverts at density:
 //! the Wallace 8×8 miter alone costs hundreds of thousands of BDD nodes,
 //! and 16×16/32×32 are out of reach entirely. The calculus exploits the
-//! *structure* of each family instead:
+//! *structure* of each family instead: each approximate region's error
+//! depends only on a small *cone* of low operand bits, and one cone
+//! enumerator runs every assignment of that cone over
+//! [`CountingBlocks`], 64 lanes per block, and histograms the deviation
+//! into an exact PMF. No decision diagram is built.
 //!
 //! * **Wallace** — reduction-cell deviations enter the product affinely
 //!   (`result = exact + Σ 2^col·d_cell mod 2^{2w}`), and every
 //!   approximate cell lives in the low `approx_cols` columns, so the
 //!   *total* deviation word is a function of only the low operand bits.
-//!   Replaying just the approximate prefix of the reduction symbolically
-//!   and running the PMF extractor over that small cone yields the
-//!   **exact** deviation PMF at *any* width — 32×32 included — in a
-//!   fraction of the monolithic miter's nodes.
+//!   Replaying just the approximate prefix of the reduction on lane
+//!   words over that small cone yields the **exact** deviation PMF at
+//!   *any* width — 32×32 included — while the cone's assignments fit
+//!   the budget.
 //! * **Truncated** — the error `comp − D(a, b)` depends only on the low
-//!   `min(dropped, w)` bits of each operand; the same small-cone model
-//!   counting applies and is again **exact at any width**.
+//!   `min(dropped, w)` bits of each operand; the same cone enumeration
+//!   applies and is again **exact at any width**.
 //! * **Recursive** — the 2×2 leaf blocks sit on uniform digit fields, so
-//!   their error PMFs (model-counted from the 4-variable block miter)
+//!   their error PMFs (enumerated over the block's 16 operand pairs)
 //!   are exact marginals. Disjoint-operand sub-products (`ll`/`hh` and
 //!   `lh`/`hl`) convolve exactly; the remaining combinations share
 //!   operand digits and combine as **certified intervals** whose mean
@@ -30,25 +34,30 @@
 //! Every result is a [`CertifiedMetrics`]: either the exact error PMF
 //! (WCE/MED/ER are then *proven values*) or a certified interval
 //! (sound ceilings). Soundness is regression-audited against exhaustive
-//! enumeration and bit-sliced Monte-Carlo in `audit_calculus` and the
+//! enumeration in the `calculus:` family of `symbolic::audit` and the
 //! `tests/pmf_calculus.rs` property suite.
 
+use std::collections::HashMap;
+
 use xlac_adders::RippleCarryAdder;
+use xlac_core::lanes::{from_planes, CountingBlocks, LANES};
 use xlac_multipliers::{
     Mul2x2Kind, Multiplier, RecursiveMultiplier, SumMode, TruncatedMultiplier, WallaceMultiplier,
 };
 
-use super::bdd::{Bdd, BddBudgetExceeded, Ref, FALSE, TRUE};
-use super::compile::interleaved_operand_vars;
-use super::pmf::{signed_word_pmf, ErrorInterval, ErrorModel, ErrorPmf};
-use super::twins;
+use super::pmf::{ErrorInterval, ErrorModel, ErrorPmf};
 use crate::bound::ErrorBound;
 use crate::components::{cell_deviation, ripple_adder_bound};
 
-/// Default live-node ceiling for the budget-guarded Wallace replay; past
-/// it the calculus degrades to the per-cell interval combination instead
-/// of churning.
-pub const DEFAULT_NODE_BUDGET: usize = 1 << 20;
+/// Default ceiling on the operand assignments a Wallace cone enumeration
+/// may visit (`2^(2·cone)`): cones of up to 10 columns are enumerated
+/// exactly; a wider one degrades to the per-cell interval combination
+/// before any work is done.
+pub const DEFAULT_CONE_BUDGET: usize = 1 << 20;
+
+/// Widest cone enumerated whatever the budget, in operand bits: keeps
+/// every deviation accumulator within one 64-plane lane word.
+const MAX_CONE_BITS: usize = 24;
 
 /// Certified error metrics for one multiplier configuration: the error
 /// model (`approx − exact`, wrap-adjusted) plus provenance.
@@ -105,41 +114,79 @@ impl CertifiedMetrics {
     }
 }
 
-/// Ripples a single bit into `acc` at weight `at` (the BDD mirror of the
-/// scalar accumulate-with-carry walk).
-fn ripple_into(bdd: &mut Bdd, acc: &mut [Ref], at: usize, bit: Ref) {
+// ---------------------------------------------------------------------
+// The cone enumerator
+// ---------------------------------------------------------------------
+
+/// The exact PMF of a signed deviation that depends only on the low
+/// `cone_w` bits of each operand, by enumerating all `2^(2·cone_w)`
+/// assignments over [`CountingBlocks`], 64 lanes per block. Operand bit
+/// `a_i` is input `2i` and `b_i` is input `2i + 1` (the
+/// `interleaved_operand_vars` order). `deviation` maps one block's
+/// operand planes (`a[i]` / `b[i]` hold bit `i` of every lane's operand)
+/// to the 64 lane deviations. Below 6 inputs the lanes past `2^(2·cone_w)`
+/// repeat live assignments and stay out of the histogram.
+fn cone_pmf(cone_w: usize, mut deviation: impl FnMut(&[u64], &[u64]) -> [i128; LANES]) -> ErrorPmf {
+    let n = 2 * cone_w;
+    let counting = CountingBlocks::new(n);
+    let live = counting.live().count_ones() as usize;
+    let (mut a, mut b) = (vec![0u64; cone_w], vec![0u64; cone_w]);
+    let mut hist: HashMap<i128, u128> = HashMap::new();
+    for block in 0..counting.blocks() {
+        for (i, (a_i, b_i)) in a.iter_mut().zip(&mut b).enumerate() {
+            *a_i = CountingBlocks::plane(2 * i, block);
+            *b_i = CountingBlocks::plane(2 * i + 1, block);
+        }
+        for &d in &deviation(&a, &b)[..live] {
+            *hist.entry(d).or_insert(0) += 1;
+        }
+    }
+    ErrorPmf::from_counts(hist, n as u32).expect("the enumeration counts every assignment once")
+}
+
+/// Output column `column` of a truth table (bit `x` is the output on row
+/// `x`) evaluated on lane words by Shannon expansion on the row index,
+/// input `i` bound to `inputs[i]`: the lane-word mirror of
+/// `compile_truth_table`.
+fn lut_word(column: u64, inputs: &[u64]) -> u64 {
+    fn expand(column: u64, inputs: &[u64], level: usize, base: u32) -> u64 {
+        if level == 0 {
+            return 0u64.wrapping_sub((column >> base) & 1);
+        }
+        let lo = expand(column, inputs, level - 1, base);
+        let hi = expand(column, inputs, level - 1, base + (1 << (level - 1)));
+        let sel = inputs[level - 1];
+        (sel & hi) | (!sel & lo)
+    }
+    expand(column, inputs, inputs.len(), 0)
+}
+
+/// Ripples the lane word `bit` into the plane accumulator `acc` at weight
+/// `at` (the lane mirror of the scalar accumulate-with-carry walk).
+fn ripple_into(acc: &mut [u64], at: usize, bit: u64) {
     let mut carry = bit;
     for slot in acc.iter_mut().skip(at) {
-        if carry == FALSE {
+        if carry == 0 {
             return;
         }
-        let s = bdd.xor(*slot, carry);
-        carry = bdd.and(*slot, carry);
+        let s = *slot ^ carry;
+        carry &= *slot;
         *slot = s;
     }
 }
 
-/// `pos − neg` as a two's-complement word of `width + 1` bits; both
-/// operands must genuinely fit in `width` bits.
-fn signed_diff(bdd: &mut Bdd, pos: &[Ref], neg: &[Ref]) -> Vec<Ref> {
-    let mut pos_ext = pos.to_vec();
-    pos_ext.push(FALSE);
-    let not_neg: Vec<Ref> = neg.iter().map(|&x| bdd.not(x)).chain([TRUE]).collect();
-    let mut diff = twins::add_exact(bdd, &pos_ext, &not_neg, TRUE);
-    diff.truncate(pos.len() + 1);
-    diff
-}
-
-/// The exact signed error PMF of a 2×2 elementary block, by model
-/// counting the 4-variable block-vs-exact miter.
+/// The exact signed error PMF of a 2×2 elementary block, by enumerating
+/// its 16 operand pairs against the exact product.
 #[must_use]
 pub fn block_error_pmf(block: Mul2x2Kind) -> ErrorPmf {
-    let mut bdd = Bdd::new();
-    let (a, b) = interleaved_operand_vars(&mut bdd, 2);
-    let approx = twins::mul2x2(&mut bdd, block, a[0], a[1], b[0], b[1]);
-    let exact = twins::mul_exact(&mut bdd, &a, &b);
-    let diff = signed_diff(&mut bdd, &approx, &exact);
-    signed_word_pmf(&bdd, &diff, 4)
+    let tt = block.truth_table();
+    let columns: Vec<u64> = (0..4).map(|out| tt.output_column(out)).collect();
+    cone_pmf(2, |a, b| {
+        let inputs = [a[0], a[1], b[0], b[1]];
+        let product: Vec<u64> = columns.iter().map(|&col| lut_word(col, &inputs)).collect();
+        let (p, x, y) = (from_planes(&product), from_planes(a), from_planes(b));
+        std::array::from_fn(|l| i128::from(p[l]) - i128::from(x[l] * y[l]))
+    })
 }
 
 /// Largest raw value a 2×2 block can emit.
@@ -151,66 +198,56 @@ fn mul2x2_max_value(block: Mul2x2Kind) -> u128 {
 // Wallace
 // ---------------------------------------------------------------------
 
-/// Signed two's-complement value of `word` under `assignment` (bit `i` of
-/// the assignment drives BDD variable `i`).
-fn eval_signed_word(bdd: &Bdd, word: &[Ref], assignment: u64) -> i128 {
-    let mut v = 0i128;
-    for (i, &bit) in word.iter().enumerate() {
-        if bdd.eval(bit, assignment) {
-            if i + 1 == word.len() {
-                v -= 1i128 << i;
-            } else {
-                v += 1i128 << i;
-            }
-        }
-    }
-    v
+/// One approximate reduction cell of a compiled Wallace cone: its column
+/// and the value slots of its inputs, sum and carry (slot 0 holds the
+/// constant zero).
+struct ConeCell {
+    column: usize,
+    inputs: [usize; 3],
+    sum: usize,
+    carry: usize,
 }
 
-/// Symbolic replay of the approximate prefix of the Wallace reduction:
-/// returns the exact PMF of the total deviation `Σ 2^col·d_cell`, plus
-/// the exact maximum of the raw (pre-truncation) product value.
-///
-/// The full schedule is replayed structurally (column populations drive
-/// cell firing), but only columns below `approx_cols` carry live BDD
-/// bits — everything above is an inert placeholder, so the diagram stays
-/// within the approximate cone of `2·min(approx_cols, w)` variables.
-fn wallace_deviation_pmf(
-    m: &WallaceMultiplier,
-    node_budget: Option<usize>,
-) -> Result<(ErrorPmf, u128), BddBudgetExceeded> {
+/// The approximate prefix of the Wallace reduction as a straight-line
+/// program over value slots. The full schedule is replayed structurally
+/// once (column populations drive cell firing), but only columns below
+/// `approx_cols` carry live slots — everything above is the inert zero
+/// slot — so the program depends only on the `2·min(approx_cols, w)`
+/// cone bits. Returns the partial products `(i, j)` held by slots
+/// `1..=len` and the cells in firing order.
+fn wallace_cone_program(m: &WallaceMultiplier) -> (Vec<(usize, usize)>, Vec<ConeCell>) {
     let w = m.width();
     let cols = 2 * w;
     let a_cols = m.approx_columns();
-    let cone_w = a_cols.min(w);
-    let n_vars = 2 * cone_w;
-
-    let mut bdd = Bdd::new();
-    let (av, bv) = interleaved_operand_vars(&mut bdd, cone_w);
-
-    let mut columns: Vec<Vec<Ref>> = vec![Vec::new(); cols + 1];
+    let mut products = Vec::new();
+    let mut columns: Vec<Vec<usize>> = vec![Vec::new(); cols + 1];
     for i in 0..w {
         for j in 0..w {
-            let bit = if i + j < a_cols { bdd.and(av[i], bv[j]) } else { FALSE };
-            columns[i + j].push(bit);
+            let slot = if i + j < a_cols {
+                products.push((i, j));
+                products.len()
+            } else {
+                0
+            };
+            columns[i + j].push(slot);
         }
     }
-
-    // Deviation accumulators: Σ 2^col·(s + 2·cout) and Σ 2^col·(x + y + z)
-    // over the approximate cells. Width margin: ≤ w² cells, each
-    // contributing ≤ 6 at weight < 2^{a_cols+1}.
-    let dev_width = a_cols + 16;
-    let mut pos = vec![FALSE; dev_width];
-    let mut neg = vec![FALSE; dev_width];
-    let check_budget = |bdd: &Bdd| -> Result<(), BddBudgetExceeded> {
-        match node_budget {
-            Some(budget) if bdd.stats().live_nodes > budget => {
-                Err(BddBudgetExceeded { budget, live_nodes: bdd.stats().live_nodes })
-            }
-            _ => Ok(()),
+    let mut next = products.len() + 1;
+    let mut cells = Vec::new();
+    // One cell in column `c` (a half adder's third input is the zero
+    // slot); above the cone both outputs are inert.
+    let mut reduce = |columns: &mut [Vec<usize>], c: usize, inputs: [usize; 3]| {
+        if c >= a_cols {
+            columns[c].push(0);
+            columns[c + 1].push(0);
+            return;
         }
+        let (sum, carry) = (next, next + 1);
+        next += 2;
+        columns[c].push(sum);
+        columns[c + 1].push(if c + 1 < a_cols { carry } else { 0 });
+        cells.push(ConeCell { column: c, inputs, sum, carry });
     };
-
     loop {
         let mut reduced = false;
         for c in 0..cols {
@@ -219,48 +256,40 @@ fn wallace_deviation_pmf(
                 let x = columns[c].pop().expect("len >= 3");
                 let y = columns[c].pop().expect("len >= 2");
                 let z = columns[c].pop().expect("len >= 1");
-                if c < a_cols {
-                    let (s, carry) = twins::full_adder(&mut bdd, m.cell_kind(), x, y, z);
-                    columns[c].push(s);
-                    columns[c + 1].push(if c + 1 < a_cols { carry } else { FALSE });
-                    ripple_into(&mut bdd, &mut pos, c, s);
-                    ripple_into(&mut bdd, &mut pos, c + 1, carry);
-                    for input in [x, y, z] {
-                        ripple_into(&mut bdd, &mut neg, c, input);
-                    }
-                    check_budget(&bdd)?;
-                } else {
-                    columns[c].push(FALSE);
-                    columns[c + 1].push(FALSE);
-                }
+                reduce(&mut columns, c, [x, y, z]);
             }
             if columns[c].len() == 2 && columns[c + 1].len() > 2 {
                 reduced = true;
                 let x = columns[c].pop().expect("len 2");
                 let y = columns[c].pop().expect("len 1");
-                if c < a_cols {
-                    let (s, carry) = twins::full_adder(&mut bdd, m.cell_kind(), x, y, FALSE);
-                    columns[c].push(s);
-                    columns[c + 1].push(if c + 1 < a_cols { carry } else { FALSE });
-                    ripple_into(&mut bdd, &mut pos, c, s);
-                    ripple_into(&mut bdd, &mut pos, c + 1, carry);
-                    for input in [x, y] {
-                        ripple_into(&mut bdd, &mut neg, c, input);
-                    }
-                    check_budget(&bdd)?;
-                } else {
-                    columns[c].push(FALSE);
-                    columns[c + 1].push(FALSE);
-                }
+                reduce(&mut columns, c, [x, y, 0]);
             }
         }
         if !reduced {
             break;
         }
     }
+    (products, cells)
+}
 
-    let diff = signed_diff(&mut bdd, &pos, &neg);
-    let pmf = signed_word_pmf(&bdd, &diff, n_vars);
+/// Runs the compiled Wallace cone over every cone assignment: returns the
+/// exact PMF of the total deviation `Σ 2^col·d_cell`, plus the exact
+/// maximum of the raw (pre-truncation) product value.
+fn wallace_deviation_pmf(m: &WallaceMultiplier) -> (ErrorPmf, u128) {
+    let w = m.width();
+    let a_cols = m.approx_columns();
+    let cone_w = a_cols.min(w);
+    let tt = m.cell_kind().truth_table();
+    let (sum_col, carry_col) = (tt.output_column(0), tt.output_column(1));
+    let (products, cells) = wallace_cone_program(m);
+    let mut values = vec![0u64; products.len() + 1 + 2 * cells.len()];
+
+    // Deviation accumulators: Σ 2^col·(s + 2·cout) and Σ 2^col·(x + y + z)
+    // over the approximate cells. Width margin: ≤ w² cells, each
+    // contributing ≤ 6 at weight < 2^{a_cols+1}.
+    let dev_width = a_cols + 16;
+    let mut pos = vec![0u64; dev_width];
+    let mut neg = vec![0u64; dev_width];
 
     // Exact wrap hazard: the raw product is a·b + D, and D depends only
     // on the low `cone_w` bits of each operand while a·b is monotone in
@@ -268,29 +297,36 @@ fn wallace_deviation_pmf(
     // the cone enumerated. That replaces the static layer's
     // `exact_max + Σ d_max` ceiling (which trips the hazard spuriously)
     // with the true maximum.
-    let exact_max = ((1u128 << w) - 1) * ((1u128 << w) - 1);
-    let raw_max = if n_vars <= 16 {
-        let high = (1u128 << w) - (1u128 << cone_w);
-        let mut best = 0u128;
-        for x in 0..1u64 << cone_w {
-            for y in 0..1u64 << cone_w {
-                let mut asg = 0u64;
-                for i in 0..cone_w {
-                    asg |= ((x >> i) & 1) << (2 * i);
-                    asg |= ((y >> i) & 1) << (2 * i + 1);
-                }
-                let d = eval_signed_word(&bdd, &diff, asg);
-                let a = high + u128::from(x);
-                let b = high + u128::from(y);
-                let raw = (a * b) as i128 + d;
-                best = best.max(raw.max(0) as u128);
+    let high = (1u128 << w) - (1u128 << cone_w);
+    let mut raw_max = 0u128;
+
+    let pmf = cone_pmf(cone_w, |a, b| {
+        for (slot, &(i, j)) in values[1..].iter_mut().zip(&products) {
+            *slot = a[i] & b[j];
+        }
+        pos.fill(0);
+        neg.fill(0);
+        for cell in &cells {
+            let inputs = cell.inputs.map(|slot| values[slot]);
+            let (s, carry) = (lut_word(sum_col, &inputs), lut_word(carry_col, &inputs));
+            values[cell.sum] = s;
+            values[cell.carry] = carry;
+            ripple_into(&mut pos, cell.column, s);
+            ripple_into(&mut pos, cell.column + 1, carry);
+            for input in inputs {
+                ripple_into(&mut neg, cell.column, input);
             }
         }
-        best
-    } else {
-        exact_max.saturating_add(pmf.max().max(0).unsigned_abs())
-    };
-    Ok((pmf, raw_max))
+        let (pos, neg) = (from_planes(&pos), from_planes(&neg));
+        let (x, y) = (from_planes(a), from_planes(b));
+        std::array::from_fn(|l| {
+            let d = i128::from(pos[l]) - i128::from(neg[l]);
+            let raw = ((high + u128::from(x[l])) * (high + u128::from(y[l]))) as i128 + d;
+            raw_max = raw_max.max(raw.max(0) as u128);
+            d
+        })
+    });
+    (pmf, raw_max)
 }
 
 /// Per-cell interval fallback: the deviation envelope from each cell's
@@ -321,30 +357,31 @@ fn wallace_interval(m: &WallaceMultiplier) -> ErrorInterval {
 }
 
 /// Certified error metrics for a Wallace-tree multiplier at any shipped
-/// width (2..=32). Exact whenever the approximate-cone replay fits the
-/// node budget (`None` ⇒ [`DEFAULT_NODE_BUDGET`]); the certified
-/// per-cell interval otherwise.
+/// width (2..=32). Exact whenever the cone's `2^(2·min(approx_cols, w))`
+/// operand assignments fit `budget` (`None` ⇒ [`DEFAULT_CONE_BUDGET`]);
+/// the certified per-cell interval otherwise, decided before any
+/// enumeration.
 #[must_use]
-pub fn wallace_calculus(m: &WallaceMultiplier, node_budget: Option<usize>) -> CertifiedMetrics {
+pub fn wallace_calculus(m: &WallaceMultiplier, budget: Option<usize>) -> CertifiedMetrics {
     let w = m.width();
-    let budget = node_budget.or(Some(DEFAULT_NODE_BUDGET));
+    let budget = budget.unwrap_or(DEFAULT_CONE_BUDGET);
     let no_deviation = m.approx_columns() == 0
         || m.cell_placements().iter().all(|p| {
             let d = cell_deviation(p.kind, p.half_adder);
             d.d_max == 0 && d.d_min == 0
         });
+    let cone_bits = 2 * m.approx_columns().min(w);
+    let enumerable = cone_bits <= MAX_CONE_BITS && 1usize << cone_bits <= budget;
     let exact_max = ((1u128 << w) - 1) * ((1u128 << w) - 1);
     let (model, raw_max) = if no_deviation {
         (ErrorModel::zero(), exact_max)
+    } else if enumerable {
+        let (pmf, raw_max) = wallace_deviation_pmf(m);
+        (ErrorModel::Exact(pmf), raw_max)
     } else {
-        match wallace_deviation_pmf(m, budget) {
-            Ok((pmf, raw_max)) => (ErrorModel::Exact(pmf), raw_max),
-            Err(_) => {
-                let env = wallace_interval(m);
-                let raw_max = exact_max.saturating_add(env.hi.max(0).unsigned_abs());
-                (ErrorModel::Interval(env), raw_max)
-            }
-        }
+        let env = wallace_interval(m);
+        let raw_max = exact_max.saturating_add(env.hi.max(0).unsigned_abs());
+        (ErrorModel::Interval(env), raw_max)
     };
     // The reduction drops weight-2^{2w} bits and the CPA drops its
     // carry-out: together a plain wrap mod 2^{2w}, hazardous only when
@@ -362,29 +399,21 @@ fn column_population(c: usize, w: usize) -> u128 {
     (c + 1).min(w).min(2 * w - 1 - c) as u128
 }
 
-/// The exact PMF of `comp − D(a, b)` by model counting over the low
+/// The exact PMF of `comp − D(a, b)` by enumerating the low
 /// `2·min(dropped, w)` operand bits.
 fn truncated_error_pmf(m: &TruncatedMultiplier) -> ErrorPmf {
-    let w = m.width();
     let dropped = m.dropped_columns();
-    let k = dropped.min(w);
-    let mut bdd = Bdd::new();
-    let (av, bv) = interleaved_operand_vars(&mut bdd, k);
-
-    let acc_width = dropped + 8;
-    let mut acc = vec![FALSE; acc_width];
-    for (i, &a_bit) in av.iter().enumerate() {
-        for (j, &b_bit) in bv.iter().enumerate() {
-            if i + j < dropped {
-                let pp = bdd.and(a_bit, b_bit);
-                ripple_into(&mut bdd, &mut acc, i + j, pp);
+    let comp = i128::from(m.compensation());
+    let mut acc = vec![0u64; dropped + 8];
+    cone_pmf(dropped.min(m.width()), |a, b| {
+        acc.fill(0);
+        for (i, &a_bit) in a.iter().enumerate() {
+            for (j, &b_bit) in b.iter().enumerate().take(dropped.saturating_sub(i)) {
+                ripple_into(&mut acc, i + j, a_bit & b_bit);
             }
         }
-    }
-    let comp_bits: Vec<Ref> =
-        (0..acc_width).map(|i| Bdd::constant((m.compensation() >> i) & 1 == 1)).collect();
-    let diff = signed_diff(&mut bdd, &comp_bits, &acc);
-    signed_word_pmf(&bdd, &diff, 2 * k)
+        from_planes(&acc).map(|d| comp - i128::from(d))
+    })
 }
 
 /// Certified error metrics for a truncated multiplier at any shipped
@@ -402,9 +431,8 @@ pub fn truncated_calculus(m: &TruncatedMultiplier) -> CertifiedMetrics {
     } else if k <= 10 {
         ErrorModel::Exact(truncated_error_pmf(m))
     } else {
-        let max_dropped: i128 = (0..dropped.min(2 * w - 1))
-            .map(|c| (column_population(c, w) << c) as i128)
-            .sum();
+        let max_dropped: i128 =
+            (0..dropped.min(2 * w - 1)).map(|c| (column_population(c, w) << c) as i128).sum();
         let comp_i = comp as i128;
         // E[D] = Σ pop(c)·2^c / 4 exactly, by linearity — the mean stays
         // exact even where the full distribution is out of reach.
@@ -491,8 +519,8 @@ fn recursive_level_model(w: usize, block: Mul2x2Kind, sum: SumMode) -> (ErrorMod
     }
 
     let mid_max = ((1u128 << (w + 1)) - 1).min(2 * m_h + bw.over);
-    let max_val = ((1u128 << (2 * w + 1)) - 1)
-        .min(m_h * (1 + (1u128 << w)) + (mid_max << h) + b2w.over);
+    let max_val =
+        ((1u128 << (2 * w + 1)) - 1).min(m_h * (1 + (1u128 << w)) + (mid_max << h) + b2w.over);
     (total, max_val)
 }
 
@@ -511,8 +539,9 @@ pub fn recursive_calculus(m: &RecursiveMultiplier) -> CertifiedMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use crate::symbolic::metrics::exhaustive_metrics;
     use xlac_adders::FullAdderKind;
+    use xlac_multipliers::hw::wallace_netlist;
 
     /// Exhaustive signed-error histogram of `m` against `a·b`.
     fn enumerate_errors(m: &dyn Multiplier) -> HashMap<i128, u128> {
@@ -528,18 +557,14 @@ mod tests {
     }
 
     fn assert_pmf_matches(metrics: &CertifiedMetrics, m: &dyn Multiplier) {
-        let pmf = metrics.model.pmf().unwrap_or_else(|| {
-            panic!("{}: calculus should be exact at this width", metrics.name)
-        });
+        let pmf = metrics
+            .model
+            .pmf()
+            .unwrap_or_else(|| panic!("{}: calculus should be exact at this width", metrics.name));
         let hist = enumerate_errors(m);
         let scale = 2 * m.width() as u32 - pmf.denom_bits();
         for (&v, &c) in &hist {
-            assert_eq!(
-                pmf.count_of(v) << scale,
-                c,
-                "{}: P[e = {v}] mismatch",
-                metrics.name
-            );
+            assert_eq!(pmf.count_of(v) << scale, c, "{}: P[e = {v}] mismatch", metrics.name);
         }
         let support: u128 = pmf.support().iter().map(|&(_, c)| c).sum();
         assert_eq!(support, 1u128 << pmf.denom_bits());
@@ -550,16 +575,12 @@ mod tests {
         let env = metrics.model.interval();
         let hist = enumerate_errors(m);
         let total: u128 = hist.values().sum();
-        let mean: f64 = hist.iter().map(|(&v, &c)| v as f64 * c as f64).sum::<f64>()
-            / total as f64;
-        let mean_abs: f64 = hist
-            .iter()
-            .map(|(&v, &c)| v.unsigned_abs() as f64 * c as f64)
-            .sum::<f64>()
-            / total as f64;
-        let rate: f64 =
-            hist.iter().filter(|&(&v, _)| v != 0).map(|(_, &c)| c as f64).sum::<f64>()
+        let mean: f64 = hist.iter().map(|(&v, &c)| v as f64 * c as f64).sum::<f64>() / total as f64;
+        let mean_abs: f64 =
+            hist.iter().map(|(&v, &c)| v.unsigned_abs() as f64 * c as f64).sum::<f64>()
                 / total as f64;
+        let rate: f64 = hist.iter().filter(|&(&v, _)| v != 0).map(|(_, &c)| c as f64).sum::<f64>()
+            / total as f64;
         for &v in hist.keys() {
             assert!(env.lo <= v && v <= env.hi, "{}: error {v} outside envelope", metrics.name);
         }
@@ -628,9 +649,7 @@ mod tests {
 
     #[test]
     fn truncated_calculus_is_exact_and_matches_enumeration() {
-        for (w, dropped, comp) in
-            [(4, 2, false), (8, 4, true), (8, 6, true), (8, 6, false)]
-        {
+        for (w, dropped, comp) in [(4, 2, false), (8, 4, true), (8, 6, true), (8, 6, false)] {
             let m = TruncatedMultiplier::new(w, dropped, comp).unwrap();
             let metrics = truncated_calculus(&m);
             assert_pmf_matches(&metrics, &m);
@@ -664,10 +683,7 @@ mod tests {
         let configs = [
             (Mul2x2Kind::ApxSoA, SumMode::Accurate),
             (Mul2x2Kind::ApxOur, SumMode::Accurate),
-            (
-                Mul2x2Kind::ApxOur,
-                SumMode::ApproxLsbs { kind: FullAdderKind::Apx3, lsbs: 4 },
-            ),
+            (Mul2x2Kind::ApxOur, SumMode::ApproxLsbs { kind: FullAdderKind::Apx3, lsbs: 4 }),
         ];
         for (block, sum) in configs {
             for w in [4usize, 8] {
@@ -700,8 +716,7 @@ mod tests {
         );
         let hist = enumerate_errors(&m);
         let total: u128 = hist.values().sum();
-        let mean: f64 =
-            hist.iter().map(|(&v, &c)| v as f64 * c as f64).sum::<f64>() / total as f64;
+        let mean: f64 = hist.iter().map(|(&v, &c)| v as f64 * c as f64).sum::<f64>() / total as f64;
         assert!((mean - env.mean_lo).abs() < 1e-6, "exact mean {mean} vs {}", env.mean_lo);
     }
 
@@ -726,18 +741,63 @@ mod tests {
         }
     }
 
+    /// WCE, MED and ER of the calculus equal exhaustive enumeration of
+    /// the Wallace netlist against the accurate tree.
+    fn assert_matches_exhaustive(m: &WallaceMultiplier) {
+        let accurate = WallaceMultiplier::new(m.width(), FullAdderKind::Accurate, 0).unwrap();
+        let truth = exhaustive_metrics(&wallace_netlist(m), &wallace_netlist(&accurate)).unwrap();
+        let metrics = wallace_calculus(m, None);
+        let name = &metrics.name;
+        assert!(metrics.is_exact_distribution(), "{name}: calculus should be exact");
+        assert_eq!(metrics.wce_hi(), truth.worst_case_error, "{name}: WCE");
+        let med = truth.mean_error_distance;
+        assert!((metrics.med_hi() - med).abs() <= 1e-12 * med.max(1.0), "{name}: MED");
+        assert!((metrics.er_hi() - truth.error_rate).abs() <= 1e-12, "{name}: ER");
+    }
+
     #[test]
-    fn calculus_wce_matches_the_monolithic_miter_at_paper_width() {
-        // Cross-validation: the compositional Wallace PMF's worst case
-        // equals the monolithic miter's proven WCE.
-        use crate::symbolic::metrics::exact_metrics;
-        let m = WallaceMultiplier::new(8, FullAdderKind::Apx2, 8).unwrap();
-        let calculus = wallace_calculus(&m, None);
-        let mut bdd = Bdd::new();
-        let (a, b) = interleaved_operand_vars(&mut bdd, 8);
-        let approx = twins::wallace_multiplier(&mut bdd, &m, &a, &b);
-        let exact = twins::mul_exact(&mut bdd, &a, &b);
-        let monolithic = exact_metrics(&mut bdd, &approx, &exact, 16);
-        assert_eq!(calculus.exact_wce(), Some(monolithic.worst_case_error));
+    fn wallace_calculus_matches_exhaustive_enumeration() {
+        for kind in FullAdderKind::APPROXIMATE {
+            for cols in 0..=11 {
+                assert_matches_exhaustive(&WallaceMultiplier::new(6, kind, cols).unwrap());
+            }
+            // Every 8×8 cone is at most 16 bits, well inside the budget.
+            for cols in [4, 8, 12, 15] {
+                assert_matches_exhaustive(&WallaceMultiplier::new(8, kind, cols).unwrap());
+            }
+        }
+    }
+
+    #[test]
+    fn cone_budget_is_exact_at_the_boundary_and_an_interval_past_it() {
+        // 5 approximate columns: a 10-bit cone of 2^10 assignments.
+        let m = WallaceMultiplier::new(8, FullAdderKind::Apx5, 5).unwrap();
+        assert!(wallace_calculus(&m, Some(1 << 10)).is_exact_distribution());
+        assert!(!wallace_calculus(&m, Some((1 << 10) - 1)).is_exact_distribution());
+        assert!(!wallace_calculus(&m, Some(1)).is_exact_distribution());
+        // One operand bit more per operand: a 12-bit cone.
+        let wider = WallaceMultiplier::new(8, FullAdderKind::Apx5, 6).unwrap();
+        let fallback = wallace_calculus(&wider, Some(1 << 10));
+        assert!(!fallback.is_exact_distribution());
+        assert_interval_sound(&fallback, &wider);
+        // The default budget: a 10-column cone is exact, an 11-column
+        // cone falls back.
+        let ten = WallaceMultiplier::new(12, FullAdderKind::Apx5, 10).unwrap();
+        assert!(wallace_calculus(&ten, None).is_exact_distribution());
+        let eleven = WallaceMultiplier::new(12, FullAdderKind::Apx5, 11).unwrap();
+        assert!(!wallace_calculus(&eleven, None).is_exact_distribution());
+    }
+
+    #[test]
+    fn truncated_calculus_is_exact_on_a_twenty_bit_cone() {
+        // min(dropped, w) = 10: 2^20 enumerated assignments, the widest
+        // cone the exact path takes. Compensation would push the 10×10
+        // raw maximum past 2^20 (a wrap hazard), so it is off here.
+        let m = TruncatedMultiplier::new(10, 10, false).unwrap();
+        let metrics = truncated_calculus(&m);
+        assert_eq!(metrics.model.pmf().map(ErrorPmf::denom_bits), Some(20));
+        assert_pmf_matches(&metrics, &m);
+        let wide = truncated_calculus(&TruncatedMultiplier::new(16, 10, true).unwrap());
+        assert_eq!(wide.model.pmf().map(ErrorPmf::denom_bits), Some(20));
     }
 }

@@ -49,11 +49,11 @@ pub mod registry;
 pub mod twins;
 
 pub use audit::{audit_bounds, audits_to_json, BoundAudit};
+pub use bdd::{Bdd, BddBudgetExceeded, BddStats, Ref, SiftOptions, SiftStats, FALSE, TRUE};
 pub use calculus::{
     block_error_pmf, recursive_calculus, truncated_calculus, wallace_calculus, CertifiedMetrics,
-    DEFAULT_NODE_BUDGET,
+    DEFAULT_CONE_BUDGET,
 };
-pub use bdd::{Bdd, BddBudgetExceeded, BddStats, Ref, SiftOptions, SiftStats, FALSE, TRUE};
 pub use compile::{
     apply_gate, compile_netlist, compile_raw, compile_truth_table, interleaved_operand_vars,
 };
@@ -62,6 +62,4 @@ pub use metrics::{
     exact_metrics, exhaustive_metrics, exhaustive_metrics_under, ExactMetrics,
     EXHAUSTIVE_MAX_INPUTS,
 };
-pub use pmf::{
-    signed_word_pmf, unsigned_word_pmf, ErrorInterval, ErrorModel, ErrorPmf, PmfOverflow,
-};
+pub use pmf::{ErrorInterval, ErrorModel, ErrorPmf, PmfOverflow};

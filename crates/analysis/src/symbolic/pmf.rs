@@ -7,15 +7,9 @@
 //! denominator is the input-space size — so the algebra is exact, not a
 //! floating-point approximation.
 //!
-//! PMFs come from two sources:
-//!
-//! * **Model counting** — [`unsigned_word_pmf`] / [`signed_word_pmf`]
-//!   turn a vector of BDD output bits into the distribution of the word
-//!   they encode, by a cofactor walk over the shared diagram (far
-//!   cheaper than enumerating the input space when the word's support
-//!   cone is small).
-//! * **Enumeration** — callers with a tiny input cone can tabulate
-//!   directly and normalize through [`ErrorPmf::from_counts`].
+//! PMFs come from enumeration: a caller whose error depends on a small
+//! input cone tabulates it over every cone assignment (the calculus runs
+//! 64 lanes per block) and normalizes through [`ErrorPmf::from_counts`].
 //!
 //! The algebra then pushes PMFs through composition structure:
 //! [`shifted`](ErrorPmf::shifted) (digit-weight scaling),
@@ -32,7 +26,6 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use super::bdd::{Bdd, Ref, TRUE};
 use crate::bound::ErrorBound;
 
 /// Hard ceiling on `denom_bits`: counts live in `u128`, and convolution
@@ -125,9 +118,7 @@ impl ErrorPmf {
     /// The count attached to `value` (0 when outside the support).
     #[must_use]
     pub fn count_of(&self, value: i128) -> u128 {
-        self.mass
-            .binary_search_by_key(&value, |&(v, _)| v)
-            .map_or(0, |i| self.mass[i].1)
+        self.mass.binary_search_by_key(&value, |&(v, _)| v).map_or(0, |i| self.mass[i].1)
     }
 
     /// Minimum support value.
@@ -153,8 +144,7 @@ impl ErrorPmf {
     #[must_use]
     pub fn mean_abs(&self) -> f64 {
         let denom = (self.denom_bits as f64).exp2();
-        self.mass.iter().map(|&(v, c)| (v.unsigned_abs() as f64) * (c as f64)).sum::<f64>()
-            / denom
+        self.mass.iter().map(|&(v, c)| (v.unsigned_abs() as f64) * (c as f64)).sum::<f64>() / denom
     }
 
     /// Exact error rate `P[e ≠ 0]`.
@@ -516,175 +506,9 @@ impl ErrorModel {
     }
 }
 
-/// The exact PMF of the unsigned word encoded by `bits` (little-endian,
-/// bit `i` at weight `2^i`) over uniformly random variables `0..n_vars`.
-///
-/// Every bit must depend only on variables with ids below `n_vars`.
-#[must_use]
-pub fn unsigned_word_pmf(bdd: &Bdd, bits: &[Ref], n_vars: usize) -> ErrorPmf {
-    let weights: Vec<i128> = (0..bits.len()).map(|i| 1i128 << i).collect();
-    word_pmf(bdd, bits, n_vars, &weights)
-}
-
-/// The exact PMF of the *two's-complement* word encoded by `bits`
-/// (little-endian; the last bit carries weight `−2^{len−1}`) over
-/// uniformly random variables `0..n_vars`.
-///
-/// Every bit must depend only on variables with ids below `n_vars`.
-#[must_use]
-pub fn signed_word_pmf(bdd: &Bdd, bits: &[Ref], n_vars: usize) -> ErrorPmf {
-    assert!(!bits.is_empty(), "a signed word needs at least a sign bit");
-    let mut weights: Vec<i128> = (0..bits.len()).map(|i| 1i128 << i).collect();
-    let top = bits.len() - 1;
-    weights[top] = -(1i128 << top);
-    word_pmf(bdd, bits, n_vars, &weights)
-}
-
-/// Shared cofactor-walk model counter behind the word-PMF extractors.
-///
-/// Walks variables in their *current order* (so it stays correct after
-/// sifting), splitting every bit on the minimal-level variable present in
-/// the state; states are memoized on the bit vector, with counts
-/// normalized to the sub-space below the state's own top level.
-fn word_pmf(bdd: &Bdd, bits: &[Ref], n_vars: usize, weights: &[i128]) -> ErrorPmf {
-    assert!(n_vars as u32 <= MAX_DENOM_BITS, "input space exceeds MAX_DENOM_BITS");
-    // Rank the support variables by their current level, exactly as
-    // `sat_count` does, so permuted orders count correctly.
-    let mut by_level: Vec<usize> = (0..n_vars).collect();
-    by_level.sort_by_key(|&v| bdd.var_level(v));
-    let mut rank_of = vec![usize::MAX; n_vars];
-    for (rank, &v) in by_level.iter().enumerate() {
-        rank_of[v] = rank;
-    }
-
-    struct Dp<'a> {
-        bdd: &'a Bdd,
-        weights: &'a [i128],
-        by_level: &'a [usize],
-        rank_of: &'a [usize],
-        n_vars: usize,
-        memo: HashMap<Vec<Ref>, Vec<(i128, u128)>>,
-    }
-
-    impl Dp<'_> {
-        /// Minimal rank among the state's top variables; `n_vars` when
-        /// every bit is constant.
-        fn state_rank(&self, bits: &[Ref]) -> usize {
-            bits.iter()
-                .filter_map(|&b| self.bdd.top_var(b))
-                .map(|v| {
-                    assert!(
-                        v < self.n_vars,
-                        "word depends on variable {v} outside the declared input space"
-                    );
-                    self.rank_of[v]
-                })
-                .min()
-                .unwrap_or(self.n_vars)
-        }
-
-        /// PMF of the state over the variables at ranks ≥ its own top
-        /// rank; counts sum to `2^(n_vars − state_rank)`.
-        fn solve(&mut self, bits: &[Ref]) -> Vec<(i128, u128)> {
-            if let Some(hit) = self.memo.get(bits) {
-                return hit.clone();
-            }
-            let rank = self.state_rank(bits);
-            let result = if rank == self.n_vars {
-                let value: i128 = bits
-                    .iter()
-                    .zip(self.weights)
-                    .filter(|&(&b, _)| b == TRUE)
-                    .map(|(_, &w)| w)
-                    .sum();
-                vec![(value, 1u128)]
-            } else {
-                let var = self.by_level[rank];
-                let mut lo_bits = Vec::with_capacity(bits.len());
-                let mut hi_bits = Vec::with_capacity(bits.len());
-                for &b in bits {
-                    let (lo, hi) = self.bdd.cofactors(b, var);
-                    lo_bits.push(lo);
-                    hi_bits.push(hi);
-                }
-                let lo_rank = self.state_rank(&lo_bits);
-                let hi_rank = self.state_rank(&hi_bits);
-                let lo = self.solve(&lo_bits);
-                let hi = self.solve(&hi_bits);
-                // Children skip levels their bits do not test; each
-                // skipped level is a free (don't-care) variable worth a
-                // factor of 2.
-                let lo_scale = (lo_rank - rank - 1) as u32;
-                let hi_scale = (hi_rank - rank - 1) as u32;
-                merge_mass(&lo, lo_scale, &hi, hi_scale)
-            };
-            self.memo.insert(bits.to_vec(), result.clone());
-            result
-        }
-    }
-
-    let mut dp = Dp {
-        bdd,
-        weights,
-        by_level: &by_level,
-        rank_of: &rank_of,
-        n_vars,
-        memo: HashMap::new(),
-    };
-    let root_rank = dp.state_rank(bits);
-    let mass = dp.solve(bits);
-    let free_above = root_rank as u32;
-    let mass: Vec<(i128, u128)> = mass.into_iter().map(|(v, c)| (v, c << free_above)).collect();
-    ErrorPmf::from_counts(mass, n_vars as u32).expect("cofactor walk conserves mass")
-}
-
-/// Merges two sorted child distributions, scaling each by its skipped
-/// free-variable factor.
-fn merge_mass(
-    lo: &[(i128, u128)],
-    lo_scale: u32,
-    hi: &[(i128, u128)],
-    hi_scale: u32,
-) -> Vec<(i128, u128)> {
-    let mut out = Vec::with_capacity(lo.len() + hi.len());
-    let (mut i, mut j) = (0, 0);
-    while i < lo.len() || j < hi.len() {
-        let next_lo = lo.get(i).map(|&(v, _)| v);
-        let next_hi = hi.get(j).map(|&(v, _)| v);
-        match (next_lo, next_hi) {
-            (Some(a), Some(b)) if a == b => {
-                out.push((a, (lo[i].1 << lo_scale) + (hi[j].1 << hi_scale)));
-                i += 1;
-                j += 1;
-            }
-            (Some(a), Some(b)) if a < b => {
-                out.push((a, lo[i].1 << lo_scale));
-                i += 1;
-            }
-            (Some(_), Some(b)) => {
-                out.push((b, hi[j].1 << hi_scale));
-                j += 1;
-            }
-            (Some(a), None) => {
-                out.push((a, lo[i].1 << lo_scale));
-                i += 1;
-            }
-            (None, Some(b)) => {
-                out.push((b, hi[j].1 << hi_scale));
-                j += 1;
-            }
-            (None, None) => unreachable!(),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::symbolic::bdd::FALSE;
-    use crate::symbolic::compile::interleaved_operand_vars;
-    use crate::symbolic::twins;
 
     fn total(pmf: &ErrorPmf) -> u128 {
         pmf.support().iter().map(|&(_, c)| c).sum()
@@ -731,58 +555,6 @@ mod tests {
         assert_eq!(deep.unwrap_err().reason, "lift exceeds MAX_DENOM_BITS");
         let huge = ErrorPmf::point(i128::MAX / 2);
         assert!(huge.scaled(4).is_err());
-    }
-
-    #[test]
-    fn word_pmf_matches_enumeration_on_a_product() {
-        // The 4-bit product a·b of two 2-bit operands: PMF over 16 pairs.
-        let mut bdd = Bdd::new();
-        let (a, b) = interleaved_operand_vars(&mut bdd, 2);
-        let prod = twins::mul_exact(&mut bdd, &a, &b);
-        let pmf = unsigned_word_pmf(&bdd, &prod, 4);
-        assert_eq!(pmf.denom_bits(), 4);
-        assert_eq!(total(&pmf), 16);
-        let mut expect: HashMap<i128, u128> = HashMap::new();
-        for x in 0..4u64 {
-            for y in 0..4u64 {
-                *expect.entry((x * y) as i128).or_insert(0) += 1;
-            }
-        }
-        for (v, c) in pmf.support() {
-            assert_eq!(expect.get(v), Some(c), "value {v}");
-        }
-        assert_eq!(pmf.support().len(), expect.len());
-    }
-
-    #[test]
-    fn signed_word_pmf_handles_negative_values() {
-        // e = a − b for 2-bit a, b via two's complement: range −3..=3.
-        let mut bdd = Bdd::new();
-        let (a, b) = interleaved_operand_vars(&mut bdd, 2);
-        // Build a − b as a + (!b) + 1 over 3 bits (sign-extended inputs).
-        let not_b: Vec<Ref> = b.iter().map(|&x| bdd.not(x)).collect();
-        let mut ext_a = a.clone();
-        ext_a.push(FALSE);
-        let mut ext_nb = not_b;
-        ext_nb.push(TRUE); // !0 extension bit of the zero-extended b
-
-        let diff = twins::add_exact(&mut bdd, &ext_a, &ext_nb, TRUE);
-        let pmf = signed_word_pmf(&bdd, &diff[..3], 4);
-        assert_eq!((pmf.min(), pmf.max()), (-3, 3));
-        assert_eq!(pmf.mean(), 0.0);
-        // P[a = b] = 4/16.
-        assert_eq!(pmf.count_of(0), 4);
-    }
-
-    #[test]
-    fn word_pmf_is_order_independent_after_sifting() {
-        let mut bdd = Bdd::new();
-        let (a, b) = interleaved_operand_vars(&mut bdd, 3);
-        let prod = twins::mul_exact(&mut bdd, &a, &b);
-        let before = unsigned_word_pmf(&bdd, &prod, 6);
-        bdd.sift(&prod, &Default::default());
-        let after = unsigned_word_pmf(&bdd, &prod, 6);
-        assert_eq!(before, after);
     }
 
     #[test]

@@ -264,8 +264,26 @@ fn family_front(points: &[DistPoint], family: Family) -> Result<Vec<String>> {
 ///
 /// Propagates enumeration and PMF width gates.
 pub fn score_distribution_space(width: usize, dist: InputDistribution) -> Result<DistFront> {
-    let _span = obs_span!("explore.dist_space");
+    score_configs(&enumerate_distribution_space(width)?, dist)
+}
+
+/// One [`DistFront`] per shipped distribution
+/// ([`InputDistribution::ALL`]): the uniform baseline plus the three
+/// non-uniform shapes. The space is enumerated once and every
+/// configuration is scored under each distribution.
+///
+/// # Errors
+///
+/// Propagates enumeration and PMF width gates.
+pub fn distribution_fronts(width: usize) -> Result<Vec<DistFront>> {
     let configs = enumerate_distribution_space(width)?;
+    InputDistribution::ALL.iter().map(|&dist| score_configs(&configs, dist)).collect()
+}
+
+/// Scores an enumerated space under one distribution and extracts its
+/// per-class Pareto fronts.
+fn score_configs(configs: &[DistConfig], dist: InputDistribution) -> Result<DistFront> {
+    let _span = obs_span!("explore.dist_space");
     obs_count!("explore.dist.configs", configs.len() as u64);
     let points = configs
         .iter()
@@ -281,17 +299,6 @@ pub fn score_distribution_space(width: usize, dist: InputDistribution) -> Result
     let adder_front = family_front(&points, Family::Adder)?;
     let multiplier_front = family_front(&points, Family::Multiplier)?;
     Ok(DistFront { dist, points, adder_front, multiplier_front })
-}
-
-/// One [`DistFront`] per shipped distribution
-/// ([`InputDistribution::ALL`]): the uniform baseline plus the three
-/// non-uniform shapes.
-///
-/// # Errors
-///
-/// Propagates enumeration and PMF width gates.
-pub fn distribution_fronts(width: usize) -> Result<Vec<DistFront>> {
-    InputDistribution::ALL.iter().map(|&dist| score_distribution_space(width, dist)).collect()
 }
 
 /// The Monte-Carlo twin of [`exact_config_metrics`]: the configuration's
@@ -385,10 +392,9 @@ mod tests {
     #[test]
     fn fronts_are_nonempty_and_mutually_non_dominated() {
         for front in distribution_fronts(8).unwrap() {
-            for (names, family) in [
-                (&front.adder_front, Family::Adder),
-                (&front.multiplier_front, Family::Multiplier),
-            ] {
+            for (names, family) in
+                [(&front.adder_front, Family::Adder), (&front.multiplier_front, Family::Multiplier)]
+            {
                 assert!(!names.is_empty(), "{:?} front empty under {}", family, front.dist.label());
                 let members: Vec<&DistPoint> =
                     names.iter().map(|n| find(&front.points, n)).collect();

@@ -228,9 +228,9 @@ fn run_conn(
     let window = opts.max_outstanding.max(1);
 
     let recv_one = |outcome: &mut ConnOutcome,
-                        client: &mut Client,
-                        sent_at: &mut HashMap<u64, Instant>,
-                        mul_pending: &mut HashMap<u64, Vec<(u8, u8)>>|
+                    client: &mut Client,
+                    sent_at: &mut HashMap<u64, Instant>,
+                    mul_pending: &mut HashMap<u64, Vec<(u8, u8)>>|
      -> std::io::Result<()> {
         let reply = client.recv()?;
         let (req_id, is_values) = match &reply {
@@ -396,6 +396,15 @@ const PLANE_LANES: u16 = 64;
 /// of the lane width so the pass count is exact.
 const CAL_ITEMS: u16 = 256;
 
+/// Rounds of the interleaved `cal1` / `cal2` / `meas` phase sequence.
+const CAPACITY_ROUNDS: usize = 3;
+
+/// The median of an odd number of per-round rates.
+fn median_rate(mut rates: [f64; CAPACITY_ROUNDS]) -> f64 {
+    rates.sort_by(f64::total_cmp);
+    rates[CAPACITY_ROUNDS / 2]
+}
+
 /// Parameters for a capacity check.
 #[derive(Debug, Clone)]
 pub struct CapacityOptions {
@@ -404,9 +413,9 @@ pub struct CapacityOptions {
     /// Measured batch size (the prediction target). Defaults to the
     /// protocol cap so the compute term is maximally visible.
     pub items: u16,
-    /// Requests for each of the two calibration runs.
+    /// Requests for each calibration run (one per phase and round).
     pub calibration_requests: u64,
-    /// Requests for the measured run at `items`.
+    /// Requests for each measured run at `items` (one per round).
     pub measured_requests: u64,
     /// Workload seed.
     pub seed: u64,
@@ -446,17 +455,18 @@ pub struct CapacityReport {
     pub base_ns: f64,
     /// Calibrated per-item wire/verify cost (ns).
     pub wire_ns: f64,
-    /// Closed-loop throughput measured at one item per request.
+    /// Closed-loop throughput at one item per request (median over the
+    /// rounds).
     pub calibrated_rps: f64,
-    /// Batch size of the measured run.
+    /// Batch size of the measured runs.
     pub items: u16,
     /// Model-predicted throughput at `items`.
     pub predicted_rps: f64,
-    /// Measured throughput at `items`.
+    /// Measured throughput at `items` (median over the rounds).
     pub measured_rps: f64,
     /// `measured_rps / predicted_rps`.
     pub ratio: f64,
-    /// Verification mismatches across all three runs. Must be zero.
+    /// Verification mismatches across every run. Must be zero.
     pub mismatches: u64,
 }
 
@@ -504,9 +514,8 @@ pub fn per_eval_ns_from_bench(text: &str) -> Option<f64> {
 pub fn measure_per_eval_ns(ladders: &Ladders) -> f64 {
     let entry = &ladders.mul[0];
     let mut rng = DefaultRng::seed_from_u64(0x9E_75);
-    let pairs: Vec<(u64, u64)> = (0..8192)
-        .map(|_| (rng.next_u64() & 0xFF, (rng.next_u64() >> 8) & 0xFF))
-        .collect();
+    let pairs: Vec<(u64, u64)> =
+        (0..8192).map(|_| (rng.next_u64() & 0xFF, (rng.next_u64() >> 8) & 0xFF)).collect();
     let mut best = f64::INFINITY;
     for _ in 0..3 {
         let t0 = Instant::now();
@@ -531,8 +540,10 @@ fn compute_ns(items: u16, per_eval_ns: f64) -> f64 {
 }
 
 /// Runs the three-phase capacity check: two closed-loop calibration
-/// runs (1 and `CAL_ITEMS` = 256 items), then a measured run at
-/// `opts.items` judged against the model's prediction.
+/// phases (1 and `CAL_ITEMS` = 256 items) and a measured phase at
+/// `opts.items`, interleaved over `CAPACITY_ROUNDS` rounds; the model is
+/// fit on each phase's median rate and the measured median is judged
+/// against its prediction.
 ///
 /// # Errors
 ///
@@ -563,24 +574,41 @@ pub fn capacity_check(
         rate: 0.0,
     };
 
-    let cal1 = run(&load("cal1", 1, opts.calibration_requests), ladders)?;
-    let cal2 = run(&load("cal2", CAL_ITEMS, opts.calibration_requests), ladders)?;
-    let meas = run(&load("meas", opts.items, opts.measured_requests), ladders)?;
-    // A zero-throughput phase (every request errored or the clock did
-    // not advance) would divide by zero below; surface it as a typed
-    // error naming the phase instead of panicking mid-model.
-    for (phase, rps) in [("cal1", cal1.rps), ("cal2", cal2.rps), ("meas", meas.rps)] {
-        // NaN also fails this test: only a strictly positive rate passes.
-        if rps.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("degenerate capacity run: phase '{phase}' measured {rps} req/s"),
-            ));
+    // The phases interleave over the rounds and each is fit on its
+    // median rate, so drift of the machine during the check moves all
+    // three alike and no single slow run sets the model.
+    let phases = [
+        ("cal1", 1, opts.calibration_requests),
+        ("cal2", CAL_ITEMS, opts.calibration_requests),
+        ("meas", opts.items, opts.measured_requests),
+    ];
+    let mut rates = [[0.0; CAPACITY_ROUNDS]; 3];
+    let mut mismatches = 0;
+    for round in 0..CAPACITY_ROUNDS {
+        for (&(phase, items, requests), phase_rates) in phases.iter().zip(&mut rates) {
+            let report = run(&load(phase, items, requests), ladders)?;
+            // A zero-throughput run (every request errored or the clock
+            // did not advance) would divide by zero below; surface it as
+            // a typed error naming the phase instead of panicking
+            // mid-model. NaN also fails this test: only a strictly
+            // positive rate passes.
+            if report.rps.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!(
+                        "degenerate capacity run: phase '{phase}' measured {} req/s",
+                        report.rps
+                    ),
+                ));
+            }
+            phase_rates[round] = report.rps;
+            mismatches += report.mismatches;
         }
     }
+    let [cal1_rps, cal2_rps, meas_rps] = rates.map(median_rate);
 
-    let t1 = 1e9 / cal1.rps;
-    let t2 = 1e9 / cal2.rps;
+    let t1 = 1e9 / cal1_rps;
+    let t2 = 1e9 / cal2_rps;
     // Subtract the (bench-supplied, not fitted) compute term from both
     // calibration points, then solve base + wire·K through what is left.
     let r1 = t1 - compute_ns(1, opts.per_eval_ns);
@@ -604,12 +632,12 @@ pub fn capacity_check(
         per_eval_source: opts.per_eval_source.clone(),
         base_ns: base,
         wire_ns: wire,
-        calibrated_rps: cal1.rps,
+        calibrated_rps: cal1_rps,
         items: opts.items,
         predicted_rps,
-        measured_rps: meas.rps,
-        ratio: meas.rps / predicted_rps,
-        mismatches: cal1.mismatches + cal2.mismatches + meas.mismatches,
+        measured_rps: meas_rps,
+        ratio: meas_rps / predicted_rps,
+        mismatches,
     })
 }
 
@@ -631,8 +659,7 @@ mod tests {
         // A record naming the series but missing its median is unusable
         // too — the loadgen binary turns every None into a diagnostic
         // and a non-zero exit, never a silent fallback.
-        let series_no_median =
-            format!("{{\"name\":\"{CAPACITY_BENCH_SERIES}\",\"samples\":7}}");
+        let series_no_median = format!("{{\"name\":\"{CAPACITY_BENCH_SERIES}\",\"samples\":7}}");
         assert_eq!(per_eval_ns_from_bench(&series_no_median), None);
     }
 
@@ -643,6 +670,13 @@ mod tests {
         assert!((compute_ns(64, 2.0) - 128.0).abs() < 1e-9);
         assert!((compute_ns(65, 2.0) - 256.0).abs() < 1e-9);
         assert!((compute_ns(4096, 2.0) - 64.0 * 64.0 * 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn phase_rates_fit_on_their_median() {
+        // One slow round cannot move the fit: the median ignores it.
+        assert_eq!(median_rate([30_000.0, 9_000.0, 31_000.0]), 30_000.0);
+        assert_eq!(median_rate([2.0, 1.0, 3.0]), 2.0);
     }
 
     #[test]
@@ -664,7 +698,9 @@ mod tests {
         assert_eq!(json::name(&obj), Some("server/capacity"));
         let source = json::Value::Str("BENCH_jit.json".into());
         assert_eq!(obj.get("per_eval_source"), Some(&source));
-        for (key, want) in [("predicted_rps", 15_000.0), ("measured_rps", 14_000.0), ("ratio", 0.933)] {
+        for (key, want) in
+            [("predicted_rps", 15_000.0), ("measured_rps", 14_000.0), ("ratio", 0.933)]
+        {
             let got = obj.get(key).and_then(json::Value::as_num);
             assert!(got.is_some_and(|v| (v - want).abs() < 1e-3), "{key}: {got:?}");
         }

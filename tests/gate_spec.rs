@@ -176,13 +176,7 @@ fn each_pushed_value_fails_exactly_its_readers() {
             1.0,
             &["jit.wallace8x8.sweep"],
         ),
-        (
-            jit,
-            "metrics_accumulate_65536/push",
-            "median_ns",
-            1.0,
-            &["metrics.accumulate.batched"],
-        ),
+        (jit, "metrics_accumulate_65536/push", "median_ns", 1.0, &["metrics.accumulate.batched"]),
         (
             jit,
             "metrics_accumulate_65536/push_lanes",
@@ -208,7 +202,7 @@ fn each_pushed_value_fails_exactly_its_readers() {
             sym,
             "symbolic_calculus/wallace16x16_apx2_cols8",
             "median_ns",
-            10_000_000_001.0,
+            100_000_001.0,
             &["symbolic.calculus.wallace16x16"],
         ),
         (srv, "server/mul_smoke", "replies", 199_999.0, &["server.mul_smoke.replies"]),
@@ -258,7 +252,7 @@ fn values_on_the_bound_pass() {
         ("BENCH_jit.json", "metrics_accumulate_65536/push", "median_ns", 616_824.0),
         ("BENCH_symbolic.json", "symbolic_sift/wallace8x8_miter", "sifted_nodes", 15_947.0),
         ("BENCH_symbolic.json", "symbolic_sift/wallace8x8_miter", "unsifted_nodes", 30_308.0),
-        ("BENCH_symbolic.json", "symbolic_calculus/wallace16x16_apx2_cols8", "median_ns", 1e10),
+        ("BENCH_symbolic.json", "symbolic_calculus/wallace16x16_apx2_cols8", "median_ns", 1e8),
         (srv, "server/mul_smoke", "rps", 100_000.0),
         (srv, "server/mul_smoke", "p99_ns", 50_000_000.0),
         (srv, "server/capacity", "ratio", 0.5),
