@@ -346,67 +346,25 @@ impl Cone {
         let maps: Vec<Vec<u32>> = fanins
             .iter()
             .map(|f| {
-                f.support
-                    .iter()
-                    .map(|v| support.binary_search(v).expect("subset") as u32)
-                    .collect()
+                f.support.iter().map(|v| support.binary_search(v).expect("subset") as u32).collect()
             })
             .collect();
         let words = rows.div_ceil(64).max(1) as usize;
         let mut table = vec![0u64; words];
-        let mut ops = [false; 3];
+        let mut ops = [0u64; 3];
         for idx in 0..rows {
             for (f, fanin) in fanins.iter().enumerate() {
                 let mut sub = 0u64;
                 for (j, &pos) in maps[f].iter().enumerate() {
                     sub |= ((idx >> pos) & 1) << j;
                 }
-                ops[f] = fanin.bit(sub);
+                ops[f] = u64::from(fanin.bit(sub));
             }
-            if gate_eval(kind, &ops[..fanins.len()]) {
+            if kind.eval(&ops[..fanins.len()]) == 1 {
                 table[(idx >> 6) as usize] |= 1u64 << (idx & 63);
             }
         }
         Some(Cone { support, table })
-    }
-}
-
-/// Concrete boolean evaluation of one gate (`Mux2` operands `[d0, d1,
-/// sel]`).
-#[must_use]
-pub fn gate_eval(kind: GateKind, ops: &[bool]) -> bool {
-    match kind {
-        GateKind::Not => !ops[0],
-        GateKind::Buf => ops[0],
-        GateKind::And2 => ops[0] & ops[1],
-        GateKind::Or2 => ops[0] | ops[1],
-        GateKind::Nand2 => !(ops[0] & ops[1]),
-        GateKind::Nor2 => !(ops[0] | ops[1]),
-        GateKind::Xor2 => ops[0] ^ ops[1],
-        GateKind::Xnor2 => !(ops[0] ^ ops[1]),
-        GateKind::Mux2 => {
-            if ops[2] {
-                ops[1]
-            } else {
-                ops[0]
-            }
-        }
-    }
-}
-
-/// Word-parallel concrete evaluation of one gate over 64-lane planes.
-#[must_use]
-pub fn gate_eval_word(kind: GateKind, ops: &[u64]) -> u64 {
-    match kind {
-        GateKind::Not => !ops[0],
-        GateKind::Buf => ops[0],
-        GateKind::And2 => ops[0] & ops[1],
-        GateKind::Or2 => ops[0] | ops[1],
-        GateKind::Nand2 => !(ops[0] & ops[1]),
-        GateKind::Nor2 => !(ops[0] | ops[1]),
-        GateKind::Xor2 => ops[0] ^ ops[1],
-        GateKind::Xnor2 => !(ops[0] ^ ops[1]),
-        GateKind::Mux2 => (ops[0] & !ops[2]) | (ops[1] & ops[2]),
     }
 }
 
@@ -602,8 +560,7 @@ pub fn analyze_netlist(nl: &Netlist, dist: &InputDistribution, opts: &AbsintOpti
     let inputs: Vec<AbsVal> = (0..nl.n_inputs()).map(|i| AbsVal::input(i, dist)).collect();
     let mut gates: Vec<AbsVal> = Vec::with_capacity(nl.gate_count());
     for (kind, fanin) in nl.gates() {
-        let ops: Vec<AbsVal> =
-            fanin.iter().map(|s| resolve_abs(s, &inputs, &gates)).collect();
+        let ops: Vec<AbsVal> = fanin.iter().map(|s| resolve_abs(s, &inputs, &gates)).collect();
         let refs: Vec<&AbsVal> = ops.iter().collect();
         gates.push(transfer(kind, &refs, dist, opts));
     }
@@ -861,8 +818,7 @@ fn bnb_node(ctx: &mut BnbCtx<'_>, assign: &mut Vec<Option<bool>>) {
     if ub <= ctx.best {
         return;
     }
-    let free: Vec<usize> =
-        (0..assign.len()).filter(|&i| assign[i].is_none()).collect();
+    let free: Vec<usize> = (0..assign.len()).filter(|&i| assign[i].is_none()).collect();
     if free.len() <= ctx.opts.leaf_limit {
         let leaf = bnb_leaf(ctx.pos, ctx.neg, assign, &free);
         ctx.best = ctx.best.max(leaf);
@@ -986,13 +942,10 @@ pub fn observability_dead_gates(nl: &Netlist, max_inputs: usize) -> Vec<usize> {
         return Vec::new();
     }
     // Structural liveness first: XL005 owns gates with no output cone.
-    let gates: Vec<(GateKind, Vec<Signal>)> =
-        nl.gates().map(|(k, f)| (k, f.to_vec())).collect();
+    let gates: Vec<(GateKind, Vec<Signal>)> = nl.gates().map(|(k, f)| (k, f.to_vec())).collect();
     let mut live = vec![false; g];
-    let mut stack: Vec<usize> = nl
-        .outputs()
-        .filter_map(|s| if let Signal::Gate(i) = s { Some(i) } else { None })
-        .collect();
+    let mut stack: Vec<usize> =
+        nl.outputs().filter_map(|s| if let Signal::Gate(i) = s { Some(i) } else { None }).collect();
     while let Some(i) = stack.pop() {
         if live[i] {
             continue;
@@ -1055,7 +1008,7 @@ fn eval_forced(
         for (j, s) in fanin.iter().enumerate() {
             ops[j] = resolve_word(*s, planes, vals);
         }
-        vals[i] = if i == target { forced } else { gate_eval_word(*kind, &ops[..fanin.len()]) };
+        vals[i] = if i == target { forced } else { kind.eval_word(&ops[..fanin.len()]) };
     }
 }
 
@@ -1088,8 +1041,9 @@ mod tests {
                         *c = (bits >> j) & 1 == 1;
                     }
                     if ops.iter().zip(&concrete).all(|(t, &c)| t.contains(c)) {
+                        let bits: Vec<u64> = concrete.iter().map(|&c| u64::from(c)).collect();
                         assert!(
-                            out.contains(gate_eval(kind, &concrete)),
+                            out.contains(kind.eval(&bits) == 1),
                             "{kind:?} {ops:?} excludes a concrete result"
                         );
                     }
@@ -1141,11 +1095,7 @@ mod tests {
         let x = b.gate(GateKind::Xor2, &[Signal::Input(0), Signal::Input(0)]);
         b.output(x);
         let nl = b.finish().expect("well-formed");
-        let abs = analyze_netlist(
-            &nl,
-            &InputDistribution::uniform(1),
-            &AbsintOptions::default(),
-        );
+        let abs = analyze_netlist(&nl, &InputDistribution::uniform(1), &AbsintOptions::default());
         assert_eq!(abs.gates[0].tern, Tern::X, "plain X-prop loses reconvergence");
         assert_eq!(abs.gates[0].refined_tern(), Tern::Zero, "the cone recovers it");
         assert_eq!(abs.gates[0].p, ProbInterval::exact(0.0));
@@ -1189,7 +1139,8 @@ mod tests {
     fn forced_abstract_mode_stays_sound_on_cells() {
         // Disable exhaustive enumeration and cones: the pure
         // interval/ternary path must still envelope the truth.
-        let opts = AbsintOptions { cone_limit: 0, exhaustive_limit: 0, leaf_limit: 0, node_budget: 2 };
+        let opts =
+            AbsintOptions { cone_limit: 0, exhaustive_limit: 0, leaf_limit: 0, node_budget: 2 };
         let exact = FullAdderKind::Accurate.structural_netlist();
         for kind in FullAdderKind::ALL {
             let approx = kind.structural_netlist();

@@ -1,14 +1,13 @@
 //! `xlac-lint` — the CI gate for the static analysis layer.
 //!
-//! Three passes:
+//! Two passes:
 //!
 //! * **Lint**: the fifteen-rule catalog (eleven structural rules plus
 //!   the four abstract-interpretation rules XL011–XL014) over every
 //!   built-in netlist (Table III full adders, Fig.5 2×2 multiplier
 //!   blocks, the configurable blocks, the descriptor cells) and every
-//!   `.v` file in the HDL directory.
-//! * **Bounds**: Monte-Carlo / exhaustive validation that every static
-//!   error bound covers the observed errors of its component.
+//!   `.v` file in the HDL directory, plus the JIT bytecode verifier over
+//!   the compiled shipped netlists.
 //! * **Exact** (`--exact`): the symbolic engine's proof obligations —
 //!   for every shipped module, the truth-table or scalar model, the
 //!   `hdl/*.v` netlist and any hand bit-sliced form are formally the same
@@ -16,11 +15,11 @@
 //!   legs for the wide datapaths) — plus the bound-vs-exact soundness
 //!   audit on every 8-bit-and-under configuration.
 //!
-//! Exits non-zero on any error-severity diagnostic, unsound bound,
+//! Exits non-zero on any error-severity diagnostic, bytecode violation,
 //! refuted equivalence proof, or unsound bound audit.
 //!
 //! ```text
-//! xlac-lint [--json] [--hdl-dir DIR] [--samples N] [--lint-only] [--exact]
+//! xlac-lint [--json] [--hdl-dir DIR] [--exact]
 //! ```
 
 use std::io::Write;
@@ -35,7 +34,6 @@ use xlac_analysis::symbolic::audit::{audit_bounds, audits_to_json};
 use xlac_analysis::symbolic::registry::{
     ensure_registry_hdl, proofs_to_json, prove_all, ProofStatus,
 };
-use xlac_analysis::validate::run_all_checks;
 use xlac_multipliers::{ConfigurableMul2x2, Mul2x2Kind, WallaceMultiplier};
 use xlac_sim::CompiledProgram;
 
@@ -43,8 +41,6 @@ struct Options {
     json: bool,
     hdl_dir: PathBuf,
     hdl_dir_is_default: bool,
-    samples: u64,
-    lint_only: bool,
     exact: bool,
 }
 
@@ -53,27 +49,16 @@ fn parse_args() -> Result<Options, String> {
         json: false,
         hdl_dir: PathBuf::from("hdl"),
         hdl_dir_is_default: true,
-        samples: 100_000,
-        lint_only: false,
         exact: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--json" => opts.json = true,
-            "--lint-only" => opts.lint_only = true,
             "--exact" => opts.exact = true,
             "--hdl-dir" => {
-                opts.hdl_dir =
-                    PathBuf::from(args.next().ok_or("--hdl-dir needs a directory")?);
+                opts.hdl_dir = PathBuf::from(args.next().ok_or("--hdl-dir needs a directory")?);
                 opts.hdl_dir_is_default = false;
-            }
-            "--samples" => {
-                opts.samples = args
-                    .next()
-                    .ok_or("--samples needs a count")?
-                    .parse()
-                    .map_err(|e| format!("bad --samples: {e}"))?;
             }
             other => return Err(format!("unknown argument {other:?}")),
         }
@@ -103,7 +88,7 @@ fn builtin_reports() -> Vec<LintReport> {
 /// Compiles every shipped netlist through the JIT and runs the static
 /// bytecode verifier on each program. A violation here means the
 /// compiler itself regressed — the bit-sliced sweeps would silently
-/// compute wrong planes — so it gates CI alongside unsound bounds.
+/// compute wrong planes — so it fails the run like an error diagnostic.
 fn jit_violations() -> Vec<String> {
     let mut netlists = Vec::new();
     for kind in FullAdderKind::ALL {
@@ -197,25 +182,9 @@ fn main() -> ExitCode {
         .flat_map(|r| &r.diagnostics)
         .filter(|d| d.severity == Severity::Error)
         .count();
-    let warnings: usize =
-        reports.iter().map(|r| r.diagnostics.len()).sum::<usize>() - errors;
+    let warnings: usize = reports.iter().map(|r| r.diagnostics.len()).sum::<usize>() - errors;
 
     let jit_bad = jit_violations();
-
-    let mut unsound = Vec::new();
-    let mut checked = 0usize;
-    if !opts.lint_only {
-        match run_all_checks(opts.samples) {
-            Ok(checks) => {
-                checked = checks.len();
-                unsound.extend(checks.into_iter().filter(|c| !c.is_sound()));
-            }
-            Err(e) => {
-                eprintln!("xlac-lint: bound validation failed to build: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
 
     // The exact pass: equivalence proofs over every shipped module plus
     // the bound-vs-exact soundness audit.
@@ -276,18 +245,6 @@ fn main() -> ExitCode {
             "xlac-lint: jit bytecode verifier, {} violation(s)\n",
             jit_bad.len()
         ));
-        if !opts.lint_only {
-            out.push_str(&format!(
-                "xlac-lint: {checked} bound check(s), {} unsound\n",
-                unsound.len()
-            ));
-            for c in &unsound {
-                eprintln!(
-                    "error: unsound bound for {}: static (over {}, under {}) < observed (over {}, under {})",
-                    c.name, c.bound.over, c.bound.under, c.observed_over, c.observed_under
-                );
-            }
-        }
         if opts.exact {
             if let Some(why) = &exact_failure {
                 out.push_str(&format!("error: exact pass failed to build: {why}\n"));
@@ -331,7 +288,6 @@ fn main() -> ExitCode {
 
     if errors > 0
         || !jit_bad.is_empty()
-        || !unsound.is_empty()
         || refuted > 0
         || unsound_audits > 0
         || exact_failure.is_some()

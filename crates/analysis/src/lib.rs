@@ -9,9 +9,10 @@
 //!    multiplier blocks) and propagated compositionally through GeAr
 //!    configurations, recursive/Wallace/truncated multiplier trees and
 //!    the SAD/FIR accelerator datapaths — see [`components`]. The static
-//!    worst case is a *sound upper bound*: [`validate`] checks it against
-//!    exhaustive or Monte-Carlo observation for every shipped
-//!    configuration.
+//!    worst case is a *sound upper bound*: [`symbolic::audit`] checks
+//!    every field against the exact metrics of each configuration with
+//!    ≤ 16 input bits, and the wider GeAr, SAD and FIR configurations
+//!    are checked by seeded sampling in the workspace test suite.
 //! 2. **Is this netlist structurally well-formed?** [`lint`] runs a
 //!    fifteen-rule catalog — eleven structural rules (floating nets,
 //!    multiple drivers, combinational cycles, arity mismatches, dead
@@ -40,9 +41,9 @@
 //!    `absint:*` audit family plus the `absint.*` rules of
 //!    `scripts/gates.jsonl` pin every derived bound against exact metrics.
 //!
-//! The `xlac-lint` binary runs these passes over every built-in
-//! configuration and exits non-zero on any error-severity finding,
-//! unsound bound, or (under `--exact`) failed equivalence proof;
+//! The `xlac-lint` binary lints every built-in configuration and `hdl/`
+//! module and exits non-zero on any error-severity finding, or (under
+//! `--exact`) failed equivalence proof or unsound bound audit;
 //! `scripts/ci.sh` gates on it. DESIGN.md §9 documents the bound domain
 //! and the rule catalog; §11 the symbolic engine; §16 the abstract
 //! interpreter.
@@ -56,7 +57,6 @@ pub mod components;
 pub mod lint;
 pub mod parse;
 pub mod symbolic;
-pub mod validate;
 
 pub use absint::{
     analyze_netlist, analyze_program, derive_error_bound, derive_error_bound_with, AbsVal,
@@ -74,4 +74,3 @@ pub use lint::{
 };
 pub use parse::{parse_verilog, parse_verilog_library, RawNetlist};
 pub use symbolic::{exact_metrics, Bdd, ExactMetrics};
-pub use validate::{run_all_checks, BoundCheck};

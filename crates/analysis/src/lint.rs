@@ -508,29 +508,22 @@ fn lint_in_library(
         }
     }
 
-    // XL001: floating nets — consumed somewhere, driven nowhere.
-    let mut used: HashSet<&str> = HashSet::new();
+    // XL001: floating nets — consumed somewhere, driven nowhere. Each is
+    // anchored at its first consuming cell: the net itself has no
+    // declaration to point at, but the consumption site does.
+    let mut used: HashMap<&str, usize> = HashMap::new();
     for cell in &net.cells {
         for input in &cell.inputs {
-            used.insert(input.as_str());
+            used.entry(input.as_str()).or_insert(cell.line);
         }
     }
-    let mut floating: Vec<&str> = used
+    let mut floating: Vec<(&str, usize)> = used
         .iter()
-        .filter(|s| {
-            !is_constant(s) && !input_ports.contains(*s) && !drivers.contains_key(*s)
-        })
-        .copied()
+        .filter(|(s, _)| !is_constant(s) && !input_ports.contains(*s) && !drivers.contains_key(*s))
+        .map(|(&s, &line)| (s, line))
         .collect();
     floating.sort_unstable();
-    for signal in floating {
-        // Anchor at the first consuming cell: the net itself has no
-        // declaration to point at, but the consumption site does.
-        let line = net
-            .cells
-            .iter()
-            .find(|c| c.inputs.iter().any(|i| i == signal))
-            .map_or(0, |c| c.line);
+    for (signal, line) in floating {
         diags.push(Diagnostic::at(
             LintRule::FloatingNet,
             format!("{}:{}", net.name, signal),
@@ -555,7 +548,7 @@ fn lint_in_library(
 
     // XL003: combinational cycles. A cell is cyclic exactly when it can
     // reach itself through the dependency edges (cell → cells driving its
-    // inputs); netlists here are small enough for per-cell reachability.
+    // inputs).
     let dependencies: Vec<Vec<usize>> = net
         .cells
         .iter()
@@ -570,41 +563,22 @@ fn lint_in_library(
                 .collect()
         })
         .collect();
-    let mut has_cycle = false;
-    for (i, cell) in net.cells.iter().enumerate() {
-        let mut seen = HashSet::new();
-        let mut frontier = dependencies[i].clone();
-        let mut cyclic = false;
-        while let Some(j) = frontier.pop() {
-            if j == i {
-                cyclic = true;
-                break;
-            }
-            if seen.insert(j) {
-                frontier.extend(dependencies[j].iter().copied());
-            }
-        }
-        if cyclic {
-            has_cycle = true;
-            diags.push(Diagnostic::on_cell(
-                LintRule::CombinationalCycle,
-                net,
-                cell,
-                Vec::new(),
-                format!("cell {:?} sits on a combinational cycle", cell.name),
-            ));
-        }
+    let (cyclic, order) = dependency_order(&dependencies);
+    let has_cycle = cyclic.contains(&true);
+    for (cell, _) in net.cells.iter().zip(&cyclic).filter(|(_, &c)| c) {
+        diags.push(Diagnostic::on_cell(
+            LintRule::CombinationalCycle,
+            net,
+            cell,
+            Vec::new(),
+            format!("cell {:?} sits on a combinational cycle", cell.name),
+        ));
     }
 
     // XL005: dead gates — reverse reachability from the output ports.
     let mut live: HashSet<usize> = HashSet::new();
-    let mut frontier: Vec<usize> = net
-        .outputs
-        .iter()
-        .filter_map(|o| drivers.get(o.as_str()))
-        .flatten()
-        .copied()
-        .collect();
+    let mut frontier: Vec<usize> =
+        net.outputs.iter().filter_map(|o| drivers.get(o.as_str())).flatten().copied().collect();
     while let Some(i) = frontier.pop() {
         if !live.insert(i) {
             continue;
@@ -628,7 +602,8 @@ fn lint_in_library(
     }
 
     // XL006: constant-foldable cones (skipped when cyclic — no stable
-    // evaluation order exists).
+    // evaluation order exists). Acyclic, `order` puts every cell after
+    // the drivers of its inputs, so one pass reaches the fixpoint.
     if !has_cycle {
         let mut values: HashMap<&str, Value> = HashMap::new();
         for input in &net.inputs {
@@ -639,29 +614,17 @@ fn lint_in_library(
             "1'b1" => Value::Known(true),
             _ => values.get(s).copied().unwrap_or(Value::Unknown),
         };
-        // Cells are in (acyclic) dependency order after enough passes;
-        // iterate until fixpoint, bounded by the cell count.
-        for _ in 0..=net.cells.len() {
-            let mut changed = false;
-            for cell in &net.cells {
-                if cell_arity(cell) != Some(cell.inputs.len()) {
-                    continue; // wrong arity, or an opaque instance
-                }
-                let inputs: Vec<Value> =
-                    cell.inputs.iter().map(|s| signal_value(&values, s)).collect();
-                let out = match &cell.func {
-                    CellFunc::Gate(kind) => eval_gate(*kind, &inputs),
-                    CellFunc::Alias => inputs[0],
-                    CellFunc::Instance(_) => unreachable!("instances have no fixed arity"),
-                };
-                if signal_value(&values, &cell.output) != out {
-                    values.insert(cell.output.as_str(), out);
-                    changed = true;
-                }
+        for cell in order.iter().map(|&i| &net.cells[i]) {
+            if cell_arity(cell) != Some(cell.inputs.len()) {
+                continue; // wrong arity, or an opaque instance
             }
-            if !changed {
-                break;
-            }
+            let inputs: Vec<Value> = cell.inputs.iter().map(|s| signal_value(&values, s)).collect();
+            let out = match &cell.func {
+                CellFunc::Gate(kind) => eval_gate(*kind, &inputs),
+                CellFunc::Alias => inputs[0],
+                CellFunc::Instance(_) => unreachable!("instances have no fixed arity"),
+            };
+            values.insert(cell.output.as_str(), out);
         }
         for cell in &net.cells {
             if let (CellFunc::Gate(_), Value::Known(v)) =
@@ -682,7 +645,7 @@ fn lint_in_library(
     // counts as used only through a cell, which conversion materializes).
     // Ports carry no per-declaration line, so the module header anchors.
     for input in &net.inputs {
-        if !used.contains(input.as_str()) {
+        if !used.contains_key(input.as_str()) {
             diags.push(Diagnostic::at(
                 LintRule::UnusedInput,
                 format!("{}:{}", net.name, input),
@@ -695,6 +658,68 @@ fn lint_in_library(
 
     diags.sort_by(|a, b| a.rule_id.cmp(b.rule_id).then_with(|| a.location.cmp(&b.location)));
     LintReport { module: net.name.clone(), diagnostics: diags }
+}
+
+/// One iterative Tarjan pass over `edges` (node → the nodes it depends
+/// on), linear in nodes plus edges. Returns which nodes can reach
+/// themselves — the members of a strongly connected component of two or
+/// more nodes, and nodes with an edge to themselves — and every node in
+/// the order its component completes, which puts each node after the
+/// nodes it depends on wherever the graph is acyclic.
+fn dependency_order(edges: &[Vec<usize>]) -> (Vec<bool>, Vec<usize>) {
+    const UNSEEN: usize = usize::MAX;
+    let n = edges.len();
+    let mut index = vec![UNSEEN; n];
+    let mut low = vec![0usize; n];
+    let mut on_stack = vec![false; n];
+    let mut cyclic = vec![false; n];
+    let mut component = Vec::new();
+    let mut order = Vec::with_capacity(n);
+    let mut next = 0usize;
+    // Depth-first frames: a node and the position of its next edge. A
+    // node is numbered when its frame first reaches the top.
+    let mut frames: Vec<(usize, usize)> = Vec::new();
+    for root in 0..n {
+        if index[root] != UNSEEN {
+            continue;
+        }
+        frames.push((root, 0));
+        while let Some(&(v, edge)) = frames.last() {
+            if index[v] == UNSEEN {
+                index[v] = next;
+                low[v] = next;
+                next += 1;
+                on_stack[v] = true;
+                component.push(v);
+            }
+            if let Some(&u) = edges[v].get(edge) {
+                let top = frames.len() - 1;
+                frames[top].1 += 1;
+                cyclic[v] |= u == v;
+                if index[u] == UNSEEN {
+                    frames.push((u, 0));
+                } else if on_stack[u] {
+                    low[v] = low[v].min(index[u]);
+                }
+                continue;
+            }
+            frames.pop();
+            if let Some(&(parent, _)) = frames.last() {
+                low[parent] = low[parent].min(low[v]);
+            }
+            if low[v] == index[v] {
+                // `v` roots a component: it and everything above it.
+                let at = component.iter().rposition(|&x| x == v).unwrap_or(0);
+                let members = component.split_off(at);
+                for &x in &members {
+                    on_stack[x] = false;
+                    cyclic[x] |= members.len() > 1;
+                }
+                order.extend(members);
+            }
+        }
+    }
+    (cyclic, order)
 }
 
 fn signal_name(signal: Signal) -> String {
@@ -880,6 +905,53 @@ mod tests {
         );
         assert!(report.has_errors());
         assert_eq!(report.matching(LintRule::FloatingNet).len(), 1);
+    }
+
+    #[test]
+    fn dependency_order_matches_per_node_reachability() {
+        use xlac_core::rng::{DefaultRng, Rng};
+        // The per-node definition: a node is cyclic when a walk from its
+        // own edges comes back to it.
+        let reaches_itself = |edges: &[Vec<usize>], i: usize| {
+            let mut seen = HashSet::new();
+            let mut frontier = edges[i].clone();
+            while let Some(j) = frontier.pop() {
+                if j == i {
+                    return true;
+                }
+                if seen.insert(j) {
+                    frontier.extend(edges[j].iter().copied());
+                }
+            }
+            false
+        };
+        let mut rng = DefaultRng::seed_from_u64(0x5CC);
+        for _ in 0..500 {
+            let n = 1 + (rng.next_u64() % 24) as usize;
+            let density = 1 + rng.next_u64() % 3;
+            let edges: Vec<Vec<usize>> = (0..n)
+                .map(|_| {
+                    (0..rng.next_u64() % (density + 1))
+                        .map(|_| (rng.next_u64() % n as u64) as usize)
+                        .collect()
+                })
+                .collect();
+            let want: Vec<bool> = (0..n).map(|i| reaches_itself(&edges, i)).collect();
+            let (cyclic, order) = dependency_order(&edges);
+            assert_eq!(cyclic, want, "{edges:?}");
+            // Every node once; acyclic, after everything it depends on.
+            let mut position = vec![usize::MAX; n];
+            for (at, &v) in order.iter().enumerate() {
+                assert_eq!(position[v], usize::MAX, "{v} twice in {order:?}");
+                position[v] = at;
+            }
+            assert!(position.iter().all(|&p| p < n), "{order:?} misses a node");
+            if !cyclic.contains(&true) {
+                for (v, deps) in edges.iter().enumerate() {
+                    assert!(deps.iter().all(|&u| position[u] < position[v]), "{edges:?}");
+                }
+            }
+        }
     }
 
     #[test]

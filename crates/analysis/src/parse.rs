@@ -12,6 +12,8 @@
 //! parsing continues, so a single bad line does not hide structural
 //! problems elsewhere in the file.
 
+use std::collections::HashMap;
+
 use xlac_logic::gate::GateKind;
 use xlac_logic::{Netlist, NetlistBuilder, Signal};
 
@@ -82,7 +84,7 @@ impl RawNetlist {
     /// undriven signals, multiply-driven signals, and combinational
     /// cycles.
     pub fn to_netlist(&self) -> Result<Netlist, String> {
-        let mut drivers: std::collections::HashMap<&str, usize> = std::collections::HashMap::new();
+        let mut drivers: HashMap<&str, usize> = HashMap::new();
         for (i, cell) in self.cells.iter().enumerate() {
             if let CellFunc::Instance(module) = &cell.func {
                 return Err(format!(
@@ -94,87 +96,111 @@ impl RawNetlist {
                 return Err(format!("{}: signal {} is multiply driven", self.name, cell.output));
             }
         }
-        let input_index: std::collections::HashMap<&str, usize> =
+        let input_index: HashMap<&str, usize> =
             self.inputs.iter().enumerate().map(|(i, n)| (n.as_str(), i)).collect();
         if let Some(clash) = self.inputs.iter().find(|n| drivers.contains_key(n.as_str())) {
             return Err(format!("{}: input port {clash} is driven by a cell", self.name));
         }
 
         let mut b = NetlistBuilder::new(self.name.clone(), self.inputs.len());
-        // DFS with an explicit on-stack mark: 0 = untouched, 1 = visiting
-        // (a revisit is a combinational cycle), 2 = built.
-        let mut state = vec![0u8; self.cells.len()];
+        let mut visiting = vec![false; self.cells.len()];
         let mut built: Vec<Option<Signal>> = vec![None; self.cells.len()];
-        fn resolve(
-            name: &str,
-            this: &RawNetlist,
-            drivers: &std::collections::HashMap<&str, usize>,
-            input_index: &std::collections::HashMap<&str, usize>,
-            b: &mut NetlistBuilder,
-            state: &mut [u8],
-            built: &mut [Option<Signal>],
-        ) -> Result<Signal, String> {
-            if name == "1'b0" {
-                return Ok(Signal::Const(false));
-            }
-            if name == "1'b1" {
-                return Ok(Signal::Const(true));
-            }
-            if let Some(&i) = input_index.get(name) {
-                return Ok(Signal::Input(i));
-            }
-            let Some(&cell_ix) = drivers.get(name) else {
-                return Err(format!("{}: signal {name} has no driver", this.name));
-            };
-            if let Some(sig) = built[cell_ix] {
-                return Ok(sig);
-            }
-            if state[cell_ix] == 1 {
-                return Err(format!("{}: combinational cycle through {name}", this.name));
-            }
-            state[cell_ix] = 1;
-            let cell = &this.cells[cell_ix];
-            let mut fanin = Vec::with_capacity(cell.inputs.len());
-            for operand in &cell.inputs {
-                fanin.push(resolve(operand, this, drivers, input_index, b, state, built)?);
-            }
-            let sig = match &cell.func {
-                CellFunc::Gate(kind) => {
-                    if fanin.len() != kind.arity() {
-                        return Err(format!(
-                            "{}: cell {} has {} operands, {kind} expects {}",
-                            this.name,
-                            cell.name,
-                            fanin.len(),
-                            kind.arity()
-                        ));
-                    }
-                    b.gate(*kind, &fanin)
-                }
-                CellFunc::Alias => fanin[0],
-                CellFunc::Instance(_) => unreachable!("instances rejected above"),
-            };
-            state[cell_ix] = 2;
-            built[cell_ix] = Some(sig);
-            Ok(sig)
-        }
-
         let mut outs = Vec::with_capacity(self.outputs.len());
         for name in &self.outputs {
-            outs.push(resolve(
-                name,
-                self,
-                &drivers,
-                &input_index,
-                &mut b,
-                &mut state,
-                &mut built,
-            )?);
+            let resolved =
+                self.resolve(name, &drivers, &input_index, &mut b, &mut visiting, &mut built)?;
+            outs.push(resolved);
         }
         for sig in outs {
             b.output(sig);
         }
         b.finish().map_err(|e| format!("{}: {e}", self.name))
+    }
+
+    /// Builds the cone driving `name` depth-first, operands left to right,
+    /// with an explicit stack (a deep chain must not exhaust the thread's
+    /// stack). `visiting` marks the cells on the current path: reaching
+    /// one again is a combinational cycle.
+    fn resolve(
+        &self,
+        name: &str,
+        drivers: &HashMap<&str, usize>,
+        input_index: &HashMap<&str, usize>,
+        b: &mut NetlistBuilder,
+        visiting: &mut [bool],
+        built: &mut [Option<Signal>],
+    ) -> Result<Signal, String> {
+        // A resolved signal, or the index of the cell still to build.
+        let lookup =
+            |name: &str, built: &[Option<Signal>]| -> Result<Result<Signal, usize>, String> {
+                match name {
+                    "1'b0" => return Ok(Ok(Signal::Const(false))),
+                    "1'b1" => return Ok(Ok(Signal::Const(true))),
+                    _ => {}
+                }
+                if let Some(&i) = input_index.get(name) {
+                    return Ok(Ok(Signal::Input(i)));
+                }
+                let Some(&cell_ix) = drivers.get(name) else {
+                    return Err(format!("{}: signal {name} has no driver", self.name));
+                };
+                Ok(built[cell_ix].ok_or(cell_ix))
+            };
+        let root = match lookup(name, built)? {
+            Ok(sig) => return Ok(sig),
+            Err(cell_ix) => cell_ix,
+        };
+        visiting[root] = true;
+        // Each frame: a cell and its operands resolved so far.
+        let mut stack: Vec<(usize, Vec<Signal>)> = vec![(root, Vec::new())];
+        while let Some((cell_ix, fanin)) = stack.last_mut() {
+            let cell = &self.cells[*cell_ix];
+            if let Some(operand) = cell.inputs.get(fanin.len()) {
+                match lookup(operand, built)? {
+                    Ok(sig) => fanin.push(sig),
+                    Err(dep) if visiting[dep] => {
+                        return Err(format!(
+                            "{}: combinational cycle through {operand}",
+                            self.name
+                        ));
+                    }
+                    Err(dep) => {
+                        visiting[dep] = true;
+                        stack.push((dep, Vec::new()));
+                    }
+                }
+                continue;
+            }
+            let sig = match &cell.func {
+                CellFunc::Gate(kind) if fanin.len() == kind.arity() => b.gate(*kind, fanin),
+                CellFunc::Gate(kind) => {
+                    return Err(format!(
+                        "{}: cell {} has {} operands, {kind} expects {}",
+                        self.name,
+                        cell.name,
+                        fanin.len(),
+                        kind.arity()
+                    ));
+                }
+                CellFunc::Alias => match fanin[..] {
+                    [source] => source,
+                    _ => {
+                        return Err(format!(
+                            "{}: alias {} must have one source",
+                            self.name, cell.name
+                        ))
+                    }
+                },
+                CellFunc::Instance(_) => unreachable!("instances rejected above"),
+            };
+            visiting[*cell_ix] = false;
+            built[*cell_ix] = Some(sig);
+            stack.pop();
+            if let Some((_, parent)) = stack.last_mut() {
+                parent.push(sig);
+            }
+        }
+        built[root].ok_or_else(|| format!("{}: signal {name} was not built", self.name))
     }
 }
 
@@ -217,10 +243,8 @@ pub fn parse_verilog(source: &str) -> (Option<RawNetlist>, Vec<ParseError>) {
     let (mut modules, mut errors) = parse_verilog_library(source);
     if modules.len() > 1 {
         for extra in modules.split_off(1) {
-            errors.push(ParseError {
-                line: extra.line,
-                message: "second module declaration".into(),
-            });
+            errors
+                .push(ParseError { line: extra.line, message: "second module declaration".into() });
         }
         errors.sort_by_key(|e| e.line);
     }
@@ -442,7 +466,8 @@ endmodule
     fn to_netlist_orders_cells_topologically() {
         // Drivers deliberately out of order: g1 consumes w0 before g0
         // declares it.
-        let src = "module shuffled (\n    input  wire a,\n    input  wire b,\n    output wire y\n);\n\
+        let src =
+            "module shuffled (\n    input  wire a,\n    input  wire b,\n    output wire y\n);\n\
                    wire w0, w1;\n    xor g1 (w1, w0, b);\n    and g0 (w0, a, b);\n\
                    assign y = w1;\nendmodule\n";
         let (module, errors) = parse_verilog(src);

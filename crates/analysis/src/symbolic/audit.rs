@@ -5,9 +5,8 @@
 //! The static layer promises *sound* over-approximation: for every input
 //! vector, `approx − exact ≤ bound.over` and `exact − approx ≤
 //! bound.under`, with `mean_abs` and `error_rate_bound` sound under
-//! uniform primary inputs. Until now that promise was spot-checked by
-//! sampling ([`crate::validate`]). This module turns it into a closed
-//! regression: for every shipped configuration with 8-bit-and-under
+//! uniform primary inputs. This module is the one check of that promise:
+//! for every shipped configuration with 8-bit-and-under
 //! operands (≤ 16 primary input bits) the exact WCE / directional
 //! extremes / error rate / MED are computed by exhaustive compiled
 //! enumeration ([`exhaustive_metrics`]) of the unit's structural netlist
@@ -104,7 +103,12 @@ impl BoundAudit {
 }
 
 /// Audits `bound` against the exhaustive metrics of the netlist pair.
-fn audit_pair(
+///
+/// # Errors
+///
+/// The pair does not fit the exhaustive engine: differing input arity,
+/// more than 16 inputs or more than 64 outputs.
+pub fn audit_pair(
     name: String,
     bound: &ErrorBound,
     approx: &Netlist,
@@ -130,7 +134,8 @@ fn audit_derived_pair(
 
 /// The magnitude word `|a − b|` of a subtractor netlist, without its
 /// trailing `a ≥ b` flag: the quantity the subtractor bounds cover.
-fn magnitude_netlist(sub: &Subtractor<RippleCarryAdder>) -> Netlist {
+#[must_use]
+pub fn magnitude_netlist(sub: &Subtractor<RippleCarryAdder>) -> Netlist {
     let w = sub.width();
     let full = subtractor_netlist(sub);
     let mut b = NetlistBuilder::new(sub.name(), 2 * w);
@@ -178,27 +183,23 @@ fn absint_audits(
         }
     }
     for kind in FullAdderKind::APPROXIMATE {
-        let rca =
-            RippleCarryAdder::with_approx_lsbs(8, kind, 4).expect("shipped configuration");
+        let rca = RippleCarryAdder::with_approx_lsbs(8, kind, 4).expect("shipped configuration");
         audits.push(audit_derived_pair(&rca.name(), &ripple_netlist(&rca), accurate_rca)?);
     }
     {
         let gear = GeArAdder::new(8, 2, 2).expect("shipped configuration");
         audits.push(audit_derived_pair(&gear.name(), &gear_netlist(&gear), accurate_rca)?);
     }
-    let exact_sub =
-        subtractor_netlist(&Subtractor::new(RippleCarryAdder::accurate(8)));
+    let exact_sub = subtractor_netlist(&Subtractor::new(RippleCarryAdder::accurate(8)));
     for kind in FullAdderKind::APPROXIMATE {
         let sub = Subtractor::new(
             RippleCarryAdder::with_approx_lsbs(8, kind, 4).expect("shipped configuration"),
         );
         audits.push(audit_derived_pair(&sub.name(), &subtractor_netlist(&sub), &exact_sub)?);
     }
-    for (kind, cols) in [
-        (FullAdderKind::Apx2, 4),
-        (FullAdderKind::Apx4, 8),
-        (FullAdderKind::Apx5, 8),
-    ] {
+    for (kind, cols) in
+        [(FullAdderKind::Apx2, 4), (FullAdderKind::Apx4, 8), (FullAdderKind::Apx5, 8)]
+    {
         let mul = WallaceMultiplier::new(8, kind, cols).expect("shipped configuration");
         audits.push(audit_derived_pair(&mul.name(), &wallace_netlist(&mul), accurate_mul)?);
     }
@@ -207,8 +208,8 @@ fn absint_audits(
 
 /// Runs the full audit: every shipped configuration whose operand width
 /// admits exact analysis (8-bit-and-under datapaths, plus the 2×2
-/// elementary blocks). The larger GeAr geometries (22–32 input bits)
-/// stay covered by the sampled [`crate::validate`] checks.
+/// elementary blocks). The wider GeAr, SAD and FIR configurations are
+/// checked by seeded sampling in the workspace's `static_bounds` tests.
 #[must_use]
 pub fn audit_bounds() -> Vec<BoundAudit> {
     // Invariant: the table below is fixed, and every pair in it shares
@@ -227,8 +228,7 @@ fn audit_table() -> Result<Vec<BoundAudit>, XlacError> {
     // Ripple adders: 8-bit, 4 approximate LSB cells, all five Table III
     // approximate full adders. Exact reference: a + b with carry-out.
     for kind in FullAdderKind::APPROXIMATE {
-        let rca = RippleCarryAdder::with_approx_lsbs(8, kind, 4)
-            .expect("shipped configuration");
+        let rca = RippleCarryAdder::with_approx_lsbs(8, kind, 4).expect("shipped configuration");
         let bound = components::ripple_adder_bound(&rca);
         audits.push(audit_pair(rca.name(), &bound, &ripple_netlist(&rca), &accurate_rca)?);
     }

@@ -400,20 +400,34 @@ fn column_population(c: usize, w: usize) -> u128 {
 }
 
 /// The exact PMF of `comp − D(a, b)` by enumerating the low
-/// `2·min(dropped, w)` operand bits.
-fn truncated_error_pmf(m: &TruncatedMultiplier) -> ErrorPmf {
+/// `2·min(dropped, w)` operand bits, plus the exact maximum of the raw
+/// (pre-wrap) value `a·b − D + comp`. `D` depends only on the cone bits
+/// while `a·b` is monotone in the high bits, so the maximum sits at
+/// all-ones high parts, as in the Wallace cone pass.
+fn truncated_error_pmf(m: &TruncatedMultiplier) -> (ErrorPmf, u128) {
+    let w = m.width();
     let dropped = m.dropped_columns();
+    let cone_w = dropped.min(w);
     let comp = i128::from(m.compensation());
+    let high = (1u128 << w) - (1u128 << cone_w);
+    let mut raw_max = 0u128;
     let mut acc = vec![0u64; dropped + 8];
-    cone_pmf(dropped.min(m.width()), |a, b| {
+    let pmf = cone_pmf(cone_w, |a, b| {
         acc.fill(0);
         for (i, &a_bit) in a.iter().enumerate() {
             for (j, &b_bit) in b.iter().enumerate().take(dropped.saturating_sub(i)) {
                 ripple_into(&mut acc, i + j, a_bit & b_bit);
             }
         }
-        from_planes(&acc).map(|d| comp - i128::from(d))
-    })
+        let (d, x, y) = (from_planes(&acc), from_planes(a), from_planes(b));
+        std::array::from_fn(|l| {
+            let product = (high + u128::from(x[l])) * (high + u128::from(y[l]));
+            let raw = product as i128 - i128::from(d[l]) + comp;
+            raw_max = raw_max.max(raw.max(0) as u128);
+            comp - i128::from(d[l])
+        })
+    });
+    (pmf, raw_max)
 }
 
 /// Certified error metrics for a truncated multiplier at any shipped
@@ -426,10 +440,12 @@ pub fn truncated_calculus(m: &TruncatedMultiplier) -> CertifiedMetrics {
     let dropped = m.dropped_columns();
     let comp = u128::from(m.compensation());
     let k = dropped.min(w);
-    let model = if dropped == 0 {
-        ErrorModel::zero()
+    let exact_max = ((1u128 << w) - 1) * ((1u128 << w) - 1);
+    let (model, raw_max) = if dropped == 0 {
+        (ErrorModel::zero(), exact_max)
     } else if k <= 10 {
-        ErrorModel::Exact(truncated_error_pmf(m))
+        let (pmf, raw_max) = truncated_error_pmf(m);
+        (ErrorModel::Exact(pmf), raw_max)
     } else {
         let max_dropped: i128 =
             (0..dropped.min(2 * w - 1)).map(|c| (column_population(c, w) << c) as i128).sum();
@@ -440,17 +456,19 @@ pub fn truncated_calculus(m: &TruncatedMultiplier) -> CertifiedMetrics {
             .map(|c| column_population(c, w) as f64 * 0.25 * (c as f64).exp2())
             .sum();
         let mean = comp_i as f64 - mean_dropped;
-        ErrorModel::Interval(ErrorInterval {
+        let env = ErrorInterval {
             lo: comp_i - max_dropped,
             hi: comp_i,
             mean_lo: mean,
             mean_hi: mean,
             mean_abs_hi: (comp_i - max_dropped).unsigned_abs().max(comp_i.unsigned_abs()) as f64,
             rate_hi: 1.0,
-        })
+        };
+        (ErrorModel::Interval(env), exact_max.saturating_add(comp))
     };
-    let exact_max = ((1u128 << w) - 1) * ((1u128 << w) - 1);
-    let wrapped = model.wrap_truncated(2 * w as u32, exact_max.saturating_add(comp));
+    // The product wraps mod 2^{2w}: hazardous only when the raw value
+    // can pass the ceiling.
+    let wrapped = model.wrap_truncated(2 * w as u32, raw_max);
     CertifiedMetrics { name: m.name(), width: w, model: wrapped }
 }
 
@@ -649,7 +667,18 @@ mod tests {
 
     #[test]
     fn truncated_calculus_is_exact_and_matches_enumeration() {
-        for (w, dropped, comp) in [(4, 2, false), (8, 4, true), (8, 6, true), (8, 6, false)] {
+        // The last three cover both operands: exact only because the raw
+        // maximum a·b − D + comp is taken in the cone pass.
+        let configs = [
+            (4, 2, false),
+            (8, 4, true),
+            (8, 6, true),
+            (8, 6, false),
+            (4, 7, true),
+            (8, 9, true),
+            (8, 15, true),
+        ];
+        for (w, dropped, comp) in configs {
             let m = TruncatedMultiplier::new(w, dropped, comp).unwrap();
             let metrics = truncated_calculus(&m);
             assert_pmf_matches(&metrics, &m);
@@ -791,9 +820,10 @@ mod tests {
     #[test]
     fn truncated_calculus_is_exact_on_a_twenty_bit_cone() {
         // min(dropped, w) = 10: 2^20 enumerated assignments, the widest
-        // cone the exact path takes. Compensation would push the 10×10
-        // raw maximum past 2^20 (a wrap hazard), so it is off here.
-        let m = TruncatedMultiplier::new(10, 10, false).unwrap();
+        // cone the exact path takes. The cone covers both operands, so
+        // the raw maximum a·b − D + comp is taken exactly and stays
+        // below 2^20 with compensation on.
+        let m = TruncatedMultiplier::new(10, 10, true).unwrap();
         let metrics = truncated_calculus(&m);
         assert_eq!(metrics.model.pmf().map(ErrorPmf::denom_bits), Some(20));
         assert_pmf_matches(&metrics, &m);

@@ -1,10 +1,9 @@
 //! Exact symbolic analysis: ROBDDs, circuit compilation, provable error
 //! metrics and formal equivalence (DESIGN.md §11).
 //!
-//! The static layer so far bounded errors conservatively
-//! ([`crate::bound`]) and validated the bounds by sampling
-//! ([`crate::validate`]). This module closes the gap with *exact*
-//! answers:
+//! The static layer bounds errors conservatively ([`crate::bound`]).
+//! This module supplies the *exact* answers those bounds are checked
+//! against:
 //!
 //! * [`bdd`] — an in-house reduced ordered BDD package: hash-consed
 //!   nodes, memoized ITE, restrict/compose, model counting, witness
@@ -48,7 +47,7 @@ pub mod pmf;
 pub mod registry;
 pub mod twins;
 
-pub use audit::{audit_bounds, audits_to_json, BoundAudit};
+pub use audit::{audit_bounds, audit_pair, audits_to_json, magnitude_netlist, BoundAudit};
 pub use bdd::{Bdd, BddBudgetExceeded, BddStats, Ref, SiftOptions, SiftStats, FALSE, TRUE};
 pub use calculus::{
     block_error_pmf, recursive_calculus, truncated_calculus, wallace_calculus, CertifiedMetrics,

@@ -105,7 +105,6 @@ fn shipped_hdl_directory_is_error_free() {
 #[test]
 fn lint_binary_fails_on_the_fixture_directory() {
     let status = Command::new(env!("CARGO_BIN_EXE_xlac-lint"))
-        .arg("--lint-only")
         .arg("--hdl-dir")
         .arg(fixture_dir())
         .output()
@@ -121,7 +120,6 @@ fn lint_binary_fails_on_the_fixture_directory() {
 fn lint_binary_passes_on_the_shipped_hdl() {
     let hdl = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../hdl");
     let status = Command::new(env!("CARGO_BIN_EXE_xlac-lint"))
-        .arg("--lint-only")
         .arg("--hdl-dir")
         .arg(&hdl)
         .output()
@@ -135,7 +133,6 @@ fn exact_mode_proves_every_shipped_module_and_bound() {
     let hdl = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../hdl");
     let status = Command::new(env!("CARGO_BIN_EXE_xlac-lint"))
         .arg("--exact")
-        .arg("--lint-only")
         .arg("--hdl-dir")
         .arg(&hdl)
         .output()
@@ -149,9 +146,19 @@ fn exact_mode_proves_every_shipped_module_and_bound() {
 }
 
 #[test]
+fn unknown_arguments_are_usage_errors() {
+    let output = Command::new(env!("CARGO_BIN_EXE_xlac-lint"))
+        .arg("--no-such-option")
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown argument"), "{stderr}");
+}
+
+#[test]
 fn json_mode_emits_parseable_structure() {
     let status = Command::new(env!("CARGO_BIN_EXE_xlac-lint"))
-        .arg("--lint-only")
         .arg("--json")
         .arg("--hdl-dir")
         .arg(fixture_dir())

@@ -17,11 +17,8 @@ fn malformed_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/malformed")
 }
 
-const FIXTURES: [&str; 3] = [
-    "malformed_truncated.v",
-    "malformed_stray_token.v",
-    "malformed_unclosed_ports.v",
-];
+const FIXTURES: [&str; 3] =
+    ["malformed_truncated.v", "malformed_stray_token.v", "malformed_unclosed_ports.v"];
 
 /// Parsing and linting each malformed fixture terminates without panicking
 /// and yields at least one error-severity diagnostic.
@@ -31,11 +28,8 @@ fn malformed_fixtures_lint_to_errors_without_panicking() {
         let source = std::fs::read_to_string(malformed_dir().join(name)).unwrap();
         let (module, errors) = parse_verilog(&source);
         let report = lint_raw(&module.unwrap_or_default(), &errors);
-        let error_count = report
-            .diagnostics
-            .iter()
-            .filter(|d| d.severity == Severity::Error)
-            .count();
+        let error_count =
+            report.diagnostics.iter().filter(|d| d.severity == Severity::Error).count();
         assert!(
             error_count > 0,
             "{name}: expected at least one error diagnostic, got {:?}",
@@ -49,15 +43,12 @@ fn malformed_fixtures_lint_to_errors_without_panicking() {
 #[test]
 fn lint_binary_reports_malformed_hdl_and_fails() {
     let output = Command::new(env!("CARGO_BIN_EXE_xlac-lint"))
-        .args(["--lint-only", "--hdl-dir"])
+        .arg("--hdl-dir")
         .arg(malformed_dir())
         .output()
         .expect("run xlac-lint");
     let stdout = String::from_utf8_lossy(&output.stdout);
-    assert!(
-        !output.status.success(),
-        "xlac-lint must fail on malformed HDL\n{stdout}"
-    );
+    assert!(!output.status.success(), "xlac-lint must fail on malformed HDL\n{stdout}");
     assert_eq!(
         output.status.code(),
         Some(1),
@@ -73,7 +64,7 @@ fn lint_binary_reports_malformed_hdl_and_fails() {
 #[test]
 fn exact_pass_on_malformed_hdl_is_a_diagnostic_not_a_panic() {
     let output = Command::new(env!("CARGO_BIN_EXE_xlac-lint"))
-        .args(["--exact", "--lint-only", "--hdl-dir"])
+        .args(["--exact", "--hdl-dir"])
         .arg(malformed_dir())
         .output()
         .expect("run xlac-lint");

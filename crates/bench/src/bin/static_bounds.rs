@@ -1,30 +1,22 @@
 //! Static error-bound report: the `xlac-analysis` bounds next to the
-//! Monte-Carlo / exhaustive errors they must dominate.
+//! exact errors they must dominate.
 //!
 //! Two tables:
 //!
 //! 1. the built-in component profiles (static WCE / mean / rate bounds
 //!    plus the synthesis-flow area), and
-//! 2. the soundness checks — for every checked configuration the static
-//!    WCE must upper-bound the worst error seen across the sampled or
-//!    exhaustive input sweep (`DESIGN.md` §9).
+//! 2. the bound audit (`symbolic::audit_bounds`) — for every audited
+//!    configuration the static WCE next to the exact WCE from exhaustive
+//!    enumeration; every field of the bound must dominate its exact
+//!    counterpart (`DESIGN.md` §9).
 
 use xlac_analysis::components::builtin_profiles;
-use xlac_analysis::validate::run_all_checks;
+use xlac_analysis::symbolic::audit_bounds;
 use xlac_bench::{check, header, row, section};
 
 fn main() {
-    let quick = std::env::var_os("XLAC_BENCH_QUICK").is_some();
-    let samples: u64 = if quick { 10_000 } else { 100_000 };
-
     section("static profiles (built-in component library)");
-    header(&[
-        ("component", 26),
-        ("wce", 12),
-        ("mean<=", 12),
-        ("rate<=", 8),
-        ("area[GE]", 10),
-    ]);
+    header(&[("component", 26), ("wce", 12), ("mean<=", 12), ("rate<=", 8), ("area[GE]", 10)]);
     let profiles = builtin_profiles().expect("built-in configs construct");
     for p in &profiles {
         row(&[
@@ -36,34 +28,22 @@ fn main() {
         ]);
     }
 
-    section(format!("soundness checks ({samples} samples where not exhaustive)").as_str());
-    header(&[
-        ("configuration", 34),
-        ("wce bound", 12),
-        ("observed", 12),
-        ("tight", 7),
-        ("mode", 6),
-        ("sound", 6),
-    ]);
-    let checks = run_all_checks(samples).expect("checks construct");
-    let mut all_sound = true;
-    for c in &checks {
-        let observed = c.observed_over.max(c.observed_under);
-        let sound = c.is_sound();
-        all_sound &= sound;
+    section("bound audit (exhaustive enumeration)");
+    header(&[("configuration", 42), ("wce bound", 12), ("exact", 12), ("slack", 12), ("sound", 6)]);
+    let audits = audit_bounds();
+    for a in &audits {
         row(&[
-            (c.name.clone(), 34),
-            (format!("{}", c.bound.wce()), 12),
-            (format!("{observed}"), 12),
-            (format!("{:.2}", c.wce_tightness()), 7),
-            (if c.exhaustive { "exact" } else { "mc" }.to_string(), 6),
-            (if sound { "yes" } else { "NO" }.to_string(), 6),
+            (a.name.clone(), 42),
+            (format!("{}", a.bound_wce), 12),
+            (format!("{}", a.exact_wce), 12),
+            (format!("{}", a.wce_slack), 12),
+            (if a.sound { "yes" } else { "NO" }.to_string(), 6),
         ]);
     }
 
     section("shape checks");
     let mut ok = true;
-    ok &= check("every static bound dominates its observed error", all_sound);
+    ok &= check("every static bound dominates its exact error", audits.iter().all(|a| a.sound));
     ok &= check(
         "the profile library spans all component families",
         ["GeAr", "RCA", "Sub", "RecMul", "Wallace", "TruncMul", "SAD", "FIR"]
@@ -72,10 +52,7 @@ fn main() {
     );
     ok &= check(
         "exact configurations get exact bounds",
-        checks
-            .iter()
-            .filter(|c| c.name.contains("Accurate") && c.bound.is_exact())
-            .all(|c| c.observed_over == 0 && c.observed_under == 0),
+        audits.iter().filter(|a| a.exact_wce == 0).all(|a| a.bound_wce == 0),
     );
     std::process::exit(i32::from(!ok));
 }

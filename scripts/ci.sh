@@ -13,26 +13,27 @@
 #      the next benchmark run;
 #   3. clippy, when the component is installed (optional — toolchains
 #      without it skip the step rather than fail);
-#   4. xlac-lint: static error-bound validation + netlist lint over all
-#      built-in configs and hdl/ (DESIGN.md §9) — any error-severity
-#      diagnostic or unsound bound fails the gate;
-#   5. xlac-lint --exact: the symbolic proof gate (DESIGN.md §11) — for
+#   4. xlac-lint --exact, one run that lints and proves: the netlist lint
+#      over all built-in configs and hdl/ plus the JIT bytecode verifier
+#      (DESIGN.md §9), then the symbolic proof gate (DESIGN.md §11) — for
 #      every shipped module the truth-table or scalar model, the hdl/
 #      netlist and any remaining hand bit-sliced form are proven the same
 #      function (the ≤16-input agreement legs compare the scalar model,
 #      and the hand bit-sliced model where one exists, with the
 #      elaborated netlist on every assignment, 64 lanes per block; the
-#      GeAr legs on seeded vectors), and every ≤8-bit static
-#      bound is checked sound against the exact
-#      metrics from exhaustive compiled enumeration; any refuted proof
-#      or unsound bound (the `absint:` derived bounds of DESIGN.md §16
-#      included) fails the gate; the JSON report is kept as
-#      target/LINT_exact.json for the report gate (step 12); then the
-#      library gate (DESIGN.md §17) re-checks every shipped descriptor
-#      in-process — lint + XL014 contract, registry equivalence proofs,
-#      zero unsound bound audits — and times the combined distribution
-#      sweep (exact PMF fronts under every shipped input distribution)
-#      into BENCH_explore.json;
+#      GeAr legs on seeded vectors) — and the bound audit, the one check
+#      of the static bounds: every ≤8-bit bound against the exact metrics
+#      from exhaustive compiled enumeration (the wider GeAr/SAD/FIR
+#      bounds are sampled by tests/static_bounds.rs in step 2); any
+#      error-severity diagnostic, refuted proof or unsound bound (the
+#      `absint:` derived bounds of DESIGN.md §16 included) fails the
+#      gate; the JSON report is kept as target/LINT_exact.json for the
+#      report gate (step 12);
+#   5. the library gate (DESIGN.md §17) re-checks every shipped
+#      descriptor in-process — lint + XL014 contract, registry
+#      equivalence proofs, zero unsound bound audits — and times the
+#      combined distribution sweep (exact PMF fronts under every shipped
+#      input distribution) into BENCH_explore.json;
 #   6. rustdoc with warnings as errors (broken intra-doc links etc.);
 #   7. the bit-sliced differential suite on its own (DESIGN.md §10) —
 #      it is part of step 2 already, but a dedicated invocation keeps
@@ -59,8 +60,8 @@
 #      per-evaluation cost into a predicted req/s at the protocol's
 #      maximum batch size, with the measured/predicted ratio appended;
 #  11. the observability layer (DESIGN.md §12): xlac-obs unit tests in
-#      both feature configurations, then the differential + lint +
-#      exact gates re-run under the instrumented build (--features obs)
+#      both feature configurations, then the differential suite and
+#      xlac-lint --exact re-run under the instrumented build (--features obs)
 #      to prove instrumentation changes no result, and finally the
 #      instrumented bitslice bench recorded into BENCH_obs.json and
 #      profiled;
@@ -104,12 +105,9 @@ else
     echo "==> cargo clippy not installed; skipping lint step"
 fi
 
-echo "==> xlac-lint (static bounds + netlist lint)"
-cargo run -q --release -p xlac-analysis --offline --bin xlac-lint -- --samples 100000
-
-echo "==> xlac-lint --exact (equivalence proofs + bound soundness audit)"
+echo "==> xlac-lint --exact (netlist lint + equivalence proofs + bound soundness audit)"
 cargo run -q --release -p xlac-analysis --offline --bin xlac-lint -- \
-    --exact --lint-only --json > target/LINT_exact.json
+    --exact --json > target/LINT_exact.json
 
 echo "==> library gate (descriptor lint+XL014, registry proofs, sound audits) + distribution sweep (BENCH_explore.json)"
 cargo run -q --release -p xlac-bench --offline --bin library_gate \
@@ -172,13 +170,9 @@ cargo test -q -p xlac-obs --offline --features obs
 echo "==> instrumented differential suite (--features obs)"
 cargo test -q --offline --release --test bitslice_differential --features obs
 
-echo "==> instrumented xlac-lint (--features obs)"
-cargo run -q --release -p xlac-analysis --offline --features obs \
-    --bin xlac-lint -- --samples 100000
-
 echo "==> instrumented xlac-lint --exact (--features obs)"
 cargo run -q --release -p xlac-analysis --offline --features obs \
-    --bin xlac-lint -- --exact --lint-only
+    --bin xlac-lint -- --exact
 
 echo "==> instrumented bitslice report (BENCH_obs.json)"
 XLAC_BENCH_SAMPLES=7 XLAC_BENCH_MIN_SAMPLE_MS=1 cargo bench -q -p xlac-bench \

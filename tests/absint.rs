@@ -21,8 +21,8 @@
 //!   whole-engine per-gate soundness on random DAGs.
 
 use xlac_analysis::absint::{
-    analyze_netlist, derive_error_bound, derive_error_bound_with, gate_eval, prob_gate,
-    tern_gate, AbsintOptions, InputDistribution, ProbInterval, Tern,
+    analyze_netlist, derive_error_bound, derive_error_bound_with, prob_gate, tern_gate,
+    AbsintOptions, InputDistribution, ProbInterval, Tern,
 };
 use xlac_analysis::bound::ErrorBound;
 use xlac_core::check::check;
@@ -133,14 +133,8 @@ fn derived_bounds_envelope_enumerated_truth_exactly() {
         // These sizes take the exhaustive leg: the bound is the truth.
         assert_eq!(bound.over, truth.max_over, "{name}: over not exact");
         assert_eq!(bound.under, truth.max_under, "{name}: under not exact");
-        assert!(
-            (bound.mean_abs - truth.mean_abs).abs() < 1e-9,
-            "{name}: mean not exact"
-        );
-        assert!(
-            (bound.error_rate_bound - truth.error_rate).abs() < 1e-9,
-            "{name}: rate not exact"
-        );
+        assert!((bound.mean_abs - truth.mean_abs).abs() < 1e-9, "{name}: mean not exact");
+        assert!((bound.error_rate_bound - truth.error_rate).abs() < 1e-9, "{name}: rate not exact");
     }
 }
 
@@ -150,16 +144,12 @@ fn starved_abstract_engine_stays_sound() {
     // nothing: the result degrades to pure interval arithmetic plus a
     // truncated search, and must STILL envelope the truth on every pair
     // (anytime soundness). Tightness is deliberately not asserted.
-    let starved = AbsintOptions {
-        cone_limit: 0,
-        exhaustive_limit: 0,
-        leaf_limit: 4,
-        node_budget: 2,
-    };
+    let starved =
+        AbsintOptions { cone_limit: 0, exhaustive_limit: 0, leaf_limit: 4, node_budget: 2 };
     for (name, approx, exact) in registry_pairs() {
         let dist = InputDistribution::uniform(approx.n_inputs());
-        let bound = derive_error_bound_with(&approx, &exact, &dist, &starved)
-            .expect("shared arity");
+        let bound =
+            derive_error_bound_with(&approx, &exact, &dist, &starved).expect("shared arity");
         let truth = enumerate_truth(&approx, &exact);
         assert_envelopes(&format!("starved/{name}"), &bound, &truth);
     }
@@ -175,8 +165,7 @@ fn nonuniform_distributions_keep_the_rate_and_mean_sound() {
     let skew = [0.9, 0.1, 0.5];
     for d in xlac_adders::approx_cell_descriptors() {
         let n = d.netlist().n_inputs();
-        let dist =
-            InputDistribution::new((0..n).map(|i| skew[i % skew.len()]).collect());
+        let dist = InputDistribution::new((0..n).map(|i| skew[i % skew.len()]).collect());
         let bound = derive_error_bound_with(
             d.netlist(),
             d.reference_netlist(),
@@ -274,7 +263,7 @@ fn tern_transfer_is_sound_for_every_gate() {
                 bits.push(bit);
             }
             let out = tern_gate(kind, &terns);
-            let concrete = gate_eval(kind, &bits);
+            let concrete = kind.eval(&bits.iter().map(|&b| u64::from(b)).collect::<Vec<_>>()) == 1;
             if out.contains(concrete) {
                 Ok(())
             } else {
@@ -297,8 +286,7 @@ fn prob_transfer_is_sound_under_arbitrary_correlation() {
         "frechet transfer soundness",
         |rng| {
             let kind = (rng.next_u64() % KINDS.len() as u64) as u8;
-            let weights: Vec<u64> =
-                (0..8).map(|_| rng.next_u64() % 1000 + 1).collect();
+            let weights: Vec<u64> = (0..8).map(|_| rng.next_u64() % 1000 + 1).collect();
             (kind, weights)
         },
         |(kind_idx, weights)| {
@@ -317,7 +305,7 @@ fn prob_transfer_is_sound_under_arbitrary_correlation() {
                         marginals[i] += w;
                     }
                 }
-                if gate_eval(kind, &bits) {
+                if kind.eval(&bits.iter().map(|&b| u64::from(b)).collect::<Vec<_>>()) == 1 {
                     p_out += w;
                 }
             }
@@ -382,8 +370,7 @@ fn whole_engine_is_sound_per_gate_on_random_dags() {
         "absint per-gate soundness on random DAGs",
         |rng| {
             let n_inputs = (rng.next_u64() % 5 + 2) as usize;
-            let gates: Vec<u64> =
-                (0..rng.next_u64() % 12 + 1).map(|_| rng.next_u64()).collect();
+            let gates: Vec<u64> = (0..rng.next_u64() % 12 + 1).map(|_| rng.next_u64()).collect();
             (n_inputs as u8, gates)
         },
         |(n_inputs, gates)| {
@@ -418,10 +405,7 @@ fn whole_engine_is_sound_per_gate_on_random_dags() {
                 let p = count as f64 / total as f64;
                 let iv = abs.gates[g].p;
                 if p < iv.lo - 1e-9 || p > iv.hi + 1e-9 {
-                    return Err(format!(
-                        "gate {g}: true P=1 {p} outside [{}, {}]",
-                        iv.lo, iv.hi
-                    ));
+                    return Err(format!("gate {g}: true P=1 {p} outside [{}, {}]", iv.lo, iv.hi));
                 }
             }
             Ok(())
