@@ -91,6 +91,12 @@ impl DctAccelerator {
         self.approx_lsbs
     }
 
+    /// The butterfly adder (for elaboration into a netlist).
+    #[must_use]
+    pub fn adder(&self) -> &RippleCarryAdder {
+        &self.adder
+    }
+
     fn add(&self, a: i64, b: i64) -> i64 {
         let w = Self::WORD_BITS;
         let ua = bits::from_signed(a, w);

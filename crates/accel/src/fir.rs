@@ -30,8 +30,7 @@ use xlac_adders::{Adder, RippleCarryAdder};
 use xlac_core::bits;
 use xlac_core::characterization::HwCost;
 use xlac_core::error::{Result, XlacError};
-use xlac_core::lanes;
-use xlac_multipliers::{Mul2x2Kind, Multiplier, MultiplierX64, RecursiveMultiplier, SumMode};
+use xlac_multipliers::{Mul2x2Kind, Multiplier, RecursiveMultiplier, SumMode};
 
 /// An `N`-tap FIR accelerator with signed 8-bit coefficients and
 /// 8-bit unsigned samples.
@@ -47,6 +46,9 @@ impl FirAccelerator {
     /// Accumulator width: |coef| ≤ 127, sample ≤ 255, ≤ 64 taps →
     /// |acc| < 2^21; sign bit included.
     const ACC_BITS: usize = 22;
+
+    /// Sample width: each input sample is one unsigned byte.
+    pub const SAMPLE_BITS: usize = 8;
 
     /// Builds the filter. The approximation mode selects the 2×2 block
     /// kind and the approximate-LSB count of both the tap multipliers and
@@ -190,16 +192,6 @@ impl FirAccelerator {
     /// normalization — callers scale as their application needs).
     #[must_use]
     pub fn apply(&self, samples: &[u64]) -> Vec<i64> {
-        self.apply_with(&self.multiplier, samples)
-    }
-
-    /// [`FirAccelerator::apply`] with the tap multiplier swapped for any
-    /// [`Multiplier`] of the same width — e.g. a compiled-netlist
-    /// implementation of the built-in tap core. The accumulation trees and
-    /// dual-rail handling are unchanged, so for an equivalent multiplier
-    /// the response is identical.
-    #[must_use]
-    pub fn apply_with<M: Multiplier + ?Sized>(&self, tap: &M, samples: &[u64]) -> Vec<i64> {
         let taps = self.coefficients.len() as i64;
         let half = taps / 2;
         (0..samples.len() as i64)
@@ -211,7 +203,8 @@ impl FirAccelerator {
                     if idx < 0 || idx >= samples.len() as i64 || h == 0 {
                         continue;
                     }
-                    let product = tap.mul(h.unsigned_abs(), samples[idx as usize] & 0xFF);
+                    let product =
+                        self.multiplier.mul(h.unsigned_abs(), samples[idx as usize] & 0xFF);
                     if h > 0 {
                         positive.push(product);
                     } else {
@@ -221,84 +214,6 @@ impl FirAccelerator {
                 let pos = self.accumulate(positive);
                 let neg = self.accumulate(negative);
                 pos as i64 - neg as i64
-            })
-            .collect()
-    }
-
-    /// Bit-sliced rail accumulation: the same pairwise tree as
-    /// [`FirAccelerator::accumulate`], on 64-lane plane vectors. An empty
-    /// rail is the all-zero plane vector.
-    fn accumulate_x64(&self, mut level: Vec<Vec<u64>>) -> Vec<u64> {
-        if level.is_empty() {
-            return Vec::new();
-        }
-        while level.len() > 1 {
-            let mut next = Vec::with_capacity(level.len().div_ceil(2));
-            let mut i = 0;
-            while i + 1 < level.len() {
-                let mut sum = self.accumulator.add_x64(&level[i], &level[i + 1]);
-                sum.truncate(Self::ACC_BITS);
-                next.push(sum);
-                i += 2;
-            }
-            if i < level.len() {
-                next.push(std::mem::take(&mut level[i]));
-            }
-            level = next;
-        }
-        level.swap_remove(0)
-    }
-
-    /// Bit-sliced 64-batch filter application: evaluates the full MAC
-    /// datapath for 64 independent sample streams at once.
-    ///
-    /// `samples[t]` is the 64-lane bit-plane batch (`xlac_core::lanes`
-    /// layout) of time step `t`: plane `p` holds bit `p` of sample `t`
-    /// across all 64 streams (planes at index ≥ 8 are ignored, matching
-    /// the scalar `& 0xFF` masking). The returned `out[t][j]` equals
-    /// `apply(stream j)[t]` for every lane `j`.
-    #[must_use]
-    pub fn apply_x64(&self, samples: &[Vec<u64>]) -> Vec<[i64; 64]> {
-        self.apply_x64_with(&self.multiplier, samples)
-    }
-
-    /// [`FirAccelerator::apply_x64`] with the tap multiplier swapped for
-    /// any [`MultiplierX64`] of the same width (the bit-sliced companion
-    /// of [`FirAccelerator::apply_with`]).
-    #[must_use]
-    pub fn apply_x64_with<M: MultiplierX64 + ?Sized>(
-        &self,
-        tap: &M,
-        samples: &[Vec<u64>],
-    ) -> Vec<[i64; 64]> {
-        let taps = self.coefficients.len() as i64;
-        let half = taps / 2;
-        (0..samples.len() as i64)
-            .map(|n| {
-                let mut positive = Vec::new();
-                let mut negative = Vec::new();
-                for (k, &h) in self.coefficients.iter().enumerate() {
-                    let idx = n + k as i64 - half;
-                    if idx < 0 || idx >= samples.len() as i64 || h == 0 {
-                        continue;
-                    }
-                    // The coefficient is shared by every lane: an all-ones
-                    // plane per set magnitude bit.
-                    let product =
-                        tap.mul_x64(&lanes::const_planes(h.unsigned_abs(), 8), &samples[idx as usize]);
-                    if h > 0 {
-                        positive.push(product);
-                    } else {
-                        negative.push(product);
-                    }
-                }
-                let pos = self.accumulate_x64(positive);
-                let neg = self.accumulate_x64(negative);
-                let mut out = [0i64; 64];
-                for (j, slot) in out.iter_mut().enumerate() {
-                    *slot = lanes::lane(&pos, j) as i64 - lanes::lane(&neg, j) as i64;
-                }
-                out
             })
             .collect()
     }
@@ -436,35 +351,6 @@ mod tests {
             let cost = FirAccelerator::new(&h, mode).unwrap().hw_cost();
             assert!(cost.power_nw < last, "{mode}");
             last = cost.power_nw;
-        }
-    }
-
-    #[test]
-    fn bit_sliced_apply_matches_scalar_per_lane() {
-        use xlac_core::rng::{DefaultRng, Rng};
-        let mut rng = DefaultRng::seed_from_u64(0xF1A);
-        let h = [3i64, -5, 0, 7, -1];
-        for mode in ApproxMode::ALL {
-            let fir = FirAccelerator::new(&h, mode).unwrap();
-            // 64 independent 12-sample streams, time-step-major batches.
-            let streams: Vec<Vec<u64>> =
-                (0..64).map(|_| (0..12).map(|_| rng.gen_range(0..256)).collect()).collect();
-            let batches: Vec<Vec<u64>> = (0..12)
-                .map(|t| {
-                    let mut vals = [0u64; 64];
-                    for (j, s) in streams.iter().enumerate() {
-                        vals[j] = s[t];
-                    }
-                    lanes::to_planes(&vals, 8)
-                })
-                .collect();
-            let sliced = fir.apply_x64(&batches);
-            for (j, stream) in streams.iter().enumerate() {
-                let scalar = fir.apply(stream);
-                for (t, &expected) in scalar.iter().enumerate() {
-                    assert_eq!(sliced[t][j], expected, "{mode} lane {j} t {t}");
-                }
-            }
         }
     }
 

@@ -18,10 +18,15 @@
 //! `ErrorAccumulator::push` against one `push_lanes` call per 64-lane
 //! batch, the way the sweep driver feeds it.
 //!
+//! The `server_engine_*` groups time the server's compiled DCT and FIR
+//! paths (`engine::eval_dct`, `engine::eval_fir` on a medium ladder rung)
+//! against the scalar models they reproduce: 64 residual blocks, and 64
+//! eight-sample streams.
+//!
 //! `scripts/ci.sh` records these lines into `BENCH_jit.json` and the
-//! report gate (`scripts/gates.jsonl`) enforces the compiled-≥-interpreted
-//! and batched-≤-per-lane floors (the transpose series are recorded for
-//! the trend only).
+//! report gate (`scripts/gates.jsonl`) enforces the compiled-≥-interpreted,
+//! batched-≤-per-lane and compiled-engine-≥-scalar floors (the transpose
+//! series are recorded for the trend only).
 
 use xlac_adders::hw::ripple_netlist;
 use xlac_adders::{FullAdderKind, RippleCarryAdder};
@@ -205,6 +210,55 @@ fn bench_metrics_accumulate(m: &WallaceMultiplier, seed: u64) {
     h.bench("push_lanes", || black_box(batched()));
 }
 
+/// The server's compiled DCT and FIR batches against their scalar
+/// models, on the medium rung of each ladder. The programs are compiled
+/// by a guard call before anything is timed.
+fn bench_server_engine(seed: u64) {
+    use xlac_core::rng::{DefaultRng, Rng};
+    use xlac_server::engine::{eval_dct, eval_fir};
+    use xlac_server::ladder::Ladders;
+
+    let ladders = Ladders::build();
+    let mut rng = DefaultRng::seed_from_u64(seed);
+
+    let dct = &ladders.dct[2];
+    let blocks: Vec<[i16; 16]> =
+        (0..64).map(|_| std::array::from_fn(|_| (rng.next_u64() % 511) as i16 - 255)).collect();
+    let scalar_dct = || -> Vec<[i16; 16]> {
+        blocks
+            .iter()
+            .map(|blk| {
+                let grid =
+                    std::array::from_fn(|r| std::array::from_fn(|c| i64::from(blk[4 * r + c])));
+                let y = dct.dct.forward(&grid);
+                std::array::from_fn(|i| y[i / 4][i % 4] as i16)
+            })
+            .collect()
+    };
+    assert_eq!(scalar_dct(), eval_dct(dct, &blocks));
+    let mut h = Harness::group("server_engine_dct_64blocks");
+    h.bench("scalar", || black_box(scalar_dct()));
+    h.bench("compiled", || black_box(eval_dct(dct, black_box(&blocks))));
+
+    let fir = &ladders.fir[2];
+    let streams: Vec<Vec<u8>> =
+        (0..64).map(|_| (0..8).map(|_| rng.next_u64() as u8).collect()).collect();
+    let refs: Vec<&[u8]> = streams.iter().map(Vec::as_slice).collect();
+    let scalar_fir = || -> Vec<Vec<i32>> {
+        streams
+            .iter()
+            .map(|s| {
+                let wide: Vec<u64> = s.iter().map(|&v| u64::from(v)).collect();
+                fir.fir.apply(&wide).into_iter().map(|v| v as i32).collect()
+            })
+            .collect()
+    };
+    assert_eq!(scalar_fir(), eval_fir(fir, &refs));
+    let mut h = Harness::group("server_engine_fir_64x8");
+    h.bench("scalar", || black_box(scalar_fir()));
+    h.bench("compiled", || black_box(eval_fir(fir, black_box(&refs))));
+}
+
 fn main() {
     let rca = RippleCarryAdder::with_approx_lsbs(8, FullAdderKind::Apx2, 4).unwrap();
     let rca_nl = ripple_netlist(&rca);
@@ -218,6 +272,8 @@ fn main() {
     bench_metrics_accumulate(&wallace, 0xACC5);
 
     bench_lanes_transpose(0x7A05);
+
+    bench_server_engine(0x5E2E);
 
     let profile = xlac_obs::export_json_lines();
     if !profile.is_empty() {

@@ -178,14 +178,6 @@ pub fn lane(planes: &[u64], lane: usize) -> u64 {
     value
 }
 
-/// Broadcasts one constant to all 64 lanes as a `width`-plane vector:
-/// plane `i` is all-ones when bit `i` of `value` is set, zero otherwise.
-#[inline]
-#[must_use]
-pub fn const_planes(value: u64, width: usize) -> Vec<u64> {
-    (0..width).map(|i| if (value >> i) & 1 == 1 { u64::MAX } else { 0 }).collect()
-}
-
 /// The in-word counting patterns: lane `l` of every [`CountingBlocks`]
 /// block sees bit `i` of `l` on input `i < 6`.
 pub const COUNTING_PATTERNS: [u64; 6] = [
@@ -522,13 +514,6 @@ mod tests {
         values[3] = 0x1F5;
         let planes = to_planes(&values, 8);
         assert_eq!(lane(&planes, 3), 0xF5);
-    }
-
-    #[test]
-    fn const_planes_broadcasts() {
-        let planes = const_planes(0b1010_0110, 8);
-        let values = from_planes(&planes);
-        assert!(values.iter().all(|&v| v == 0b1010_0110));
     }
 
     #[test]

@@ -1,17 +1,26 @@
 //! Batched kernel evaluation: request items → plane-parallel lanes.
 //!
 //! The worker pool coalesces same-`(kernel, config)` items from many
-//! requests into wide batches and evaluates them here. Every function is
-//! **batch-composition invariant**: lane `i`'s value depends only on
-//! item `i`, because the underlying plane paths pad absent lanes with
-//! zero operands and mask them back out ([`xlac_sim::eval_pairs`]'s
-//! discipline, and the per-lane contracts of the compiled SAD program and
-//! `apply_x64`).
+//! requests into wide batches and evaluates them here. Every kernel runs
+//! its entry's compiled netlist, 64 lanes per program pass:
+//!
+//! * MUL — one lane per operand pair ([`xlac_sim::eval_pairs_auto`]);
+//! * SAD — one lane per block pair;
+//! * FIR — one lane per output sample, grouped by tap window
+//!   ([`xlac_sim::FirWindows`]), so streams of any lengths share passes;
+//! * DCT — one lane per block row, then per block column: the butterfly
+//!   program runs twice, 16 blocks per pass.
+//!
+//! Every function is **batch-composition invariant**: lane `i`'s value
+//! depends only on item `i`, because absent lanes are padded with zero
+//! operands and masked back out ([`xlac_sim::eval_pairs`]'s discipline).
 //! That invariance is what makes server replies bit-identical to the
 //! single-threaded library twins regardless of how requests happen to
 //! share a batch — the property `tests/server_differential.rs` pins.
 
+use xlac_accel::hw::dct_butterfly_netlist;
 use xlac_core::lanes::{self, LANES};
+use xlac_sim::CompiledProgram;
 
 use crate::ladder::{DctEntry, FirEntry, MulEntry, SadEntry, MUL_WIDTH};
 use crate::proto::{SadPair, DCT_BLOCK, SAD_PIXELS};
@@ -58,70 +67,77 @@ pub fn eval_sad(entry: &SadEntry, blocks: &[SadPair]) -> Vec<u32> {
     out
 }
 
-/// Applies the entry's filter to up to 64 equal-length sample streams at
-/// once through the 64-lane MAC datapath. `streams` must all share one
-/// length; the caller groups by length. Bit-identical per stream to
+/// Applies the entry's filter to every stream through its compiled tap
+/// windows; streams may differ in length. Bit-identical per stream to
 /// `entry.fir.apply(stream)`, truncated to `i32` (the 22-bit dual-rail
 /// accumulator keeps every output well inside).
 #[must_use]
 pub fn eval_fir(entry: &FirEntry, streams: &[&[u8]]) -> Vec<Vec<i32>> {
-    let len = streams.first().map_or(0, |s| s.len());
-    debug_assert!(streams.iter().all(|s| s.len() == len), "streams must share a length");
-    let mut out: Vec<Vec<i32>> = streams.iter().map(|_| Vec::with_capacity(len)).collect();
-    let mut word = [0u64; LANES];
-    for chunk_start in (0..streams.len()).step_by(LANES) {
-        let chunk = &streams[chunk_start..streams.len().min(chunk_start + LANES)];
-        let mut samples = Vec::with_capacity(len);
-        for t in 0..len {
-            word.fill(0);
-            for (j, s) in chunk.iter().enumerate() {
-                word[j] = u64::from(s[t]);
+    entry
+        .windows
+        .eval(&entry.fir, streams)
+        .into_iter()
+        .map(|s| s.into_iter().map(|v| v as i32).collect())
+        .collect()
+}
+
+/// Transforms a batch of 4×4 residual blocks through the entry's compiled
+/// butterfly: a row pass with lane `4b + r` holding row `r` of block `b`,
+/// then a column pass with lane `4b + c` holding column `c`, 16 blocks per
+/// pass. Bit-identical per block to `entry.dct.forward`; every output
+/// coefficient of the 16-bit two's-complement datapath fits `i16`.
+#[must_use]
+pub fn eval_dct(entry: &DctEntry, blocks: &[[i16; DCT_BLOCK]]) -> Vec<[i16; DCT_BLOCK]> {
+    const BITS: usize = xlac_accel::dct::DctAccelerator::WORD_BITS;
+    // Lane values pack the butterfly's four words, word `k` in bits
+    // `16k..16k + 16`: one transpose yields all 64 planes in port order,
+    // and one transposes the outputs back.
+    let field = |v: u64, k: usize| (v >> (BITS * k)) & 0xFFFF;
+    let prog =
+        entry.prog.get_or_init(|| CompiledProgram::compile(&dct_butterfly_netlist(&entry.dct)));
+    let (mut inputs, mut regs, mut planes) = (vec![0u64; 4 * BITS], Vec::new(), Vec::new());
+    let mut pass = |words: &[u64; LANES]| {
+        lanes::to_planes_into(words, 4 * BITS, &mut inputs);
+        prog.run_into(&inputs, &mut regs, &mut planes);
+        lanes::from_planes(&planes)
+    };
+    let mut out = Vec::with_capacity(blocks.len());
+    for chunk in blocks.chunks(LANES / 4) {
+        let mut words = [0u64; LANES];
+        for (b, blk) in chunk.iter().enumerate() {
+            for (r, row) in blk.chunks_exact(4).enumerate() {
+                words[4 * b + r] =
+                    row.iter().rev().fold(0, |w, &v| w << BITS | u64::from(v as u16));
             }
-            samples.push(lanes::to_planes(&word, 8));
         }
-        let lanes_out = entry.fir.apply_x64(&samples);
-        for (t, lane_vals) in lanes_out.iter().enumerate() {
-            debug_assert!(t < len);
-            for (j, slot) in out[chunk_start..chunk_start + chunk.len()].iter_mut().enumerate() {
-                slot.push(lane_vals[j] as i32);
+        let rows = pass(&words);
+        // Column c of block b: word k is output c of row lane 4b + k.
+        for b in 0..chunk.len() {
+            for c in 0..4 {
+                words[4 * b + c] =
+                    (0..4).rev().fold(0, |w, k| w << BITS | field(rows[4 * b + k], c));
             }
         }
+        let cols = pass(&words);
+        out.extend((0..chunk.len()).map(|b| {
+            // Coefficient (k, c) is output k of column lane 4b + c.
+            std::array::from_fn(|i| field(cols[4 * b + i % 4], i / 4) as u16 as i16)
+        }));
     }
     out
 }
 
-/// Transforms a batch of 4×4 residual blocks through the entry's adder
-/// datapath (scalar — the DCT has no plane path, and its per-item cost
-/// is already one butterfly network). Every output coefficient of the
-/// 16-bit two's-complement datapath fits `i16` by construction.
-#[must_use]
-pub fn eval_dct(entry: &DctEntry, blocks: &[[i16; DCT_BLOCK]]) -> Vec<[i16; DCT_BLOCK]> {
-    blocks.iter().map(|blk| dct_forward(|b| entry.dct.forward(&b), blk)).collect()
-}
-
-/// The exact DCT twin, same shape conversion.
+/// The exact DCT reference, in the same block layout as [`eval_dct`].
 #[must_use]
 pub fn eval_dct_exact(blocks: &[[i16; DCT_BLOCK]]) -> Vec<[i16; DCT_BLOCK]> {
     blocks
         .iter()
-        .map(|blk| dct_forward(|b| xlac_accel::dct::DctAccelerator::forward_exact(&b), blk))
+        .map(|blk| {
+            let grid = std::array::from_fn(|r| std::array::from_fn(|c| i64::from(blk[4 * r + c])));
+            let y = xlac_accel::dct::DctAccelerator::forward_exact(&grid);
+            std::array::from_fn(|i| y[i / 4][i % 4] as i16)
+        })
         .collect()
-}
-
-fn dct_forward(
-    f: impl Fn([[i64; 4]; 4]) -> [[i64; 4]; 4],
-    blk: &[i16; DCT_BLOCK],
-) -> [i16; DCT_BLOCK] {
-    let mut grid = [[0i64; 4]; 4];
-    for (i, &v) in blk.iter().enumerate() {
-        grid[i / 4][i % 4] = i64::from(v);
-    }
-    let y = f(grid);
-    let mut out = [0i16; DCT_BLOCK];
-    for (i, slot) in out.iter_mut().enumerate() {
-        *slot = y[i / 4][i % 4] as i16;
-    }
-    out
 }
 
 #[cfg(test)]
@@ -214,6 +230,50 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn fir_and_dct_programs_compile_on_first_use_under_a_race() {
+        let l = Ladders::build();
+        for (f, d) in l.fir.iter().zip(&l.dct) {
+            assert_eq!(f.windows.compiled(), 0, "{}", f.info.label);
+            assert!(d.prog.get().is_none(), "{}", d.info.label);
+        }
+        let mut rng = DefaultRng::seed_from_u64(0x1A2F);
+        let streams: Vec<Vec<u8>> =
+            (0..20).map(|i| (0..=i % 12).map(|_| rng.next_u64() as u8).collect()).collect();
+        let refs: Vec<&[u8]> = streams.iter().map(Vec::as_slice).collect();
+        let blocks: Vec<[i16; DCT_BLOCK]> = (0..20)
+            .map(|_| std::array::from_fn(|_| (rng.next_u64() % 511) as i16 - 255))
+            .collect();
+        let (fir, dct) = (&l.fir[2], &l.dct[2]);
+        // Two threads touch the same untouched entries at the same moment.
+        let barrier = std::sync::Barrier::new(2);
+        let (a, b) = std::thread::scope(|s| {
+            let run = || {
+                barrier.wait();
+                (eval_fir(fir, &refs), eval_dct(dct, &blocks))
+            };
+            let (ha, hb) = (s.spawn(run), s.spawn(run));
+            (ha.join().unwrap(), hb.join().unwrap())
+        });
+        assert_eq!(a, b);
+        for (got, s) in a.0.iter().zip(&streams) {
+            let wide: Vec<u64> = s.iter().map(|&v| u64::from(v)).collect();
+            let expect: Vec<i32> = fir.fir.apply(&wide).into_iter().map(|v| v as i32).collect();
+            assert_eq!(got, &expect);
+        }
+        for (got, blk) in a.1.iter().zip(&blocks) {
+            let grid = std::array::from_fn(|r| std::array::from_fn(|c| i64::from(blk[4 * r + c])));
+            let y = dct.dct.forward(&grid);
+            assert_eq!(got, &std::array::from_fn(|i| y[i / 4][i % 4] as i16));
+        }
+        // Streams of 1..=12 samples reach all 25 windows of the 9-tap
+        // filter; the rungs nobody touched stay uncompiled.
+        assert_eq!(fir.windows.compiled(), 25);
+        assert!(dct.prog.get().is_some());
+        assert_eq!(l.fir[1].windows.compiled(), 0);
+        assert!(l.dct[1].prog.get().is_none());
     }
 
     #[test]

@@ -19,6 +19,16 @@
 //! the manager can never fail. The chosen option is mapped back to its
 //! ladder index (entries are constructed with strictly decreasing power,
 //! asserted at build time, so the mapping is unambiguous).
+//!
+//! Every entry pairs its scalar golden model with the compiled netlist
+//! the engine runs. [`Ladders::build`] compiles the multiplier and SAD
+//! programs. The FIR tap windows ([`FirEntry::windows`]) and the DCT
+//! butterfly ([`DctEntry::prog`]) compile the first time a batch needs
+//! them: there are 25 FIR windows per rung, most of which a given load
+//! never touches, and compiling all of them up front would cost the
+//! server's start-up an order of magnitude.
+
+use std::sync::OnceLock;
 
 use xlac_accel::config::ApproxMode;
 use xlac_accel::dct::DctAccelerator;
@@ -29,7 +39,7 @@ use xlac_adders::{Adder, FullAdderKind, RippleCarryAdder};
 use xlac_analysis::components::certified_wallace_bound;
 use xlac_analysis::{fir_bound, ripple_adder_bound, sad_bound};
 use xlac_multipliers::{Multiplier, WallaceMultiplier};
-use xlac_sim::CompiledProgram;
+use xlac_sim::{CompiledProgram, FirWindows};
 
 use crate::proto::Kernel;
 
@@ -81,20 +91,28 @@ pub struct SadEntry {
     pub prog: CompiledProgram,
 }
 
-/// One FIR configuration.
+/// One FIR configuration: the golden model plus its tap-window programs
+/// (the batched fast path), each compiled on first use.
 pub struct FirEntry {
     /// Shared characterization.
     pub info: EntryInfo,
-    /// The accelerator (scalar and `apply_x64` paths).
+    /// The scalar golden model.
     pub fir: FirAccelerator,
+    /// The `fir_netlist` window programs, bit-identical to `fir` on every
+    /// lane. [`Ladders::build`] compiles none of them.
+    pub windows: FirWindows,
 }
 
-/// One DCT configuration.
+/// One DCT configuration: the golden model plus its butterfly program
+/// (the batched fast path), compiled on first use.
 pub struct DctEntry {
     /// Shared characterization.
     pub info: EntryInfo,
-    /// The accelerator (scalar datapath).
+    /// The scalar golden model.
     pub dct: DctAccelerator,
+    /// The JIT-compiled `dct_butterfly_netlist`, run once per row pass and
+    /// once per column pass. Empty until the first batch.
+    pub prog: OnceLock<CompiledProgram>,
 }
 
 /// All four kernel ladders, built once at server start.
@@ -221,6 +239,7 @@ impl Ladders {
                         med_bound: fir_bound(&f).mean_abs,
                         power_nw: f.hw_cost().power_nw,
                     },
+                    windows: FirWindows::new(&f),
                     fir: f,
                 }
             })
@@ -243,6 +262,7 @@ impl Ladders {
                     power_nw: d.hw_cost().power_nw,
                 },
                 dct: d,
+                prog: OnceLock::new(),
             }
         })
         .collect();

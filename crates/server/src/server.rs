@@ -662,26 +662,15 @@ fn evaluate(
             bodies.iter().map(|b| Values::Sad(results.by_ref().take(b.items()).collect())).collect()
         }
         Kernel::Fir => {
-            // Streams only share lanes when they share a length.
-            let mut out: Vec<Option<Values>> = (0..bodies.len()).map(|_| None).collect();
-            let mut by_len: HashMap<usize, Vec<usize>> = HashMap::new();
-            for (i, body) in bodies.iter().enumerate() {
-                by_len.entry(body.items()).or_default().push(i);
-            }
-            for idxs in by_len.into_values() {
-                let streams: Vec<&[u8]> = idxs
-                    .iter()
-                    .map(|&i| {
-                        let RequestBody::Fir(s) = bodies[i] else { unreachable!() };
-                        s.as_slice()
-                    })
-                    .collect();
-                let filtered = engine::eval_fir(&ladders.fir[config], &streams);
-                for (i, o) in idxs.into_iter().zip(filtered) {
-                    out[i] = Some(Values::Fir(o));
-                }
-            }
-            out.into_iter().map(|v| v.expect("every stream was filtered")).collect()
+            let streams: Vec<&[u8]> = bodies
+                .iter()
+                .map(|body| {
+                    let RequestBody::Fir(s) = body else { unreachable!() };
+                    s.as_slice()
+                })
+                .collect();
+            let filtered = engine::eval_fir(&ladders.fir[config], &streams);
+            filtered.into_iter().map(Values::Fir).collect()
         }
         Kernel::Dct => {
             let mut all = Vec::new();

@@ -21,8 +21,17 @@
 //! `eval_pairs(prog, w, pairs)[i] == scalar(pairs[i])` for ragged batch
 //! sizes on both sides of every lane-width boundary (1, 63, 64, 65, 511,
 //! 513).
+//!
+//! [`FirWindows`] applies the same discipline to a FIR filter, whose
+//! outputs do not share one circuit: near a stream's ends some taps fall
+//! outside it, so each output belongs to one *window* of in-range taps,
+//! and every window is compiled — on first use — into its own program.
+
+use std::sync::OnceLock;
 
 use crate::jit::CompiledProgram;
+use xlac_accel::fir::FirAccelerator;
+use xlac_accel::hw::fir_netlist;
 use xlac_core::lanes::{self, PlaneBlock, LANES};
 
 /// One 64-lane word of operand pairs: the `a` lanes, then the `b` lanes.
@@ -118,6 +127,101 @@ pub fn eval_pairs_auto(prog: &CompiledProgram, width: usize, pairs: &[(u64, u64)
     }
 }
 
+/// The tap-window programs of one FIR filter, each compiled from
+/// [`fir_netlist`] the first time an output needs it.
+///
+/// Output `n` of a length-`L` stream reads the taps
+/// `max(0, half − n) .. min(taps, L + half − n)`, where `half = taps / 2`.
+/// The window starts in `0..=half` and ends in `half + 1..=taps`, so a
+/// filter has at most `(half + 1) · (taps − half)` windows: 25 for 9 taps.
+/// Taps outside the window are skipped, not fed zero (approximate cells
+/// need not satisfy `x + 0 = x`), which is why each window is a circuit
+/// of its own.
+#[derive(Debug)]
+pub struct FirWindows {
+    taps: usize,
+    programs: Box<[OnceLock<CompiledProgram>]>,
+}
+
+impl FirWindows {
+    /// The (not yet compiled) windows of `fir`.
+    #[must_use]
+    pub fn new(fir: &FirAccelerator) -> FirWindows {
+        let taps = fir.taps();
+        let half = taps / 2;
+        FirWindows {
+            taps,
+            programs: (0..(half + 1) * (taps - half)).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// How many windows have been compiled so far.
+    #[must_use]
+    pub fn compiled(&self) -> usize {
+        self.programs.iter().filter(|p| p.get().is_some()).count()
+    }
+
+    /// Filters every stream through the compiled windows, one output per
+    /// lane: all outputs of all streams that share a window share its
+    /// program passes, so streams of any lengths can be mixed. Padded
+    /// lanes carry zero samples and are masked out.
+    ///
+    /// `fir` must be the filter these windows were made for: a window's
+    /// program is compiled from it on first use. Bit-identical per stream
+    /// to [`FirAccelerator::apply`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `fir` has a different tap count than the windows.
+    #[must_use]
+    pub fn eval(&self, fir: &FirAccelerator, streams: &[&[u8]]) -> Vec<Vec<i64>> {
+        const SAMPLE_BITS: usize = FirAccelerator::SAMPLE_BITS;
+        assert_eq!(fir.taps(), self.taps, "windows belong to a {}-tap filter", self.taps);
+        let half = self.taps / 2;
+        let ends = self.taps - half;
+        // Every output, as (stream, position), under its window's index.
+        let mut by_window: Vec<Vec<(usize, usize)>> = vec![Vec::new(); self.programs.len()];
+        for (i, s) in streams.iter().enumerate() {
+            for n in 0..s.len() {
+                let start = half.saturating_sub(n);
+                let end = self.taps.min(s.len() + half - n);
+                by_window[start * ends + end - half - 1].push((i, n));
+            }
+        }
+        let mut out: Vec<Vec<i64>> = streams.iter().map(|s| vec![0; s.len()]).collect();
+        let acc = FirAccelerator::accumulator_bits();
+        let (mut inputs, mut regs, mut planes) = (Vec::new(), Vec::new(), Vec::new());
+        for (w, outputs) in by_window.iter().enumerate().filter(|(_, o)| !o.is_empty()) {
+            let (start, end) = (w / ends, w % ends + half + 1);
+            let prog = self.programs[w]
+                .get_or_init(|| CompiledProgram::compile(&fir_netlist(fir, start..end)));
+            inputs.resize(SAMPLE_BITS * (end - start), 0);
+            for chunk in outputs.chunks(LANES) {
+                // Each lane packs 8 of its window's samples per word, byte
+                // `t` holding the sample under tap `start + 8g + t`: one
+                // transpose yields the planes of 8 taps in port order.
+                for (g, dst) in inputs.chunks_mut(64).enumerate() {
+                    let word = std::array::from_fn(|j| {
+                        chunk.get(j).map_or(0, |&(i, n)| {
+                            let first = n + start + 8 * g - half;
+                            let samples = &streams[i][first..first + dst.len() / SAMPLE_BITS];
+                            samples.iter().rev().fold(0, |word, &v| word << 8 | u64::from(v))
+                        })
+                    });
+                    lanes::to_planes_into(&word, dst.len(), dst);
+                }
+                prog.run_into::<u64>(&inputs, &mut regs, &mut planes);
+                // Lane value: the positive rail in bits 0..22, the negative above.
+                let rails = lanes::from_planes(&planes);
+                for (&(i, n), &v) in chunk.iter().zip(&rails) {
+                    out[i][n] = (v & ((1 << acc) - 1)) as i64 - (v >> acc) as i64;
+                }
+            }
+        }
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,6 +247,29 @@ mod tests {
             assert_eq!(eval_pairs::<[u64; 4]>(&prog, 8, &pairs), expect, "[u64;4] len {len}");
             assert_eq!(eval_pairs::<[u64; 8]>(&prog, 8, &pairs), expect, "[u64;8] len {len}");
             assert_eq!(eval_pairs_auto(&prog, 8, &pairs), expect, "auto len {len}");
+        }
+    }
+
+    #[test]
+    fn fir_windows_match_scalar_per_stream() {
+        use xlac_accel::config::ApproxMode;
+        let mut rng = DefaultRng::seed_from_u64(0xF1A);
+        let h = [3i64, -5, 0, 7, -1];
+        for mode in ApproxMode::ALL {
+            let fir = FirAccelerator::new(&h, mode).unwrap();
+            let windows = FirWindows::new(&fir);
+            // 64 independent 12-sample streams: one lane per output.
+            let streams: Vec<Vec<u8>> = (0..64)
+                .map(|_| (0..12).map(|_| rng.gen_range(0..256u64) as u8).collect())
+                .collect();
+            let refs: Vec<&[u8]> = streams.iter().map(Vec::as_slice).collect();
+            let got = windows.eval(&fir, &refs);
+            for (j, stream) in streams.iter().enumerate() {
+                let wide: Vec<u64> = stream.iter().map(|&v| u64::from(v)).collect();
+                assert_eq!(got[j], fir.apply(&wide), "{mode} stream {j}");
+            }
+            // A 12-sample stream of a 5-tap filter touches 5 windows.
+            assert_eq!(windows.compiled(), 5, "{mode}");
         }
     }
 

@@ -5,12 +5,12 @@
 //! independent evaluations fit in one set of `u64` word operations: lane
 //! `j` of every word holds test vector `j`, and plane `i` holds bit `i`
 //! of all 64 vectors (`xlac_core::lanes` layout). A few hand `*_x64`
-//! evaluators on [`xlac_adders`], [`xlac_multipliers`] and [`xlac_accel`]
-//! compose those word-level cells into ripple chains, GeAr correction
-//! loops, the recursive multiplier and the FIR datapath. Every other unit
-//! — Wallace, truncated and compressor-tree multipliers, the subtractor,
-//! the SAD datapath, the descriptor cells — runs 64 lanes only through
-//! its elaborated netlist compiled by [`jit`]. Both forms are bit-exact
+//! evaluators on [`xlac_adders`] and [`xlac_multipliers`] compose those
+//! word-level cells into ripple chains, GeAr correction loops and the
+//! recursive multiplier. Every other unit — Wallace, truncated and
+//! compressor-tree multipliers, the subtractor, the SAD, FIR and DCT
+//! datapaths, the descriptor cells — runs 64 lanes only through its
+//! elaborated netlist compiled by [`jit`]. Both forms are bit-exact
 //! with the scalar golden models on every lane, ~an order of magnitude
 //! faster per trial.
 //!
@@ -25,7 +25,8 @@
 //! * [`batch`] — request-sized batched entry points for the serving
 //!   layer: arbitrary-length operand batches ride the compiled programs
 //!   with a deterministic pad-and-mask discipline, so batches smaller
-//!   than one plane block are exact.
+//!   than one plane block are exact; [`FirWindows`] runs a FIR filter's
+//!   outputs on its lazily compiled tap-window programs.
 //! * [`runner`] — a chunked multi-threaded sweep runner whose results are
 //!   **bitwise-identical for any worker count**: chunk RNG streams are
 //!   split off the parent sequentially before any thread runs, and chunk
@@ -65,7 +66,7 @@ pub mod jit;
 pub mod runner;
 pub mod sweeps;
 
-pub use batch::{eval_pairs, eval_pairs_auto};
+pub use batch::{eval_pairs, eval_pairs_auto, FirWindows};
 pub use jit::{CompiledMultiplier, CompiledProgram, JitStats, Op, OpKind, OutSrc};
 pub use runner::{auto_chunk_size, default_threads, run_chunks, DEFAULT_CHUNK, MIN_AUTO_CHUNK};
 pub use sweeps::{

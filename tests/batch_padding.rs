@@ -8,15 +8,18 @@
 //! value on how many other lanes share its block — silently corrupts
 //! sliced sweeps. Every batch size here is an adversarial boundary:
 //! `1` (a single live lane), `63`/`64`/`65` (one u64 word ± 1) and
-//! `511`/`513` (one `[u64; 8]` block ± 1). The server's SAD path (its
-//! compiled datapath, 64 blocks per pass) rides the same sizes.
+//! `511`/`513` (one `[u64; 8]` block ± 1). The server's compiled SAD,
+//! FIR and DCT paths ride the same sizes: SAD packs 64 blocks per pass,
+//! FIR one output sample per lane (grouped by tap window across streams
+//! of mixed lengths), and DCT 16 blocks per pass (one lane per block row,
+//! then per block column), so DCT is also checked at its own boundaries.
 
 use xlac_adders::FullAdderKind;
 use xlac_core::rng::{DefaultRng, Rng};
 use xlac_multipliers::{Multiplier, WallaceMultiplier};
-use xlac_server::engine::eval_sad;
+use xlac_server::engine::{eval_dct, eval_fir, eval_sad};
 use xlac_server::ladder::Ladders;
-use xlac_server::proto::{SadPair, SAD_PIXELS};
+use xlac_server::proto::{SadPair, DCT_BLOCK, SAD_PIXELS};
 use xlac_sim::{auto_chunk_size, eval_pairs, eval_pairs_auto, CompiledProgram, MIN_AUTO_CHUNK};
 
 const SIZES: [usize; 6] = [1, 63, 64, 65, 511, 513];
@@ -53,10 +56,52 @@ fn sad_batches(n: usize, seed: u64) -> Vec<Vec<SadPair>> {
     batches
 }
 
+/// FIR stream lengths, cycled over a batch: shorter than half the 9-tap
+/// filter, around it, around the full window and past it, so a batch of
+/// 25 or more streams reaches every tap window.
+const FIR_LENGTHS: [usize; 7] = [1, 2, 4, 5, 8, 9, 17];
+
+/// DCT block counts around the 16-blocks-per-pass boundary.
+const DCT_COUNTS: [usize; 8] = [0, 1, 15, 16, 17, 63, 64, 65];
+
+/// `n` seeded FIR streams of lengths cycling through [`FIR_LENGTHS`].
+fn fir_streams(n: usize, seed: u64) -> Vec<Vec<u8>> {
+    let mut rng = DefaultRng::seed_from_u64(seed);
+    (0..n)
+        .map(|i| (0..FIR_LENGTHS[i % FIR_LENGTHS.len()]).map(|_| rng.next_u64() as u8).collect())
+        .collect()
+}
+
+/// `n` DCT residual blocks: seeded random residuals, then the ±255
+/// extremes that drive the 16-bit words through their sign bits — flat
+/// +255 and −255 blocks and alternating-sign rows, columns and
+/// checkerboards — and those patterns interleaved block by block.
+fn dct_batches(n: usize, seed: u64) -> Vec<Vec<[i16; DCT_BLOCK]>> {
+    let mut rng = DefaultRng::seed_from_u64(seed);
+    let random: Vec<[i16; DCT_BLOCK]> = (0..n)
+        .map(|_| std::array::from_fn(|_| (rng.next_u64() % 511) as i16 - 255))
+        .collect();
+    let sign = |neg: bool| if neg { -255 } else { 255 };
+    let edges: [[i16; DCT_BLOCK]; 5] = [
+        [255; DCT_BLOCK],
+        [-255; DCT_BLOCK],
+        std::array::from_fn(|i| sign(i / 4 % 2 == 1)),
+        std::array::from_fn(|i| sign(i % 2 == 1)),
+        std::array::from_fn(|i| sign((i / 4 + i) % 2 == 1)),
+    ];
+    let mixed = (0..n)
+        .map(|i| if i % 6 == 0 { random[i] } else { edges[i % 6 - 1] })
+        .collect();
+    let mut batches = vec![random];
+    batches.extend(edges.iter().map(|&e| vec![e; n]));
+    batches.push(mixed);
+    batches
+}
+
 /// Every boundary batch size, at every plane-block width and through the
 /// auto-width dispatcher, reproduces the scalar golden model per item —
-/// for the multiplier pairs and, on every SAD ladder rung, for the
-/// server's batched SAD path.
+/// for the multiplier pairs and, on every SAD, FIR and DCT ladder rung,
+/// for the server's batched paths.
 #[test]
 fn boundary_batch_sizes_match_scalar() {
     for (kind, cols) in [(FullAdderKind::Accurate, 0), (FullAdderKind::Apx2, 5)] {
@@ -90,6 +135,37 @@ fn boundary_batch_sizes_match_scalar() {
                     .map(|b| entry.sad.sad(&widen(&b.cur), &widen(&b.refb)).unwrap() as u32)
                     .collect();
                 assert_eq!(eval_sad(entry, blocks), expect, "{} n={n} batch {k}", entry.info.label);
+            }
+        }
+    }
+    for entry in &ladders.fir {
+        for (si, &n) in SIZES.iter().enumerate() {
+            let streams = fir_streams(n, 0xF1_0000 + si as u64);
+            let refs: Vec<&[u8]> = streams.iter().map(Vec::as_slice).collect();
+            let expect: Vec<Vec<i32>> = streams
+                .iter()
+                .map(|s| {
+                    let wide: Vec<u64> = s.iter().map(|&v| u64::from(v)).collect();
+                    entry.fir.apply(&wide).into_iter().map(|v| v as i32).collect()
+                })
+                .collect();
+            assert_eq!(eval_fir(entry, &refs), expect, "{} n={n}", entry.info.label);
+        }
+    }
+    for entry in &ladders.dct {
+        for (ci, &n) in DCT_COUNTS.iter().enumerate() {
+            for (k, blocks) in dct_batches(n, 0xDC7_0000 + ci as u64).iter().enumerate() {
+                let expect: Vec<[i16; DCT_BLOCK]> = blocks
+                    .iter()
+                    .map(|blk| {
+                        let grid = std::array::from_fn(|r| {
+                            std::array::from_fn(|c| i64::from(blk[4 * r + c]))
+                        });
+                        let y = entry.dct.forward(&grid);
+                        std::array::from_fn(|i| y[i / 4][i % 4] as i16)
+                    })
+                    .collect();
+                assert_eq!(eval_dct(entry, blocks), expect, "{} n={n} batch {k}", entry.info.label);
             }
         }
     }

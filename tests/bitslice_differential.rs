@@ -3,7 +3,7 @@
 //!
 //! Every 64-lane form — a hand `*_x64` evaluator, or the compiled `hw`
 //! netlist of a unit that has no hand form (Wallace, truncated,
-//! subtractor, SAD) — must agree with its scalar twin **on every lane**:
+//! subtractor, SAD, the FIR tap windows) — must agree with its scalar twin **on every lane**:
 //! configurations whose input space fits in 2^20 pairs are swept
 //! exhaustively; wider ones see at least 10^5 seeded random vectors. The
 //! scalar models are the specification — any divergence is a bug in the
@@ -582,27 +582,22 @@ fn obs_disabled_build_records_nothing() {
 fn fir_datapath_x64_matches_scalar_on_random_streams() {
     use xlac::accel::config::ApproxMode;
     use xlac::accel::fir::FirAccelerator;
+    use xlac::sim::FirWindows;
     let mut rng = DefaultRng::seed_from_u64(0xF12);
     let kernels: [&[i64]; 3] = [&[1, 2, 1], &[3, -5, 7, 2, 1], &[-2, 5, -2]];
     for mode in ApproxMode::ALL {
         for h in kernels {
             let fir = FirAccelerator::new(h, mode).unwrap();
-            let streams: Vec<Vec<u64>> =
-                (0..64).map(|_| (0..24).map(|_| rng.gen_range(0..256u64)).collect()).collect();
-            let batches: Vec<Vec<u64>> = (0..24)
-                .map(|t| {
-                    let mut vals = [0u64; 64];
-                    for (j, s) in streams.iter().enumerate() {
-                        vals[j] = s[t];
-                    }
-                    lanes::to_planes(&vals, 8)
-                })
+            let streams: Vec<Vec<u8>> = (0..64)
+                .map(|_| (0..24).map(|_| rng.gen_range(0..256u64) as u8).collect())
                 .collect();
-            let sliced = fir.apply_x64(&batches);
+            let refs: Vec<&[u8]> = streams.iter().map(Vec::as_slice).collect();
+            let sliced = FirWindows::new(&fir).eval(&fir, &refs);
             for (j, stream) in streams.iter().enumerate() {
-                let scalar = fir.apply(stream);
+                let wide: Vec<u64> = stream.iter().map(|&v| u64::from(v)).collect();
+                let scalar = fir.apply(&wide);
                 for (t, &expected) in scalar.iter().enumerate() {
-                    assert_eq!(sliced[t][j], expected, "{mode} {h:?}: lane {j}, t={t}");
+                    assert_eq!(sliced[j][t], expected, "{mode} {h:?}: lane {j}, t={t}");
                 }
             }
         }

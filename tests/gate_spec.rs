@@ -124,7 +124,7 @@ fn set(ids: &[&str]) -> BTreeSet<String> {
 fn shipped_spec_passes_on_the_fixtures() {
     let rules = rules();
     let ids: Vec<&str> = rules.iter().map(|r| r.id.as_str()).collect();
-    assert_eq!(ids.len(), 23, "{ids:?}");
+    assert_eq!(ids.len(), 25, "{ids:?}");
     for report in rules.iter().flat_map(|r| std::iter::once(&r.file).chain(&r.ref_file)) {
         assert!(REPORTS.contains(&report.as_str()), "no fixture for {report}");
     }
@@ -184,6 +184,28 @@ fn each_pushed_value_fails_exactly_its_readers() {
             1e12,
             &["metrics.accumulate.batched"],
         ),
+        (
+            jit,
+            "server_engine_dct_64blocks/compiled",
+            "median_ns",
+            1e12,
+            &["server.engine.dct.compiled"],
+        ),
+        (
+            jit,
+            "server_engine_dct_64blocks/scalar",
+            "median_ns",
+            1.0,
+            &["server.engine.dct.compiled"],
+        ),
+        (
+            jit,
+            "server_engine_fir_64x8/compiled",
+            "median_ns",
+            1e12,
+            &["server.engine.fir.compiled"],
+        ),
+        (jit, "server_engine_fir_64x8/scalar", "median_ns", 1.0, &["server.engine.fir.compiled"]),
         (
             sym,
             "symbolic_sift/wallace8x8_miter",
@@ -283,6 +305,8 @@ fn missing_files_series_and_fields_fail_their_rules() {
         "jit.wallace8x8.sweep",
         "jit.wallace8x8.eval_x8",
         "metrics.accumulate.batched",
+        "server.engine.dct.compiled",
+        "server.engine.fir.compiled",
     ]);
     assert_eq!(failing_after("no-jit", Change::RemoveFile("BENCH_jit.json")), jit);
     let absint = set(&["absint.entries", "absint.tightness"]);
@@ -432,7 +456,7 @@ fn emitters_round_trip_with_the_fields_the_spec_names() {
         }
         checked += 1;
     }
-    assert_eq!(checked, 20);
+    assert_eq!(checked, 22);
 }
 
 #[test]
