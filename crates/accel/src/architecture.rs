@@ -269,12 +269,9 @@ mod tests {
     #[test]
     fn config_word_selects_per_slot_modes() {
         let mut a = arch();
-        let word = ConfigWord::pack(&[
-            ApproxMode::Aggressive,
-            ApproxMode::Accurate,
-            ApproxMode::Medium,
-        ])
-        .unwrap();
+        let word =
+            ConfigWord::pack(&[ApproxMode::Aggressive, ApproxMode::Accurate, ApproxMode::Medium])
+                .unwrap();
         a.configure(word).unwrap();
         assert_eq!(a.mode_of("me"), Some(ApproxMode::Aggressive));
         assert_eq!(a.mode_of("smooth"), Some(ApproxMode::Accurate));
@@ -286,8 +283,12 @@ mod tests {
         let mut a = arch();
         let accurate_power = a.total_power_nw();
         a.configure(
-            ConfigWord::pack(&[ApproxMode::Aggressive, ApproxMode::Aggressive, ApproxMode::Aggressive])
-                .unwrap(),
+            ConfigWord::pack(&[
+                ApproxMode::Aggressive,
+                ApproxMode::Aggressive,
+                ApproxMode::Aggressive,
+            ])
+            .unwrap(),
         )
         .unwrap();
         assert!(a.total_power_nw() < accurate_power);
@@ -344,8 +345,10 @@ mod tests {
         let mut a = arch();
         let mut options = Vec::new();
         for &mode in &ApproxMode::ALL {
-            a.configure(ConfigWord::pack(&[mode, ApproxMode::Accurate, ApproxMode::Accurate]).unwrap())
-                .unwrap();
+            a.configure(
+                ConfigWord::pack(&[mode, ApproxMode::Accurate, ApproxMode::Accurate]).unwrap(),
+            )
+            .unwrap();
             options.push(AcceleratorOption {
                 mode,
                 power_nw: a.total_power_nw(),

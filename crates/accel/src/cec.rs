@@ -169,8 +169,7 @@ impl CecUnit {
         let integrated = stages as f64 * (detector + recovery);
         // One correction adder sized like a single accurate chain of the
         // same width.
-        let correction_adder =
-            xlac_adders::RippleCarryAdder::accurate(gear.n()).hw_cost().area_ge;
+        let correction_adder = xlac_adders::RippleCarryAdder::accurate(gear.n()).hw_cost().area_ge;
         let cec = stages as f64 * detector + correction_adder;
         (integrated, cec)
     }

@@ -34,10 +34,10 @@
 //! # }
 //! ```
 
-use xlac_core::rng::{DefaultRng, Rng};
 use xlac_adders::{Adder, Subtractor};
 use xlac_core::bits;
 use xlac_core::error::{Result, XlacError};
+use xlac_core::rng::{DefaultRng, Rng};
 use xlac_multipliers::Multiplier;
 use xlac_obs::{obs_count, obs_span};
 
@@ -282,7 +282,11 @@ impl Dataflow {
     /// # Errors
     ///
     /// Same conditions as [`Dataflow::eval`].
-    pub fn eval_with(&self, inputs: &[u64], use_approx: &dyn Fn(NodeId) -> bool) -> Result<Vec<u64>> {
+    pub fn eval_with(
+        &self,
+        inputs: &[u64],
+        use_approx: &dyn Fn(NodeId) -> bool,
+    ) -> Result<Vec<u64>> {
         if inputs.len() != self.n_inputs {
             return Err(XlacError::ShapeMismatch {
                 expected: (1, self.n_inputs),
@@ -342,7 +346,9 @@ impl Dataflow {
             .nodes
             .iter()
             .enumerate()
-            .filter(|(_, n)| matches!(n, Node::Add { .. } | Node::AbsDiff { .. } | Node::Mul { .. }))
+            .filter(|(_, n)| {
+                matches!(n, Node::Add { .. } | Node::AbsDiff { .. } | Node::Mul { .. })
+            })
             .map(|(id, _)| id)
             .collect();
         obs_count!("accel.masking.nodes", operator_nodes.len() as u64);
@@ -354,7 +360,8 @@ impl Dataflow {
             let mut local_errors = 0u64;
             let mut output_errors = 0u64;
             for _ in 0..samples {
-                let inputs: Vec<u64> = (0..self.n_inputs).map(|_| rng.gen::<u64>() & mask).collect();
+                let inputs: Vec<u64> =
+                    (0..self.n_inputs).map(|_| rng.gen::<u64>() & mask).collect();
                 let exact_out = self.eval_exact(&inputs)?;
                 let faulty_out = self.eval_with(&inputs, &|id| id == node)?;
                 // Local error: does the node's own value differ? Re-derive
@@ -370,8 +377,7 @@ impl Dataflow {
                 }
             }
             // A 0-sample analysis reports explicit zero rates, not 0/0 NaN.
-            let local_rate =
-                if samples == 0 { 0.0 } else { local_errors as f64 / samples as f64 };
+            let local_rate = if samples == 0 { 0.0 } else { local_errors as f64 / samples as f64 };
             let output_rate =
                 if samples == 0 { 0.0 } else { output_errors as f64 / samples as f64 };
             let masking = if local_errors == 0 {

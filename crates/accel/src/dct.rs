@@ -224,8 +224,7 @@ mod tests {
     #[test]
     fn reference_matches_matrix_form() {
         // Cross-check the butterfly against the explicit C·X·Cᵀ product.
-        const CORE: [[i64; 4]; 4] =
-            [[1, 1, 1, 1], [2, 1, -1, -2], [1, -1, -1, 1], [1, -2, 2, -1]];
+        const CORE: [[i64; 4]; 4] = [[1, 1, 1, 1], [2, 1, -1, -2], [1, -1, -1, 1], [1, -2, 2, -1]];
         let mut rng = DefaultRng::seed_from_u64(5);
         for _ in 0..50 {
             let x = random_block(&mut rng);

@@ -135,7 +135,8 @@ impl FilterAccelerator {
                 let mut next = Vec::with_capacity(level.len().div_ceil(2));
                 let mut i = 0;
                 while i + 1 < level.len() {
-                    let sum = self.adders[adder_idx % self.adders.len()].add(level[i], level[i + 1]);
+                    let sum =
+                        self.adders[adder_idx % self.adders.len()].add(level[i], level[i + 1]);
                     adder_idx += 1;
                     next.push(xlac_core::bits::truncate(sum, Self::ACC_BITS));
                     i += 2;
@@ -239,12 +240,9 @@ mod tests {
         let exact = FilterAccelerator::accurate().unwrap().apply(&img).unwrap();
         for kind in [FullAdderKind::Apx1, FullAdderKind::Apx3] {
             let approx = FilterAccelerator::new(kind, 4).unwrap().apply(&img).unwrap();
-            let mean_err: f64 = exact
-                .iter()
-                .zip(approx.iter())
-                .map(|(&a, &b)| a.abs_diff(b) as f64)
-                .sum::<f64>()
-                / exact.len() as f64;
+            let mean_err: f64 =
+                exact.iter().zip(approx.iter()).map(|(&a, &b)| a.abs_diff(b) as f64).sum::<f64>()
+                    / exact.len() as f64;
             assert!(mean_err < 16.0, "{kind}: mean pixel error {mean_err}");
         }
     }
@@ -255,13 +253,11 @@ mod tests {
         let exact = FilterAccelerator::accurate().unwrap().apply(&img).unwrap();
         let mut last = -1.0f64;
         for lsbs in [0usize, 2, 4, 6] {
-            let approx = FilterAccelerator::new(FullAdderKind::Apx4, lsbs).unwrap().apply(&img).unwrap();
-            let mean_err: f64 = exact
-                .iter()
-                .zip(approx.iter())
-                .map(|(&a, &b)| a.abs_diff(b) as f64)
-                .sum::<f64>()
-                / exact.len() as f64;
+            let approx =
+                FilterAccelerator::new(FullAdderKind::Apx4, lsbs).unwrap().apply(&img).unwrap();
+            let mean_err: f64 =
+                exact.iter().zip(approx.iter()).map(|(&a, &b)| a.abs_diff(b) as f64).sum::<f64>()
+                    / exact.len() as f64;
             assert!(mean_err >= last - 1e-9, "error fell at {lsbs} LSBs");
             last = mean_err;
         }

@@ -316,12 +316,9 @@ mod tests {
         for mode in ApproxMode::ALL {
             let fir = FirAccelerator::new(&h, mode).unwrap();
             let y = fir.apply(&x);
-            let err: f64 = exact
-                .iter()
-                .zip(&y)
-                .map(|(e, a)| (e - a).unsigned_abs() as f64)
-                .sum::<f64>()
-                / exact.len() as f64;
+            let err: f64 =
+                exact.iter().zip(&y).map(|(e, a)| (e - a).unsigned_abs() as f64).sum::<f64>()
+                    / exact.len() as f64;
             assert!(err >= last - scale * 0.01, "{mode}: error fell sharply");
             assert!(err < scale, "{mode}: error must stay below signal scale");
             last = err;

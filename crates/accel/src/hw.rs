@@ -288,7 +288,11 @@ mod tests {
                 for i in 0..8 {
                     let vals: [u64; 64] = std::array::from_fn(|j| {
                         let (c, r) = &blocks[j];
-                        if reference { r[i] } else { c[i] }
+                        if reference {
+                            r[i]
+                        } else {
+                            c[i]
+                        }
                     });
                     planes.extend(lanes::to_planes(&vals, SadAccelerator::PIXEL_BITS));
                 }

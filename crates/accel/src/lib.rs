@@ -62,11 +62,11 @@ pub mod sad;
 
 pub use architecture::{AcceleratorSlot, MultiAcceleratorArchitecture};
 pub use cec::CecUnit;
-pub use dct::DctAccelerator;
-pub use fir::FirAccelerator;
-pub use monitor::{MonitorDecision, QualityMonitor};
 pub use config::{ApproxMode, ConfigWord};
 pub use dataflow::{Dataflow, MaskingReport, Node, NodeId};
+pub use dct::DctAccelerator;
 pub use filter::FilterAccelerator;
+pub use fir::FirAccelerator;
 pub use manager::{AcceleratorOption, ApproximationManager, SelectionOutcome};
+pub use monitor::{MonitorDecision, QualityMonitor};
 pub use sad::{SadAccelerator, SadVariant};

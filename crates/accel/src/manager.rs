@@ -153,8 +153,7 @@ impl ApproximationManager {
         let mut best: Option<(f64, f64, Vec<usize>)> = None; // (loss, power, picks)
         let mut picks = vec![0usize; feasible.len()];
         loop {
-            let power: f64 =
-                picks.iter().zip(&feasible).map(|(&i, opts)| opts[i].power_nw).sum();
+            let power: f64 = picks.iter().zip(&feasible).map(|(&i, opts)| opts[i].power_nw).sum();
             if power <= power_budget_nw {
                 let loss: f64 =
                     picks.iter().zip(&feasible).map(|(&i, opts)| opts[i].quality_loss).sum();
@@ -204,7 +203,11 @@ mod tests {
 
     fn ladder(base_power: f64) -> Vec<AcceleratorOption> {
         vec![
-            AcceleratorOption { mode: ApproxMode::Accurate, power_nw: base_power, quality_loss: 0.0 },
+            AcceleratorOption {
+                mode: ApproxMode::Accurate,
+                power_nw: base_power,
+                quality_loss: 0.0,
+            },
             AcceleratorOption {
                 mode: ApproxMode::Mild,
                 power_nw: base_power * 0.8,
@@ -285,8 +288,7 @@ mod tests {
 
     #[test]
     fn three_apps_exhaustive_search() {
-        let reqs =
-            [request("a", 1.0, 100.0), request("b", 0.02, 80.0), request("c", 1.0, 120.0)];
+        let reqs = [request("a", 1.0, 100.0), request("b", 0.02, 80.0), request("c", 1.0, 120.0)];
         let picks = ApproximationManager::select_under_power_budget(&reqs, 200.0).unwrap();
         assert_eq!(picks.len(), 3);
         let total: f64 = picks.iter().map(|p| p.option.power_nw).sum();

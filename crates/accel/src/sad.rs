@@ -202,11 +202,8 @@ impl SadAccelerator {
             return Err(XlacError::OperandOutOfRange { value: bad, width: Self::PIXEL_BITS });
         }
         // Stage 1: absolute differences through approximate subtractors.
-        let mut values: Vec<u64> = current
-            .iter()
-            .zip(reference)
-            .map(|(&c, &r)| self.subtractor.abs_diff(c, r))
-            .collect();
+        let mut values: Vec<u64> =
+            current.iter().zip(reference).map(|(&c, &r)| self.subtractor.abs_diff(c, r)).collect();
         // Stage 2: balanced adder tree.
         for adder in &self.tree_adders {
             let mut next = Vec::with_capacity(values.len() / 2);

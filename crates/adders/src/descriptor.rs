@@ -239,7 +239,8 @@ impl UnitDescriptor {
 /// netlist is evaluated 64 rows per word pass ([`TruthTable::from_planes`]);
 /// the caller guarantees matching shapes.
 fn row_violations(netlist: &Netlist, table: &TruthTable, what: &str, out: &mut Vec<String>) {
-    let got = TruthTable::from_planes(table.n_inputs(), table.n_outputs(), |p| netlist.eval_words(p));
+    let got =
+        TruthTable::from_planes(table.n_inputs(), table.n_outputs(), |p| netlist.eval_words(p));
     for x in 0..table.n_rows() as u64 {
         let (got, want) = (got.row(x), table.row(x));
         if got != want {
@@ -635,23 +636,17 @@ pub fn booth_r2() -> UnitDescriptor {
 /// Never: the cell's table and builder are statically well-formed.
 #[must_use]
 pub fn booth_r4() -> UnitDescriptor {
-    exact_unit(
-        "BOOTH_R4",
-        3,
-        3,
-        booth_r4_spec,
-        |nb| {
-            let (x0, x1, x2) = (Signal::Input(0), Signal::Input(1), Signal::Input(2));
-            let one = nb.gate(GateKind::Xor2, &[x0, x1]);
-            let lo_zero = nb.gate(GateKind::Nor2, &[x0, x1]);
-            let plus2 = nb.gate(GateKind::And2, &[x2, lo_zero]);
-            let lo_ones = nb.gate(GateKind::And2, &[x0, x1]);
-            let nx2 = nb.gate(GateKind::Not, &[x2]);
-            let minus2 = nb.gate(GateKind::And2, &[nx2, lo_ones]);
-            let two = nb.gate(GateKind::Or2, &[plus2, minus2]);
-            vec![one, two, x2]
-        },
-    )
+    exact_unit("BOOTH_R4", 3, 3, booth_r4_spec, |nb| {
+        let (x0, x1, x2) = (Signal::Input(0), Signal::Input(1), Signal::Input(2));
+        let one = nb.gate(GateKind::Xor2, &[x0, x1]);
+        let lo_zero = nb.gate(GateKind::Nor2, &[x0, x1]);
+        let plus2 = nb.gate(GateKind::And2, &[x2, lo_zero]);
+        let lo_ones = nb.gate(GateKind::And2, &[x0, x1]);
+        let nx2 = nb.gate(GateKind::Not, &[x2]);
+        let minus2 = nb.gate(GateKind::And2, &[nx2, lo_ones]);
+        let two = nb.gate(GateKind::Or2, &[plus2, minus2]);
+        vec![one, two, x2]
+    })
     .expect("BOOTH_R4 is well-formed")
 }
 
@@ -1091,11 +1086,7 @@ mod tests {
         for x in 0..32u64 {
             let out = d.eval(x);
             let (sum, carry, cout) = (out & 1, (out >> 1) & 1, (out >> 2) & 1);
-            assert_eq!(
-                u64::from(x.count_ones()),
-                sum + 2 * (carry + cout),
-                "row {x:#07b}"
-            );
+            assert_eq!(u64::from(x.count_ones()), sum + 2 * (carry + cout), "row {x:#07b}");
         }
         // cout never depends on cin: the no-ripple property.
         for x in 0..16u64 {

@@ -68,11 +68,7 @@ impl ArrayDivider {
             width,
             kind,
             approx_lsbs,
-            sub: Subtractor::new(RippleCarryAdder::with_approx_lsbs(
-                row_width,
-                kind,
-                approx_lsbs,
-            )?),
+            sub: Subtractor::new(RippleCarryAdder::with_approx_lsbs(row_width, kind, approx_lsbs)?),
         })
     }
 
@@ -171,7 +167,11 @@ mod tests {
         for dividend in 0u64..256 {
             for divisor in 1u64..256 {
                 let (q, r) = div.divide(dividend, divisor).unwrap();
-                assert_eq!((q, r), (dividend / divisor, dividend % divisor), "{dividend}/{divisor}");
+                assert_eq!(
+                    (q, r),
+                    (dividend / divisor, dividend % divisor),
+                    "{dividend}/{divisor}"
+                );
             }
         }
     }
@@ -199,10 +199,7 @@ mod tests {
                     .flat_map(|d| (0u64..256).map(move |n| (n, d)))
                     .map(|(n, d)| (n / d, div.divide(n, d).unwrap().0)),
             );
-            assert!(
-                stats.mean_error_distance >= last - 1e-9,
-                "quotient error fell at {lsbs} LSBs"
-            );
+            assert!(stats.mean_error_distance >= last - 1e-9, "quotient error fell at {lsbs} LSBs");
             last = stats.mean_error_distance;
         }
         assert!(last > 0.0, "3 approximate LSBs must bite");

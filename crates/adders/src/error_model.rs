@@ -38,8 +38,8 @@
 //! ```
 
 use crate::gear::GeArAdder;
-use xlac_core::rng::{DefaultRng, Rng};
 use xlac_core::bits;
+use xlac_core::rng::{DefaultRng, Rng};
 
 /// Analytical error model for a GeAr `(N, R, P)` configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,7 +143,8 @@ impl GearErrorModel {
         assert!(k1 <= 20, "inclusion-exclusion over {k1} events is infeasible");
         let mut total = 0.0f64;
         for subset in 1u64..(1 << k1) {
-            let chosen: Vec<usize> = (0..k1).filter(|i| (subset >> i) & 1 == 1).map(|i| starts[i]).collect();
+            let chosen: Vec<usize> =
+                (0..k1).filter(|i| (subset >> i) & 1 == 1).map(|i| starts[i]).collect();
             let sign = if subset.count_ones() % 2 == 1 { 1.0 } else { -1.0 };
             total += sign * self.joint_probability(&chosen);
         }
@@ -318,10 +319,7 @@ mod tests {
     fn inclusion_exclusion_equals_exact() {
         for (n, r, p) in [(8, 1, 1), (8, 2, 2), (8, 2, 0), (12, 4, 4), (11, 3, 5), (11, 1, 9)] {
             let m = model(n, r, p);
-            assert!(
-                (m.exact() - m.inclusion_exclusion()).abs() < 1e-9,
-                "N={n} R={r} P={p}"
-            );
+            assert!((m.exact() - m.inclusion_exclusion()).abs() < 1e-9, "N={n} R={r} P={p}");
         }
     }
 

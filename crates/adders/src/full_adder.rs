@@ -57,7 +57,8 @@ pub enum FullAdderKind {
 /// `(sum, cout)`.
 const TABLE: [[(u8, u8); 8]; 6] = [
     // index:   000     001     010     011     100     101     110     111   (a,b,cin)
-    /* Accu */ [(0, 0), (1, 0), (1, 0), (0, 1), (1, 0), (0, 1), (0, 1), (1, 1)],
+    /* Accu */
+    [(0, 0), (1, 0), (1, 0), (0, 1), (1, 0), (0, 1), (0, 1), (1, 1)],
     /* Apx1 */ [(0, 0), (1, 0), (0, 1), (0, 1), (0, 0), (0, 1), (0, 1), (1, 1)],
     /* Apx2 */ [(1, 0), (1, 0), (1, 0), (0, 1), (1, 0), (0, 1), (0, 1), (0, 1)],
     /* Apx3 */ [(1, 0), (1, 0), (0, 1), (0, 1), (1, 0), (0, 1), (0, 1), (0, 1)],
@@ -243,9 +244,7 @@ impl FullAdderKind {
     /// (0, 2, 2, 3, 3, 4).
     #[must_use]
     pub fn error_cases(self) -> usize {
-        self.truth_table()
-            .error_cases(&FullAdderKind::Accurate.truth_table())
-            .expect("same shape")
+        self.truth_table().error_cases(&FullAdderKind::Accurate.truth_table()).expect("same shape")
     }
 
     /// Hardware cost of the cell via the structural netlist (cached — the
@@ -316,8 +315,7 @@ mod tests {
             }
             let (s, c) = kind.eval_x64(a, b, cin);
             for lane in 0..64u64 {
-                let (es, ec) =
-                    kind.eval((a >> lane) & 1, (b >> lane) & 1, (cin >> lane) & 1);
+                let (es, ec) = kind.eval((a >> lane) & 1, (b >> lane) & 1, (cin >> lane) & 1);
                 assert_eq!((s >> lane) & 1, es, "{kind} sum lane {lane}");
                 assert_eq!((c >> lane) & 1, ec, "{kind} carry lane {lane}");
             }

@@ -365,7 +365,11 @@ impl GeArAdder {
                 for (out, &it) in iterations.iter_mut().zip(&iters) {
                     *out = u8::try_from(it.min(k)).expect("GeAr passes bounded by k <= 63");
                 }
-                return AddOutcomeX64 { value, errors_detected: errors, correction_iterations: iterations };
+                return AddOutcomeX64 {
+                    value,
+                    errors_detected: errors,
+                    correction_iterations: iterations,
+                };
             }
             for (s, d) in detected.iter().enumerate() {
                 inject[s] |= d & active;
@@ -440,10 +444,7 @@ impl GeArAdder {
             .filter(|(_, &d)| d)
             .map(|(s, _)| s * self.r + self.p)
             .collect();
-        (
-            AddOutcome { value, errors_detected: offsets.len(), correction_iterations: 0 },
-            offsets,
-        )
+        (AddOutcome { value, errors_detected: offsets.len(), correction_iterations: 0 }, offsets)
     }
 
     /// FPGA area model in Virtex-6 style LUTs: each `L`-bit sub-adder maps

@@ -106,7 +106,9 @@ pub fn gear_edc_netlist(adder: &GeArAdder, passes: usize) -> Netlist {
             if pass < passes && s > 0 {
                 let mut terms = vec![prev_carry, b.gate(GateKind::Not, &[cin])];
                 for bit in lo..lo + p {
-                    terms.push(b.gate(GateKind::Xor2, &[Signal::Input(bit), Signal::Input(n + bit)]));
+                    terms.push(
+                        b.gate(GateKind::Xor2, &[Signal::Input(bit), Signal::Input(n + bit)]),
+                    );
                 }
                 detected.push((s, b.tree(GateKind::And2, &terms)));
             }
@@ -262,11 +264,7 @@ mod tests {
             let nl = ripple_netlist(&rca);
             for a in 0u64..64 {
                 for b in 0u64..64 {
-                    assert_eq!(
-                        nl.eval(pack_operands(a, b, 6)),
-                        rca.add(a, b),
-                        "{kind}: {a}+{b}"
-                    );
+                    assert_eq!(nl.eval(pack_operands(a, b, 6)), rca.add(a, b), "{kind}: {a}+{b}");
                 }
             }
         }
@@ -327,12 +325,14 @@ mod tests {
     fn gear_netlist_area_scales_with_sub_adder_overlap() {
         let lean = gear_netlist(&GeArAdder::new(12, 4, 0).unwrap()); // k=3, L=4
         let rich = gear_netlist(&GeArAdder::new(12, 4, 4).unwrap()); // k=2, L=8
-        // Total FA cells: 3*4 = 12 vs 2*8 = 16.
+                                                                     // Total FA cells: 3*4 = 12 vs 2*8 = 16.
         assert!(rich.area_ge() > lean.area_ge());
         // The registry geometries, pinned gate for gate.
-        for (n, r, p, gates, area) in
-            [(11usize, 1usize, 9usize, 100usize, 173.0), (12, 4, 4, 80, 138.4), (16, 2, 6, 200, 346.0)]
-        {
+        for (n, r, p, gates, area) in [
+            (11usize, 1usize, 9usize, 100usize, 173.0),
+            (12, 4, 4, 80, 138.4),
+            (16, 2, 6, 200, 346.0),
+        ] {
             let nl = gear_netlist(&GeArAdder::new(n, r, p).unwrap());
             assert_eq!(nl.gate_count(), gates, "GeAr({n},{r},{p}) gates");
             assert!((nl.area_ge() - area).abs() < 1e-9, "GeAr({n},{r},{p}) area {}", nl.area_ge());

@@ -147,9 +147,9 @@ mod tests {
             let rca = RippleCarryAdder::with_approx_lsbs(8, kind, k).unwrap();
             let sub = Subtractor::new(rca);
             let stats = xlac_core::metrics::ErrorStats::from_pairs(
-                (0u64..256).flat_map(|a| (0u64..256).map(move |b| (a, b))).map(|(a, b)| {
-                    (a.abs_diff(b), sub.abs_diff(a, b))
-                }),
+                (0u64..256)
+                    .flat_map(|a| (0u64..256).map(move |b| (a, b)))
+                    .map(|(a, b)| (a.abs_diff(b), sub.abs_diff(a, b))),
             );
             assert!(
                 stats.mean_error_distance < (1 << (k + 1)) as f64,

@@ -65,8 +65,8 @@ pub use absint::{
 pub use bound::ErrorBound;
 pub use components::{
     builtin_profiles, cell_deviation, fir_bound, gear_adder_bound, mul2x2_bound,
-    recursive_multiplier_bound, ripple_adder_bound, sad_bound, subtractor_bound,
-    truncated_bound, wallace_bound, CellDeviation, StaticProfile,
+    recursive_multiplier_bound, ripple_adder_bound, sad_bound, subtractor_bound, truncated_bound,
+    wallace_bound, CellDeviation, StaticProfile,
 };
 pub use lint::{
     lint_descriptor, lint_library, lint_netlist, lint_netlist_under, lint_raw, Diagnostic,

@@ -380,10 +380,8 @@ impl Bdd {
         }
 
         let (nf, ng, nh) = (self.node(f), self.node(g), self.node(h));
-        let top_level = self
-            .level_of_var(nf.var)
-            .min(self.level_of_var(ng.var))
-            .min(self.level_of_var(nh.var));
+        let top_level =
+            self.level_of_var(nf.var).min(self.level_of_var(ng.var)).min(self.level_of_var(nh.var));
         let top = self.level2var[top_level as usize];
         let (f0, f1) = cofactor(f, nf, top);
         let (g0, g1) = cofactor(g, ng, top);
@@ -698,11 +696,7 @@ impl Bdd {
                 return false;
             }
             let n = self.node(cur);
-            cur = if n.var < 64 && (assignment >> n.var) & 1 == 1 {
-                n.hi
-            } else {
-                n.lo
-            };
+            cur = if n.var < 64 && (assignment >> n.var) & 1 == 1 { n.hi } else { n.lo };
         }
     }
 
@@ -1277,8 +1271,7 @@ mod tests {
     fn sifting_respects_node_limit() {
         let mut bdd = Bdd::new();
         let f = split_pairs(&mut bdd, 6);
-        let stats =
-            bdd.sift(&[f], &SiftOptions { node_limit: Some(1), ..SiftOptions::default() });
+        let stats = bdd.sift(&[f], &SiftOptions { node_limit: Some(1), ..SiftOptions::default() });
         // With a 1-node limit the pass stops after the first variable;
         // the function must still be intact.
         assert!(stats.rounds <= 1);

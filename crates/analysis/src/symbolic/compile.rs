@@ -88,7 +88,14 @@ pub fn compile_truth_table(bdd: &mut Bdd, tt: &TruthTable, inputs: &[Ref]) -> Ve
 
 /// Recursive Shannon expansion of output `out` over the rows
 /// `base .. base + 2^level` (splitting on input `level - 1`).
-fn shannon(bdd: &mut Bdd, tt: &TruthTable, out: usize, inputs: &[Ref], level: usize, base: u64) -> Ref {
+fn shannon(
+    bdd: &mut Bdd,
+    tt: &TruthTable,
+    out: usize,
+    inputs: &[Ref],
+    level: usize,
+    base: u64,
+) -> Ref {
     if level == 0 {
         return Bdd::constant(tt.output_bit(base, out) == 1);
     }
@@ -141,8 +148,7 @@ pub fn compile_raw(bdd: &mut Bdd, raw: &RawNetlist, inputs: &[Ref]) -> Result<Ve
         let before = pending.len();
         let mut still_pending = Vec::new();
         for cell in pending {
-            let ops: Option<Vec<Ref>> =
-                cell.inputs.iter().map(|name| lookup(&env, name)).collect();
+            let ops: Option<Vec<Ref>> = cell.inputs.iter().map(|name| lookup(&env, name)).collect();
             match ops {
                 Some(ops) => {
                     let value = match &cell.func {
@@ -211,11 +217,7 @@ mod tests {
         for x in 0u64..(1 << n_inputs) {
             let want = f(x);
             for (k, &o) in outs.iter().enumerate() {
-                assert_eq!(
-                    bdd.eval(o, x),
-                    (want >> k) & 1 == 1,
-                    "output {k} at input {x:b}"
-                );
+                assert_eq!(bdd.eval(o, x), (want >> k) & 1 == 1, "output {k} at input {x:b}");
             }
         }
     }

@@ -149,7 +149,8 @@ pub fn prove_all(hdl_dir: &Path) -> Result<Vec<ProofReport>, String> {
 fn registry_hdl_netlists() -> Vec<(String, xlac_logic::Netlist)> {
     let mut netlists = Vec::new();
     for kind in FullAdderKind::ALL {
-        netlists.push((format!("{}.v", kind.to_string().to_lowercase()), kind.structural_netlist()));
+        netlists
+            .push((format!("{}.v", kind.to_string().to_lowercase()), kind.structural_netlist()));
     }
     for d in approx_cell_descriptors() {
         netlists.push((format!("{}.v", d.name().to_lowercase()), d.netlist().clone()));
@@ -157,8 +158,10 @@ fn registry_hdl_netlists() -> Vec<(String, xlac_logic::Netlist)> {
     for kind in FullAdderKind::APPROXIMATE {
         let rca = RippleCarryAdder::with_approx_lsbs(8, kind, 4)
             .expect("8-bit adder with 4 approximate LSBs is valid");
-        netlists
-            .push((format!("rca8_{}_lsb4.v", kind.to_string().to_lowercase()), ripple_netlist(&rca)));
+        netlists.push((
+            format!("rca8_{}_lsb4.v", kind.to_string().to_lowercase()),
+            ripple_netlist(&rca),
+        ));
     }
     for (n, r, p) in [(12usize, 4usize, 4usize), (11, 1, 9), (16, 2, 6)] {
         let gear = GeArAdder::new(n, r, p).expect("shipped GeAr configs are valid");
@@ -207,8 +210,7 @@ pub fn export_registry_hdl(dir: &Path) -> Result<Vec<(std::path::PathBuf, usize)
 ///
 /// Propagates [`export_registry_hdl`] failures.
 pub fn ensure_registry_hdl(dir: &Path) -> Result<(), String> {
-    let missing =
-        registry_hdl_netlists().iter().any(|(file, _)| !dir.join(file).is_file());
+    let missing = registry_hdl_netlists().iter().any(|(file, _)| !dir.join(file).is_file());
     if missing {
         export_registry_hdl(dir)?;
     }
@@ -284,8 +286,14 @@ fn full_adder_reports(hdl_dir: &Path) -> Result<Vec<ProofReport>, String> {
         let vars: Vec<Ref> = (0..3).map(|i| bdd.var(i)).collect();
         let family = vec![
             ("truth-table".to_string(), compile_truth_table(&mut bdd, &kind.truth_table(), &vars)),
-            ("structural netlist".to_string(), compile_netlist(&mut bdd, &kind.structural_netlist(), &vars)),
-            ("synthesized netlist".to_string(), compile_netlist(&mut bdd, &kind.synthesized_netlist(), &vars)),
+            (
+                "structural netlist".to_string(),
+                compile_netlist(&mut bdd, &kind.structural_netlist(), &vars),
+            ),
+            (
+                "synthesized netlist".to_string(),
+                compile_netlist(&mut bdd, &kind.synthesized_netlist(), &vars),
+            ),
             (format!("hdl/{file}"), compile_raw(&mut bdd, &raw, &vars)?),
             ("eval_x64".to_string(), compile_truth_table(&mut bdd, &x64_table, &vars)),
         ];
@@ -322,22 +330,33 @@ fn descriptor_reports(hdl_dir: &Path) -> Result<Vec<ProofReport>, String> {
         // leg stays symbolic.
         let narrow = n <= 8;
         if narrow {
-            family.insert(0, ("truth-table".to_string(), compile_truth_table(&mut bdd, d.table(), &vars)));
+            family.insert(
+                0,
+                ("truth-table".to_string(), compile_truth_table(&mut bdd, d.table(), &vars)),
+            );
         }
         let mut status = prove_family(&mut bdd, &family);
         let mut representations = labels(&family);
         if !narrow {
             if status == ProofStatus::Proven {
                 let net_table = TruthTable::from_planes(n, k, |p| d.netlist().eval_words(p));
-                let first = (0..1u64 << n).find(|&x| net_table.row(x) != d.table().row(x)).map(|x| {
-                    format!("generated netlist disagrees with the truth table at input {x:#b}")
-                });
+                let first =
+                    (0..1u64 << n).find(|&x| net_table.row(x) != d.table().row(x)).map(|x| {
+                        format!("generated netlist disagrees with the truth table at input {x:#b}")
+                    });
                 status = first.map_or(ProofStatus::Proven, ProofStatus::Refuted);
             }
             representations.push(format!("truth-table (2^{n} exhaustive)"));
         }
         let method = if narrow { "bdd" } else { "bdd+exhaustive" };
-        reports.push(report(Some(&bdd), format!("cell/{}", d.name()), n, method, representations, status));
+        reports.push(report(
+            Some(&bdd),
+            format!("cell/{}", d.name()),
+            n,
+            method,
+            representations,
+            status,
+        ));
     }
     Ok(reports)
 }
@@ -793,7 +812,9 @@ mod tests {
         let msg = format!("at a={a} b={b}: {} vs {want}", want ^ 1);
         assert_eq!(
             rca8_agreement(&broken, "add_x64", 0),
-            ProofStatus::Refuted(format!("elaborated netlist disagrees with the scalar model {msg}"))
+            ProofStatus::Refuted(format!(
+                "elaborated netlist disagrees with the scalar model {msg}"
+            ))
         );
         assert_eq!(rca8_agreement(&ripple_netlist(&rca), "add_x64", 0), ProofStatus::Proven);
     }
@@ -828,7 +849,9 @@ mod tests {
         let msg = format!("at a={a} b={b}: {} vs {want}", want ^ 1);
         assert_eq!(
             status,
-            ProofStatus::Refuted(format!("elaborated netlist disagrees with the scalar model {msg}"))
+            ProofStatus::Refuted(format!(
+                "elaborated netlist disagrees with the scalar model {msg}"
+            ))
         );
     }
 

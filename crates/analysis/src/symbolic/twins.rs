@@ -20,8 +20,8 @@ use xlac_adders::{FullAdderKind, GeArAdder, RippleCarryAdder, Subtractor};
 use xlac_logic::Netlist;
 use xlac_multipliers::hw::{recursive_netlist, truncated_netlist, wallace_netlist};
 use xlac_multipliers::{
-    ConfigurableMul2x2, Mul2x2Kind, Multiplier, RecursiveMultiplier, SumMode,
-    TruncatedMultiplier, WallaceMultiplier,
+    ConfigurableMul2x2, Mul2x2Kind, Multiplier, RecursiveMultiplier, SumMode, TruncatedMultiplier,
+    WallaceMultiplier,
 };
 
 /// Compiles a two-operand `hw` netlist over the ports `a ++ b` (operand
@@ -56,9 +56,7 @@ pub fn mul2x2(bdd: &mut Bdd, kind: Mul2x2Kind, a0: Ref, a1: Ref, b0: Ref, b1: Re
 /// [`ConfigurableMul2x2::netlist`]), derived from the scalar model.
 #[must_use]
 pub fn configurable_mul2x2_table(cfg: &ConfigurableMul2x2) -> xlac_logic::TruthTable {
-    xlac_logic::TruthTable::from_fn(5, 4, |x| {
-        cfg.mul(x & 0b11, (x >> 2) & 0b11, (x >> 4) & 1 == 1)
-    })
+    xlac_logic::TruthTable::from_fn(5, 4, |x| cfg.mul(x & 0b11, (x >> 2) & 0b11, (x >> 4) & 1 == 1))
 }
 
 /// Exact ripple addition with explicit carry-in: the adder reference and
@@ -195,12 +193,7 @@ pub fn recursive_multiplier(
 /// # Panics
 ///
 /// Panics when an operand length differs from the multiplier width.
-pub fn wallace_multiplier(
-    bdd: &mut Bdd,
-    m: &WallaceMultiplier,
-    a: &[Ref],
-    b: &[Ref],
-) -> Vec<Ref> {
+pub fn wallace_multiplier(bdd: &mut Bdd, m: &WallaceMultiplier, a: &[Ref], b: &[Ref]) -> Vec<Ref> {
     compile_ports(bdd, &wallace_netlist(m), m.width(), a, b)
 }
 
@@ -230,10 +223,7 @@ mod tests {
 
     /// Evaluates a twin's output vector as an integer under `assignment`.
     fn eval_word(bdd: &Bdd, bits: &[Ref], assignment: u64) -> u64 {
-        bits.iter()
-            .enumerate()
-            .map(|(k, &f)| u64::from(bdd.eval(f, assignment)) << k)
-            .sum()
+        bits.iter().enumerate().map(|(k, &f)| u64::from(bdd.eval(f, assignment)) << k).sum()
     }
 
     /// Packs operands into the interleaved variable assignment.

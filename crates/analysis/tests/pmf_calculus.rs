@@ -84,10 +84,7 @@ fn algebra_operators_conserve_mass() {
         prop_assert!(mass_of(&negated) == 1u128 << negated.denom_bits(), "negate loses mass");
         let conv = p.convolve(&negated).map_err(|e| e.to_string())?;
         prop_assert!(mass_of(&conv) == 1u128 << conv.denom_bits(), "convolve loses mass");
-        prop_assert!(
-            conv.denom_bits() == 2 * p.denom_bits(),
-            "convolution denominators multiply"
-        );
+        prop_assert!(conv.denom_bits() == 2 * p.denom_bits(), "convolution denominators multiply");
         Ok(())
     });
 }

@@ -19,8 +19,8 @@
 use xlac_analysis::symbolic::bdd::{Bdd, Ref, FALSE, TRUE};
 use xlac_analysis::symbolic::compile::compile_truth_table;
 use xlac_core::check::{check_with, Config};
-use xlac_core::rng::{DefaultRng, Rng};
 use xlac_core::prop_assert_eq;
+use xlac_core::rng::{DefaultRng, Rng};
 use xlac_logic::TruthTable;
 
 /// One random straight-line formula program: `(n_vars_seed, ops)`. Any
@@ -32,9 +32,7 @@ fn gen_program(max_vars: usize) -> impl Fn(&mut DefaultRng) -> Program {
     move |rng| {
         let n_vars = rng.gen_range(1..=max_vars as u64) as u8;
         let len = rng.gen_range(1..32u64) as usize;
-        let ops = (0..len)
-            .map(|_| (rng.gen::<u8>(), rng.gen::<u8>(), rng.gen::<u8>()))
-            .collect();
+        let ops = (0..len).map(|_| (rng.gen::<u8>(), rng.gen::<u8>(), rng.gen::<u8>())).collect();
         (n_vars, ops)
     }
 }
@@ -188,11 +186,7 @@ fn canonicity_recompiled_truth_table_is_pointer_equal() {
         let vars: Vec<Ref> = (0..n).map(|i| bdd.var(i)).collect();
         let recompiled = compile_truth_table(&mut bdd, &table, &vars);
         prop_assert_eq!(recompiled.len(), 1usize);
-        prop_assert_eq!(
-            recompiled[0],
-            f,
-            "equal functions must share one root (canonicity)"
-        );
+        prop_assert_eq!(recompiled[0], f, "equal functions must share one root (canonicity)");
         Ok(())
     });
 }

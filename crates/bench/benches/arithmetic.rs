@@ -17,8 +17,9 @@ fn bench_adders() {
     let rca = RippleCarryAdder::accurate(16);
     let apx = RippleCarryAdder::with_approx_lsbs(16, FullAdderKind::Apx3, 6).unwrap();
     let gear = GeArAdder::new(16, 4, 4).unwrap();
-    let ops: Vec<(u64, u64)> =
-        (0..256u64).map(|i| (i.wrapping_mul(2654435761) & 0xFFFF, i.wrapping_mul(40503) & 0xFFFF)).collect();
+    let ops: Vec<(u64, u64)> = (0..256u64)
+        .map(|i| (i.wrapping_mul(2654435761) & 0xFFFF, i.wrapping_mul(40503) & 0xFFFF))
+        .collect();
 
     h.bench("ripple_accurate", || {
         let mut acc = 0u64;

@@ -73,12 +73,8 @@ fn bench_gear_sweep() {
     h.bench("scalar_1thread", || {
         black_box(gear_sweep_scalar(&gear, Some(usize::MAX), &opts.threads(1)))
     });
-    h.bench("sliced_1thread", || {
-        black_box(gear_sweep(&gear, Some(usize::MAX), &opts.threads(1)))
-    });
-    h.bench("sliced_8threads", || {
-        black_box(gear_sweep(&gear, Some(usize::MAX), &opts.threads(8)))
-    });
+    h.bench("sliced_1thread", || black_box(gear_sweep(&gear, Some(usize::MAX), &opts.threads(1))));
+    h.bench("sliced_8threads", || black_box(gear_sweep(&gear, Some(usize::MAX), &opts.threads(8))));
 }
 
 fn main() {

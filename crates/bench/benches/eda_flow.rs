@@ -41,7 +41,10 @@ fn bench_divider() {
         pairs.iter().map(|&(n, d)| exact.divide(black_box(n), black_box(d)).unwrap().0).sum::<u64>()
     });
     h.bench("apx3_lsb2", || {
-        pairs.iter().map(|&(n, d)| approx.divide(black_box(n), black_box(d)).unwrap().0).sum::<u64>()
+        pairs
+            .iter()
+            .map(|&(n, d)| approx.divide(black_box(n), black_box(d)).unwrap().0)
+            .sum::<u64>()
     });
 }
 

@@ -79,9 +79,8 @@ fn bench_raw_eval(group: &str, nl: &Netlist, seed: u64) {
     let prog = CompiledProgram::compile(nl);
     let n_batches = usize::try_from(TRIALS).unwrap() / 64;
     let mut rng = DefaultRng::seed_from_u64(seed);
-    let batches: Vec<Vec<u64>> = (0..n_batches)
-        .map(|_| (0..nl.n_inputs()).map(|_| rng.next_u64()).collect())
-        .collect();
+    let batches: Vec<Vec<u64>> =
+        (0..n_batches).map(|_| (0..nl.n_inputs()).map(|_| rng.next_u64()).collect()).collect();
 
     fn pack<B: PlaneBlock>(batches: &[Vec<u64>]) -> Vec<Vec<B>> {
         batches

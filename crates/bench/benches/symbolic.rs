@@ -17,6 +17,7 @@
 //! Runs on the in-house harness (`xlac_bench::harness`); set
 //! `XLAC_BENCH_QUICK=1` for a smoke run.
 
+use xlac_adders::hw::ripple_netlist;
 use xlac_adders::{Adder, FullAdderKind, GeArAdder, RippleCarryAdder};
 use xlac_analysis::parse::parse_verilog;
 use xlac_analysis::symbolic::compile::interleaved_operand_vars;
@@ -25,7 +26,6 @@ use xlac_analysis::symbolic::{
     truncated_calculus, twins, wallace_calculus, Bdd, ExactMetrics, SiftOptions, FALSE,
 };
 use xlac_bench::{black_box, Harness};
-use xlac_adders::hw::ripple_netlist;
 use xlac_multipliers::hw::wallace_netlist;
 use xlac_multipliers::{
     Mul2x2Kind, Multiplier, RecursiveMultiplier, SumMode, TruncatedMultiplier, WallaceMultiplier,

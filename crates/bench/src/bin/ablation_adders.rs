@@ -6,13 +6,13 @@
 //! delay, error rate and mean error distance under uniform inputs —
 //! the cross-family view the survey argues designers need.
 
-use xlac_core::rng::DefaultRng;
 use xlac_adders::{
     Adder, CarryLookaheadAdder, FullAdderKind, GeArAdder, LoaAdder, RippleCarryAdder,
     TruncatedAdder,
 };
 use xlac_bench::{check, header, row, section};
 use xlac_core::metrics::{sampled_binary, ErrorStats};
+use xlac_core::rng::DefaultRng;
 
 fn quality(adder: &dyn Adder, samples: u64) -> ErrorStats {
     let w = adder.width();

@@ -7,26 +7,20 @@
 //! actually needed — quantifying the design choice DESIGN.md calls out
 //! (variable-latency correction vs always-on worst-case latency).
 
-use xlac_core::rng::{DefaultRng, Rng};
-use xlac_bench::{check, header, row, section};
 use xlac_adders::GeArAdder;
+use xlac_bench::{check, header, row, section};
+use xlac_core::rng::{DefaultRng, Rng};
 
 fn main() {
     let gear = GeArAdder::new(16, 2, 2).expect("valid"); // k = 7: deep cascade
     let k = gear.sub_adder_count();
     let samples = 200_000u64;
     let mut rng = DefaultRng::seed_from_u64(0xC0BE);
-    let pairs: Vec<(u64, u64)> = (0..samples)
-        .map(|_| (rng.gen::<u64>() & 0xFFFF, rng.gen::<u64>() & 0xFFFF))
-        .collect();
+    let pairs: Vec<(u64, u64)> =
+        (0..samples).map(|_| (rng.gen::<u64>() & 0xFFFF, rng.gen::<u64>() & 0xFFFF)).collect();
 
     section(&format!("ablation — GeAr(16,2,2) recovery passes (k = {k})"));
-    header(&[
-        ("passes", 7),
-        ("err rate", 10),
-        ("mean |e|", 10),
-        ("still flagged", 14),
-    ]);
+    header(&[("passes", 7), ("err rate", 10), ("mean |e|", 10), ("still flagged", 14)]);
 
     let mut stats: Vec<(usize, f64, f64, f64)> = Vec::new();
     for passes in 0..=(k - 1) {
@@ -75,10 +69,8 @@ fn main() {
         stats.windows(2).all(|w| w[1].1 <= w[0].1 + 1e-12),
     );
     ok &= check("k-1 passes reach exactness", stats.last().expect("rows").1 == 0.0);
-    ok &= check(
-        "one pass removes most of the error mass",
-        stats[1].2 < 0.35 * stats[0].2.max(1e-12),
-    );
+    ok &=
+        check("one pass removes most of the error mass", stats[1].2 < 0.35 * stats[0].2.max(1e-12));
     ok &= check(
         "the common case needs at most one pass (variable latency pays)",
         (histogram[0] + histogram[1]) as f64 / samples as f64 > 0.85,

@@ -32,14 +32,12 @@ fn main() {
             .encode(frames)
             .expect("encodes")
             .total_bits;
-        let approx = Encoder::new(
-            cfg,
-            SadAccelerator::new(64, SadVariant::ApxSad3, 4).expect("valid"),
-        )
-        .expect("valid")
-        .encode(frames)
-        .expect("encodes")
-        .total_bits;
+        let approx =
+            Encoder::new(cfg, SadAccelerator::new(64, SadVariant::ApxSad3, 4).expect("valid"))
+                .expect("valid")
+                .encode(frames)
+                .expect("encodes")
+                .total_bits;
         let penalty = approx as f64 / exact as f64 - 1.0;
         penalties.push((range, exact, approx, penalty));
         row(&[

@@ -20,8 +20,10 @@ fn static_run(
 ) -> (u64, f64, f64) {
     let sad = SadAccelerator::new(64, variant, lsbs).expect("valid");
     let power = sad.hw_cost().power_nw;
-    let stats =
-        Encoder::new(EncoderConfig::default(), sad).expect("valid").encode(frames).expect("encodes");
+    let stats = Encoder::new(EncoderConfig::default(), sad)
+        .expect("valid")
+        .encode(frames)
+        .expect("encodes");
     (stats.total_bits, stats.psnr_db, power)
 }
 
@@ -54,10 +56,7 @@ fn main() {
         .expect("valid policy")
         .encode(frames)
         .expect("encodes");
-    println!(
-        "adaptive: {} bits, mean SAD power {:.0} nW",
-        out.total_bits, out.mean_power_nw
-    );
+    println!("adaptive: {} bits, mean SAD power {:.0} nW", out.total_bits, out.mean_power_nw);
     let modes: Vec<String> = out.mode_history.iter().map(ToString::to_string).collect();
     println!("mode trace: {}", modes.join(" -> "));
 
@@ -68,15 +67,13 @@ fn main() {
         "the adaptive run saves SAD power versus the accurate static point",
         out.mean_power_nw < accurate.3,
     );
-    ok &= check(
-        "the adaptive bit-rate overhead stays below the aggressive static point's",
-        {
-            let aggressive = static_rows.iter().find(|r| r.0.starts_with("aggressive")).expect("present");
-            let adaptive_overhead = out.total_bits as f64 / accurate.1 as f64;
-            let aggressive_overhead = aggressive.1 as f64 / accurate.1 as f64;
-            adaptive_overhead < aggressive_overhead
-        },
-    );
+    ok &= check("the adaptive bit-rate overhead stays below the aggressive static point's", {
+        let aggressive =
+            static_rows.iter().find(|r| r.0.starts_with("aggressive")).expect("present");
+        let adaptive_overhead = out.total_bits as f64 / accurate.1 as f64;
+        let aggressive_overhead = aggressive.1 as f64 / accurate.1 as f64;
+        adaptive_overhead < aggressive_overhead
+    });
     ok &= check(
         "the controller actually adapts (mode trace is not constant) or holds a \
          justified steady state",
@@ -87,7 +84,8 @@ fn main() {
             // the content sat inside the tolerance band — both are valid;
             // what is not valid is ending pinned at Accurate with a loose
             // default tolerance.
-            distinct.len() > 1 || *out.mode_history.last().expect("nonempty") != ApproxMode::Accurate
+            distinct.len() > 1
+                || *out.mode_history.last().expect("nonempty") != ApproxMode::Accurate
         },
     );
     std::process::exit(i32::from(!ok));

@@ -2,10 +2,10 @@
 //! accuracy-configurable adders — quality recovered and area saved versus
 //! per-adder integrated EDC.
 
-use xlac_core::rng::{DefaultRng, Rng};
 use xlac_accel::cec::{AdderCascade, CecUnit};
 use xlac_adders::GeArAdder;
 use xlac_bench::{check, header, row, section};
+use xlac_core::rng::{DefaultRng, Rng};
 
 fn main() {
     let gear = GeArAdder::new(12, 4, 4).expect("valid config");
@@ -62,21 +62,13 @@ fn main() {
         "consolidation pays off beyond a small cascade depth",
         matches!(crossover, Some(s) if s <= 8),
     );
-    ok &= check(
-        "error magnitudes take only the specific sub-adder offsets (2^8 here)",
-        {
-            let cascade = AdderCascade::new(gear, 6).expect("valid");
-            let mut rng = DefaultRng::seed_from_u64(9);
-            (0..1000).all(|_| {
-                let xs: Vec<u64> = (0..6).map(|_| rng.gen_range(0..0x2AA)).collect();
-                cascade
-                    .accumulate(&xs)
-                    .expect("matches")
-                    .flagged_offsets
-                    .iter()
-                    .all(|&o| o == 8)
-            })
-        },
-    );
+    ok &= check("error magnitudes take only the specific sub-adder offsets (2^8 here)", {
+        let cascade = AdderCascade::new(gear, 6).expect("valid");
+        let mut rng = DefaultRng::seed_from_u64(9);
+        (0..1000).all(|_| {
+            let xs: Vec<u64> = (0..6).map(|_| rng.gen_range(0..0x2AA)).collect();
+            cascade.accumulate(&xs).expect("matches").flagged_offsets.iter().all(|&o| o == 8)
+        })
+    });
     std::process::exit(i32::from(!ok));
 }

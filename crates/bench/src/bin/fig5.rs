@@ -9,8 +9,7 @@ fn main() {
     for kind in [Mul2x2Kind::ApxSoA, Mul2x2Kind::ApxOur] {
         println!("\n{kind} (rows a = 0..3, cols b = 0..3):");
         for a in 0u64..4 {
-            let cells: Vec<String> =
-                (0u64..4).map(|b| format!("{:04b}", kind.mul(a, b))).collect();
+            let cells: Vec<String> = (0u64..4).map(|b| format!("{:04b}", kind.mul(a, b))).collect();
             println!("  {:02b}  {}", a, cells.join(" "));
         }
     }

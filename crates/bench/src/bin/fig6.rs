@@ -6,10 +6,10 @@
 //! (accurate adders vs 4 approximate LSBs). Quality is exhaustive up to
 //! 8×8 and sampled (1M pairs) at 16×16.
 
-use xlac_core::rng::DefaultRng;
 use xlac_adders::FullAdderKind;
 use xlac_bench::{check, header, row, section};
 use xlac_core::metrics::{exhaustive_binary, sampled_binary, ErrorStats};
+use xlac_core::rng::DefaultRng;
 use xlac_multipliers::{Mul2x2Kind, Multiplier, RecursiveMultiplier, SumMode};
 
 fn quality(m: &RecursiveMultiplier) -> ErrorStats {
@@ -90,9 +90,7 @@ fn main() {
     );
     ok &= check(
         "approximate summation saves further area over block-only approximation",
-        [4usize, 8, 16]
-            .iter()
-            .all(|&w| area_of(w, "apx-soa+lsb4") < area_of(w, "apx-soa")),
+        [4usize, 8, 16].iter().all(|&w| area_of(w, "apx-soa+lsb4") < area_of(w, "apx-soa")),
     );
     ok &= check(
         "accurate variant never errs",

@@ -7,8 +7,8 @@
 //! output, ending with the accelerator the flow selects for a quality
 //! constraint.
 
-use xlac_adders::{Adder, FullAdderKind, RippleCarryAdder};
 use xlac_accel::sad::{SadAccelerator, SadVariant};
+use xlac_adders::{Adder, FullAdderKind, RippleCarryAdder};
 use xlac_bench::{check, header, row, section};
 use xlac_core::metrics::exhaustive_binary;
 use xlac_core::ComponentProfile;
@@ -92,11 +92,7 @@ fn main() {
         }
         let mean_err = err / count as f64;
         let power = sad.hw_cost().power_nw;
-        row(&[
-            (sad.name(), 24),
-            (format!("{power:.0}"), 11),
-            (format!("{mean_err:.2}"), 13),
-        ]);
+        row(&[(sad.name(), 24), (format!("{power:.0}"), 11), (format!("{mean_err:.2}"), 13)]);
         options.push((sad.name(), power, mean_err));
     }
     // Select: min power with mean SAD error below 32 (quality constraint).

@@ -29,20 +29,14 @@ fn main() {
     let (cur, reff) = (&frames[3], &frames[2]);
     let range = 4i32;
 
-    let exact_me = MotionEstimator::new(SadAccelerator::accurate(64).expect("valid"), range)
-        .expect("valid");
+    let exact_me =
+        MotionEstimator::new(SadAccelerator::accurate(64).expect("valid"), range).expect("valid");
     let exact_field = exact_me.estimate(cur, reff).expect("aligned frames");
     let blocks_r = exact_field.vectors.rows();
     let blocks_c = exact_field.vectors.cols();
 
     section("Fig.8 — SAD error surfaces (approximate vs accurate)");
-    header(&[
-        ("variant", 9),
-        ("LSBs", 5),
-        ("mean shift", 11),
-        ("corr", 7),
-        ("MV survival", 12),
-    ]);
+    header(&[("variant", 9), ("LSBs", 5), ("mean shift", 11), ("corr", 7), ("MV survival", 12)]);
 
     let mut survival_at_mild = 0.0f64;
     let mut ok = true;
@@ -54,11 +48,9 @@ fn main() {
         SadVariant::ApxSad5,
     ] {
         for lsbs in [2usize, 4] {
-            let me = MotionEstimator::new(
-                SadAccelerator::new(64, variant, lsbs).expect("valid"),
-                range,
-            )
-            .expect("valid");
+            let me =
+                MotionEstimator::new(SadAccelerator::new(64, variant, lsbs).expect("valid"), range)
+                    .expect("valid");
             let field = me.estimate(cur, reff).expect("aligned");
 
             // Surface statistics over a sample of blocks.
@@ -109,9 +101,6 @@ fn main() {
 
     section("shape checks vs the paper");
     ok &= check("surfaces stay strongly correlated at 2 LSBs (trend preserved)", ok);
-    ok &= check(
-        "most motion vectors survive mild approximation",
-        survival_at_mild > 0.85,
-    );
+    ok &= check("most motion vectors survive mild approximation", survival_at_mild > 0.85);
     std::process::exit(i32::from(!ok));
 }

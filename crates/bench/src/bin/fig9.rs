@@ -15,11 +15,12 @@ fn main() {
     let seq = SyntheticSequence::generate(&SequenceConfig::fig9()).expect("valid config");
     let frames = seq.frames();
 
-    let exact_bits = Encoder::new(EncoderConfig::default(), SadAccelerator::accurate(64).expect("valid"))
-        .expect("valid")
-        .encode(frames)
-        .expect("encodes")
-        .total_bits as f64;
+    let exact_bits =
+        Encoder::new(EncoderConfig::default(), SadAccelerator::accurate(64).expect("valid"))
+            .expect("valid")
+            .encode(frames)
+            .expect("encodes")
+            .total_bits as f64;
     println!("accurate baseline: {exact_bits:.0} bits over {} frames", frames.len());
 
     section("Fig.9 — bit-rate increase vs approximated LSBs");

@@ -127,13 +127,9 @@ fn check_audits() -> Result<usize, String> {
     if absint == 0 {
         return Err("bound audit is missing the absint: derived-bound entries".into());
     }
-    let unsound: Vec<&str> =
-        audits.iter().filter(|a| !a.sound).map(|a| a.name.as_str()).collect();
+    let unsound: Vec<&str> = audits.iter().filter(|a| !a.sound).map(|a| a.name.as_str()).collect();
     if unsound.is_empty() {
-        eprintln!(
-            "library_gate: ok audit {} bounds sound ({absint} absint-derived)",
-            audits.len()
-        );
+        eprintln!("library_gate: ok audit {} bounds sound ({absint} absint-derived)", audits.len());
         Ok(audits.len())
     } else {
         Err(format!("{} unsound bound(s): {unsound:?}", unsound.len()))

@@ -14,14 +14,17 @@ fn main() {
     let qsteps = [3.0f64, 6.0, 12.0, 24.0];
 
     section("RD curves (bits vs PSNR) per SAD configuration");
-    let reference = rd_curve(frames, EncoderConfig::default(), &qsteps, || {
-        SadAccelerator::accurate(64)
-    })
-    .expect("encodes");
+    let reference =
+        rd_curve(frames, EncoderConfig::default(), &qsteps, || SadAccelerator::accurate(64))
+            .expect("encodes");
     println!("accurate:");
     header(&[("qstep", 6), ("bits", 9), ("PSNR[dB]", 9)]);
     for (q, pt) in qsteps.iter().zip(&reference) {
-        row(&[(q.to_string(), 6), (format!("{:.0}", pt.bits), 9), (format!("{:.2}", pt.psnr_db), 9)]);
+        row(&[
+            (q.to_string(), 6),
+            (format!("{:.0}", pt.bits), 9),
+            (format!("{:.2}", pt.psnr_db), 9),
+        ]);
     }
 
     section("BD-rate vs accurate (positive = bits needed at equal quality)");
@@ -42,11 +45,7 @@ fn main() {
         .expect("encodes");
         let bd = bd_rate(&reference, &curve).expect("overlapping curves");
         results.push((variant, lsbs, bd));
-        row(&[
-            (format!("{variant}"), 9),
-            (lsbs.to_string(), 5),
-            (format!("{bd:+.2}%", ), 9),
-        ]);
+        row(&[(format!("{variant}"), 9), (lsbs.to_string(), 5), (format!("{bd:+.2}%",), 9)]);
     }
 
     section("shape checks");
@@ -55,14 +54,11 @@ fn main() {
         "BD-rate is non-negative (approximate ME never wins at equal quality)",
         results.iter().all(|r| r.2 > -0.5),
     );
-    ok &= check(
-        "BD-rate grows with approximated LSBs within each variant",
-        {
-            let s1: Vec<f64> =
-                results.iter().filter(|r| r.0 == SadVariant::ApxSad3).map(|r| r.2).collect();
-            s1.windows(2).all(|w| w[1] >= w[0] - 0.25)
-        },
-    );
+    ok &= check("BD-rate grows with approximated LSBs within each variant", {
+        let s1: Vec<f64> =
+            results.iter().filter(|r| r.0 == SadVariant::ApxSad3).map(|r| r.2).collect();
+        s1.windows(2).all(|w| w[1] >= w[0] - 0.25)
+    });
     ok &= check(
         "mild configurations stay below 2% BD-rate",
         results.iter().filter(|r| r.1 == 2).all(|r| r.2 < 2.0),

@@ -37,8 +37,10 @@ fn main() {
         if pts.is_empty() {
             continue;
         }
-        let series: Vec<String> =
-            pts.iter().map(|pt| format!("(P{}, {} LUTs, {:.2}%)", pt.p, pt.lut_area, pt.accuracy_percent)).collect();
+        let series: Vec<String> = pts
+            .iter()
+            .map(|pt| format!("(P{}, {} LUTs, {:.2}%)", pt.p, pt.lut_area, pt.accuracy_percent))
+            .collect();
         println!("R={r}: {}", series.join(" "));
     }
     let frontier = pareto_frontier(

@@ -166,7 +166,8 @@ impl Harness {
             }
             // Jump toward the target instead of pure doubling when the
             // measurement is meaningful.
-            let factor = if elapsed == 0 { 16 } else { (self.min_sample_ns / elapsed.max(1)).clamp(2, 16) };
+            let factor =
+                if elapsed == 0 { 16 } else { (self.min_sample_ns / elapsed.max(1)).clamp(2, 16) };
             iters = iters.saturating_mul(factor);
         }
     }

@@ -100,11 +100,7 @@ impl Mul<f64> for HwCost {
     type Output = HwCost;
 
     fn mul(self, k: f64) -> HwCost {
-        HwCost {
-            area_ge: self.area_ge * k,
-            power_nw: self.power_nw * k,
-            delay: self.delay * k,
-        }
+        HwCost { area_ge: self.area_ge * k, power_nw: self.power_nw * k, delay: self.delay * k }
     }
 }
 

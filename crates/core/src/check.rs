@@ -38,8 +38,8 @@
 //! `prop_filter` idiom) — shrinking re-runs the property, so vacuously
 //! passing inputs never become counterexamples.
 
-pub use crate::rng::{DefaultRng, Rng};
 use crate::rng::SplitMix64;
+pub use crate::rng::{DefaultRng, Rng};
 use std::fmt::Debug;
 
 /// Default number of cases per property when `XLAC_CHECK_CASES` is unset.
@@ -156,7 +156,11 @@ impl_shrink_int!(i8, i16, i32, i64, isize);
 
 impl Shrink for bool {
     fn shrink(&self) -> Vec<Self> {
-        if *self { vec![false] } else { Vec::new() }
+        if *self {
+            vec![false]
+        } else {
+            Vec::new()
+        }
     }
 }
 

@@ -131,7 +131,9 @@ impl InputDistribution {
                         *a += u128::from(bits::truncate(*d, width));
                     }
                 }
-                acc.map(|a| u64::try_from(a / u128::from(k)).expect("the mean of k words fits a word"))
+                acc.map(|a| {
+                    u64::try_from(a / u128::from(k)).expect("the mean of k words fits a word")
+                })
             }
             InputDistribution::ExponentialDecay => {
                 let hb = DECAY_BITS.min(width);
@@ -261,8 +263,7 @@ impl DistPmf {
     /// The exact mean of the distribution.
     #[must_use]
     pub fn mean(&self) -> f64 {
-        let num: u128 =
-            self.weights.iter().enumerate().map(|(v, &w)| w * v as u128).sum();
+        let num: u128 = self.weights.iter().enumerate().map(|(v, &w)| w * v as u128).sum();
         num as f64 / self.denominator()
     }
 }
@@ -283,10 +284,7 @@ mod tests {
                     "{dist:?} w={width}: PMF must sum to 1"
                 );
                 // Full support: the MC and exact legs see the same WCE.
-                assert!(
-                    pmf.weights.iter().all(|&w| w > 0),
-                    "{dist:?} w={width}: zero-mass value"
-                );
+                assert!(pmf.weights.iter().all(|&w| w > 0), "{dist:?} w={width}: zero-mass value");
             }
         }
     }
@@ -395,12 +393,9 @@ mod tests {
             let pmf = dist.pmf(8).unwrap();
             // Coarse shape agreement on an aggregate statistic: the
             // empirical mean within 2% of the full range of the exact.
-            let emp_mean = counts
-                .iter()
-                .enumerate()
-                .map(|(v, &c)| v as f64 * c as f64)
-                .sum::<f64>()
-                / total as f64;
+            let emp_mean =
+                counts.iter().enumerate().map(|(v, &c)| v as f64 * c as f64).sum::<f64>()
+                    / total as f64;
             assert!(
                 (emp_mean - pmf.mean()).abs() < 0.02 * 256.0,
                 "{dist:?}: empirical mean {emp_mean} vs exact {}",

@@ -158,19 +158,12 @@ impl<T> Grid<T> {
     /// Iterates `(row, col, &value)` in row-major order.
     pub fn enumerate(&self) -> impl Iterator<Item = (usize, usize, &T)> {
         let cols = self.cols;
-        self.data
-            .iter()
-            .enumerate()
-            .map(move |(i, v)| (i / cols, i % cols, v))
+        self.data.iter().enumerate().map(move |(i, v)| (i / cols, i % cols, v))
     }
 
     /// Applies `f` to every element, producing a new grid of the same shape.
     pub fn map<U, F: FnMut(&T) -> U>(&self, f: F) -> Grid<U> {
-        Grid {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(f).collect(),
-        }
+        Grid { rows: self.rows, cols: self.cols, data: self.data.iter().map(f).collect() }
     }
 
     /// Extracts the `h × w` sub-grid whose top-left corner is `(top, left)`.

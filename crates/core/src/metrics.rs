@@ -380,7 +380,12 @@ impl ErrorAccumulator {
 /// # Panics
 ///
 /// Panics if `width_a + width_b > 30` (guard against accidental 2^40+ loops).
-pub fn exhaustive_binary<E, A>(width_a: usize, width_b: usize, mut exact: E, mut approx: A) -> ErrorStats
+pub fn exhaustive_binary<E, A>(
+    width_a: usize,
+    width_b: usize,
+    mut exact: E,
+    mut approx: A,
+) -> ErrorStats
 where
     E: FnMut(u64, u64) -> u64,
     A: FnMut(u64, u64) -> u64,
@@ -393,7 +398,9 @@ where
     let na = 1u64 << width_a;
     let nb = 1u64 << width_b;
     ErrorStats::from_pairs(
-        (0..na).flat_map(|a| (0..nb).map(move |b| (a, b))).map(|(a, b)| (exact(a, b), approx(a, b))),
+        (0..na)
+            .flat_map(|a| (0..nb).map(move |b| (a, b)))
+            .map(|(a, b)| (exact(a, b), approx(a, b))),
     )
 }
 

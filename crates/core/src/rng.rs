@@ -343,8 +343,12 @@ impl Xoshiro256StarStar {
     /// partitioning the sequence into non-overlapping blocks for up to
     /// `2^128` parallel consumers of one seed.
     pub fn jump(&mut self) {
-        const JUMP: [u64; 4] =
-            [0x180E_C6D3_3CFD_0ABA, 0xD5A6_1266_F0C9_392C, 0xA958_9759_90E0_741C, 0x39AB_DC45_29B1_661C];
+        const JUMP: [u64; 4] = [
+            0x180E_C6D3_3CFD_0ABA,
+            0xD5A6_1266_F0C9_392C,
+            0xA958_9759_90E0_741C,
+            0x39AB_DC45_29B1_661C,
+        ];
         let mut acc = [0u64; 4];
         for word in JUMP {
             for bit in 0..64 {

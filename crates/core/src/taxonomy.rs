@@ -235,9 +235,8 @@ mod tests {
     #[test]
     fn functional_approximation_appears_at_multiple_layers() {
         // The paper's key observation: most schemes apply at several layers.
-        let layers: BTreeSet<_> = techniques_of_kind(ApproximationKind::Functional)
-            .map(|t| t.layer)
-            .collect();
+        let layers: BTreeSet<_> =
+            techniques_of_kind(ApproximationKind::Functional).map(|t| t.layer).collect();
         assert!(layers.len() >= 2);
     }
 
@@ -252,10 +251,7 @@ mod tests {
         for layer in [Layer::Software, Layer::Architectural, Layer::HwCircuit] {
             assert_eq!(layer.to_string(), layer.to_string().to_lowercase());
         }
-        assert_eq!(
-            ApproximationKind::Data.to_string(),
-            "data/information approximation"
-        );
+        assert_eq!(ApproximationKind::Data.to_string(), "data/information approximation");
     }
 
     #[test]

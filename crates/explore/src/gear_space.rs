@@ -207,8 +207,7 @@ mod tests {
     fn accuracy_increases_with_p_at_fixed_r() {
         let space = enumerate_gear_space(11).unwrap();
         for r in 1..=3usize {
-            let mut points: Vec<&GearDesignPoint> =
-                space.iter().filter(|pt| pt.r == r).collect();
+            let mut points: Vec<&GearDesignPoint> = space.iter().filter(|pt| pt.r == r).collect();
             points.sort_by_key(|pt| pt.p);
             for pair in points.windows(2) {
                 assert!(

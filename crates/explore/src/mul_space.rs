@@ -52,10 +52,10 @@ use xlac_core::error::Result;
 use xlac_core::metrics::{exhaustive_binary, ErrorStats};
 use xlac_core::ComponentProfile;
 use xlac_logic::Netlist;
+use xlac_multipliers::hw::{recursive_netlist, truncated_netlist, wallace_netlist};
 use xlac_multipliers::{
     Mul2x2Kind, Multiplier, RecursiveMultiplier, SumMode, TruncatedMultiplier, WallaceMultiplier,
 };
-use xlac_multipliers::hw::{recursive_netlist, truncated_netlist, wallace_netlist};
 use xlac_obs::{obs_count, obs_span};
 use xlac_sim::{compiled_pair_sweep, CompiledProgram, SweepOptions};
 
@@ -96,9 +96,7 @@ impl MulConfig {
     fn bound(&self) -> ErrorBound {
         match self {
             MulConfig::Recursive(m) => recursive_multiplier_bound(m),
-            MulConfig::Wallace(m) => {
-                wallace_bound_absint(m).tightened(&certified_wallace_bound(m))
-            }
+            MulConfig::Wallace(m) => wallace_bound_absint(m).tightened(&certified_wallace_bound(m)),
             MulConfig::Truncated(m) => truncated_bound(m),
         }
     }
@@ -154,11 +152,7 @@ fn configurations(width: usize) -> Result<Vec<MulConfig>> {
 
     // Wallace family (one exact baseline, then the approximate columns —
     // cols = 0 collapses to the same design for every cell kind).
-    configs.push(MulConfig::Wallace(WallaceMultiplier::new(
-        width,
-        FullAdderKind::Accurate,
-        0,
-    )?));
+    configs.push(MulConfig::Wallace(WallaceMultiplier::new(width, FullAdderKind::Accurate, 0)?));
     for kind in [FullAdderKind::Apx2, FullAdderKind::Apx4, FullAdderKind::Apx5] {
         for cols in [4usize, 8] {
             configs.push(MulConfig::Wallace(WallaceMultiplier::new(width, kind, cols)?));
@@ -172,7 +166,9 @@ fn configurations(width: usize) -> Result<Vec<MulConfig>> {
                 continue;
             }
             configs.push(MulConfig::Truncated(TruncatedMultiplier::new(
-                width, dropped, compensated,
+                width,
+                dropped,
+                compensated,
             )?));
         }
     }
@@ -390,10 +386,7 @@ mod tests {
         let space = enumerate_multiplier_space(8, 10_000).unwrap();
         let frontier = pareto_frontier(
             &space,
-            &[
-                &|p: &ComponentProfile| p.cost.area_ge,
-                &|p| p.quality.mean_relative_error,
-            ],
+            &[&|p: &ComponentProfile| p.cost.area_ge, &|p| p.quality.mean_relative_error],
         );
         assert!(frontier.len() >= 3, "a real trade-off curve");
         assert!(frontier.len() < space.len(), "something must be dominated");

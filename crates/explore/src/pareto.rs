@@ -62,7 +62,9 @@ pub fn try_pareto_frontier<'a, T>(
     Ok(items
         .iter()
         .enumerate()
-        .filter(|(i, _)| !scores.iter().enumerate().any(|(j, s)| j != *i && dominates(s, &scores[*i])))
+        .filter(|(i, _)| {
+            !scores.iter().enumerate().any(|(j, s)| j != *i && dominates(s, &scores[*i]))
+        })
         .map(|(_, it)| it)
         .collect())
 }
@@ -101,8 +103,7 @@ mod tests {
         let pts: Vec<(f64, f64, f64)> =
             (0..200).map(|_| (rng.gen(), rng.gen(), rng.gen())).collect();
         type Objective3<'a> = &'a dyn Fn(&(f64, f64, f64)) -> f64;
-        let objs: Vec<Objective3<'_>> =
-            vec![&|p: &(f64, f64, f64)| p.0, &|p| p.1, &|p| p.2];
+        let objs: Vec<Objective3<'_>> = vec![&|p: &(f64, f64, f64)| p.0, &|p| p.1, &|p| p.2];
         let front = pareto_frontier(&pts, &objs);
         let dom = |a: &(f64, f64, f64), b: &(f64, f64, f64)| {
             a.0 <= b.0 && a.1 <= b.1 && a.2 <= b.2 && (a.0 < b.0 || a.1 < b.1 || a.2 < b.2)
@@ -129,7 +130,7 @@ mod tests {
         let pts = [(3.0, 0.9), (5.0, 0.99), (20.0, 0.999)];
         let front = pareto_frontier(&pts, &[&|p: &(f64, f64)| p.0, &|p| -p.1]);
         assert_eq!(front.len(), 3); // a real trade-off curve: all survive
-        // A point worse on both axes is pruned.
+                                    // A point worse on both axes is pruned.
         let pts = [(3.0, 0.9), (5.0, 0.99), (10.0, 0.9)];
         let front = pareto_frontier(&pts, &[&|p: &(f64, f64)| p.0, &|p| -p.1]);
         assert_eq!(front.len(), 2);

@@ -59,9 +59,7 @@ pub fn min_area_with_accuracy(
         .iter()
         .filter(|pt| pt.accuracy_percent >= floor_percent)
         .min_by(|a, b| {
-            a.lut_area
-                .cmp(&b.lut_area)
-                .then(b.accuracy_percent.total_cmp(&a.accuracy_percent))
+            a.lut_area.cmp(&b.lut_area).then(b.accuracy_percent.total_cmp(&a.accuracy_percent))
         })
         .ok_or_else(|| {
             XlacError::InvalidConfiguration(format!(

@@ -173,7 +173,13 @@ mod tests {
         let rendered: Vec<_> = TestImage::ALL.iter().map(|i| i.render(32)).collect();
         for i in 0..rendered.len() {
             for j in (i + 1)..rendered.len() {
-                assert_ne!(rendered[i], rendered[j], "{:?} vs {:?}", TestImage::ALL[i], TestImage::ALL[j]);
+                assert_ne!(
+                    rendered[i],
+                    rendered[j],
+                    "{:?} vs {:?}",
+                    TestImage::ALL[i],
+                    TestImage::ALL[j]
+                );
             }
         }
     }

@@ -82,11 +82,8 @@ mod tests {
     use super::*;
 
     fn study(kind: FullAdderKind, lsbs: usize) -> Vec<ResilienceRow> {
-        resilience_study(
-            &TestImage::ALL,
-            StudyConfig { size: 48, kind, approx_lsbs: lsbs },
-        )
-        .unwrap()
+        resilience_study(&TestImage::ALL, StudyConfig { size: 48, kind, approx_lsbs: lsbs })
+            .unwrap()
     }
 
     #[test]

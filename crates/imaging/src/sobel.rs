@@ -204,11 +204,8 @@ mod tests {
         let exact = SobelAccelerator::accurate().unwrap().apply(&img).unwrap();
         let approx = SobelAccelerator::new(FullAdderKind::Apx1, 3).unwrap().apply(&img).unwrap();
         // Edge/non-edge classification at threshold 128 must mostly agree.
-        let agree = exact
-            .iter()
-            .zip(approx.iter())
-            .filter(|(&e, &a)| (e >= 128) == (a >= 128))
-            .count();
+        let agree =
+            exact.iter().zip(approx.iter()).filter(|(&e, &a)| (e >= 128) == (a >= 128)).count();
         assert!(
             agree * 100 >= exact.len() * 95,
             "classification agreement {agree}/{}",
@@ -222,13 +219,11 @@ mod tests {
         let exact = SobelAccelerator::accurate().unwrap().apply(&img).unwrap();
         let mut last = -1.0f64;
         for lsbs in [0usize, 2, 4, 6] {
-            let out = SobelAccelerator::new(FullAdderKind::Apx4, lsbs).unwrap().apply(&img).unwrap();
-            let mean: f64 = exact
-                .iter()
-                .zip(out.iter())
-                .map(|(&a, &b)| a.abs_diff(b) as f64)
-                .sum::<f64>()
-                / exact.len() as f64;
+            let out =
+                SobelAccelerator::new(FullAdderKind::Apx4, lsbs).unwrap().apply(&img).unwrap();
+            let mean: f64 =
+                exact.iter().zip(out.iter()).map(|(&a, &b)| a.abs_diff(b) as f64).sum::<f64>()
+                    / exact.len() as f64;
             assert!(mean >= last - 1e-9);
             last = mean;
         }

@@ -216,7 +216,8 @@ mod tests {
             for pattern in 0u64..(1 << n) {
                 let ops: Vec<u64> = (0..n).map(|i| (pattern >> i) & 1).collect();
                 // Sign-extend each bit across the word to exercise other lanes.
-                let words: Vec<u64> = ops.iter().map(|&b| if b == 1 { u64::MAX } else { 0 }).collect();
+                let words: Vec<u64> =
+                    ops.iter().map(|&b| if b == 1 { u64::MAX } else { 0 }).collect();
                 let bit = kind.eval(&ops);
                 let word = kind.eval_word(&words);
                 assert_eq!(word & 1, bit, "{kind} mismatch on {pattern:b}");

@@ -34,8 +34,8 @@
 //! ```
 
 use crate::gate::GateKind;
-use xlac_core::rng::{DefaultRng, Rng};
 use xlac_core::error::{Result, XlacError};
+use xlac_core::rng::{DefaultRng, Rng};
 
 /// A wire in a netlist: a primary input, the output of a gate, or a
 /// constant.
@@ -331,9 +331,8 @@ impl Netlist {
             "{} inputs / {n_outputs} outputs exceed a packed u64",
             self.n_inputs
         );
-        let words: Vec<u64> = (0..self.n_inputs)
-            .map(|i| if (inputs >> i) & 1 == 1 { u64::MAX } else { 0 })
-            .collect();
+        let words: Vec<u64> =
+            (0..self.n_inputs).map(|i| if (inputs >> i) & 1 == 1 { u64::MAX } else { 0 }).collect();
         let outs = self.eval_words(&words);
         outs.iter().enumerate().fold(0u64, |acc, (i, w)| acc | ((w & 1) << i))
     }

@@ -204,7 +204,12 @@ fn canonical(kind: GateKind, fanin: &[Signal]) -> Vec<Signal> {
     let mut v = fanin.to_vec();
     if matches!(
         kind,
-        GateKind::And2 | GateKind::Or2 | GateKind::Nand2 | GateKind::Nor2 | GateKind::Xor2 | GateKind::Xnor2
+        GateKind::And2
+            | GateKind::Or2
+            | GateKind::Nand2
+            | GateKind::Nor2
+            | GateKind::Xor2
+            | GateKind::Xnor2
     ) {
         v.sort_by_key(|s| match s {
             Signal::Input(i) => (0usize, *i),

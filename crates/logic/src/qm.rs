@@ -225,10 +225,7 @@ fn petrick(n_vars: usize, candidates: &[Implicant], remaining: &[u64]) -> Option
             (count, literals)
         })
         .map(|t| {
-            (0..candidates.len())
-                .filter(|i| (t >> i) & 1 == 1)
-                .map(|i| candidates[i])
-                .collect()
+            (0..candidates.len()).filter(|i| (t >> i) & 1 == 1).map(|i| candidates[i]).collect()
         })
 }
 

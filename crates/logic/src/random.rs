@@ -46,7 +46,13 @@ pub struct RandomNetlistSpec {
 
 impl Default for RandomNetlistSpec {
     fn default() -> Self {
-        RandomNetlistSpec { min_inputs: 2, max_inputs: 8, max_gates: 48, max_depth: 12, max_outputs: 6 }
+        RandomNetlistSpec {
+            min_inputs: 2,
+            max_inputs: 8,
+            max_gates: 48,
+            max_depth: 12,
+            max_outputs: 6,
+        }
     }
 }
 

@@ -93,7 +93,11 @@ fn build_cover(
     b.tree(GateKind::Or2, &term_signals)
 }
 
-fn build_product(b: &mut NetlistBuilder, imp: Implicant, inverters: &mut [Option<Signal>]) -> Signal {
+fn build_product(
+    b: &mut NetlistBuilder,
+    imp: Implicant,
+    inverters: &mut [Option<Signal>],
+) -> Signal {
     let mut literals: Vec<Signal> = Vec::new();
     for (i, inverter) in inverters.iter_mut().enumerate() {
         if (imp.mask >> i) & 1 == 1 {
@@ -144,9 +148,7 @@ pub fn characterize(netlist: &Netlist, vectors: usize, seed: u64) -> HwCost {
 pub fn verify_against(netlist: &Netlist, table: &TruthTable) -> usize {
     assert_eq!(netlist.n_inputs(), table.n_inputs(), "input count mismatch");
     assert_eq!(netlist.n_outputs(), table.n_outputs(), "output count mismatch");
-    (0..table.n_rows() as u64)
-        .filter(|&x| netlist.eval(x) != table.row(x))
-        .count()
+    (0..table.n_rows() as u64).filter(|&x| netlist.eval(x) != table.row(x)).count()
 }
 
 #[cfg(test)]

@@ -208,13 +208,7 @@ impl TruthTable {
                 actual: (other.n_inputs, other.n_outputs),
             });
         }
-        Ok(self
-            .rows
-            .iter()
-            .zip(&other.rows)
-            .map(|(a, b)| a.abs_diff(*b))
-            .max()
-            .unwrap_or(0))
+        Ok(self.rows.iter().zip(&other.rows).map(|(a, b)| a.abs_diff(*b)).max().unwrap_or(0))
     }
 }
 
@@ -225,12 +219,18 @@ mod tests {
     #[test]
     fn from_planes_recovers_the_table_of_a_sliced_evaluator() {
         for n in [1usize, 3, 6, 9] {
-            let f = |x: u64| ((x & 1) ^ ((x >> (n - 1)) & 1)) | (u64::from(x.count_ones() > 1) << 1);
+            let f =
+                |x: u64| ((x & 1) ^ ((x >> (n - 1)) & 1)) | (u64::from(x.count_ones() > 1) << 1);
             let sliced = |p: &[u64]| {
-                let ones = p.iter().fold((0u64, 0u64), |(one, more), &w| (one | w, more | (one & w)));
+                let ones =
+                    p.iter().fold((0u64, 0u64), |(one, more), &w| (one | w, more | (one & w)));
                 vec![p[0] ^ p[n - 1], ones.1]
             };
-            assert_eq!(TruthTable::from_planes(n, 2, sliced), TruthTable::from_fn(n, 2, f), "n={n}");
+            assert_eq!(
+                TruthTable::from_planes(n, 2, sliced),
+                TruthTable::from_fn(n, 2, f),
+                "n={n}"
+            );
         }
     }
 

@@ -175,7 +175,15 @@ impl CompressorMultiplier {
         }
         let netlist = Self::build(width, knob, knob_cols, trunc_cols, trunc_rows)?;
         let power_nw = netlist.switching_power(POWER_VECTORS, POWER_SEED);
-        Ok(CompressorMultiplier { width, knob, knob_cols, trunc_cols, trunc_rows, netlist, power_nw })
+        Ok(CompressorMultiplier {
+            width,
+            knob,
+            knob_cols,
+            trunc_cols,
+            trunc_rows,
+            netlist,
+            power_nw,
+        })
     }
 
     /// Builds the tree netlist: AND partial-product matrix, staged 4:2

@@ -348,8 +348,16 @@ impl ConfigurableMul2x2 {
         let index = usize::from(self.core == Mul2x2Kind::ApxOur);
         COSTS.get_or_init(|| {
             [
-                characterize(&ConfigurableMul2x2 { core: Mul2x2Kind::ApxSoA }.netlist(), 4096, 0x2C),
-                characterize(&ConfigurableMul2x2 { core: Mul2x2Kind::ApxOur }.netlist(), 4096, 0x2C),
+                characterize(
+                    &ConfigurableMul2x2 { core: Mul2x2Kind::ApxSoA }.netlist(),
+                    4096,
+                    0x2C,
+                ),
+                characterize(
+                    &ConfigurableMul2x2 { core: Mul2x2Kind::ApxOur }.netlist(),
+                    4096,
+                    0x2C,
+                ),
             ]
         })[index]
     }

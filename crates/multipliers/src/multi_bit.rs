@@ -343,8 +343,7 @@ mod tests {
         let m = RecursiveMultiplier::new(4, Mul2x2Kind::ApxSoA, SumMode::Accurate).unwrap();
         for a in 0u64..16 {
             for b in 0u64..16 {
-                let has_33 =
-                    (a & 3 == 3 || a >> 2 == 3) && (b & 3 == 3 || b >> 2 == 3);
+                let has_33 = (a & 3 == 3 || a >> 2 == 3) && (b & 3 == 3 || b >> 2 == 3);
                 if !has_33 {
                     assert_eq!(m.mul(a, b), a * b, "{a}x{b} should be exact");
                 }

@@ -97,10 +97,7 @@ impl TruncatedMultiplier {
     #[must_use]
     pub fn generated_partial_products(&self) -> usize {
         let n = self.width;
-        (0..n)
-            .flat_map(|i| (0..n).map(move |j| i + j))
-            .filter(|&col| col >= self.dropped)
-            .count()
+        (0..n).flat_map(|i| (0..n).map(move |j| i + j)).filter(|&col| col >= self.dropped).count()
     }
 }
 

@@ -31,8 +31,17 @@ use crate::json::{self, Object, Value};
 
 /// The keys a rule line may carry.
 const KEYS: [&str; 11] = [
-    "rule", "file", "series", "except", "min_count", "field", "ref_file", "ref_series",
-    "ref_field", "min", "max",
+    "rule",
+    "file",
+    "series",
+    "except",
+    "min_count",
+    "field",
+    "ref_file",
+    "ref_series",
+    "ref_field",
+    "min",
+    "max",
 ];
 
 /// One rule of the spec.

@@ -177,8 +177,7 @@ mod enabled {
             for (b, &c) in self.buckets.iter().enumerate() {
                 cumulative += c;
                 if cumulative >= target {
-                    let mid =
-                        if b == 0 { 0.0 } else { 1.5 * (2.0f64).powi(b as i32 - 1) };
+                    let mid = if b == 0 { 0.0 } else { 1.5 * (2.0f64).powi(b as i32 - 1) };
                     return mid.clamp(self.min as f64, self.max as f64);
                 }
             }
@@ -244,7 +243,11 @@ mod enabled {
             SPAN_STACK.with(|stack| {
                 stack.borrow_mut().pop();
             });
-            registry().spans.entry(std::mem::take(&mut self.path)).or_insert_with(Histogram::new).record(ns);
+            registry()
+                .spans
+                .entry(std::mem::take(&mut self.path))
+                .or_insert_with(Histogram::new)
+                .record(ns);
         }
     }
 
@@ -449,8 +452,7 @@ pub fn export_json_lines() -> String {
         }
     }
     for h in &snap.histograms {
-        let buckets =
-            h.buckets.iter().map(u64::to_string).collect::<Vec<_>>().join(",");
+        let buckets = h.buckets.iter().map(u64::to_string).collect::<Vec<_>>().join(",");
         out.push_str(&format!(
             "{{\"name\":{:?},\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[{buckets}]}}\n",
             format!("hist/{}", h.name),
@@ -658,9 +660,14 @@ mod tests {
         assert!(lines.iter().any(|l| l.contains("\"gauge/t.nan\",\"value\":null")));
         assert!(!out.contains("NaN"), "non-finite values must not leak into JSON");
         let span_line = lines.iter().find(|l| l.contains("span/t_span")).unwrap();
-        for field in
-            ["\"samples\":", "\"iters_per_sample\":1", "\"median_ns\":", "\"mean_ns\":", "\"min_ns\":", "\"max_ns\":"]
-        {
+        for field in [
+            "\"samples\":",
+            "\"iters_per_sample\":1",
+            "\"median_ns\":",
+            "\"mean_ns\":",
+            "\"min_ns\":",
+            "\"max_ns\":",
+        ] {
             assert!(span_line.contains(field), "{span_line}");
         }
         reset();

@@ -280,9 +280,8 @@ mod tests {
         let mut last = 1.0f64;
         for amplitude in [2.0, 8.0, 32.0, 96.0] {
             let mut rng = DefaultRng::seed_from_u64(11);
-            let noisy = a.map(|v| {
-                (v + rng.gen_range::<f64, _>(-amplitude..amplitude)).clamp(0.0, 255.0)
-            });
+            let noisy =
+                a.map(|v| (v + rng.gen_range::<f64, _>(-amplitude..amplitude)).clamp(0.0, 255.0));
             let s = ssim(&a, &noisy).unwrap();
             assert!(s < last, "SSIM must fall as noise grows: {s} !< {last}");
             last = s;

@@ -28,8 +28,8 @@
 //! per-evaluation cost in-process instead of reading a record.
 
 use xlac_server::loadgen::{
-    capacity_check, measure_per_eval_ns, per_eval_ns_from_bench, run, CapacityOptions,
-    LoadOptions, CAPACITY_BENCH_SERIES,
+    capacity_check, measure_per_eval_ns, per_eval_ns_from_bench, run, CapacityOptions, LoadOptions,
+    CAPACITY_BENCH_SERIES,
 };
 use xlac_server::{Kernel, Ladders, Server, ServerConfig};
 
@@ -55,9 +55,7 @@ fn parse_args() -> Result<Args, String> {
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next().ok_or_else(|| format!("{name} requires a value"))
-        };
+        let mut value = |name: &str| args.next().ok_or_else(|| format!("{name} requires a value"));
         match arg.as_str() {
             "--addr" => out.addr = value("--addr")?,
             "--self-host" => out.self_host = true,
@@ -75,12 +73,8 @@ fn parse_args() -> Result<Args, String> {
             "--window" => out.opts.max_outstanding = parse(&value("--window")?)?,
             "--name" => out.opts.name = value("--name")?,
             "--mixed" => {
-                out.opts.mix = vec![
-                    (Kernel::Mul, 4),
-                    (Kernel::Sad, 2),
-                    (Kernel::Fir, 1),
-                    (Kernel::Dct, 1),
-                ];
+                out.opts.mix =
+                    vec![(Kernel::Mul, 4), (Kernel::Sad, 2), (Kernel::Fir, 1), (Kernel::Dct, 1)];
             }
             "--help" | "-h" => {
                 return Err("usage: xlac-loadgen (--addr HOST:PORT | --self-host) \

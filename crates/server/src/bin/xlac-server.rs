@@ -13,9 +13,7 @@ fn parse_args() -> Result<ServerConfig, String> {
     let mut config = ServerConfig::default();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next().ok_or_else(|| format!("{name} requires a value"))
-        };
+        let mut value = |name: &str| args.next().ok_or_else(|| format!("{name} requires a value"));
         match arg.as_str() {
             "--addr" => config.addr = value("--addr")?,
             "--workers" => {

@@ -29,12 +29,8 @@ use crate::proto::{SadPair, DCT_BLOCK, SAD_PIXELS};
 /// bit-plane program. Bit-identical to `entry.mul.mul(a, b)` per item.
 #[must_use]
 pub fn eval_mul(entry: &MulEntry, pairs: &[(u8, u8)]) -> Vec<u16> {
-    let wide: Vec<(u64, u64)> =
-        pairs.iter().map(|&(a, b)| (u64::from(a), u64::from(b))).collect();
-    xlac_sim::eval_pairs_auto(&entry.prog, MUL_WIDTH, &wide)
-        .into_iter()
-        .map(|v| v as u16)
-        .collect()
+    let wide: Vec<(u64, u64)> = pairs.iter().map(|&(a, b)| (u64::from(a), u64::from(b))).collect();
+    xlac_sim::eval_pairs_auto(&entry.prog, MUL_WIDTH, &wide).into_iter().map(|v| v as u16).collect()
 }
 
 /// Evaluates a batch of 16-pixel SADs through the entry's compiled
@@ -192,15 +188,13 @@ mod tests {
         }
 
         for e in &l.fir {
-            let streams: Vec<Vec<u8>> = (0..66)
-                .map(|_| (0..17).map(|_| rng.next_u64() as u8).collect())
-                .collect();
+            let streams: Vec<Vec<u8>> =
+                (0..66).map(|_| (0..17).map(|_| rng.next_u64() as u8).collect()).collect();
             let refs: Vec<&[u8]> = streams.iter().map(Vec::as_slice).collect();
             let got = eval_fir(e, &refs);
             for (j, s) in streams.iter().enumerate() {
                 let wide: Vec<u64> = s.iter().map(|&v| u64::from(v)).collect();
-                let expect: Vec<i32> =
-                    e.fir.apply(&wide).into_iter().map(|v| v as i32).collect();
+                let expect: Vec<i32> = e.fir.apply(&wide).into_iter().map(|v| v as i32).collect();
                 assert_eq!(got[j], expect, "{} stream {j}", e.info.label);
             }
         }
@@ -243,9 +237,8 @@ mod tests {
         let streams: Vec<Vec<u8>> =
             (0..20).map(|i| (0..=i % 12).map(|_| rng.next_u64() as u8).collect()).collect();
         let refs: Vec<&[u8]> = streams.iter().map(Vec::as_slice).collect();
-        let blocks: Vec<[i16; DCT_BLOCK]> = (0..20)
-            .map(|_| std::array::from_fn(|_| (rng.next_u64() % 511) as i16 - 255))
-            .collect();
+        let blocks: Vec<[i16; DCT_BLOCK]> =
+            (0..20).map(|_| std::array::from_fn(|_| (rng.next_u64() % 511) as i16 - 255)).collect();
         let (fir, dct) = (&l.fir[2], &l.dct[2]);
         // Two threads touch the same untouched entries at the same moment.
         let barrier = std::sync::Barrier::new(2);
@@ -302,10 +295,8 @@ mod tests {
         );
         let stream: Vec<u8> = (0..32).map(|i| (i * 11) as u8).collect();
         let wide: Vec<u64> = stream.iter().map(|&v| u64::from(v)).collect();
-        let expect: Vec<i32> = FirAccelerator::apply_exact(&FIR_COEFFS, &wide)
-            .into_iter()
-            .map(|v| v as i32)
-            .collect();
+        let expect: Vec<i32> =
+            FirAccelerator::apply_exact(&FIR_COEFFS, &wide).into_iter().map(|v| v as i32).collect();
         assert_eq!(eval_fir(&l.fir[0], &[&stream]), vec![expect]);
         let blk = {
             let mut b = [0i16; 16];

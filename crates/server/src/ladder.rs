@@ -230,8 +230,8 @@ impl Ladders {
         let fir: Vec<FirEntry> = ApproxMode::ALL
             .into_iter()
             .map(|mode| {
-                let f = FirAccelerator::new(&FIR_COEFFS, mode)
-                    .expect("static FIR configs are valid");
+                let f =
+                    FirAccelerator::new(&FIR_COEFFS, mode).expect("static FIR configs are valid");
                 FirEntry {
                     info: EntryInfo {
                         mode,
@@ -350,10 +350,7 @@ mod tests {
         assert_eq!(l.mul[0].mul.mul(173, 201), 173 * 201);
         let cur = [200u64; 16];
         let refb = [13u64; 16];
-        assert_eq!(
-            l.sad[0].sad.sad(&cur, &refb).unwrap(),
-            SadAccelerator::sad_exact(&cur, &refb)
-        );
+        assert_eq!(l.sad[0].sad.sad(&cur, &refb).unwrap(), SadAccelerator::sad_exact(&cur, &refb));
     }
 
     #[test]

@@ -47,8 +47,8 @@ pub mod tenant;
 pub use client::Client;
 pub use ladder::Ladders;
 pub use loadgen::{
-    capacity_check, measure_per_eval_ns, per_eval_ns_from_bench, CapacityOptions,
-    CapacityReport, LoadOptions, LoadReport,
+    capacity_check, measure_per_eval_ns, per_eval_ns_from_bench, CapacityOptions, CapacityReport,
+    LoadOptions, LoadReport,
 };
 pub use proto::{ErrorCode, Kernel, Reply, Request, RequestBody, SadPair, Values};
 pub use server::{Server, ServerConfig, StatsSnapshot};

@@ -456,11 +456,7 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, ProtoError> {
         }
         None => {
             if count != 0 {
-                return Err(ProtoError::new(
-                    ErrorCode::BadCount,
-                    "ping carries no items",
-                    some_id,
-                ));
+                return Err(ProtoError::new(ErrorCode::BadCount, "ping carries no items", some_id));
             }
             RequestBody::Ping
         }
@@ -673,12 +669,8 @@ mod tests {
         assert_eq!((e.code, e.req_id), (ErrorCode::BadOpcode, Some(42)));
 
         // Count beyond the cap.
-        let good = Request {
-            req_id: 1,
-            tenant: 0,
-            max_med: 1.0,
-            body: RequestBody::Mul(vec![(1, 1)]),
-        };
+        let good =
+            Request { req_id: 1, tenant: 0, max_med: 1.0, body: RequestBody::Mul(vec![(1, 1)]) };
         let mut p = encode_request(&good);
         let off = 1 + 8 + 4 + 8;
         p[off..off + 2].copy_from_slice(&(MAX_COUNT + 1).to_le_bytes());

@@ -284,8 +284,7 @@ mod tests {
         // Large ledger capacity: isolate the monitor's tighten path from
         // drift correction (which would otherwise trip first and force
         // exact serving, suppressing sampling).
-        let mut s =
-            TenantKernelState::new(TenantPolicy { cec_capacity: 1e9, ..policy() }, 10.0);
+        let mut s = TenantKernelState::new(TenantPolicy { cec_capacity: 1e9, ..policy() }, 10.0);
         // Persistent large signed error: monitor must tighten.
         for _ in 0..8 {
             let d = s.decide(3, 10.0, 1);

@@ -266,8 +266,7 @@ impl SsaBuilder {
                     (true, true) => {
                         // Both inverted: rewrite via De Morgan so flags
                         // land on the output side.
-                        let dual =
-                            self.and_or(Val::Ref(rnot(rx)), Val::Ref(rnot(ry)), !is_or);
+                        let dual = self.and_or(Val::Ref(rnot(rx)), Val::Ref(rnot(ry)), !is_or);
                         Self::not(dual)
                     }
                     (true, false) => Val::Ref(self.binary(rx, ry, is_or)),
@@ -320,9 +319,7 @@ impl SsaBuilder {
         }
         match (d0, d1) {
             // d0 != d1 here, so two constants are (0,1) or (1,0).
-            (Val::Const(_), Val::Const(c1)) => {
-                Val::Ref(if c1 { sel } else { rnot(sel) })
-            }
+            (Val::Const(_), Val::Const(c1)) => Val::Ref(if c1 { sel } else { rnot(sel) }),
             (Val::Const(false), d1) => self.and(Val::Ref(sel), d1),
             (Val::Const(true), d1) => self.or(Val::Ref(rnot(sel)), d1),
             (d0, Val::Const(false)) => self.and(Val::Ref(rnot(sel)), d0),
@@ -888,9 +885,8 @@ impl CompiledProgram {
             "{} inputs / {n_outputs} outputs exceed a packed u64",
             self.n_inputs
         );
-        let words: Vec<u64> = (0..self.n_inputs)
-            .map(|i| if (inputs >> i) & 1 == 1 { u64::MAX } else { 0 })
-            .collect();
+        let words: Vec<u64> =
+            (0..self.n_inputs).map(|i| if (inputs >> i) & 1 == 1 { u64::MAX } else { 0 }).collect();
         let outs = self.run::<u64>(&words);
         outs.iter().enumerate().fold(0u64, |acc, (k, w)| acc | ((w & 1) << k))
     }
@@ -916,8 +912,7 @@ fn op_or_not_a<B: PlaneBlock>(regs: &mut [B], op: &Op) {
 }
 fn op_mux<B: PlaneBlock>(regs: &mut [B], op: &Op) {
     let sel = regs[op.c as usize];
-    regs[op.dst as usize] =
-        regs[op.a as usize].and(sel.not()).or(regs[op.b as usize].and(sel));
+    regs[op.dst as usize] = regs[op.a as usize].and(sel.not()).or(regs[op.b as usize].and(sel));
 }
 fn op_not<B: PlaneBlock>(regs: &mut [B], op: &Op) {
     regs[op.dst as usize] = regs[op.a as usize].not();
@@ -1211,11 +1206,7 @@ mod tests {
         exhaustive_match(&nl);
         let prog = CompiledProgram::compile(&nl);
         assert_eq!(prog.stats().ops, n - 1);
-        assert!(
-            prog.n_regs() <= n + 1,
-            "chain must reuse dying registers, got {}",
-            prog.n_regs()
-        );
+        assert!(prog.n_regs() <= n + 1, "chain must reuse dying registers, got {}", prog.n_regs());
     }
 
     #[test]
@@ -1330,10 +1321,7 @@ mod tests {
         assert!(prog.verify().is_empty(), "{:?}", prog.verify());
 
         let mut b = NetlistBuilder::new("mux", 3);
-        let m = b.gate(
-            GateKind::Mux2,
-            &[Signal::Input(0), Signal::Input(1), Signal::Input(2)],
-        );
+        let m = b.gate(GateKind::Mux2, &[Signal::Input(0), Signal::Input(1), Signal::Input(2)]);
         b.output(m);
         let mux = CompiledProgram::compile(&b.finish().unwrap());
         assert!(mux.verify().is_empty(), "{:?}", mux.verify());

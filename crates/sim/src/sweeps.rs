@@ -313,7 +313,8 @@ fn gear_drive<E: FnMut(&[Pair], &mut Vec<GearLanes>)>(
 ) -> GearSweepResult {
     let lane = |(v, d, i): &GearLanes, j: usize, _| (v[j], [d[j], i[j]].map(u128::from));
     let (stats, side) = pair_drive(opts, adder.n(), 1, evaluator, |a, b| a + b, lane);
-    let [detections, correction_iterations] = side.map(|s| u64::try_from(s).expect("tallies fit u64"));
+    let [detections, correction_iterations] =
+        side.map(|s| u64::try_from(s).expect("tallies fit u64"));
     obs_count!("sim.gear.detections", detections);
     obs_count!("sim.gear.correction_iterations", correction_iterations);
     GearSweepResult { stats, detections, correction_iterations }

@@ -129,11 +129,8 @@ impl AdaptiveEncoder {
                 if monitor.should_sample() {
                     let cur = frame.window(br * b, bc * b, b, b)?;
                     let refb = reference.window(br * b, bc * b, b, b)?;
-                    let approx = me
-                        .sad_accelerator()
-                        .sad(cur.as_slice(), refb.as_slice())?;
-                    let exact =
-                        SadAccelerator::sad_exact(cur.as_slice(), refb.as_slice());
+                    let approx = me.sad_accelerator().sad(cur.as_slice(), refb.as_slice())?;
+                    let exact = SadAccelerator::sad_exact(cur.as_slice(), refb.as_slice());
                     monitor.observe(approx, exact);
                 } else {
                     monitor.skip();

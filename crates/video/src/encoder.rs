@@ -228,8 +228,7 @@ impl Encoder {
                 for r in 0..4 {
                     for c in 0..4 {
                         let norm = TRANSFORM_NORM[r] * TRANSFORM_NORM[c];
-                        levels[r][c] =
-                            (coeffs[r][c] / (self.config.qstep * norm)).round() as i64;
+                        levels[r][c] = (coeffs[r][c] / (self.config.qstep * norm)).round() as i64;
                         bits += exp_golomb_signed_bits(levels[r][c]);
                     }
                 }
@@ -411,14 +410,11 @@ mod tests {
         let seq = SyntheticSequence::generate(&SequenceConfig::fig9()).unwrap();
         let frames = &seq.frames()[..8];
         let bits = |variant: SadVariant, lsbs: usize| {
-            Encoder::new(
-                EncoderConfig::default(),
-                SadAccelerator::new(64, variant, lsbs).unwrap(),
-            )
-            .unwrap()
-            .encode(frames)
-            .unwrap()
-            .total_bits
+            Encoder::new(EncoderConfig::default(), SadAccelerator::new(64, variant, lsbs).unwrap())
+                .unwrap()
+                .encode(frames)
+                .unwrap()
+                .total_bits
         };
         let mild = bits(SadVariant::ApxSad5, 2);
         let heavy = bits(SadVariant::ApxSad5, 6);
@@ -430,10 +426,11 @@ mod tests {
         // The integer butterfly equals C·X·Cᵀ exactly, so an exact-mode
         // accelerator transform must produce identical bitstreams.
         let seq = SyntheticSequence::generate(&SequenceConfig::small_test()).unwrap();
-        let float_path = Encoder::new(EncoderConfig::default(), SadAccelerator::accurate(64).unwrap())
-            .unwrap()
-            .encode(seq.frames())
-            .unwrap();
+        let float_path =
+            Encoder::new(EncoderConfig::default(), SadAccelerator::accurate(64).unwrap())
+                .unwrap()
+                .encode(seq.frames())
+                .unwrap();
         let accel_path = Encoder::new(
             EncoderConfig {
                 transform: TransformImpl::Accelerator {

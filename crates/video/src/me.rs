@@ -200,7 +200,8 @@ mod tests {
 
     /// A frame pair where every block moves by exactly (1, 2).
     fn shifted_pair() -> (Grid<u64>, Grid<u64>) {
-        let reference = Grid::from_fn(48, 48, |r, c| ((r * 31 + c * 17 + (r * c) % 7) % 256) as u64);
+        let reference =
+            Grid::from_fn(48, 48, |r, c| ((r * 31 + c * 17 + (r * c) % 7) % 256) as u64);
         let current = Grid::from_fn(48, 48, |r, c| {
             let rr = (r as i64 - 1).clamp(0, 47) as usize;
             let cc = (c as i64 - 2).clamp(0, 47) as usize;
@@ -234,19 +235,13 @@ mod tests {
         // survives.
         let (cur, reff) = shifted_pair();
         let exact = MotionEstimator::new(SadAccelerator::accurate(64).unwrap(), 4).unwrap();
-        let approx = MotionEstimator::new(
-            SadAccelerator::new(64, SadVariant::ApxSad2, 2).unwrap(),
-            4,
-        )
-        .unwrap();
+        let approx =
+            MotionEstimator::new(SadAccelerator::new(64, SadVariant::ApxSad2, 2).unwrap(), 4)
+                .unwrap();
         let f_exact = exact.estimate(&cur, &reff).unwrap();
         let f_apx = approx.estimate(&cur, &reff).unwrap();
-        let agreeing = f_exact
-            .vectors
-            .iter()
-            .zip(f_apx.vectors.iter())
-            .filter(|(a, b)| a == b)
-            .count();
+        let agreeing =
+            f_exact.vectors.iter().zip(f_apx.vectors.iter()).filter(|(a, b)| a == b).count();
         let total = f_exact.vectors.len();
         assert!(
             agreeing * 10 >= total * 8,
@@ -276,11 +271,9 @@ mod tests {
     fn approximate_surface_is_shifted_upward_but_correlated() {
         let (cur, reff) = shifted_pair();
         let exact = MotionEstimator::new(SadAccelerator::accurate(64).unwrap(), 4).unwrap();
-        let approx = MotionEstimator::new(
-            SadAccelerator::new(64, SadVariant::ApxSad3, 4).unwrap(),
-            4,
-        )
-        .unwrap();
+        let approx =
+            MotionEstimator::new(SadAccelerator::new(64, SadVariant::ApxSad3, 4).unwrap(), 4)
+                .unwrap();
         let s_exact = exact.sad_surface(&cur, &reff, 2, 2).unwrap();
         let s_apx = approx.sad_surface(&cur, &reff, 2, 2).unwrap();
         // Mean over in-frame candidates grows (ApxFA3's zero-row errors add

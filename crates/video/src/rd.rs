@@ -89,8 +89,7 @@ pub fn bd_rate(reference: &[RdPoint], test: &[RdPoint]) -> Result<f64> {
     }
     let prep = |curve: &[RdPoint]| -> Vec<(f64, f64)> {
         // (psnr, log10 bits), sorted by psnr.
-        let mut pts: Vec<(f64, f64)> =
-            curve.iter().map(|p| (p.psnr_db, p.bits.log10())).collect();
+        let mut pts: Vec<(f64, f64)> = curve.iter().map(|p| (p.psnr_db, p.bits.log10())).collect();
         pts.sort_by(|a, b| a.0.total_cmp(&b.0));
         pts
     };
@@ -173,13 +172,11 @@ mod tests {
     #[test]
     fn rd_curve_is_monotone_for_the_exact_encoder() {
         let seq = SyntheticSequence::generate(&SequenceConfig::small_test()).unwrap();
-        let curve = rd_curve(
-            seq.frames(),
-            EncoderConfig::default(),
-            &[2.0, 6.0, 12.0, 24.0],
-            || SadAccelerator::accurate(64),
-        )
-        .unwrap();
+        let curve =
+            rd_curve(seq.frames(), EncoderConfig::default(), &[2.0, 6.0, 12.0, 24.0], || {
+                SadAccelerator::accurate(64)
+            })
+            .unwrap();
         assert_eq!(curve.len(), 4);
         for w in curve.windows(2) {
             assert!(w[1].bits < w[0].bits, "coarser quantizer, fewer bits");

@@ -19,8 +19,8 @@
 //! # }
 //! ```
 
-use xlac_core::rng::{DefaultRng, Rng};
 use xlac_core::error::{Result, XlacError};
+use xlac_core::rng::{DefaultRng, Rng};
 use xlac_core::Grid;
 
 /// A moving object in the scene.
@@ -133,7 +133,10 @@ impl SyntheticSequence {
     /// Returns [`XlacError::InvalidConfiguration`] when dimensions are not
     /// positive multiples of 8 or fewer than 2 frames are requested.
     pub fn generate(config: &SequenceConfig) -> Result<Self> {
-        if config.width == 0 || !config.width.is_multiple_of(8) || config.height == 0 || !config.height.is_multiple_of(8)
+        if config.width == 0
+            || !config.width.is_multiple_of(8)
+            || config.height == 0
+            || !config.height.is_multiple_of(8)
         {
             return Err(XlacError::InvalidConfiguration(format!(
                 "frame {}x{} must be a positive multiple of 8",
@@ -148,9 +151,8 @@ impl SyntheticSequence {
 
         // A fixed textured background, larger than the frame so global pan
         // can scroll over it.
-        let margin = (config.frames as f64
-            * config.pan.0.abs().max(config.pan.1.abs()).max(1.0))
-        .ceil() as usize
+        let margin = (config.frames as f64 * config.pan.0.abs().max(config.pan.1.abs()).max(1.0))
+            .ceil() as usize
             + 8;
         let bg_h = config.height + 2 * margin;
         let bg_w = config.width + 2 * margin;

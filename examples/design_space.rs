@@ -11,8 +11,8 @@
 //! cargo run --release --example design_space
 //! ```
 
-use xlac::explore::{enumerate_gear_space, max_accuracy, min_area_with_accuracy, pareto_frontier};
 use xlac::explore::gear_space::GearDesignPoint;
+use xlac::explore::{enumerate_gear_space, max_accuracy, min_area_with_accuracy, pareto_frontier};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 11;

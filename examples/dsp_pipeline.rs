@@ -36,12 +36,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for mode in ApproxMode::ALL {
         let fir = FirAccelerator::new(&taps, mode)?;
         let out = fir.apply(&samples);
-        let err: f64 = exact_out
-            .iter()
-            .zip(&out)
-            .map(|(e, a)| (e - a).unsigned_abs() as f64)
-            .sum::<f64>()
-            / out.len() as f64;
+        let err: f64 =
+            exact_out.iter().zip(&out).map(|(e, a)| (e - a).unsigned_abs() as f64).sum::<f64>()
+                / out.len() as f64;
         println!("{:<12} {:>12.2} {:>14.0}", mode.to_string(), err, fir.hw_cost().power_nw);
     }
 

@@ -21,8 +21,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("SSIM after 3x3 low-pass filtering on approximate hardware");
     println!("(approximate output scored against the accurate output)\n");
 
-    for (kind, lsbs) in [(FullAdderKind::Apx2, 4usize), (FullAdderKind::Apx4, 4), (FullAdderKind::Apx5, 4)] {
-        let rows = resilience_study(&TestImage::ALL, StudyConfig { size, kind, approx_lsbs: lsbs })?;
+    for (kind, lsbs) in
+        [(FullAdderKind::Apx2, 4usize), (FullAdderKind::Apx4, 4), (FullAdderKind::Apx5, 4)]
+    {
+        let rows =
+            resilience_study(&TestImage::ALL, StudyConfig { size, kind, approx_lsbs: lsbs })?;
         println!("{kind} with {lsbs} approximate accumulator LSBs:");
         println!("  {:<14} {:>8} {:>14}", "image", "SSIM", "mean |diff|");
         for row in &rows {

@@ -65,16 +65,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nMotion-field agreement vs accurate (whole frame):");
     let exact_me = MotionEstimator::new(SadAccelerator::accurate(64)?, 4)?;
     let exact_field = exact_me.estimate(current, reference)?;
-    for (variant, lsbs) in [(SadVariant::ApxSad2, 2usize), (SadVariant::ApxSad3, 4), (SadVariant::ApxSad5, 6)]
+    for (variant, lsbs) in
+        [(SadVariant::ApxSad2, 2usize), (SadVariant::ApxSad3, 4), (SadVariant::ApxSad5, 6)]
     {
         let me = MotionEstimator::new(SadAccelerator::new(64, variant, lsbs)?, 4)?;
         let field = me.estimate(current, reference)?;
-        let same = exact_field
-            .vectors
-            .iter()
-            .zip(field.vectors.iter())
-            .filter(|(a, b)| a == b)
-            .count();
+        let same =
+            exact_field.vectors.iter().zip(field.vectors.iter()).filter(|(a, b)| a == b).count();
         println!(
             "  {variant} {lsbs} LSBs: {same}/{} motion vectors unchanged",
             exact_field.vectors.len()

@@ -29,17 +29,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("all-accurate power: {:.0} nW\n", arch.total_power_nw());
 
     // --- characterize per-slot mode ladders ---------------------------------
-    println!("{:<8} {:>12} {:>12} {:>12} {:>12}", "slot", "accurate", "mild", "medium", "aggressive");
+    println!(
+        "{:<8} {:>12} {:>12} {:>12} {:>12}",
+        "slot", "accurate", "mild", "medium", "aggressive"
+    );
     let mut ladders: Vec<Vec<f64>> = Vec::new();
     for (slot_idx, name) in ["me", "smooth", "xfrm"].iter().enumerate() {
         // Measure the slot in isolation: a single-slot architecture swept
         // across the mode ladder.
         let mut solo = MultiAcceleratorArchitecture::new();
-        solo.add_slot(*name, match slot_idx {
-            0 => AcceleratorSlot::sad(64)?,
-            1 => AcceleratorSlot::filter()?,
-            _ => AcceleratorSlot::dct()?,
-        });
+        solo.add_slot(
+            *name,
+            match slot_idx {
+                0 => AcceleratorSlot::sad(64)?,
+                1 => AcceleratorSlot::filter()?,
+                _ => AcceleratorSlot::dct()?,
+            },
+        );
         let mut powers = Vec::new();
         for &mode in &ApproxMode::ALL {
             solo.configure(ConfigWord::pack(&[mode])?)?;

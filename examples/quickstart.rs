@@ -61,7 +61,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (r, p) in [(1usize, 3usize), (2, 2), (4, 4), (2, 6), (4, 8)] {
         if let Ok(g) = GeArAdder::new(12, r, p) {
             let model = GearErrorModel::for_adder(&g);
-            println!("{:<8} {:>12.4} {:>10}", format!("R{r}P{p}"), model.accuracy_percent(), g.lut_area());
+            println!(
+                "{:<8} {:>12.4} {:>10}",
+                format!("R{r}P{p}"),
+                model.accuracy_percent(),
+                g.lut_area()
+            );
         }
     }
 

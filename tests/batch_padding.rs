@@ -48,8 +48,7 @@ fn sad_batches(n: usize, seed: u64) -> Vec<Vec<SadPair>> {
         .collect();
     let flat = |cur: u8, refb: u8| SadPair { cur: [cur; SAD_PIXELS], refb: [refb; SAD_PIXELS] };
     let edges = [flat(0, 0), flat(255, 255), flat(255, 0)];
-    let mixed =
-        (0..n).map(|i| if i % 4 == 0 { random[i] } else { edges[i % 4 - 1] }).collect();
+    let mixed = (0..n).map(|i| if i % 4 == 0 { random[i] } else { edges[i % 4 - 1] }).collect();
     let mut batches = vec![random];
     batches.extend(edges.iter().map(|&e| vec![e; n]));
     batches.push(mixed);
@@ -78,9 +77,8 @@ fn fir_streams(n: usize, seed: u64) -> Vec<Vec<u8>> {
 /// checkerboards — and those patterns interleaved block by block.
 fn dct_batches(n: usize, seed: u64) -> Vec<Vec<[i16; DCT_BLOCK]>> {
     let mut rng = DefaultRng::seed_from_u64(seed);
-    let random: Vec<[i16; DCT_BLOCK]> = (0..n)
-        .map(|_| std::array::from_fn(|_| (rng.next_u64() % 511) as i16 - 255))
-        .collect();
+    let random: Vec<[i16; DCT_BLOCK]> =
+        (0..n).map(|_| std::array::from_fn(|_| (rng.next_u64() % 511) as i16 - 255)).collect();
     let sign = |neg: bool| if neg { -255 } else { 255 };
     let edges: [[i16; DCT_BLOCK]; 5] = [
         [255; DCT_BLOCK],
@@ -89,9 +87,7 @@ fn dct_batches(n: usize, seed: u64) -> Vec<Vec<[i16; DCT_BLOCK]>> {
         std::array::from_fn(|i| sign(i % 2 == 1)),
         std::array::from_fn(|i| sign((i / 4 + i) % 2 == 1)),
     ];
-    let mixed = (0..n)
-        .map(|i| if i % 6 == 0 { random[i] } else { edges[i % 6 - 1] })
-        .collect();
+    let mixed = (0..n).map(|i| if i % 6 == 0 { random[i] } else { edges[i % 6 - 1] }).collect();
     let mut batches = vec![random];
     batches.extend(edges.iter().map(|&e| vec![e; n]));
     batches.push(mixed);
@@ -183,8 +179,7 @@ fn sliced_evaluation_equals_one_shot() {
     let expect: Vec<u64> = pairs.iter().map(|&(a, b)| m.mul(a, b)).collect();
     assert_eq!(eval_pairs_auto(&prog, 8, &pairs), expect, "one-shot");
     for &n in &SIZES {
-        let sliced: Vec<u64> =
-            pairs.chunks(n).flat_map(|c| eval_pairs_auto(&prog, 8, c)).collect();
+        let sliced: Vec<u64> = pairs.chunks(n).flat_map(|c| eval_pairs_auto(&prog, 8, c)).collect();
         assert_eq!(sliced, expect, "slice size {n}");
     }
 }

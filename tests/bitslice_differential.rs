@@ -545,9 +545,7 @@ fn obs_counter_totals_are_thread_count_invariant() {
     if xlac::obs::enabled() {
         // Counters accumulate per chunk, so totals are plain integer sums
         // over a thread-independent chunk decomposition.
-        let counters = |name: &str| {
-            baseline.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
-        };
+        let counters = |name: &str| baseline.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
         // Four sweeps of 6000 trials at chunk 512: 11 full chunks of 8
         // batches and one 368-trial chunk of 6 batches each.
         assert_eq!(counters("sim.trials"), Some(4 * 6_000));

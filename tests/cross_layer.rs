@@ -43,8 +43,11 @@ fn lsb_count_controls_bitrate_overhead() {
     let seq = SyntheticSequence::generate(&SequenceConfig::small_test()).unwrap();
     let bits = |lsbs: usize| {
         let sad = SadAccelerator::new(64, SadVariant::ApxSad4, lsbs).unwrap();
-        Encoder::new(EncoderConfig::default(), sad).unwrap().encode(seq.frames()).unwrap().total_bits
-            as f64
+        Encoder::new(EncoderConfig::default(), sad)
+            .unwrap()
+            .encode(seq.frames())
+            .unwrap()
+            .total_bits as f64
     };
     let exact = bits(0);
     let two = bits(2) / exact - 1.0;

@@ -7,9 +7,9 @@
 use xlac::accel::sad::{SadAccelerator, SadVariant};
 use xlac::adders::{Adder, FullAdderKind, GeArAdder, GearErrorModel, RippleCarryAdder};
 use xlac::core::rng::{DefaultRng, Rng};
-use xlac::multipliers::{Mul2x2Kind, Multiplier, RecursiveMultiplier, SumMode};
 use xlac::imaging::images::TestImage;
 use xlac::imaging::resilience::{resilience_study, StudyConfig};
+use xlac::multipliers::{Mul2x2Kind, Multiplier, RecursiveMultiplier, SumMode};
 use xlac::video::encoder::{Encoder, EncoderConfig};
 use xlac::video::sequence::{SequenceConfig, SyntheticSequence};
 

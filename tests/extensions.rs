@@ -36,12 +36,7 @@ fn optimizer_shrinks_elaborated_adders() {
     let rca = RippleCarryAdder::accurate(8);
     let raw = ripple_netlist(&rca);
     let opt = optimize(&raw);
-    assert!(
-        opt.area_ge() < raw.area_ge(),
-        "optimized {} vs raw {}",
-        opt.area_ge(),
-        raw.area_ge()
-    );
+    assert!(opt.area_ge() < raw.area_ge(), "optimized {} vs raw {}", opt.area_ge(), raw.area_ge());
     // Functional check against arithmetic.
     for (a, b) in [(255u64, 255u64), (0, 0), (170, 85), (200, 57)] {
         assert_eq!(opt.eval(pack_operands(a, b, 8)), a + b);
@@ -76,12 +71,9 @@ fn divider_inside_a_datapath() {
     let gain = 3u64;
     let normalized = img.map(|&p| div.divide(p, gain).unwrap().0);
     let exact = img.map(|&p| p / gain);
-    let mean_err: f64 = normalized
-        .iter()
-        .zip(exact.iter())
-        .map(|(&a, &b)| a.abs_diff(b) as f64)
-        .sum::<f64>()
-        / exact.len() as f64;
+    let mean_err: f64 =
+        normalized.iter().zip(exact.iter()).map(|(&a, &b)| a.abs_diff(b) as f64).sum::<f64>()
+            / exact.len() as f64;
     // Dividers amplify LSB noise through the quotient-bit decisions (the
     // point of the divider's sensitivity test); even 1 approximate LSB
     // costs a few quotient units on average.
@@ -97,16 +89,9 @@ fn sobel_resilience_across_images() {
         let img = image.render(32);
         let exact = SobelAccelerator::apply_exact(&img).unwrap();
         let out = approx.apply(&img).unwrap();
-        let agree = exact
-            .iter()
-            .zip(out.iter())
-            .filter(|(&e, &a)| (e >= 128) == (a >= 128))
-            .count();
-        assert!(
-            agree * 100 >= exact.len() * 90,
-            "{image}: edge agreement {agree}/{}",
-            exact.len()
-        );
+        let agree =
+            exact.iter().zip(out.iter()).filter(|(&e, &a)| (e >= 128) == (a >= 128)).count();
+        assert!(agree * 100 >= exact.len() * 90, "{image}: edge agreement {agree}/{}", exact.len());
     }
 }
 

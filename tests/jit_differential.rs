@@ -54,10 +54,8 @@ fn assert_batch_agrees(nl: &Netlist, prog: &CompiledProgram, words: &[u64], rng:
     // a handful of lanes per batch (all 64 would just re-derive
     // eval_words bit by bit).
     for lane in [0usize, 17, 63] {
-        let packed = words
-            .iter()
-            .enumerate()
-            .fold(0u64, |acc, (i, &w)| acc | (((w >> lane) & 1) << i));
+        let packed =
+            words.iter().enumerate().fold(0u64, |acc, (i, &w)| acc | (((w >> lane) & 1) << i));
         let out_scalar = nl.eval(packed);
         let out_lanes = interpreted
             .iter()
@@ -161,11 +159,7 @@ fn lane_permutations_commute_with_compiled_evaluation() {
         for i in (1..LANES).rev() {
             perm.swap(i, rng.gen_range(0..=i));
         }
-        fn check<B: PlaneBlock>(
-            prog: &CompiledProgram,
-            words: &[Vec<u64>],
-            perm: &[usize; LANES],
-        ) {
+        fn check<B: PlaneBlock>(prog: &CompiledProgram, words: &[Vec<u64>], perm: &[usize; LANES]) {
             let pack = |cols: &[Vec<u64>]| -> Vec<B> {
                 (0..cols[0].len())
                     .map(|i| {

@@ -11,8 +11,7 @@ use xlac_logic::Netlist;
 use xlac_sim::{CompiledProgram, OutSrc};
 
 fn fixture(name: &str) -> Netlist {
-    let path =
-        Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("tests/fixtures/jit/{name}.v"));
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("tests/fixtures/jit/{name}.v"));
     let source = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
     let (module, errors) = parse_verilog(&source);

@@ -16,8 +16,8 @@ use std::path::{Path, PathBuf};
 use xlac_adders::UnitDescriptor;
 use xlac_analysis::absint::InputDistribution;
 use xlac_analysis::lint::{
-    lint_descriptor, lint_library, lint_netlist, lint_netlist_under, reports_to_json,
-    LintReport, Severity,
+    lint_descriptor, lint_library, lint_netlist, lint_netlist_under, reports_to_json, LintReport,
+    Severity,
 };
 use xlac_analysis::parse::parse_verilog;
 use xlac_logic::Netlist;
@@ -28,8 +28,7 @@ fn fixture_dir() -> PathBuf {
 
 fn fixture_source(name: &str) -> String {
     let path = fixture_dir().join(name);
-    std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()))
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()))
 }
 
 fn fixture_netlist(name: &str) -> Netlist {
@@ -67,12 +66,7 @@ fn golden_fixture_report_matches_byte_for_byte() {
     // structural diagnostic names its nets and a real source line.
     for d in reports.iter().flat_map(|r| &r.diagnostics) {
         assert!(!d.nets.is_empty(), "{}: diagnostic without nets", d.location);
-        assert!(
-            (1..=29).contains(&d.line),
-            "{}: line {} outside golden.v",
-            d.location,
-            d.line
-        );
+        assert!((1..=29).contains(&d.line), "{}: line {} outside golden.v", d.location, d.line);
     }
 }
 

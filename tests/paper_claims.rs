@@ -92,8 +92,7 @@ fn fig5_multiplier_claims() {
 #[test]
 fn max_error_one_constraint_selects_our_design() {
     let candidates = [Mul2x2Kind::ApxSoA, Mul2x2Kind::ApxOur];
-    let feasible: Vec<_> =
-        candidates.iter().filter(|k| k.max_error_value() <= 1).collect();
+    let feasible: Vec<_> = candidates.iter().filter(|k| k.max_error_value() <= 1).collect();
     assert_eq!(feasible, vec![&Mul2x2Kind::ApxOur]);
 }
 

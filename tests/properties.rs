@@ -300,7 +300,12 @@ fn bit_field_roundtrip() {
     check(
         "bit_field_roundtrip",
         |rng| {
-            (rng.gen::<u64>(), rng.gen_range(0..60usize), rng.gen_range(1..=4usize), rng.gen::<u64>())
+            (
+                rng.gen::<u64>(),
+                rng.gen_range(0..60usize),
+                rng.gen_range(1..=4usize),
+                rng.gen::<u64>(),
+            )
         },
         |&(value, lo, len, bits_in)| {
             if lo >= 60 || !(1..=4).contains(&len) {
@@ -511,30 +516,25 @@ fn gear_error_model_matches_simulation() {
     // random configurations (heavier test: fewer cases).
     let config = Config::from_env();
     let config = config.with_cases(config.cases.min(64));
-    check_with(
-        "gear_error_model_matches_simulation",
-        &config,
-        gear_config,
-        |&(n, r, p)| {
-            if !valid_gear(n, r, p) {
-                return Ok(());
-            }
-            let gear = GeArAdder::new(n, r, p).unwrap();
-            let model = xlac::adders::GearErrorModel::for_adder(&gear);
-            let analytic = model.exact();
-            let mc = model.monte_carlo(60_000, 0xABCD);
-            prop_assert!(
-                (analytic - mc).abs() < 0.02,
-                "N={} R={} P={}: {} vs {}",
-                n,
-                r,
-                p,
-                analytic,
-                mc
-            );
-            Ok(())
-        },
-    );
+    check_with("gear_error_model_matches_simulation", &config, gear_config, |&(n, r, p)| {
+        if !valid_gear(n, r, p) {
+            return Ok(());
+        }
+        let gear = GeArAdder::new(n, r, p).unwrap();
+        let model = xlac::adders::GearErrorModel::for_adder(&gear);
+        let analytic = model.exact();
+        let mc = model.monte_carlo(60_000, 0xABCD);
+        prop_assert!(
+            (analytic - mc).abs() < 0.02,
+            "N={} R={} P={}: {} vs {}",
+            n,
+            r,
+            p,
+            analytic,
+            mc
+        );
+        Ok(())
+    });
 }
 
 #[test]

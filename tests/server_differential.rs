@@ -88,10 +88,10 @@ fn assert_reply_exact(ladders: &Ladders, body: &RequestBody, config: usize, valu
 fn mixed_workload(n: usize, seed: u64) -> Vec<Request> {
     let mut rng = DefaultRng::seed_from_u64(seed);
     let meds: [&[f64]; 4] = [
-        &[0.0, 0.5, 2.0, 8.0, 1e12],   // mul
-        &[0.0, 1.0, 16.0, 1e12],       // sad
-        &[0.0, 50.0, 1e4, 1e12],       // fir
-        &[0.0, 100.0, 1e5, 1e12],      // dct
+        &[0.0, 0.5, 2.0, 8.0, 1e12], // mul
+        &[0.0, 1.0, 16.0, 1e12],     // sad
+        &[0.0, 50.0, 1e4, 1e12],     // fir
+        &[0.0, 100.0, 1e5, 1e12],    // dct
     ];
     (0..n as u64)
         .map(|i| {
@@ -112,15 +112,12 @@ fn mixed_workload(n: usize, seed: u64) -> Vec<Request> {
                         })
                         .collect(),
                 ),
-                Kernel::Fir => {
-                    RequestBody::Fir((0..items).map(|_| rng.next_u64() as u8).collect())
-                }
+                Kernel::Fir => RequestBody::Fir((0..items).map(|_| rng.next_u64() as u8).collect()),
                 Kernel::Dct => RequestBody::Dct(
                     (0..items)
                         .map(|_| {
                             let mut blk = [0i16; 16];
-                            blk.iter_mut()
-                                .for_each(|r| *r = ((rng.next_u64() % 511) as i16) - 255);
+                            blk.iter_mut().for_each(|r| *r = ((rng.next_u64() % 511) as i16) - 255);
                             blk
                         })
                         .collect(),
@@ -149,18 +146,19 @@ fn run_and_verify(
     let by_id: BTreeMap<u64, &Request> = requests.iter().map(|r| (r.req_id, r)).collect();
     let mut replies = BTreeMap::new();
     let mut outstanding = 0usize;
-    let recv_one = |client: &mut Client, replies: &mut BTreeMap<u64, (u32, Values)>| {
-        match client.recv().unwrap() {
-            Reply::Values { req_id, config, values } => {
-                let req = by_id[&req_id];
-                assert_reply_exact(server.ladders(), &req.body, config as usize, &values);
-                assert!(
-                    replies.insert(req_id, (config, values)).is_none(),
-                    "duplicate reply for {req_id}"
-                );
-            }
-            other => panic!("unexpected reply {other:?}"),
+    let recv_one = |client: &mut Client, replies: &mut BTreeMap<u64, (u32, Values)>| match client
+        .recv()
+        .unwrap()
+    {
+        Reply::Values { req_id, config, values } => {
+            let req = by_id[&req_id];
+            assert_reply_exact(server.ladders(), &req.body, config as usize, &values);
+            assert!(
+                replies.insert(req_id, (config, values)).is_none(),
+                "duplicate reply for {req_id}"
+            );
         }
+        other => panic!("unexpected reply {other:?}"),
     };
     for req in requests {
         client.send(req).unwrap();
@@ -228,10 +226,7 @@ fn mixed_workload_is_bit_exact_and_worker_count_invisible() {
     }
     let (_, reference) = &maps[0];
     for (workers, map) in &maps[1..] {
-        assert_eq!(
-            map, reference,
-            "reply map at {workers} workers diverged from 1 worker"
-        );
+        assert_eq!(map, reference, "reply map at {workers} workers diverged from 1 worker");
     }
 }
 

@@ -14,9 +14,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use xlac_core::rng::{DefaultRng, Rng};
-use xlac_server::{
-    Client, ErrorCode, Reply, Request, RequestBody, Server, ServerConfig, Values,
-};
+use xlac_server::{Client, ErrorCode, Reply, Request, RequestBody, Server, ServerConfig, Values};
 
 fn spawn() -> Server {
     Server::spawn(ServerConfig { workers: 2, ..ServerConfig::default() }).unwrap()
@@ -71,10 +69,9 @@ fn golden_fixtures_draw_their_pinned_replies() {
         assert_eq!(c.recv().unwrap(), Reply::Pong { req_id: 1000 }, "{name} poisoned the conn");
     }
 
-    for (name, code) in [
-        ("oversized.bin", ErrorCode::FrameOversized),
-        ("empty_frame.bin", ErrorCode::FrameEmpty),
-    ] {
+    for (name, code) in
+        [("oversized.bin", ErrorCode::FrameOversized), ("empty_frame.bin", ErrorCode::FrameEmpty)]
+    {
         let mut c = connect(&server);
         c.send_raw(&fixture(name)).unwrap();
         match c.recv().unwrap() {
@@ -125,12 +122,8 @@ fn truncated_frames_and_disconnects_do_not_wound_the_server() {
 #[test]
 fn slowloris_drip_feed_still_assembles_frames() {
     let server = spawn();
-    let req = Request {
-        req_id: 77,
-        tenant: 1,
-        max_med: 0.0,
-        body: RequestBody::Mul(vec![(12, 11)]),
-    };
+    let req =
+        Request { req_id: 77, tenant: 1, max_med: 0.0, body: RequestBody::Mul(vec![(12, 11)]) };
     let payload = xlac_server::proto::encode_request(&req);
     let frame = xlac_core::wire::frame(&payload).unwrap();
     let mut c = connect(&server);
@@ -166,13 +159,8 @@ fn seeded_fuzz_never_corrupts_concurrent_streams() {
         for i in 0..400u64 {
             let pairs = vec![(i as u8, (i * 7) as u8), (255 - i as u8, 13)];
             pairs_by_id.insert(i, pairs.clone());
-            c.send(&Request {
-                req_id: i,
-                tenant: 9,
-                max_med: 0.0,
-                body: RequestBody::Mul(pairs),
-            })
-            .unwrap();
+            c.send(&Request { req_id: i, tenant: 9, max_med: 0.0, body: RequestBody::Mul(pairs) })
+                .unwrap();
             if i % 8 == 7 {
                 for _ in 0..8 {
                     match c.recv().unwrap() {

@@ -53,9 +53,9 @@ fn flood_past_capacity_is_bounded_and_lossless() {
                 let mut values = 0u64;
                 let mut overloaded = 0u64;
                 let recv_one = |outstanding: &mut HashSet<u64>,
-                                    c: &mut Client,
-                                    values: &mut u64,
-                                    overloaded: &mut u64| {
+                                c: &mut Client,
+                                values: &mut u64,
+                                overloaded: &mut u64| {
                     match c.recv().unwrap() {
                         Reply::Values { req_id, config, values: Values::Mul(v) } => {
                             assert!(outstanding.remove(&req_id), "dup/unknown reply {req_id}");
@@ -128,12 +128,8 @@ fn budget_exhaustion_degrades_to_exact_not_drops() {
         window_items: 1 << 20, // never rolls inside this test
         ..TenantPolicy::default()
     };
-    let server = Server::spawn(ServerConfig {
-        workers: 2,
-        policy,
-        ..ServerConfig::default()
-    })
-    .unwrap();
+    let server =
+        Server::spawn(ServerConfig { workers: 2, policy, ..ServerConfig::default() }).unwrap();
     let base = server.ladders().select(Kernel::Mul, 1e12);
     assert!(base > 0, "an unbounded target must pick an approximate entry");
     let per_request = 16.0 * server.ladders().med_bound(Kernel::Mul, base);

@@ -44,10 +44,7 @@ fn auto_chunked_sweeps_scale_with_threads() {
     assert_eq!(one, stats(8));
 
     // The sweep must actually have enough chunks to balance 8 workers.
-    assert!(
-        auto_chunk_size(TRIALS) * 8 <= TRIALS,
-        "auto chunk leaves fewer chunks than workers"
-    );
+    assert!(auto_chunk_size(TRIALS) * 8 <= TRIALS, "auto chunk leaves fewer chunks than workers");
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     if cores < 4 {
