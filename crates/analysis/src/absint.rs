@@ -44,7 +44,7 @@ use xlac_multipliers::{hw::wallace_netlist, Multiplier, WallaceMultiplier};
 use xlac_sim::jit::{CompiledProgram, OpKind, OutSrc};
 
 use crate::bound::ErrorBound;
-use crate::symbolic::metrics::for_each_block;
+use crate::symbolic::metrics::{for_each_difference, set_lanes};
 
 /// The ternary constant-propagation domain: definitely 0, definitely 1,
 /// or unknown.
@@ -704,23 +704,25 @@ fn lane_planes(n: usize, fixed: &[Option<bool>], free: &[usize], block: u64) -> 
 }
 
 /// Exact exhaustive metrics for small input counts, on the exhaustive
-/// metrics engine's compiled block loop. The distribution weight is one
-/// multiply per differing lane, summed in assignment order.
+/// metrics engine's difference planes: the extremes are its masked
+/// maxima, and the distribution weight is one multiply per differing
+/// lane, summed in ascending assignment order (the `f64` sums round the
+/// same only in that order).
 fn exhaustive_bound(approx: &Netlist, exact: &Netlist, dist: &InputDistribution) -> ErrorBound {
     let n = approx.n_inputs();
     let (mut over, mut under) = (0u64, 0u64);
     let (mut mean, mut rate) = (0.0f64, 0.0f64);
+    // Every assignment weighs the same under a uniform distribution.
+    let uniform = dist.is_uniform().then(|| dist.weight(0, n));
     let (approx, exact) = (CompiledProgram::compile(approx), CompiledProgram::compile(exact));
-    for_each_block(&approx, &exact, |block| {
-        for (x, av, ev) in block.lanes(block.differing()) {
-            if av > ev {
-                over = over.max(av - ev);
-            } else {
-                under = under.max(ev - av);
-            }
-            let w = dist.weight(x, n);
+    for_each_difference(&approx, &exact, |diff| {
+        let ((o, _), (u, _)) = diff.extremes(diff.any);
+        (over, under) = (over.max(o), under.max(u));
+        let magnitudes = diff.magnitudes();
+        for l in set_lanes(diff.any) {
+            let w = uniform.unwrap_or_else(|| dist.weight(diff.base | l as u64, n));
             rate += w;
-            mean += w * (av.abs_diff(ev) as f64);
+            mean += w * (magnitudes[l] as f64);
         }
     });
     ErrorBound {

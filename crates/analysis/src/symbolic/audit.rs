@@ -9,14 +9,18 @@
 //! for every shipped configuration with 8-bit-and-under
 //! operands (≤ 16 primary input bits) the exact WCE / directional
 //! extremes / error rate / MED are computed by exhaustive compiled
-//! enumeration ([`exhaustive_metrics`]) of the unit's structural netlist
-//! against its accurate reference, and compared field by field against
-//! the static bound. Any exact value exceeding its bound is an
-//! unsoundness — `xlac-lint --exact` fails on it — and the recorded
-//! slack (`bound − exact`) measures how conservative the abstract domain
-//! really is, per configuration. The BDD metrics of [`super::metrics`]
-//! compute the same numbers and remain the oracle the engine is tested
-//! against.
+//! enumeration ([`exhaustive_metrics`]: 512 assignments per program pass,
+//! every statistic a popcount or masked maximum of the pair's difference
+//! planes) of the unit's structural netlist against its accurate
+//! reference, and compared field by field against the static bound. Any
+//! exact value exceeding its bound is an unsoundness — `xlac-lint
+//! --exact` fails on it — and the recorded slack (`bound − exact`)
+//! measures how conservative the abstract domain really is, per
+//! configuration. Each pair is built, audited and dropped in turn
+//! (`for_each_audit_pair`), so no netlist outlives its entry. The BDD
+//! metrics of [`super::metrics`] compute the same numbers, and an
+//! interpreter-tabulated oracle checks the engine on every pair of the
+//! table, witness included.
 
 use std::fmt::Write as _;
 
@@ -118,18 +122,24 @@ pub fn audit_pair(
     Ok(BoundAudit::new(name, approx.n_inputs(), bound, &metrics))
 }
 
-/// Audits an automatically derived bound: [`derive_error_bound`] runs on
+/// The visitor of [`for_each_audit_pair`]: one configuration's name,
+/// static bound and `(approx, exact)` netlist pair.
+pub(crate) type AuditVisit<'a> =
+    dyn FnMut(String, &ErrorBound, &Netlist, &Netlist) -> Result<(), XlacError> + 'a;
+
+/// Visits an automatically derived bound: [`derive_error_bound`] runs on
 /// the raw `(approx, exact)` netlist pair — no hand-wired propagation
-/// rule anywhere — and the result is compared against the exact metrics
+/// rule anywhere — and the result is audited against the exact metrics
 /// of the very same pair. Shorter output words are zero-extended, so
 /// adders with carry-out audit against flag-less references cleanly.
-fn audit_derived_pair(
+fn visit_derived(
+    visit: &mut AuditVisit<'_>,
     name: &str,
     approx: &Netlist,
     exact: &Netlist,
-) -> Result<BoundAudit, XlacError> {
+) -> Result<(), XlacError> {
     let bound = derive_error_bound(approx, exact)?;
-    audit_pair(format!("absint:{name}"), &bound, approx, exact)
+    visit(format!("absint:{name}"), &bound, approx, exact)
 }
 
 /// The magnitude word `|a − b|` of a subtractor netlist, without its
@@ -151,59 +161,46 @@ pub fn magnitude_netlist(sub: &Subtractor<RippleCarryAdder>) -> Netlist {
 /// the entries the `absint.*` rules of `scripts/gates.jsonl` read from the
 /// `--exact --json` report. The references are the accurate 8-bit ripple
 /// adder and 8×8 product.
-fn absint_audits(
+fn absint_pairs(
+    visit: &mut AuditVisit<'_>,
     accurate_rca: &Netlist,
     accurate_mul: &Netlist,
-) -> Result<Vec<BoundAudit>, XlacError> {
-    let mut audits = Vec::new();
-
+) -> Result<(), XlacError> {
     for d in xlac_adders::approx_cell_descriptors() {
-        audits.push(audit_derived_pair(
-            &format!("cell/{}", d.name()),
-            d.netlist(),
-            d.reference_netlist(),
-        )?);
+        visit_derived(visit, &format!("cell/{}", d.name()), d.netlist(), d.reference_netlist())?;
     }
     let accurate_fa = FullAdderKind::Accurate.structural_netlist();
     for kind in FullAdderKind::APPROXIMATE {
-        audits.push(audit_derived_pair(
-            &kind.to_string(),
-            &kind.structural_netlist(),
-            &accurate_fa,
-        )?);
+        visit_derived(visit, &kind.to_string(), &kind.structural_netlist(), &accurate_fa)?;
     }
     let accurate_mul2x2 = Mul2x2Kind::Accurate.netlist();
     for kind in Mul2x2Kind::ALL {
         if kind != Mul2x2Kind::Accurate {
-            audits.push(audit_derived_pair(
-                &format!("mul2x2_{kind}"),
-                &kind.netlist(),
-                &accurate_mul2x2,
-            )?);
+            visit_derived(visit, &format!("mul2x2_{kind}"), &kind.netlist(), &accurate_mul2x2)?;
         }
     }
     for kind in FullAdderKind::APPROXIMATE {
         let rca = RippleCarryAdder::with_approx_lsbs(8, kind, 4).expect("shipped configuration");
-        audits.push(audit_derived_pair(&rca.name(), &ripple_netlist(&rca), accurate_rca)?);
+        visit_derived(visit, &rca.name(), &ripple_netlist(&rca), accurate_rca)?;
     }
     {
         let gear = GeArAdder::new(8, 2, 2).expect("shipped configuration");
-        audits.push(audit_derived_pair(&gear.name(), &gear_netlist(&gear), accurate_rca)?);
+        visit_derived(visit, &gear.name(), &gear_netlist(&gear), accurate_rca)?;
     }
     let exact_sub = subtractor_netlist(&Subtractor::new(RippleCarryAdder::accurate(8)));
     for kind in FullAdderKind::APPROXIMATE {
         let sub = Subtractor::new(
             RippleCarryAdder::with_approx_lsbs(8, kind, 4).expect("shipped configuration"),
         );
-        audits.push(audit_derived_pair(&sub.name(), &subtractor_netlist(&sub), &exact_sub)?);
+        visit_derived(visit, &sub.name(), &subtractor_netlist(&sub), &exact_sub)?;
     }
     for (kind, cols) in
         [(FullAdderKind::Apx2, 4), (FullAdderKind::Apx4, 8), (FullAdderKind::Apx5, 8)]
     {
         let mul = WallaceMultiplier::new(8, kind, cols).expect("shipped configuration");
-        audits.push(audit_derived_pair(&mul.name(), &wallace_netlist(&mul), accurate_mul)?);
+        visit_derived(visit, &mul.name(), &wallace_netlist(&mul), accurate_mul)?;
     }
-    Ok(audits)
+    Ok(())
 }
 
 /// Runs the full audit: every shipped configuration whose operand width
@@ -215,11 +212,19 @@ pub fn audit_bounds() -> Vec<BoundAudit> {
     // Invariant: the table below is fixed, and every pair in it shares
     // its input arity and fits the exhaustive engine (≤ 16 inputs, ≤ 64
     // outputs). A failure is a bug in this table, not an input error.
-    audit_table().expect("audit pairs share their input arity and fit the exhaustive engine")
+    let mut audits = Vec::new();
+    for_each_audit_pair(&mut |name, bound, approx, exact| {
+        audits.push(audit_pair(name, bound, approx, exact)?);
+        Ok(())
+    })
+    .expect("audit pairs share their input arity and fit the exhaustive engine");
+    audits
 }
 
-fn audit_table() -> Result<Vec<BoundAudit>, XlacError> {
-    let mut audits = Vec::new();
+/// Visits every configuration of the [`audit_bounds`] table in order,
+/// one `(approx, exact)` pair at a time, with its static bound; the first
+/// error `visit` returns ends the walk.
+pub(crate) fn for_each_audit_pair(visit: &mut AuditVisit<'_>) -> Result<(), XlacError> {
     let accurate_rca = ripple_netlist(&RippleCarryAdder::accurate(8));
     let accurate_mul = wallace_netlist(
         &WallaceMultiplier::new(8, FullAdderKind::Accurate, 0).expect("accurate Wallace"),
@@ -230,14 +235,14 @@ fn audit_table() -> Result<Vec<BoundAudit>, XlacError> {
     for kind in FullAdderKind::APPROXIMATE {
         let rca = RippleCarryAdder::with_approx_lsbs(8, kind, 4).expect("shipped configuration");
         let bound = components::ripple_adder_bound(&rca);
-        audits.push(audit_pair(rca.name(), &bound, &ripple_netlist(&rca), &accurate_rca)?);
+        visit(rca.name(), &bound, &ripple_netlist(&rca), &accurate_rca)?;
     }
 
     // The one GeAr geometry with ≤ 16 input bits. Plain (uncorrected)
     // addition — exactly what the static bound covers.
     let gear = GeArAdder::new(8, 2, 2).expect("shipped configuration");
     let bound = components::gear_adder_bound(&gear);
-    audits.push(audit_pair(gear.name(), &bound, &gear_netlist(&gear), &accurate_rca)?);
+    visit(gear.name(), &bound, &gear_netlist(&gear), &accurate_rca)?;
 
     // Subtractors over each approximate ripple core. Exact reference:
     // the same datapath built on an accurate adder, i.e. |a − b|.
@@ -247,19 +252,14 @@ fn audit_table() -> Result<Vec<BoundAudit>, XlacError> {
             RippleCarryAdder::with_approx_lsbs(8, kind, 4).expect("shipped configuration"),
         );
         let bound = components::subtractor_bound(&sub);
-        audits.push(audit_pair(sub.name(), &bound, &magnitude_netlist(&sub), &exact_sub)?);
+        visit(sub.name(), &bound, &magnitude_netlist(&sub), &exact_sub)?;
     }
 
     // Elementary 2×2 blocks (Fig. 5): 4 primary inputs.
     let accurate_mul2x2 = Mul2x2Kind::Accurate.netlist();
     for kind in Mul2x2Kind::ALL {
         let bound = components::mul2x2_bound(kind);
-        audits.push(audit_pair(
-            format!("mul2x2_{kind}"),
-            &bound,
-            &kind.netlist(),
-            &accurate_mul2x2,
-        )?);
+        visit(format!("mul2x2_{kind}"), &bound, &kind.netlist(), &accurate_mul2x2)?;
     }
 
     // 8-bit recursive multipliers: every block kind × both summation
@@ -273,7 +273,7 @@ fn audit_table() -> Result<Vec<BoundAudit>, XlacError> {
         .collect();
     for mul in &recursive {
         let bound = components::recursive_multiplier_bound(mul);
-        audits.push(audit_pair(mul.name(), &bound, &recursive_netlist(mul), &accurate_mul)?);
+        visit(mul.name(), &bound, &recursive_netlist(mul), &accurate_mul)?;
     }
 
     // 8-bit Wallace trees with approximate low columns.
@@ -285,7 +285,7 @@ fn audit_table() -> Result<Vec<BoundAudit>, XlacError> {
             .into();
     for mul in &wallace {
         let bound = components::wallace_bound(mul);
-        audits.push(audit_pair(mul.name(), &bound, &wallace_netlist(mul), &accurate_mul)?);
+        visit(mul.name(), &bound, &wallace_netlist(mul), &accurate_mul)?;
     }
 
     // 8-bit truncated multipliers, compensated and not.
@@ -296,7 +296,7 @@ fn audit_table() -> Result<Vec<BoundAudit>, XlacError> {
         .into();
     for mul in &truncated {
         let bound = components::truncated_bound(mul);
-        audits.push(audit_pair(mul.name(), &bound, &truncated_netlist(mul), &accurate_mul)?);
+        visit(mul.name(), &bound, &truncated_netlist(mul), &accurate_mul)?;
     }
 
     // The compositional error calculus' certified envelopes, regressed
@@ -307,22 +307,20 @@ fn audit_table() -> Result<Vec<BoundAudit>, XlacError> {
     for mul in &wallace {
         let bound = super::calculus::wallace_calculus(mul, None).to_error_bound();
         let name = format!("calculus:{}", mul.name());
-        audits.push(audit_pair(name, &bound, &wallace_netlist(mul), &accurate_mul)?);
+        visit(name, &bound, &wallace_netlist(mul), &accurate_mul)?;
     }
     for mul in &truncated {
         let bound = super::calculus::truncated_calculus(mul).to_error_bound();
         let name = format!("calculus:{}", mul.name());
-        audits.push(audit_pair(name, &bound, &truncated_netlist(mul), &accurate_mul)?);
+        visit(name, &bound, &truncated_netlist(mul), &accurate_mul)?;
     }
     for mul in &recursive {
         let bound = super::calculus::recursive_calculus(mul).to_error_bound();
         let name = format!("calculus:{}", mul.name());
-        audits.push(audit_pair(name, &bound, &recursive_netlist(mul), &accurate_mul)?);
+        visit(name, &bound, &recursive_netlist(mul), &accurate_mul)?;
     }
 
-    audits.extend(absint_audits(&accurate_rca, &accurate_mul)?);
-
-    Ok(audits)
+    absint_pairs(visit, &accurate_rca, &accurate_mul)
 }
 
 /// Serializes the audit table as a JSON array (hand-rolled like every

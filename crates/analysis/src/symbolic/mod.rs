@@ -19,8 +19,9 @@
 //!   input), error rate, mean error distance and per-bit flip
 //!   probability from the XOR-miter, via weighted model counting; and the
 //!   same metric set by exhaustive compiled enumeration for units with
-//!   ≤ 16 inputs ([`exhaustive_metrics`]), uniformly or weighted by an
-//!   operand distribution ([`exhaustive_metrics_under`]).
+//!   ≤ 16 inputs ([`exhaustive_metrics`]), uniformly or weighted by
+//!   operand distributions, all of them in one enumeration
+//!   ([`exhaustive_metrics_under_each`]).
 //! * [`equiv`] — equivalence proofs between representations, with
 //!   counterexample extraction on refutation.
 //! * [`audit`] — the static [`crate::bound`] layer regressed against the
@@ -43,6 +44,8 @@ pub mod compile;
 pub mod equiv;
 pub mod jitproof;
 pub mod metrics;
+#[cfg(test)]
+mod metrics_oracle;
 pub mod pmf;
 pub mod registry;
 pub mod twins;
@@ -58,7 +61,7 @@ pub use compile::{
 };
 pub use equiv::{prove_outputs_equal, Counterexample, Verdict};
 pub use metrics::{
-    exact_metrics, exhaustive_metrics, exhaustive_metrics_under, ExactMetrics,
-    EXHAUSTIVE_MAX_INPUTS,
+    exact_metrics, exhaustive_metrics, exhaustive_metrics_under, exhaustive_metrics_under_each,
+    ExactMetrics, EXHAUSTIVE_MAX_INPUTS,
 };
 pub use pmf::{ErrorInterval, ErrorModel, ErrorPmf, PmfOverflow};

@@ -8,11 +8,13 @@
 //! combined space — the word-level adder descriptors from `xlac_adders`
 //! plus the netlist-backed multiplier trees from `xlac_multipliers` —
 //! under every [`InputDistribution`], with **exact** PMF-weighted error
-//! metrics (no sampling noise: [`exhaustive_metrics_under`] enumerates the
-//! whole 8-bit operand space on compiled programs against the
-//! configuration's exact reference netlist, weighted by the
-//! distribution's integer PMF), and extracts a Pareto front per
-//! distribution and per operator class.
+//! metrics (no sampling noise: [`exhaustive_metrics_under_each`]
+//! enumerates the whole 8-bit operand space on compiled programs against
+//! the configuration's exact reference netlist once, and weights every
+//! assignment by each distribution's integer PMF in that one pass), and
+//! extracts a Pareto front per distribution and per operator class.
+//! [`distribution_fronts`] thus scores each configuration once for all
+//! four distributions.
 //!
 //! The Monte-Carlo twin ([`measured_stats`]) runs the same configuration
 //! through the bit-sliced `xlac-sim` engine with the same distribution
@@ -35,7 +37,9 @@
 
 use crate::pareto::try_pareto_frontier;
 use xlac_adders::{cla8, csa8, loa8_l3, ofloca8, skl8, UnitDescriptor};
-use xlac_analysis::symbolic::{exhaustive_metrics_under, ExactMetrics};
+use xlac_analysis::symbolic::{
+    exhaustive_metrics_under, exhaustive_metrics_under_each, ExactMetrics,
+};
 use xlac_core::characterization::HwCost;
 use xlac_core::dist::InputDistribution;
 use xlac_core::error::{Result, XlacError};
@@ -264,41 +268,52 @@ fn family_front(points: &[DistPoint], family: Family) -> Result<Vec<String>> {
 ///
 /// Propagates enumeration and PMF width gates.
 pub fn score_distribution_space(width: usize, dist: InputDistribution) -> Result<DistFront> {
-    score_configs(&enumerate_distribution_space(width)?, dist)
+    let mut fronts = score_configs(&enumerate_distribution_space(width)?, &[dist])?;
+    Ok(fronts.pop().expect("one front per distribution"))
 }
 
 /// One [`DistFront`] per shipped distribution
 /// ([`InputDistribution::ALL`]): the uniform baseline plus the three
-/// non-uniform shapes. The space is enumerated once and every
-/// configuration is scored under each distribution.
+/// non-uniform shapes. The space is enumerated once, and each
+/// configuration is scored under every distribution in one enumeration
+/// of its operand space.
 ///
 /// # Errors
 ///
 /// Propagates enumeration and PMF width gates.
 pub fn distribution_fronts(width: usize) -> Result<Vec<DistFront>> {
-    let configs = enumerate_distribution_space(width)?;
-    InputDistribution::ALL.iter().map(|&dist| score_configs(&configs, dist)).collect()
+    score_configs(&enumerate_distribution_space(width)?, &InputDistribution::ALL)
 }
 
-/// Scores an enumerated space under one distribution and extracts its
-/// per-class Pareto fronts.
-fn score_configs(configs: &[DistConfig], dist: InputDistribution) -> Result<DistFront> {
+/// Scores an enumerated space under each distribution of `dists`
+/// ([`exhaustive_metrics_under_each`], one enumeration per
+/// configuration) and extracts each distribution's per-class Pareto
+/// fronts.
+fn score_configs(configs: &[DistConfig], dists: &[InputDistribution]) -> Result<Vec<DistFront>> {
     let _span = obs_span!("explore.dist_space");
-    obs_count!("explore.dist.configs", configs.len() as u64);
-    let points = configs
+    obs_count!("explore.dist.configs", (configs.len() * dists.len()) as u64);
+    let mut scores = configs
         .iter()
-        .map(|c| {
-            Ok(DistPoint {
-                name: c.name().to_string(),
-                family: c.family(),
-                cost: c.cost(),
-                metrics: exact_config_metrics(c, dist)?,
-            })
+        .map(|c| Ok(exhaustive_metrics_under_each(&c.netlist, &c.reference, dists)?.into_iter()))
+        .collect::<Result<Vec<_>>>()?;
+    dists
+        .iter()
+        .map(|&dist| {
+            let points: Vec<DistPoint> = configs
+                .iter()
+                .zip(&mut scores)
+                .map(|(c, metrics)| DistPoint {
+                    name: c.name().to_string(),
+                    family: c.family(),
+                    cost: c.cost(),
+                    metrics: metrics.next().expect("one metric set per distribution"),
+                })
+                .collect();
+            let adder_front = family_front(&points, Family::Adder)?;
+            let multiplier_front = family_front(&points, Family::Multiplier)?;
+            Ok(DistFront { dist, points, adder_front, multiplier_front })
         })
-        .collect::<Result<Vec<DistPoint>>>()?;
-    let adder_front = family_front(&points, Family::Adder)?;
-    let multiplier_front = family_front(&points, Family::Multiplier)?;
-    Ok(DistFront { dist, points, adder_front, multiplier_front })
+        .collect()
 }
 
 /// The Monte-Carlo twin of [`exact_config_metrics`]: the configuration's
@@ -355,6 +370,27 @@ mod tests {
         let narrow = enumerate_distribution_space(4).unwrap();
         assert!(narrow.iter().all(|c| c.family() == Family::Multiplier));
         assert!(!narrow.is_empty());
+    }
+
+    #[test]
+    fn one_enumeration_scores_every_distribution_as_separate_calls_do() {
+        let configs = enumerate_distribution_space(8).unwrap();
+        let dists = InputDistribution::ALL;
+        for c in &configs {
+            let fused = exhaustive_metrics_under_each(&c.netlist, &c.reference, &dists).unwrap();
+            let single: Vec<ExactMetrics> =
+                dists.iter().map(|&d| exact_config_metrics(c, d).unwrap()).collect();
+            assert_eq!(fused, single, "{}", c.name());
+        }
+        for front in distribution_fronts(8).unwrap() {
+            let one = score_distribution_space(8, front.dist).unwrap();
+            let metrics = |f: &DistFront| -> Vec<(String, ExactMetrics)> {
+                f.points.iter().map(|p| (p.name.clone(), p.metrics.clone())).collect()
+            };
+            assert_eq!(metrics(&front), metrics(&one), "{}", front.dist.label());
+            assert_eq!(front.adder_front, one.adder_front);
+            assert_eq!(front.multiplier_front, one.multiplier_front);
+        }
     }
 
     #[test]

@@ -270,6 +270,30 @@ mod tests {
     }
 
     #[test]
+    fn wallace_32x32_walk_matches_its_netlist_with_every_column_approximate() {
+        // 64 approximate columns at the widest width: the walk's tallest
+        // column stacks, checked against the netlist on seeded operands.
+        let mut rng = DefaultRng::seed_from_u64(0x3232_DAC6);
+        for kind in FullAdderKind::APPROXIMATE {
+            let m = WallaceMultiplier::new(32, kind, 64).unwrap();
+            let nl = wallace_netlist(&m);
+            for _ in 0..2 {
+                let mut a = [0u64; LANES];
+                let mut b = [0u64; LANES];
+                rng.fill_u64(&mut a);
+                rng.fill_u64(&mut b);
+                let (a, b) = (a.map(|v| v & 0xFFFF_FFFF), b.map(|v| v & 0xFFFF_FFFF));
+                let mut planes = to_planes(&a, 32);
+                planes.extend(to_planes(&b, 32));
+                let words = from_planes(&nl.eval_words(&planes));
+                for j in 0..LANES {
+                    assert_eq!(m.mul(a[j], b[j]), words[j], "{kind}: {}x{}", a[j], b[j]);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn wallace_8x8_netlist_matches_scalar_model_on_random_lanes() {
         let m = WallaceMultiplier::new(8, FullAdderKind::Apx2, 5).unwrap();
         let nl = wallace_netlist(&m);

@@ -11,8 +11,9 @@
 #      `symbolic::twins` and `components` directly, so a change under
 #      `crates/` that breaks one of those calls fails here instead of at
 #      the next benchmark run;
-#   3. clippy, when the component is installed (optional — toolchains
-#      without it skip the step rather than fail);
+#   3. clippy, then `cargo fmt --all --check` under the checked-in
+#      rustfmt.toml, each when its component is installed (optional —
+#      toolchains without it skip the step rather than fail);
 #   4. xlac-lint --exact, one run that lints and proves: the netlist lint
 #      over all built-in configs and hdl/ plus the JIT bytecode verifier
 #      (DESIGN.md §9), then the symbolic proof gate (DESIGN.md §11) — for
@@ -103,6 +104,13 @@ if cargo clippy --version >/dev/null 2>&1; then
     cargo clippy --workspace --offline --all-targets -- -D warnings
 else
     echo "==> cargo clippy not installed; skipping lint step"
+fi
+
+if cargo fmt --version >/dev/null 2>&1; then
+    echo "==> cargo fmt --check"
+    cargo fmt --all --check
+else
+    echo "==> rustfmt not installed; skipping format check"
 fi
 
 echo "==> xlac-lint --exact (netlist lint + equivalence proofs + bound soundness audit)"

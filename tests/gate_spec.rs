@@ -124,7 +124,7 @@ fn set(ids: &[&str]) -> BTreeSet<String> {
 fn shipped_spec_passes_on_the_fixtures() {
     let rules = rules();
     let ids: Vec<&str> = rules.iter().map(|r| r.id.as_str()).collect();
-    assert_eq!(ids.len(), 25, "{ids:?}");
+    assert_eq!(ids.len(), 26, "{ids:?}");
     for report in rules.iter().flat_map(|r| std::iter::once(&r.file).chain(&r.ref_file)) {
         assert!(REPORTS.contains(&report.as_str()), "no fixture for {report}");
     }
@@ -227,6 +227,20 @@ fn each_pushed_value_fails_exactly_its_readers() {
             100_000_001.0,
             &["symbolic.calculus.wallace16x16"],
         ),
+        (
+            sym,
+            "symbolic_rca8_apx3_metrics/compiled_exhaustive_65536",
+            "median_ns",
+            1e12,
+            &["symbolic.exhaustive.rca8"],
+        ),
+        (
+            sym,
+            "symbolic_rca8_apx3_metrics/exhaustive_65536",
+            "median_ns",
+            1.0,
+            &["symbolic.exhaustive.rca8"],
+        ),
         (srv, "server/mul_smoke", "replies", 199_999.0, &["server.mul_smoke.replies"]),
         (srv, "server/mul_smoke", "requests", 200_001.0, &["server.mul_smoke.replies"]),
         (srv, "server/mul_smoke", "errors", 1.0, &["server.mul_smoke.errors"]),
@@ -275,6 +289,13 @@ fn values_on_the_bound_pass() {
         ("BENCH_symbolic.json", "symbolic_sift/wallace8x8_miter", "sifted_nodes", 15_947.0),
         ("BENCH_symbolic.json", "symbolic_sift/wallace8x8_miter", "unsifted_nodes", 30_308.0),
         ("BENCH_symbolic.json", "symbolic_calculus/wallace16x16_apx2_cols8", "median_ns", 1e8),
+        // 5 × the fixture's compiled rca8 median of 374 999 ns.
+        (
+            "BENCH_symbolic.json",
+            "symbolic_rca8_apx3_metrics/exhaustive_65536",
+            "median_ns",
+            1_874_995.0,
+        ),
         (srv, "server/mul_smoke", "rps", 100_000.0),
         (srv, "server/mul_smoke", "p99_ns", 50_000_000.0),
         (srv, "server/capacity", "ratio", 0.5),
@@ -456,7 +477,7 @@ fn emitters_round_trip_with_the_fields_the_spec_names() {
         }
         checked += 1;
     }
-    assert_eq!(checked, 22);
+    assert_eq!(checked, 23);
 }
 
 #[test]
