@@ -4,6 +4,9 @@
 //! xlac-server [--addr HOST:PORT] [--workers N] [--queue-cap N]
 //! ```
 //!
+//! `--workers` is the shard count (default: the machine's parallelism);
+//! each connection's reader thread serves the shards it enqueues into.
+//!
 //! Prints the bound address on stdout (`listening on ADDR`) once ready,
 //! then serves until the process is killed.
 
@@ -26,7 +29,9 @@ fn parse_args() -> Result<ServerConfig, String> {
             }
             "--help" | "-h" => {
                 return Err("usage: xlac-server [--addr HOST:PORT] [--workers N] \
-                            [--queue-cap N]"
+                            [--queue-cap N]\n  --workers N    shard count (tenant % N); \
+                            0 = available parallelism\n  --queue-cap N  per-shard queue \
+                            depth before Overloaded"
                     .into())
             }
             other => return Err(format!("unknown argument '{other}'")),

@@ -1,7 +1,7 @@
 //! Batched kernel evaluation: request items → plane-parallel lanes.
 //!
-//! The worker pool coalesces same-`(kernel, config)` items from many
-//! requests into wide batches and evaluates them here. Every kernel runs
+//! A reader draining a shard coalesces same-`(kernel, config)` items
+//! from many requests into wide batches and evaluates them here. Every kernel runs
 //! its entry's compiled netlist, 64 lanes per program pass:
 //!
 //! * MUL — one lane per operand pair ([`xlac_sim::eval_pairs_auto`]);

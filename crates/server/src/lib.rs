@@ -12,14 +12,15 @@
 //! run-time drift per tenant; and a per-tenant error budget degrades
 //! overspending tenants to exact configurations — never dropping them.
 //!
-//! The pipeline is a hand-rolled thread-per-core worker pool (no async
-//! runtime): connection readers decode frames and shard requests by
-//! tenant into bounded queues (full ⇒ `Overloaded` backpressure reply);
-//! each worker drains its shard, coalesces same-kernel same-config
-//! items into 64/256/512-lane plane batches riding `xlac-sim`'s JIT,
-//! and replies bit-identically to the single-threaded library models —
-//! at any worker count. See DESIGN.md §15 for the protocol grammar and
-//! the determinism argument.
+//! The runtime is hand-rolled, one reader thread per connection and no
+//! async runtime or thread pool: a reader decodes frames and shards
+//! requests by tenant into bounded queues (full ⇒ `Overloaded`
+//! backpressure reply), then drains each shard it enqueued into unless
+//! another reader already is, coalescing same-kernel same-config items
+//! into 64/256/512-lane plane batches riding `xlac-sim`'s JIT. Replies
+//! are bit-identical to the single-threaded library models at any shard
+//! count. See DESIGN.md §15 for the protocol grammar and the determinism
+//! argument.
 //!
 //! Modules:
 //!
@@ -28,7 +29,7 @@
 //!   bounds and manager-driven selection.
 //! * [`tenant`] — per-tenant monitoring, drift ledger, error budgets.
 //! * [`engine`] — batch-composition-invariant coalesced evaluation.
-//! * [`server`] — the acceptor / reader / shard / worker runtime.
+//! * [`server`] — the acceptor / reader / shard runtime.
 //! * [`client`] — a minimal blocking client (loadgen and tests).
 //! * [`loadgen`] — seeded open-loop load generation with bit-exact
 //!   multiplier verification.

@@ -1,30 +1,41 @@
 //! The batched compute service runtime (DESIGN.md §15).
 //!
-//! A hand-rolled thread-per-core pipeline, no async runtime:
+//! A hand-rolled thread-per-connection runtime with no async runtime and
+//! no thread pool: the reader that admits a request also serves its shard.
 //!
 //! ```text
-//! acceptor ──▶ reader (1/conn) ──▶ shard queues ──▶ workers (1/shard)
-//!                   │ frame decode,      bounded; one       decide, charge,
-//!                   │ typed errors,      lock + notify      sample (arrival
-//!                   │ PING inline        per shard per      order) → coalesced
-//!                   │                    read; Overloaded   evaluate → replies
-//!                   ▼                    when full          framed per conn
-//!               conn writer  ◀──── one write per connection per batch ──┘
+//! acceptor ──▶ reader (1/conn) ──▶ admit into shard queues ──▶ drain inline
+//!                   │ frame decode,      bounded; one lock      claim each idle shard
+//!                   │ typed errors,      per shard per read;    it enqueued into, then
+//!                   │ PING inline        Overloaded when full   decide, charge, sample
+//!                   │                                           (arrival order) →
+//!                   ▼                                           coalesced evaluate
+//!               conn writers  ◀──── one write per connection per batch ──┘
 //! ```
 //!
 //! **Syscalls scale with batches.** A reader enqueues every kernel
-//! request decoded from one `read` with one lock and one notify per
-//! shard, and sends its own replies (pongs, typed errors, `Overloaded`)
-//! in one write. A worker frames a batch's replies into one buffer per
-//! connection and writes each with one `write_all`, so the reply path
-//! costs one write per connection per batch, not one per reply.
+//! request decoded from one `read` with one lock per shard, and sends its
+//! own replies (pongs, typed errors, `Overloaded`) in one write. A batch's
+//! replies are framed into one buffer per connection and each is written
+//! with one `write_all`, so the reply path costs one write per connection
+//! per batch, not one per reply.
 //!
-//! **Sharding.** Requests land on shard `tenant % workers`, so one
-//! worker owns all state of a tenant and processes that tenant's
-//! requests in connection order. Per-tenant control decisions
+//! **Serving by flat combining.** Each shard keeps its queue and its
+//! tenants' control state under one lock. After admitting a read, the
+//! reader claims each shard it enqueued into by taking that state, unless
+//! another reader holds it, and serves batches of up to `max_batch` until
+//! the queue is empty. It puts the state back under the lock that
+//! enqueuers take, so a request enqueued behind a busy drainer is served
+//! by that drainer and no request is stranded. Each reader's pass starts
+//! at its own shard (its connection ordinal), so concurrent readers
+//! spread over the shards instead of queueing behind one another.
+//!
+//! **Sharding.** Requests land on shard `tenant % workers`, so one shard
+//! holds all state of a tenant, and only the claim holder decides that
+//! tenant's requests, in enqueue order. Per-tenant control decisions
 //! ([`crate::tenant`]) therefore depend only on the tenant's own request
 //! order, and batch evaluation ([`crate::engine`]) is batch-composition
-//! invariant — together, replies are **bit-identical at any worker
+//! invariant — together, replies are **bit-identical at any shard
 //! count**, the property the differential suite pins.
 //!
 //! **Backpressure.** Shard queues are bounded; a full queue answers
@@ -36,7 +47,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -55,7 +66,9 @@ use crate::tenant::{ShardTenants, TenantPolicy};
 pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Worker threads (= shards); `0` uses the machine's parallelism.
+    /// Shard count: tenants are sharded by `tenant % workers`, each shard
+    /// with its own queue and tenant state, served by whichever
+    /// connection reader claims it. `0` uses the machine's parallelism.
     pub workers: usize,
     /// Bounded per-shard queue depth; a full queue replies `Overloaded`.
     pub queue_cap: usize,
@@ -65,7 +78,7 @@ pub struct ServerConfig {
     pub policy: TenantPolicy,
     /// Reader socket timeout — the shutdown polling period.
     pub read_timeout_ms: u64,
-    /// Maximum requests one worker drains into a single batch.
+    /// Maximum requests a draining reader serves as a single batch.
     pub max_batch: usize,
 }
 
@@ -98,7 +111,7 @@ pub struct ServerStats {
     pub overloaded: AtomicU64,
     /// Pings answered.
     pub pongs: AtomicU64,
-    /// Worker batches processed.
+    /// Batches served.
     pub batches: AtomicU64,
     /// Requests whose first item was re-executed exactly (monitoring).
     pub samples: AtomicU64,
@@ -110,8 +123,9 @@ pub struct ServerStats {
     /// Replies lost to failed socket writes (peer gone), one per reply
     /// the failed write carried.
     pub write_failures: AtomicU64,
-    /// Socket writes of reply frames: one per connection per worker
-    /// batch, and one per reader wake-up that answered inline.
+    /// Socket writes of reply frames: one per connection per served
+    /// batch, and one per read whose pongs, errors or `Overloaded`
+    /// replies the reader sent itself.
     pub reply_writes: AtomicU64,
 }
 
@@ -153,10 +167,10 @@ impl ServerStats {
     }
 }
 
-/// Serialized writer half of one connection. Reader threads (errors,
-/// pongs, overloads) and worker threads (value replies) share it; each
-/// [`ReplyBuf::flush`] is one `write_all` under the mutex, so frames stay
-/// whole.
+/// Serialized writer half of one connection. Its own reader (errors,
+/// pongs, overloads) and every reader draining a shard that holds its
+/// requests (value replies) share it; each [`ReplyBuf::flush`] is one
+/// `write_all` under the mutex, so frames stay whole.
 struct ConnWriter {
     stream: Mutex<TcpStream>,
 }
@@ -217,13 +231,16 @@ struct Job {
     req: Request,
 }
 
+/// One shard's queue and tenant state, kept under one lock.
 struct Shard {
-    queue: Mutex<VecDeque<Job>>,
-    cond: Condvar,
+    queue: VecDeque<Job>,
+    /// The shard's tenant states; `None` while a reader holds the claim
+    /// and drains the queue.
+    tenants: Option<ShardTenants>,
 }
 
 struct Shared {
-    shards: Vec<Shard>,
+    shards: Vec<Mutex<Shard>>,
     stats: ServerStats,
     ladders: Ladders,
     shutdown: AtomicBool,
@@ -231,18 +248,16 @@ struct Shared {
 }
 
 /// A running compute server. Dropping it (or calling
-/// [`Server::shutdown`]) stops the acceptor, readers and workers and
-/// joins every thread.
+/// [`Server::shutdown`]) stops the acceptor and the readers and joins
+/// every thread.
 pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
     acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Binds, builds the configuration ladders and starts the worker
-    /// pool and acceptor.
+    /// Binds, builds the configuration ladders and starts the acceptor.
     ///
     /// # Errors
     ///
@@ -256,25 +271,18 @@ impl Server {
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let n_workers = config.workers;
         let shared = Arc::new(Shared {
-            shards: (0..n_workers)
-                .map(|_| Shard { queue: Mutex::new(VecDeque::new()), cond: Condvar::new() })
+            shards: (0..config.workers)
+                .map(|_| {
+                    let tenants = Some(ShardTenants::new(config.policy));
+                    Mutex::new(Shard { queue: VecDeque::new(), tenants })
+                })
                 .collect(),
             stats: ServerStats::default(),
             ladders: Ladders::build(),
             shutdown: AtomicBool::new(false),
             config,
         });
-        let workers = (0..n_workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("xlac-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, i))
-                    .expect("spawn worker")
-            })
-            .collect();
         let acceptor = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
@@ -282,7 +290,7 @@ impl Server {
                 .spawn(move || acceptor_loop(&shared, &listener))
                 .expect("spawn acceptor")
         };
-        Ok(Server { addr, shared, acceptor: Some(acceptor), workers })
+        Ok(Server { addr, shared, acceptor: Some(acceptor) })
     }
 
     /// The bound address (with the resolved ephemeral port).
@@ -304,8 +312,9 @@ impl Server {
         &self.shared.ladders
     }
 
-    /// Stops every thread and joins them. Queued requests still drain
-    /// before the workers exit.
+    /// Stops every thread and joins them. A reader serves every request
+    /// it admitted before it exits, so each admitted request is answered
+    /// (or counted in `write_failures` when its connection is gone).
     pub fn shutdown(mut self) -> StatsSnapshot {
         self.stop();
         self.stats()
@@ -313,13 +322,7 @@ impl Server {
 
     fn stop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        for shard in &self.shared.shards {
-            shard.cond.notify_all();
-        }
         if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
-        for h in self.workers.drain(..) {
             let _ = h.join();
         }
     }
@@ -337,12 +340,12 @@ fn acceptor_loop(shared: &Arc<Shared>, listener: &TcpListener) {
         match listener.accept() {
             Ok((stream, _peer)) => {
                 let _span = obs_span!("server.accept");
-                shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
+                let ordinal = shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
                 obs_count!("server.accepted", 1);
                 let shared = Arc::clone(shared);
                 let h = std::thread::Builder::new()
                     .name("xlac-reader".into())
-                    .spawn(move || reader_loop(&shared, stream))
+                    .spawn(move || reader_loop(&shared, stream, ordinal as usize))
                     .expect("spawn reader");
                 readers.push(h);
             }
@@ -360,7 +363,9 @@ fn acceptor_loop(shared: &Arc<Shared>, listener: &TcpListener) {
     }
 }
 
-fn reader_loop(shared: &Arc<Shared>, stream: TcpStream) {
+/// Reads, admits and serves one connection's requests. `ordinal` (the
+/// connection's accept order) picks the shard its serving passes start at.
+fn reader_loop(shared: &Arc<Shared>, stream: TcpStream, ordinal: usize) {
     let _ = stream.set_nodelay(true);
     let _ =
         stream.set_read_timeout(Some(Duration::from_millis(shared.config.read_timeout_ms.max(1))));
@@ -369,9 +374,15 @@ fn reader_loop(shared: &Arc<Shared>, stream: TcpStream) {
     });
     let mut reader = stream;
     let mut decoder = FrameDecoder::new(shared.config.max_frame);
+    let n_shards = shared.shards.len();
     let mut inbox = Inbox {
-        runs: (0..shared.shards.len()).map(|_| Vec::new()).collect(),
+        runs: (0..n_shards).map(|_| Vec::new()).collect(),
         replies: ReplyBuf::default(),
+        enqueued: vec![false; n_shards],
+        start: ordinal % n_shards,
+        batch: Vec::new(),
+        writers: Vec::new(),
+        outbox: Outbox::default(),
     };
     let mut buf = vec![0u8; 16 * 1024];
     loop {
@@ -399,18 +410,26 @@ fn reader_loop(shared: &Arc<Shared>, stream: TcpStream) {
 
 /// A reader's state for one read: the kernel requests it decoded, held
 /// per shard with their decode position until they are enqueued
-/// together, and the replies the reader gives itself.
+/// together, the replies the reader gives itself, the shards it enqueued
+/// into, and the buffers it serves batches with, reused across reads.
 struct Inbox {
     runs: Vec<Vec<(usize, Request)>>,
     replies: ReplyBuf,
+    enqueued: Vec<bool>,
+    /// The shard this reader's serving passes start at.
+    start: usize,
+    batch: Vec<Request>,
+    writers: Vec<Arc<ConnWriter>>,
+    outbox: Outbox,
 }
 
 impl Inbox {
     /// Decodes every complete frame buffered in `decoder`, enqueues the
-    /// kernel requests under one lock and one notify per shard, and sends
-    /// the reader's own replies in one write. `Err(())` means the stream
-    /// is poisoned (frame-level failure) and the connection must close;
-    /// payload-level errors are answered and survive.
+    /// kernel requests under one lock per shard, sends the reader's own
+    /// replies in one write, then serves the shards it enqueued into.
+    /// `Err(())` means the stream is poisoned (frame-level failure) and
+    /// the connection must close; payload-level errors are answered and
+    /// survive.
     fn drain_frames(
         &mut self,
         shared: &Shared,
@@ -460,26 +479,30 @@ impl Inbox {
         }
         self.enqueue(shared, writer);
         self.replies.flush(writer, &shared.stats);
+        self.serve(shared);
         result
     }
 
-    /// Moves each shard's held run into its queue under one lock, with
-    /// one notify. Requests past `queue_cap` get `Overloaded`, in decode
-    /// order: they are dropped and the client retries, so bounded queues
-    /// stay the memory bound.
+    /// Moves each shard's held run into its queue under one lock.
+    /// Requests past `queue_cap` get `Overloaded`, in decode order: they
+    /// are dropped and the client retries, so bounded queues stay the
+    /// memory bound.
     fn enqueue(&mut self, shared: &Shared, writer: &Arc<ConnWriter>) {
         let mut refused = Vec::new();
-        for (shard, run) in shared.shards.iter().zip(&mut self.runs) {
+        for ((shard, run), enqueued) in
+            shared.shards.iter().zip(&mut self.runs).zip(&mut self.enqueued)
+        {
             if run.is_empty() {
                 continue;
             }
-            let mut q = shard.queue.lock().expect("shard queue lock");
-            let take = run.len().min(shared.config.queue_cap.saturating_sub(q.len()));
-            q.extend(run.drain(..take).map(|(_, req)| Job { writer: Arc::clone(writer), req }));
-            let depth = q.len() as u64;
-            drop(q);
+            let mut shard = shard.lock().expect("shard lock");
+            let take = run.len().min(shared.config.queue_cap.saturating_sub(shard.queue.len()));
+            let jobs = run.drain(..take).map(|(_, req)| Job { writer: Arc::clone(writer), req });
+            shard.queue.extend(jobs);
+            let depth = shard.queue.len() as u64;
+            drop(shard);
             if take > 0 {
-                shard.cond.notify_one();
+                *enqueued = true;
                 shared.stats.requests.fetch_add(take as u64, Ordering::Relaxed);
                 shared.stats.queue_depth_hw.fetch_max(depth, Ordering::Relaxed);
                 obs_count!("server.enqueued", take as u64);
@@ -496,41 +519,46 @@ impl Inbox {
                 .push(&Reply::Overloaded { req_id, queue_depth: shared.config.queue_cap as u32 });
         }
     }
-}
 
-fn worker_loop(shared: &Arc<Shared>, idx: usize) {
-    let mut tenants = ShardTenants::new(shared.config.policy);
-    let shard = &shared.shards[idx];
-    let (mut batch, mut writers, mut outbox) = (Vec::new(), Vec::new(), Outbox::default());
-    loop {
-        {
-            let mut q = shard.queue.lock().expect("shard queue lock");
-            loop {
-                if !q.is_empty() {
-                    let take = q.len().min(shared.config.max_batch);
-                    for job in q.drain(..take) {
-                        writers.push(job.writer);
-                        batch.push(job.req);
-                    }
-                    break;
-                }
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                let (guard, _) = shard
-                    .cond
-                    .wait_timeout(q, Duration::from_millis(50))
-                    .expect("shard queue lock");
-                q = guard;
+    /// Drains every shard this read enqueued into, starting at the
+    /// reader's own shard so that concurrent readers claim different
+    /// shards first.
+    fn serve(&mut self, shared: &Shared) {
+        let n = self.enqueued.len();
+        for k in 0..n {
+            let idx = (self.start + k) % n;
+            if std::mem::take(&mut self.enqueued[idx]) {
+                self.drain(shared, &shared.shards[idx]);
             }
         }
-        let replies = serve_batch(&shared.ladders, &mut tenants, &shared.stats, &batch);
-        outbox.send(&mut writers, &replies, &shared.stats);
-        batch.clear();
+    }
+
+    /// Claims `shard` unless another reader holds it, then serves its
+    /// queue in batches of up to `max_batch` until it is empty. The claim
+    /// is released under the queue lock, so every request enqueued while
+    /// this reader serves is served by it before it lets go.
+    fn drain(&mut self, shared: &Shared, shard: &Mutex<Shard>) {
+        let mut guard = shard.lock().expect("shard lock");
+        let Some(mut tenants) = guard.tenants.take() else {
+            return;
+        };
+        while !guard.queue.is_empty() {
+            let take = guard.queue.len().min(shared.config.max_batch);
+            for job in guard.queue.drain(..take) {
+                self.writers.push(job.writer);
+                self.batch.push(job.req);
+            }
+            drop(guard);
+            let replies = serve_batch(&shared.ladders, &mut tenants, &shared.stats, &self.batch);
+            self.outbox.send(&mut self.writers, &replies, &shared.stats);
+            self.batch.clear();
+            guard = shard.lock().expect("shard lock");
+        }
+        guard.tenants = Some(tenants);
     }
 }
 
-/// A worker's reply buffers, one per connection of the current batch,
+/// A drainer's reply buffers, one per connection of the current batch,
 /// kept across batches so their capacity is reused.
 #[derive(Default)]
 struct Outbox {

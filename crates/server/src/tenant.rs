@@ -21,8 +21,9 @@
 //!   rolls over.
 //!
 //! Every transition depends only on the tenant's own request order, so
-//! replies are bit-identical at any worker-thread count (requests of one
-//! tenant always land on one shard, in connection order).
+//! replies are bit-identical at any shard count (requests of one tenant
+//! always land on one shard, in connection order, and only the reader
+//! holding that shard's claim decides them).
 
 use std::collections::HashMap;
 
@@ -210,8 +211,9 @@ impl TenantKernelState {
     }
 }
 
-/// All tenant states owned by one worker shard. Tenants are sharded by
-/// `tenant % workers`, so a map never sees concurrent access.
+/// All tenant states of one shard. Tenants are sharded by
+/// `tenant % workers`, and only the reader holding a shard's claim uses
+/// its map, so a map never sees concurrent access.
 pub struct ShardTenants {
     policy: TenantPolicy,
     states: HashMap<(u32, Kernel), TenantKernelState>,

@@ -53,9 +53,12 @@
 #  10. the compute server (DESIGN.md §15): xlac-server unit tests in
 #      both feature configurations, the server differential suite
 #      (batched replies bit-identical to the scalar library models at
-#      1/4/8 workers), the protocol-robustness suite (golden malformed-
-#      frame fixtures + seeded fuzz), the capped soak/backpressure
-#      suite and the pad-and-mask batch regression; then the loadgen
+#      1/4/8 shards, from one connection and from three at once), the
+#      protocol-robustness suite (golden malformed-frame fixtures, seeded
+#      fuzz, drainer liveness and shutdown), the capped soak/backpressure
+#      suite and the pad-and-mask batch regression, then the first three
+#      again under --features obs (requests are served on the reader
+#      threads, inside the instrumented server spans); then the loadgen
 #      smoke profile recorded into BENCH_server.json, followed by the
 #      capacity model (xlac-loadgen --capacity) folding the BENCH_jit
 #      per-evaluation cost into a predicted req/s at the protocol's
@@ -161,7 +164,7 @@ cargo test -q --offline --release --test server_differential --test server_proto
 
 echo "==> instrumented server suites (--features obs)"
 cargo test -q --offline --release --test server_differential --test server_proto \
-    --features obs
+    --test server_soak --features obs
 
 echo "==> serving throughput report (BENCH_server.json)"
 cargo run -q --release -p xlac-server --offline --bin xlac-loadgen -- \

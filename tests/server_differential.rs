@@ -2,8 +2,8 @@
 //!
 //! The server's contract: every batched reply is **bit-identical** to
 //! the single-threaded library model of the configuration the reply
-//! names, no matter how requests were coalesced, which worker evaluated
-//! them, or how many workers the server runs. Two pins:
+//! names, no matter how requests were coalesced, which connection's
+//! reader served them, or how many shards the server runs. Two pins:
 //!
 //! * every `Values` reply is re-derived from the scalar golden models
 //!   (`WallaceMultiplier::mul`, `SadAccelerator::sad`,
@@ -12,16 +12,19 @@
 //!   8×8 operand space for the multiplier, and over ≥ 10⁵ seeded items
 //!   across the four kernels otherwise;
 //! * the complete `req_id → (config, values)` reply map is identical at
-//!   1, 4 and 8 worker threads (per-tenant sharding + batch-composition
-//!   invariance — the determinism argument of DESIGN.md §15.5).
+//!   1, 4 and 8 shards, from one connection and from three sending at
+//!   once (per-tenant sharding, one claim holder per shard and
+//!   batch-composition invariance — the determinism argument of
+//!   DESIGN.md §15.3).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
 use xlac_core::rng::{DefaultRng, Rng};
 use xlac_multipliers::Multiplier;
 use xlac_server::{
-    Client, Kernel, Ladders, Reply, Request, RequestBody, SadPair, Server, ServerConfig, Values,
+    Client, Kernel, Ladders, Reply, Request, RequestBody, SadPair, Server, ServerConfig,
+    TenantPolicy, Values,
 };
 
 /// Recomputes a reply through the scalar library models of ladder entry
@@ -227,6 +230,65 @@ fn mixed_workload_is_bit_exact_and_worker_count_invisible() {
     let (_, reference) = &maps[0];
     for (workers, map) in &maps[1..] {
         assert_eq!(map, reference, "reply map at {workers} workers diverged from 1 worker");
+    }
+}
+
+/// The seeded mixed workload split by tenant over three connections that
+/// send at the same time (each tenant keeps one connection, so its order
+/// is fixed): readers contend for the same shard's claim, and the reply
+/// map must still equal the one-connection reference at 1, 4 and 8
+/// shards. A tight budget and frequent sampling make every served config
+/// depend on the tenant's whole history, so a decision taken against
+/// another drainer's copy of the tenant state would show in the map.
+#[test]
+fn concurrent_connections_match_the_one_connection_reference() {
+    let policy = TenantPolicy {
+        budget_med_per_window: 64.0,
+        window_items: 48,
+        sample_every: 2,
+        monitor_window: 4,
+        ..TenantPolicy::default()
+    };
+    let spawn = |workers| {
+        Server::spawn(ServerConfig { workers, policy, ..ServerConfig::default() }).unwrap()
+    };
+    let requests = mixed_workload(1800, 0xD1FF_5E21);
+    let server = spawn(1);
+    let reference = run_and_verify(&server, &requests, 64);
+    assert!(server.shutdown().exact_forced > 0, "the budget never forced exact");
+    let served: BTreeSet<u32> = reference.values().map(|(config, _)| *config).collect();
+    assert!(served.len() > 2, "too few distinct configs to tell orders apart: {served:?}");
+    let parts: Vec<Vec<Request>> = (0..3)
+        .map(|conn| requests.iter().filter(|r| r.tenant % 3 == conn).cloned().collect())
+        .collect();
+    for workers in [1usize, 4, 8] {
+        let server = spawn(workers);
+        let start = std::sync::Barrier::new(parts.len());
+        let mut map = BTreeMap::new();
+        std::thread::scope(|s| {
+            let senders: Vec<_> = parts
+                .iter()
+                .map(|part| {
+                    let (server, start) = (&server, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        run_and_verify(server, part, 64)
+                    })
+                })
+                .collect();
+            for sender in senders {
+                map.extend(sender.join().expect("connection thread panicked"));
+            }
+        });
+        server.shutdown();
+        let diverged = reference.iter().filter(|&(id, reply)| map.get(id) != Some(reply)).count();
+        assert_eq!(
+            diverged,
+            0,
+            "3 connections at {workers} shards diverged from 1 connection on {diverged} of {} \
+             requests",
+            reference.len()
+        );
     }
 }
 

@@ -5,13 +5,19 @@
 //! error frame and closing only on *frame-level* poison, while
 //! concurrent well-formed tenant streams keep getting bit-exact replies.
 //!
+//! Two runtime cases ride along: a request queued behind a busy drainer
+//! is served without its connection sending more, and shutdown answers
+//! every request it admitted.
+//!
 //! The golden fixtures under `tests/fixtures/proto/` pin the wire bytes
 //! of each malformed class (and one well-formed ping) so the error
 //! taxonomy cannot drift silently.
 
 use std::io::Write;
 use std::net::TcpStream;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use xlac_core::rng::{DefaultRng, Rng};
 use xlac_server::{Client, ErrorCode, Reply, Request, RequestBody, Server, ServerConfig, Values};
@@ -309,4 +315,134 @@ fn batched_enqueue_answers_every_frame_of_one_write() {
     let stats = server.shutdown();
     assert_eq!(stats.requests + stats.overloaded, 64, "{stats:?}");
     assert!(stats.overloaded > 0, "the 4-deep queues never refused a request: {stats:?}");
+}
+
+/// Blocks until `count` reaches `target`, failing after 30 s.
+fn wait_for(count: &AtomicU64, target: u64) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while count.load(Ordering::Relaxed) < target {
+        assert!(
+            Instant::now() < deadline,
+            "stalled at {} of {target}",
+            count.load(Ordering::Relaxed)
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// With one shard, connection A sends bursts of 256 requests in one
+/// write each, which its reader drains one request per batch, so the
+/// shard is claimed most of the time. Connection B then probes 32 times:
+/// it sends one request and only reads. When B's reader finds the shard
+/// claimed, the drainer must serve B's request before it releases the
+/// shard, so each reply arrives without B sending another byte.
+#[test]
+fn a_request_queued_behind_a_busy_drainer_is_served() {
+    let server =
+        Server::spawn(ServerConfig { workers: 1, max_batch: 1, ..ServerConfig::default() })
+            .unwrap();
+    let addr = server.local_addr();
+    let (stop, answered) = (Arc::new(AtomicBool::new(false)), Arc::new(AtomicU64::new(0)));
+    let flood = {
+        let (stop, answered) = (Arc::clone(&stop), Arc::clone(&answered));
+        std::thread::spawn(move || {
+            let mut a = Client::connect(addr).unwrap();
+            a.set_timeout(Some(Duration::from_secs(30))).unwrap();
+            let burst: Vec<u8> = (0..256u64)
+                .flat_map(|i| {
+                    let body = RequestBody::Mul(vec![(i as u8, 5); 8]);
+                    let req = Request { req_id: i, tenant: 0, max_med: 0.0, body };
+                    xlac_core::wire::frame(&xlac_server::proto::encode_request(&req)).unwrap()
+                })
+                .collect();
+            while !stop.load(Ordering::Relaxed) {
+                a.send_raw(&burst).unwrap();
+                for _ in 0..256 {
+                    match a.recv().unwrap() {
+                        Reply::Values { .. } => answered.fetch_add(1, Ordering::Relaxed),
+                        other => panic!("flood got {other:?}"),
+                    };
+                }
+            }
+        })
+    };
+    wait_for(&answered, 512);
+    let mut b = connect(&server);
+    let probes: std::io::Result<Vec<Reply>> = (0..32u64)
+        .map(|i| {
+            let body = RequestBody::Mul(vec![(i as u8, 9)]);
+            b.send(&Request { req_id: 1000 + i, tenant: 1, max_med: 0.0, body }).unwrap();
+            b.recv()
+        })
+        .collect();
+    stop.store(true, Ordering::Relaxed);
+    flood.join().expect("flood connection panicked");
+    for (i, reply) in probes.expect("a probe's reply never arrived").into_iter().enumerate() {
+        let values = Values::Mul(vec![i as u16 * 9]);
+        assert_eq!(reply, Reply::Values { req_id: 1000 + i as u64, config: 0, values });
+    }
+    server.shutdown();
+}
+
+/// `Server::shutdown` races pipelined bursts from two connections, eight
+/// times over. A reader serves every request it admitted before it
+/// exits, so each admitted request is either answered or, when its
+/// connection is gone, counted as a failed write: none is left in a
+/// queue.
+#[test]
+fn shutdown_answers_every_admitted_request() {
+    for round in 0..8 {
+        let server =
+            Server::spawn(ServerConfig { workers: 2, max_batch: 8, ..ServerConfig::default() })
+                .unwrap();
+        let addr = server.local_addr();
+        let replies = Arc::new(AtomicU64::new(0));
+        let conns: Vec<_> = (0..2u64)
+            .map(|conn| {
+                let replies = Arc::clone(&replies);
+                std::thread::spawn(move || burst_until_closed(addr, conn, &replies))
+            })
+            .collect();
+        wait_for(&replies, 2000);
+        let stats = server.shutdown();
+        for conn in conns {
+            conn.join().expect("burst connection panicked");
+        }
+        assert!(stats.requests >= 2000, "round {round}: {stats:?}");
+        assert_eq!(
+            stats.requests,
+            stats.values_replies + stats.write_failures,
+            "round {round}: {stats:?}"
+        );
+    }
+}
+
+/// Sends bursts of 32 pipelined requests in one write each and reads
+/// their replies, until the server closes the connection.
+fn burst_until_closed(addr: std::net::SocketAddr, conn: u64, replies: &AtomicU64) {
+    let mut c = Client::connect(addr).unwrap();
+    c.set_timeout(Some(Duration::from_secs(30))).unwrap();
+    for burst in 0u64.. {
+        let bytes: Vec<u8> = (0..32u64)
+            .flat_map(|i| {
+                let req = Request {
+                    req_id: conn << 32 | burst << 8 | i,
+                    tenant: (i % 5) as u32,
+                    max_med: 1e12,
+                    body: RequestBody::Mul(vec![(i as u8, burst as u8); 4]),
+                };
+                xlac_core::wire::frame(&xlac_server::proto::encode_request(&req)).unwrap()
+            })
+            .collect();
+        if c.send_raw(&bytes).is_err() {
+            return;
+        }
+        for _ in 0..32 {
+            match c.recv() {
+                Ok(Reply::Values { .. }) => replies.fetch_add(1, Ordering::Relaxed),
+                Ok(other) => panic!("unexpected {other:?}"),
+                Err(_) => return,
+            };
+        }
+    }
 }
