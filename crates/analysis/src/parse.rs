@@ -75,14 +75,19 @@ impl RawNetlist {
     /// Converts the parsed module into a built [`Netlist`], topologically
     /// ordering the cells (source files may declare drivers in any
     /// order). Aliases collapse to their driven signal; constants map to
-    /// [`Signal::Const`].
+    /// [`Signal::Const`]. The output cones are built first, then every
+    /// cell outside them, so the netlist keeps each gate of the module and
+    /// a cyclic, undriven or malformed cell is rejected wherever it sits.
+    /// This is the one `hdl/` front end; the symbolic compiler goes
+    /// through it too.
     ///
     /// # Errors
     ///
-    /// Returns a message naming the offending cell for module
+    /// Returns a message naming the offending cell or signal for module
     /// instantiations (the flat [`Netlist`] form has no hierarchy),
-    /// undriven signals, multiply-driven signals, and combinational
-    /// cycles.
+    /// undriven signals, multiply-driven signals, input ports driven by a
+    /// cell, combinational cycles, operand-count mismatches and modules
+    /// without outputs.
     pub fn to_netlist(&self) -> Result<Netlist, String> {
         let mut drivers: HashMap<&str, usize> = HashMap::new();
         for (i, cell) in self.cells.iter().enumerate() {
@@ -110,6 +115,11 @@ impl RawNetlist {
             let resolved =
                 self.resolve(name, &drivers, &input_index, &mut b, &mut visiting, &mut built)?;
             outs.push(resolved);
+        }
+        // Then the cells outside every output cone, in declaration order:
+        // the netlist keeps every cell of the module.
+        for cell in &self.cells {
+            self.resolve(&cell.output, &drivers, &input_index, &mut b, &mut visiting, &mut built)?;
         }
         for sig in outs {
             b.output(sig);

@@ -14,9 +14,8 @@
 //! bits LSB-first ([`interleaved_operand_vars`]): `a0, b0, a1, b1, …`
 //! keeps ripple chains and reduction trees polynomial-sized.
 
-use super::bdd::{Bdd, Ref, FALSE, TRUE};
-use crate::parse::{CellFunc, RawNetlist};
-use std::collections::HashMap;
+use super::bdd::{Bdd, Ref, FALSE};
+use crate::parse::RawNetlist;
 use xlac_logic::{GateKind, Netlist, Signal, TruthTable};
 
 /// Projection variables for a two-operand datapath, interleaved LSB-first:
@@ -66,8 +65,12 @@ pub fn compile_netlist(bdd: &mut Bdd, nl: &Netlist, inputs: &[Ref]) -> Vec<Ref> 
     // Netlist gates are stored in topological order: one forward sweep.
     let mut values: Vec<Ref> = Vec::with_capacity(nl.gate_count());
     for (kind, fanin) in nl.gates() {
-        let ops: Vec<Ref> = fanin.iter().map(|&s| resolve(&values, s)).collect();
-        let v = apply_gate(bdd, kind, &ops);
+        // Gate arity is at most 3: the operands fit a stack array.
+        let mut ops = [FALSE; 3];
+        for (op, &s) in ops.iter_mut().zip(fanin) {
+            *op = resolve(&values, s);
+        }
+        let v = apply_gate(bdd, kind, &ops[..fanin.len()]);
         values.push(v);
     }
     nl.outputs().map(|sig| resolve(&values, sig)).collect()
@@ -106,13 +109,12 @@ fn shannon(
 }
 
 /// Compiles a parsed `hdl/` netlist into one BDD per declared output,
-/// with input *port* `i` bound to `inputs[i]`.
-///
-/// Cells may appear in any source order; a worklist pass resolves them in
-/// dependency order. Module instantiations ([`CellFunc::Instance`]) are
-/// not flattened here — a netlist containing one is rejected, as are
-/// combinational cycles, missing drivers and arity mismatches (all of
-/// which the lint catches first with better locations).
+/// with input *port* `i` bound to `inputs[i]`: the module goes through
+/// [`RawNetlist::to_netlist`], the one `hdl/` front end, and then
+/// [`compile_netlist`]. So cells may appear in any source order, and
+/// module instantiations, combinational cycles, missing or multiple
+/// drivers, arity mismatches and output-less modules are rejected (the
+/// lint catches all of them first, with better locations).
 ///
 /// # Errors
 ///
@@ -128,82 +130,7 @@ pub fn compile_raw(bdd: &mut Bdd, raw: &RawNetlist, inputs: &[Ref]) -> Result<Ve
             inputs.len()
         ));
     }
-    let mut env: HashMap<&str, Ref> = HashMap::new();
-    for (port, &var) in raw.inputs.iter().zip(inputs) {
-        env.insert(port.as_str(), var);
-    }
-
-    let lookup = |env: &HashMap<&str, Ref>, name: &str| -> Option<Ref> {
-        match name {
-            "1'b0" => Some(FALSE),
-            "1'b1" => Some(TRUE),
-            _ => env.get(name).copied(),
-        }
-    };
-
-    // Worklist evaluation: keep resolving cells whose operands are all
-    // known until a fixed point. Anything left over is cyclic or undriven.
-    let mut pending: Vec<&crate::parse::RawCell> = raw.cells.iter().collect();
-    loop {
-        let before = pending.len();
-        let mut still_pending = Vec::new();
-        for cell in pending {
-            let ops: Option<Vec<Ref>> = cell.inputs.iter().map(|name| lookup(&env, name)).collect();
-            match ops {
-                Some(ops) => {
-                    let value = match &cell.func {
-                        CellFunc::Gate(kind) => {
-                            if ops.len() != kind.arity() {
-                                return Err(format!(
-                                    "{}: cell {} arity mismatch ({} operands for {kind})",
-                                    raw.name,
-                                    cell.name,
-                                    ops.len()
-                                ));
-                            }
-                            apply_gate(bdd, *kind, &ops)
-                        }
-                        CellFunc::Alias => {
-                            if ops.len() != 1 {
-                                return Err(format!(
-                                    "{}: alias {} must have exactly one source",
-                                    raw.name, cell.name
-                                ));
-                            }
-                            ops[0]
-                        }
-                        CellFunc::Instance(module) => {
-                            return Err(format!(
-                                "{}: instance {} of module {module} cannot be compiled \
-                                 (symbolic analysis runs on flat netlists)",
-                                raw.name, cell.name
-                            ));
-                        }
-                    };
-                    env.insert(cell.output.as_str(), value);
-                }
-                None => still_pending.push(cell),
-            }
-        }
-        pending = still_pending;
-        if pending.is_empty() {
-            break;
-        }
-        if pending.len() == before {
-            return Err(format!(
-                "{}: unresolvable cells (cycle or missing driver): {}",
-                raw.name,
-                pending.iter().map(|c| c.name.as_str()).collect::<Vec<_>>().join(", ")
-            ));
-        }
-    }
-
-    raw.outputs
-        .iter()
-        .map(|port| {
-            lookup(&env, port).ok_or_else(|| format!("{}: output {port} is undriven", raw.name))
-        })
-        .collect()
+    Ok(compile_netlist(bdd, &raw.to_netlist()?, inputs))
 }
 
 #[cfg(test)]
@@ -264,7 +191,7 @@ mod tests {
 
     #[test]
     fn raw_netlist_compiles_out_of_order_cells() {
-        // g2 references w1 before g1 defines it: the worklist must settle.
+        // g2 references w1 before g1 defines it.
         let src = "\
 module scramble (
     input wire a,
@@ -307,6 +234,6 @@ endmodule
         let mut bdd = Bdd::new();
         let v = vec![bdd.var(0)];
         let err = compile_raw(&mut bdd, &raw, &v).unwrap_err();
-        assert!(err.contains("unresolvable"), "{err}");
+        assert!(err.contains("cycle"), "{err}");
     }
 }

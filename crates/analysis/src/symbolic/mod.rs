@@ -5,9 +5,11 @@
 //! This module supplies the *exact* answers those bounds are checked
 //! against:
 //!
-//! * [`bdd`] — an in-house reduced ordered BDD package: hash-consed
-//!   nodes, memoized ITE, restrict/compose, model counting, witness
-//!   extraction. Canonical: two equal functions get pointer-equal roots.
+//! * [`bdd`] — an in-house reduced ordered BDD package over a fixed
+//!   variable order (variable id = level): hash-consed nodes, memoized
+//!   ITE, model counting, witness extraction and garbage collection.
+//!   Canonical: two equal functions get pointer-equal roots, which is
+//!   what the equivalence proofs rest on.
 //! * [`compile`] — compiles every circuit representation the workspace
 //!   ships (built netlists, truth tables, parsed `hdl/` modules) into
 //!   one BDD root per output bit over a caller-chosen variable order.
@@ -51,7 +53,7 @@ pub mod registry;
 pub mod twins;
 
 pub use audit::{audit_bounds, audit_pair, audits_to_json, magnitude_netlist, BoundAudit};
-pub use bdd::{Bdd, BddBudgetExceeded, BddStats, Ref, SiftOptions, SiftStats, FALSE, TRUE};
+pub use bdd::{Bdd, BddStats, Ref, FALSE, TRUE};
 pub use calculus::{
     block_error_pmf, recursive_calculus, truncated_calculus, wallace_calculus, CertifiedMetrics,
     DEFAULT_CONE_BUDGET,

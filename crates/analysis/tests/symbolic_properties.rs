@@ -9,8 +9,6 @@
 //!
 //! * ITE identities (`ite(f,g,g) = g`, Shannon cofactor recombination,
 //!   De Morgan, double negation, xor self-annihilation);
-//! * restrict/compose laws (`compose(f, v, var v) = f`, `compose` as
-//!   ite of cofactors, restrict idempotence);
 //! * canonicity — the truth table of a formula, recompiled through
 //!   [`compile_truth_table`], lands on the *pointer-identical* root;
 //! * model counting — `sat_count` equals exhaustive truth-table
@@ -140,40 +138,6 @@ fn ite_identities_hold_on_random_formulas() {
 }
 
 #[test]
-fn restrict_and_compose_laws_hold() {
-    check_with("restrict/compose laws", &config(), gen_program(6), |program| {
-        let n = n_vars_of(program, 6);
-        let mut bdd = Bdd::new();
-        let f = build_bdd(&mut bdd, n, &program.1);
-        let reversed: Vec<_> = program.1.iter().rev().copied().collect();
-        let g = build_bdd(&mut bdd, n, &reversed);
-
-        for v in 0..n {
-            let hi = bdd.restrict(f, v, true);
-            let lo = bdd.restrict(f, v, false);
-
-            // Shannon expansion: f = ite(x_v, f|v=1, f|v=0).
-            let xv = bdd.var(v);
-            prop_assert_eq!(bdd.ite(xv, hi, lo), f, "Shannon expansion on var {v}");
-
-            // Cofactors no longer depend on v.
-            prop_assert_eq!(bdd.restrict(hi, v, false), hi, "hi cofactor is v-free");
-            prop_assert_eq!(bdd.restrict(lo, v, true), lo, "lo cofactor is v-free");
-
-            // compose(f, v, x_v) is the identity.
-            prop_assert_eq!(bdd.compose(f, v, xv), f, "compose with var {v} is identity");
-            // compose(f, v, const) is restrict.
-            prop_assert_eq!(bdd.compose(f, v, TRUE), hi, "compose TRUE = restrict true");
-            prop_assert_eq!(bdd.compose(f, v, FALSE), lo, "compose FALSE = restrict false");
-            // compose as ite of cofactors.
-            let composed = bdd.compose(f, v, g);
-            prop_assert_eq!(composed, bdd.ite(g, hi, lo), "compose = ite of cofactors");
-        }
-        Ok(())
-    });
-}
-
-#[test]
 fn canonicity_recompiled_truth_table_is_pointer_equal() {
     check_with("canonicity via truth table", &config(), gen_program(6), |program| {
         let n = n_vars_of(program, 6);
@@ -211,9 +175,6 @@ fn sat_count_matches_exhaustive_enumeration_up_to_16_vars() {
 
         // The count is consistent with witness extraction.
         prop_assert_eq!(bdd.any_sat(f).is_some(), expected > 0);
-        if n <= 12 {
-            prop_assert_eq!(bdd.all_sat(f, n).len() as u128, expected, "all_sat size");
-        }
         Ok(())
     });
 }

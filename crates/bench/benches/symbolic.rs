@@ -23,7 +23,7 @@ use xlac_analysis::parse::parse_verilog;
 use xlac_analysis::symbolic::compile::interleaved_operand_vars;
 use xlac_analysis::symbolic::{
     compile_netlist, compile_raw, exact_metrics, exhaustive_metrics, recursive_calculus,
-    truncated_calculus, twins, wallace_calculus, Bdd, ExactMetrics, SiftOptions, FALSE,
+    truncated_calculus, twins, wallace_calculus, Bdd, ExactMetrics, FALSE,
 };
 use xlac_bench::{black_box, Harness};
 use xlac_multipliers::hw::wallace_netlist;
@@ -223,37 +223,10 @@ fn bench_calculus() {
     h.bench("recursive32x32_apxour", || black_box(recursive_calculus(&r32).wce_hi()));
 }
 
-/// Sifting on the Wallace 8×8 miter, built in a pessimal *middle-out*
-/// operand order (the most significant interactions land at the outer
-/// levels, the reverse of what a product function wants). Rudell
-/// sifting must recover at least a 2× reduction from it and land under
-/// 200k nodes — both enforced by the `symbolic.sift.*` rules of
-/// `scripts/gates.jsonl` on the emitted JSON line. The run is fully deterministic, so the floors are stable.
-fn report_sift_stats() {
-    const A_ORDER: [usize; 8] = [7, 8, 6, 9, 5, 10, 4, 11];
-    const B_ORDER: [usize; 8] = [3, 12, 2, 13, 1, 14, 0, 15];
-    let m = WallaceMultiplier::new(8, FullAdderKind::Apx4, 8).expect("valid Wallace config");
-    let mut bdd = Bdd::new();
-    let a: Vec<_> = A_ORDER.iter().map(|&v| bdd.var(v)).collect::<Vec<_>>();
-    let b: Vec<_> = B_ORDER.iter().map(|&v| bdd.var(v)).collect::<Vec<_>>();
-    let mut roots = twins::wallace_multiplier(&mut bdd, &m, &a, &b);
-    roots.extend(twins::mul_exact(&mut bdd, &a, &b));
-    let stats = bdd.sift(&roots, &SiftOptions::default());
-    println!(
-        "{{\"name\":\"symbolic_sift/wallace8x8_miter\",\"unsifted_nodes\":{},\"sifted_nodes\":{},\"reduction\":{:.2},\"rounds\":{},\"swaps\":{}}}",
-        stats.initial_nodes,
-        stats.final_nodes,
-        stats.initial_nodes as f64 / stats.final_nodes.max(1) as f64,
-        stats.rounds,
-        stats.swaps
-    );
-}
-
 fn main() {
     bench_multiplier_metrics();
     bench_adder_metrics();
     bench_equivalence_proof();
     bench_calculus();
     report_engine_stats();
-    report_sift_stats();
 }

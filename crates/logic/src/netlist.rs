@@ -331,9 +331,11 @@ impl Netlist {
             "{} inputs / {n_outputs} outputs exceed a packed u64",
             self.n_inputs
         );
-        let words: Vec<u64> =
-            (0..self.n_inputs).map(|i| if (inputs >> i) & 1 == 1 { u64::MAX } else { 0 }).collect();
-        let outs = self.eval_words(&words);
+        let mut words = [0u64; 64];
+        for (i, w) in words[..self.n_inputs].iter_mut().enumerate() {
+            *w = if (inputs >> i) & 1 == 1 { u64::MAX } else { 0 };
+        }
+        let outs = self.eval_words(&words[..self.n_inputs]);
         outs.iter().enumerate().fold(0u64, |acc, (i, w)| acc | ((w & 1) << i))
     }
 
@@ -364,13 +366,14 @@ impl Netlist {
         assert_eq!(inputs.len(), self.n_inputs, "expected {} input words", self.n_inputs);
         values.clear();
         values.resize(self.gates.len(), 0);
-        let mut ops: Vec<u64> = Vec::with_capacity(3);
         for i in 0..self.gates.len() {
-            ops.clear();
-            for s in self.gates[i].fanin() {
-                ops.push(self.resolve(*s, inputs, values));
+            // Gate arity is at most 3: the operands fit a stack array.
+            let fanin = self.gates[i].fanin();
+            let mut ops = [0u64; 3];
+            for (op, s) in ops.iter_mut().zip(fanin) {
+                *op = self.resolve(*s, inputs, values);
             }
-            values[i] = self.gates[i].kind.eval_word(&ops);
+            values[i] = self.gates[i].kind.eval_word(&ops[..fanin.len()]);
         }
         outputs.clear();
         outputs.extend(self.outputs.iter().map(|s| self.resolve(*s, inputs, values)));

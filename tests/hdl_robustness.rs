@@ -2,8 +2,9 @@
 //! crash the parser, the linter or the two netlist conversions.
 //!
 //! * **Deep chains** — 100 000 chained inverters convert with
-//!   `RawNetlist::to_netlist` (no recursion, so no stack overflow) and
-//!   lint in linear time, also when the chain closes into one cycle
+//!   `RawNetlist::to_netlist` (no recursion, so no stack overflow),
+//!   compile to BDDs through `compile_raw` when declared last to first,
+//!   and lint in linear time, also when the chain closes into one cycle
 //!   (XL003), is declared last to first from a constant (XL006) or reads
 //!   an undriven net per cell (XL001).
 //! * **Mutation fuzzing** — the registry's shipped exports, mutated by
@@ -53,6 +54,9 @@ fn inverter_loop() -> String {
 
 #[test]
 fn a_deep_chain_converts_without_recursion() {
+    let mut reversed = chain("i0", inverter);
+    reversed.reverse();
+    let reversed = module(&reversed);
     let (module, errors) = parse_verilog(&module(&chain("i0", inverter)));
     assert!(errors.is_empty(), "{errors:?}");
     let netlist = module.unwrap().to_netlist().unwrap();
@@ -63,6 +67,14 @@ fn a_deep_chain_converts_without_recursion() {
     let (module, _) = parse_verilog(&inverter_loop());
     let err = module.unwrap().to_netlist().unwrap_err();
     assert!(err.contains("cycle"), "{err}");
+
+    // Declared last to first, through the symbolic compiler: still the
+    // identity, in linear time.
+    let (module, errors) = parse_verilog(&reversed);
+    assert!(errors.is_empty(), "{errors:?}");
+    let mut bdd = Bdd::new();
+    let x = bdd.var(0);
+    assert_eq!(compile_raw(&mut bdd, &module.unwrap(), &[x]), Ok(vec![x]));
 }
 
 #[test]

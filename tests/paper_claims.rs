@@ -149,7 +149,7 @@ fn fig5_error_cases_proven_with_witness_minterms() {
             let diff = bdd.xor(x, y);
             miter = bdd.or(miter, diff);
         }
-        let minterms = bdd.all_sat(miter, 4);
+        let minterms: Vec<u64> = (0..1 << 4).filter(|&x| bdd.eval(miter, x)).collect();
         assert_eq!(minterms.len() as u128, want_cases, "{kind}: minterm enumeration");
         for m in &minterms {
             // Interleaved packing: a = bits 0, 2; b = bits 1, 3.
@@ -196,7 +196,7 @@ fn table3_error_cases_proven_by_model_counting() {
             kind.error_cases() as u128,
             "{kind}: Table III error-case count"
         );
-        for row in bdd.all_sat(miter, 3) {
+        for row in (0..1 << 3).filter(|&x| bdd.eval(miter, x)) {
             let (a, b, cin) = (row & 1, (row >> 1) & 1, (row >> 2) & 1);
             assert_ne!(
                 kind.eval_x64(a, b, cin),
