@@ -66,6 +66,23 @@ const TABLE: [[(u8, u8); 8]; 6] = [
     /* Apx5 */ [(0, 0), (0, 0), (1, 0), (1, 0), (0, 1), (0, 1), (1, 1), (1, 1)],
 ];
 
+/// [`TABLE`] packed per cell as `(sum, cout)` masks: bit
+/// `a << 2 | b << 1 | cin` of each mask is that output on that row.
+const MASKS: [(u8, u8); 6] = {
+    let mut masks = [(0u8, 0u8); 6];
+    let mut kind = 0;
+    while kind < 6 {
+        let mut row = 0;
+        while row < 8 {
+            masks[kind].0 |= TABLE[kind][row].0 << row;
+            masks[kind].1 |= TABLE[kind][row].1 << row;
+            row += 1;
+        }
+        kind += 1;
+    }
+    masks
+};
+
 impl FullAdderKind {
     /// All six cells, in Table III order.
     pub const ALL: [FullAdderKind; 6] = [
@@ -86,7 +103,7 @@ impl FullAdderKind {
         FullAdderKind::Apx5,
     ];
 
-    fn table_index(self) -> usize {
+    const fn table_index(self) -> usize {
         match self {
             FullAdderKind::Accurate => 0,
             FullAdderKind::Apx1 => 1,
@@ -97,6 +114,17 @@ impl FullAdderKind {
         }
     }
 
+    /// The cell's Table III truth table as two 8-bit masks `(sum, cout)`:
+    /// bit `a << 2 | b << 1 | cin` of each mask is that output on that
+    /// row. A cell evaluates as one shift and mask of a value already in
+    /// a register, so a carry chain through it carries no table load —
+    /// the form the scalar models' inner loops use.
+    #[inline]
+    #[must_use]
+    pub const fn truth_masks(self) -> (u8, u8) {
+        MASKS[self.table_index()]
+    }
+
     /// Evaluates the cell.
     ///
     /// # Panics
@@ -105,6 +133,16 @@ impl FullAdderKind {
     #[inline]
     #[must_use]
     pub fn eval(self, a: u64, b: u64, cin: u64) -> (u64, u64) {
+        debug_assert!(a <= 1 && b <= 1 && cin <= 1);
+        let (s, c) = self.truth_masks();
+        let row = a << 2 | b << 1 | cin;
+        ((u64::from(s) >> row) & 1, (u64::from(c) >> row) & 1)
+    }
+
+    /// The table-load [`FullAdderKind::eval`] that
+    /// [`FullAdderKind::truth_masks`] replaced, kept as its oracle.
+    #[cfg(test)]
+    pub(crate) fn eval_table(self, a: u64, b: u64, cin: u64) -> (u64, u64) {
         debug_assert!(a <= 1 && b <= 1 && cin <= 1);
         let (s, c) = TABLE[self.table_index()][(a << 2 | b << 1 | cin) as usize];
         (u64::from(s), u64::from(c))
@@ -295,6 +333,16 @@ mod tests {
             let total = a + b + cin;
             assert_eq!(s, total & 1);
             assert_eq!(c, total >> 1);
+        }
+    }
+
+    #[test]
+    fn mask_eval_matches_the_table_on_every_row() {
+        for kind in FullAdderKind::ALL {
+            for x in 0u64..8 {
+                let (a, b, cin) = (x >> 2, (x >> 1) & 1, x & 1);
+                assert_eq!(kind.eval(a, b, cin), kind.eval_table(a, b, cin), "{kind} {x:03b}");
+            }
         }
     }
 

@@ -243,65 +243,55 @@ impl GeArAdder {
         let a = bits::truncate(a, self.n);
         let b = bits::truncate(b, self.n);
 
-        // Carry injections decided by the recovery stage (index 0 unused —
-        // the first sub-adder has a true carry-in of 0).
-        let mut inject = vec![false; self.sub_adder_count()];
+        // Carry injections decided by the recovery stage, bit `s` for
+        // sub-adder `s` (`k ≤ n ≤ 63`, so a `u64` holds them; bit 0 stays
+        // clear — the first sub-adder has a true carry-in of 0).
+        let mut inject = 0u64;
         let mut iterations = 0usize;
 
         loop {
             // `detected` only flags sub-adders that are *not* already
             // carry-injected, so it is exactly the set the next recovery
             // pass must fix.
-            let (value, detected) = self.evaluate(a, b, &inject);
-            let pending: Vec<usize> =
-                detected.iter().enumerate().filter(|(_, &d)| d).map(|(s, _)| s).collect();
-            if pending.is_empty() || iterations >= max_iterations {
+            let (value, detected) = self.evaluate(a, b, inject);
+            if detected == 0 || iterations >= max_iterations {
                 return AddOutcome {
                     value,
-                    errors_detected: pending.len(),
+                    errors_detected: detected.count_ones() as usize,
                     correction_iterations: iterations,
                 };
             }
-            for s in pending {
-                inject[s] = true;
-            }
+            inject |= detected;
             iterations += 1;
         }
     }
 
-    /// One combinational evaluation with the given carry injections.
-    /// Returns the N+1-bit sum and the per-sub-adder detection flags
-    /// (meaningful for s >= 1).
-    fn evaluate(&self, a: u64, b: u64, inject: &[bool]) -> (u64, Vec<bool>) {
-        let r = self.r;
-        let p = self.p;
-        let l = self.l();
-        let k = self.sub_adder_count();
+    /// One combinational evaluation with the given carry injections (bit
+    /// `s` for sub-adder `s`). Returns the N+1-bit sum and the detection
+    /// mask (bit `s` set when sub-adder `s ≥ 1` detected a missed carry
+    /// it was not injected with).
+    fn evaluate(&self, a: u64, b: u64, inject: u64) -> (u64, u64) {
+        let (r, p, l) = (self.r, self.p, self.l());
+        let (l_mask, p_mask, r_mask) = (bits::mask(l), bits::mask(p), bits::mask(r));
+        // Propagate bits of every position; a sub-adder's prediction
+        // window all-propagate means a carry generated below it is missed.
+        let propagate = a ^ b;
 
-        let mut sum = 0u64;
-        let mut detected = vec![false; k];
-        let mut prev_carry_out = 0u64;
+        let window_sum = (a & l_mask) + (b & l_mask);
+        let mut sum = window_sum & l_mask;
+        let mut detected = 0u64;
+        let mut prev_carry_out = window_sum >> l;
 
-        for s in 0..k {
+        for s in 1..self.sub_adder_count() {
             let lo = s * r;
-            let wa = bits::field(a, lo, l);
-            let wb = bits::field(b, lo, l);
-            let cin = u64::from(inject[s]);
-            let window_sum = wa + wb + cin;
-            let carry_out = window_sum >> l;
-
-            if s == 0 {
-                sum = bits::with_field(sum, 0, l, window_sum);
-            } else {
-                // Detection: previous carry out & all P prediction bits of
-                // this sub-adder propagate (a XOR b = 1 across the window's
-                // low P bits). With P = 0 the propagate condition is vacuous.
-                let prop = bits::field(a ^ b, lo, p) == bits::mask(p);
-                detected[s] = prev_carry_out == 1 && prop && !inject[s];
-                let result_bits = bits::field(window_sum, p, r);
-                sum = bits::with_field(sum, lo + p, r, result_bits);
-            }
-            prev_carry_out = carry_out;
+            let cin = (inject >> s) & 1;
+            let window_sum = ((a >> lo) & l_mask) + ((b >> lo) & l_mask) + cin;
+            // Detection: previous carry out & all P prediction bits of this
+            // sub-adder propagate. With P = 0 the condition is vacuous.
+            let prop = u64::from((propagate >> lo) & p_mask == p_mask);
+            detected |= (prev_carry_out & prop & !cin) << s;
+            sum |= ((window_sum >> p) & r_mask) << (lo + p);
+            prev_carry_out = window_sum >> l;
         }
         // Bit N comes from the last sub-adder's carry-out.
         sum |= prev_carry_out << self.n;
@@ -436,14 +426,13 @@ impl GeArAdder {
     pub fn add_flagged(&self, a: u64, b: u64) -> (AddOutcome, Vec<usize>) {
         let a = bits::truncate(a, self.n);
         let b = bits::truncate(b, self.n);
-        let inject = vec![false; self.sub_adder_count()];
-        let (value, detected) = self.evaluate(a, b, &inject);
-        let offsets: Vec<usize> = detected
-            .iter()
-            .enumerate()
-            .filter(|(_, &d)| d)
-            .map(|(s, _)| s * self.r + self.p)
-            .collect();
+        let (value, detected) = self.evaluate(a, b, 0);
+        let mut offsets = Vec::new();
+        let mut pending = detected;
+        while pending != 0 {
+            offsets.push(pending.trailing_zeros() as usize * self.r + self.p);
+            pending &= pending - 1;
+        }
         (AddOutcome { value, errors_detected: offsets.len(), correction_iterations: 0 }, offsets)
     }
 
@@ -500,9 +489,161 @@ impl Adder for GeArAdder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xlac_core::check::{check, Rng};
+    use xlac_core::prop_assert_eq;
 
     fn exact(n: usize, a: u64, b: u64) -> u64 {
         bits::truncate(a, n) + bits::truncate(b, n)
+    }
+
+    /// The `Vec<bool>`/`Vec<usize>` model the mask-based one replaced
+    /// (`run`, `evaluate` and `add_flagged`), kept as its oracle.
+    mod vec_model {
+        use super::*;
+
+        pub(super) fn run(g: &GeArAdder, a: u64, b: u64, max_iterations: usize) -> AddOutcome {
+            let a = bits::truncate(a, g.n);
+            let b = bits::truncate(b, g.n);
+
+            // Carry injections decided by the recovery stage (index 0 unused —
+            // the first sub-adder has a true carry-in of 0).
+            let mut inject = vec![false; g.sub_adder_count()];
+            let mut iterations = 0usize;
+
+            loop {
+                // `detected` only flags sub-adders that are *not* already
+                // carry-injected, so it is exactly the set the next recovery
+                // pass must fix.
+                let (value, detected) = evaluate(g, a, b, &inject);
+                let pending: Vec<usize> =
+                    detected.iter().enumerate().filter(|(_, &d)| d).map(|(s, _)| s).collect();
+                if pending.is_empty() || iterations >= max_iterations {
+                    return AddOutcome {
+                        value,
+                        errors_detected: pending.len(),
+                        correction_iterations: iterations,
+                    };
+                }
+                for s in pending {
+                    inject[s] = true;
+                }
+                iterations += 1;
+            }
+        }
+
+        /// One combinational evaluation with the given carry injections.
+        /// Returns the N+1-bit sum and the per-sub-adder detection flags
+        /// (meaningful for s >= 1).
+        fn evaluate(g: &GeArAdder, a: u64, b: u64, inject: &[bool]) -> (u64, Vec<bool>) {
+            let r = g.r;
+            let p = g.p;
+            let l = g.l();
+            let k = g.sub_adder_count();
+
+            let mut sum = 0u64;
+            let mut detected = vec![false; k];
+            let mut prev_carry_out = 0u64;
+
+            for s in 0..k {
+                let lo = s * r;
+                let wa = bits::field(a, lo, l);
+                let wb = bits::field(b, lo, l);
+                let cin = u64::from(inject[s]);
+                let window_sum = wa + wb + cin;
+                let carry_out = window_sum >> l;
+
+                if s == 0 {
+                    sum = bits::with_field(sum, 0, l, window_sum);
+                } else {
+                    // Detection: previous carry out & all P prediction bits of
+                    // this sub-adder propagate (a XOR b = 1 across the window's
+                    // low P bits). With P = 0 the propagate condition is vacuous.
+                    let prop = bits::field(a ^ b, lo, p) == bits::mask(p);
+                    detected[s] = prev_carry_out == 1 && prop && !inject[s];
+                    let result_bits = bits::field(window_sum, p, r);
+                    sum = bits::with_field(sum, lo + p, r, result_bits);
+                }
+                prev_carry_out = carry_out;
+            }
+            // Bit N comes from the last sub-adder's carry-out.
+            sum |= prev_carry_out << g.n;
+            (sum, detected)
+        }
+
+        pub(super) fn add_flagged(g: &GeArAdder, a: u64, b: u64) -> (AddOutcome, Vec<usize>) {
+            let a = bits::truncate(a, g.n);
+            let b = bits::truncate(b, g.n);
+            let inject = vec![false; g.sub_adder_count()];
+            let (value, detected) = evaluate(g, a, b, &inject);
+            let offsets: Vec<usize> = detected
+                .iter()
+                .enumerate()
+                .filter(|(_, &d)| d)
+                .map(|(s, _)| s * g.r + g.p)
+                .collect();
+            (
+                AddOutcome { value, errors_detected: offsets.len(), correction_iterations: 0 },
+                offsets,
+            )
+        }
+    }
+
+    /// Correction budgets the oracle tests cover: none, zero, one pass,
+    /// and unbounded.
+    const BUDGETS: [Option<usize>; 4] = [None, Some(0), Some(1), Some(usize::MAX)];
+
+    fn assert_matches_vec_model(g: &GeArAdder, a: u64, b: u64) {
+        for budget in BUDGETS {
+            let (got, want) = match budget {
+                None => (g.add(a, b), vec_model::run(g, a, b, 0)),
+                Some(m) => (g.add_with_correction(a, b, m), vec_model::run(g, a, b, m)),
+            };
+            assert_eq!(got, want, "{} budget {budget:?} a={a} b={b}", Adder::name(g));
+        }
+        assert_eq!(g.add_flagged(a, b), vec_model::add_flagged(g, a, b), "a={a} b={b}");
+    }
+
+    #[test]
+    fn mask_model_equals_the_vec_model_exhaustively_to_8_bits() {
+        for n in 1..=8usize {
+            for r in 1..=n {
+                for p in 0..=n - r {
+                    let Ok(g) = GeArAdder::new(n, r, p) else { continue };
+                    for a in 0..1u64 << n {
+                        for b in 0..1u64 << n {
+                            assert_matches_vec_model(&g, a, b);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mask_model_equals_the_vec_model_at_63_sub_adders() {
+        // N = 63, R = 1, P = 0: 63 one-bit sub-adders, so the detection
+        // and injection masks use bit 62, their top sub-adder.
+        let g = GeArAdder::new(63, 1, 0).unwrap();
+        assert_eq!(g.sub_adder_count(), 63);
+        check(
+            "GeAr(63,1,0) equals the vec model",
+            |rng| (rng.gen::<u64>(), rng.gen::<u64>()),
+            |&(a, b)| {
+                for m in [0, 1, usize::MAX] {
+                    prop_assert_eq!(g.add_with_correction(a, b, m), vec_model::run(&g, a, b, m));
+                }
+                prop_assert_eq!(g.add_flagged(a, b), vec_model::add_flagged(&g, a, b));
+                Ok(())
+            },
+        );
+        // Every bit propagates but the lowest generates: the missed carry
+        // reaches the top sub-adder only through the whole chain.
+        let (a, b) = (bits::mask(63), 1u64);
+        for m in [0, 1, 61, 62, usize::MAX] {
+            assert_eq!(g.add_with_correction(a, b, m), vec_model::run(&g, a, b, m), "m={m}");
+        }
+        assert_eq!(g.add_with_correction(a, b, usize::MAX).value, a + b);
+        assert_eq!(g.add_flagged(a, b), vec_model::add_flagged(&g, a, b));
     }
 
     #[test]

@@ -34,9 +34,20 @@ use xlac_core::error::{Result, XlacError};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RippleCarryAdder {
     cells: Vec<FullAdderKind>,
+    /// One past the last approximate cell (0 when every cell is
+    /// accurate): the scalar model walks cells `0..approx_end` and adds
+    /// the accurate span above as one integer add.
+    approx_end: usize,
 }
 
 impl RippleCarryAdder {
+    /// The adder over `cells` (already validated), with the end of its
+    /// approximate prefix fixed once here rather than on every call.
+    fn from_valid_cells(cells: Vec<FullAdderKind>) -> Self {
+        let approx_end = cells.iter().rposition(|c| !c.is_accurate()).map_or(0, |i| i + 1);
+        RippleCarryAdder { cells, approx_end }
+    }
+
     /// An all-accurate ripple-carry adder of `width` bits.
     ///
     /// # Panics
@@ -45,7 +56,7 @@ impl RippleCarryAdder {
     #[must_use]
     pub fn accurate(width: usize) -> Self {
         assert!((1..=64).contains(&width), "adder width {width} out of 1..=64");
-        RippleCarryAdder { cells: vec![FullAdderKind::Accurate; width] }
+        Self::from_valid_cells(vec![FullAdderKind::Accurate; width])
     }
 
     /// A `width`-bit adder whose `approx_lsbs` least-significant cells use
@@ -66,7 +77,7 @@ impl RippleCarryAdder {
         }
         let mut cells = vec![kind; approx_lsbs];
         cells.resize(width, FullAdderKind::Accurate);
-        Ok(RippleCarryAdder { cells })
+        Ok(Self::from_valid_cells(cells))
     }
 
     /// An adder from an explicit cell sequence (index 0 = LSB).
@@ -78,7 +89,7 @@ impl RippleCarryAdder {
         if cells.is_empty() || cells.len() > 64 {
             return Err(XlacError::InvalidWidth { width: cells.len(), max: 64 });
         }
-        Ok(RippleCarryAdder { cells })
+        Ok(Self::from_valid_cells(cells))
     }
 
     /// The per-bit cell sequence (index 0 = LSB).
@@ -143,21 +154,30 @@ impl Adder for RippleCarryAdder {
         self.cells.len()
     }
 
+    /// Walks the cells only up to the last approximate one. The accurate
+    /// cell is the binary full adder (`sum + 2·cout = a + b + cin` on
+    /// every row), so a ripple of accurate cells over bits `e..w` with
+    /// carry-in `c` is exactly the integer sum `(a >> e) + (b >> e) + c`,
+    /// carry-out included; that span is one add.
     fn add(&self, a: u64, b: u64) -> u64 {
         let w = self.cells.len();
         let a = bits::truncate(a, w);
         let b = bits::truncate(b, w);
+        let e = self.approx_end;
         let mut carry = 0u64;
         let mut sum = 0u64;
-        for (i, cell) in self.cells.iter().enumerate() {
+        for (i, cell) in self.cells[..e].iter().enumerate() {
             let (s, c) = cell.eval((a >> i) & 1, (b >> i) & 1, carry);
             sum |= s << i;
             carry = c;
         }
-        // At the full 64-bit width the carry-out has no representable
-        // position: the scalar result is the sum modulo 2^64 (the
-        // bit-sliced `add_x64` still reports the carry as plane 64).
-        if w < 64 {
+        if e < w {
+            // At the full 64-bit width the carry-out has no representable
+            // position: the wrapping add and the shift drop it, so the
+            // scalar result is the sum modulo 2^64 (the bit-sliced
+            // `add_x64` still reports the carry as plane 64).
+            sum | ((a >> e).wrapping_add(b >> e).wrapping_add(carry) << e)
+        } else if w < 64 {
             sum | (carry << w)
         } else {
             sum
@@ -185,6 +205,101 @@ impl Adder for RippleCarryAdder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xlac_core::check::{check, Rng};
+    use xlac_core::prop_assert_eq;
+
+    /// The cell-by-cell [`Adder::add`] that walked every cell through the
+    /// table-load cell evaluation, kept as the oracle of the
+    /// accurate-span add.
+    fn add_cellwise(rca: &RippleCarryAdder, a: u64, b: u64) -> u64 {
+        let w = rca.cells.len();
+        let a = bits::truncate(a, w);
+        let b = bits::truncate(b, w);
+        let mut carry = 0u64;
+        let mut sum = 0u64;
+        for (i, cell) in rca.cells.iter().enumerate() {
+            let (s, c) = cell.eval_table((a >> i) & 1, (b >> i) & 1, carry);
+            sum |= s << i;
+            carry = c;
+        }
+        // At the full 64-bit width the carry-out has no representable
+        // position: the scalar result is the sum modulo 2^64 (the
+        // bit-sliced `add_x64` still reports the carry as plane 64).
+        if w < 64 {
+            sum | (carry << w)
+        } else {
+            sum
+        }
+    }
+
+    #[test]
+    fn accurate_span_add_equals_the_cell_walk_exhaustively_to_8_bits() {
+        for width in 1..=8usize {
+            for kind in FullAdderKind::ALL {
+                for lsbs in 0..=width {
+                    let rca = RippleCarryAdder::with_approx_lsbs(width, kind, lsbs).unwrap();
+                    for a in 0..1u64 << width {
+                        for b in 0..1u64 << width {
+                            assert_eq!(
+                                rca.add(a, b),
+                                add_cellwise(&rca, a, b),
+                                "{} a={a} b={b}",
+                                rca.name()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn accurate_span_add_equals_the_cell_walk_on_mixed_chains() {
+        // An accurate cell between approximate ones stays in the walk;
+        // only the span above the last approximate cell is one add.
+        let rca = RippleCarryAdder::from_cells(vec![
+            FullAdderKind::Apx2,
+            FullAdderKind::Accurate,
+            FullAdderKind::Apx4,
+            FullAdderKind::Accurate,
+            FullAdderKind::Accurate,
+        ])
+        .unwrap();
+        assert_eq!(rca.approx_end, 3);
+        for a in 0u64..32 {
+            for b in 0u64..32 {
+                assert_eq!(rca.add(a, b), add_cellwise(&rca, a, b), "a={a} b={b}");
+            }
+        }
+    }
+
+    #[test]
+    fn wide_approximate_chains_wrap_like_the_cell_walk() {
+        // 64 bits with approximate low cells: the carry-out of the
+        // accurate span wraps off the top, as the cell walk drops it.
+        check(
+            "64-bit RCA with approximate LSBs equals the cell walk",
+            |rng| {
+                let width = if rng.gen_bool(0.5) { 64 } else { rng.gen_range(9..=64usize) };
+                (rng.gen_range(0..6usize), width, rng.gen_range(0..=width), rng.gen(), rng.gen())
+            },
+            |&(kind, width, lsbs, a, b): &(usize, usize, usize, u64, u64)| {
+                // Shrinking may leave the valid range; such inputs pass.
+                let Some(&kind) = FullAdderKind::ALL.get(kind) else { return Ok(()) };
+                let Ok(rca) = RippleCarryAdder::with_approx_lsbs(width, kind, lsbs) else {
+                    return Ok(());
+                };
+                prop_assert_eq!(rca.add(a, b), add_cellwise(&rca, a, b));
+                Ok(())
+            },
+        );
+        for kind in FullAdderKind::APPROXIMATE {
+            let rca = RippleCarryAdder::with_approx_lsbs(64, kind, 5).unwrap();
+            for (a, b) in [(u64::MAX, u64::MAX), (u64::MAX, 1), (1 << 63, 1 << 63)] {
+                assert_eq!(rca.add(a, b), add_cellwise(&rca, a, b), "{kind} a={a} b={b}");
+            }
+        }
+    }
 
     #[test]
     fn accurate_chain_equals_plus() {

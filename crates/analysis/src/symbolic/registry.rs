@@ -50,11 +50,12 @@ use xlac_multipliers::{
 use xlac_obs::{obs_count, obs_gauge, obs_span};
 
 /// Seed for the sampled leg of wide-datapath obligations (deterministic:
-/// CI reproduces the exact same vectors).
-const SAMPLE_SEED: u64 = 0x5EED_DAC6;
+/// CI reproduces the exact same vectors). A `width`-bit datapath's leg
+/// seeds `Xoshiro256StarStar` with `SAMPLE_SEED ^ width`.
+pub const SAMPLE_SEED: u64 = 0x5EED_DAC6;
 
 /// Number of seeded vectors for datapaths too wide to enumerate.
-const SAMPLE_VECTORS: usize = 100_032; // 1563 full 64-lane blocks
+pub const SAMPLE_VECTORS: usize = 100_032; // 1563 full 64-lane blocks
 
 /// Verdict of one proof obligation.
 #[derive(Debug, Clone, PartialEq, Eq)]

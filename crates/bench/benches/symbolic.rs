@@ -9,6 +9,10 @@
 //! audit runs on. All three compute the same numbers (asserted before
 //! timing starts), so the comparison is like for like.
 //!
+//! The `scalar_oracle/...` series time the scalar models the registry's
+//! agreement legs call, in ns per call over each leg's own input set —
+//! the oracles' cost trajectory.
+//!
 //! Besides the harness timing lines, the run emits one
 //! `symbolic_stats/...` JSON line per representative workload with node
 //! counts, ITE memo lookups and hit rate — the engine-health trajectory
@@ -21,11 +25,13 @@ use xlac_adders::hw::ripple_netlist;
 use xlac_adders::{Adder, FullAdderKind, GeArAdder, RippleCarryAdder};
 use xlac_analysis::parse::parse_verilog;
 use xlac_analysis::symbolic::compile::interleaved_operand_vars;
+use xlac_analysis::symbolic::registry;
 use xlac_analysis::symbolic::{
     compile_netlist, compile_raw, exact_metrics, exhaustive_metrics, recursive_calculus,
     truncated_calculus, twins, wallace_calculus, Bdd, ExactMetrics, FALSE,
 };
 use xlac_bench::{black_box, Harness};
+use xlac_core::rng::{Rng, Xoshiro256StarStar};
 use xlac_multipliers::hw::wallace_netlist;
 use xlac_multipliers::{
     Mul2x2Kind, Multiplier, RecursiveMultiplier, SumMode, TruncatedMultiplier, WallaceMultiplier,
@@ -223,10 +229,51 @@ fn bench_calculus() {
     h.bench("recursive32x32_apxour", || black_box(recursive_calculus(&r32).wce_hi()));
 }
 
+/// The scalar models behind the registry's agreement legs, in ns per
+/// call over each leg's own input set: all `2^16` operand pairs for the
+/// 8×8 multipliers, and for GeAr(16,2,6) the leg's seeded vectors (per
+/// 64-lane block, 64 `a` draws then 64 `b` draws, truncated to 16 bits).
+fn bench_scalar_oracles() {
+    let wal = WallaceMultiplier::new(8, FullAdderKind::Apx3, 6).expect("valid Wallace config");
+    let rec = RecursiveMultiplier::new(
+        8,
+        Mul2x2Kind::ApxOur,
+        SumMode::ApproxLsbs { kind: FullAdderKind::Apx2, lsbs: 3 },
+    )
+    .expect("valid recursive configuration");
+    let trunc = TruncatedMultiplier::new(8, 4, true).expect("valid truncated config");
+    let gear = GeArAdder::new(16, 2, 6).expect("shipped GeAr config");
+
+    let exhaustive: Vec<(u64, u64)> = (0..1u64 << 16).map(|x| (x >> 8, x & 0xFF)).collect();
+    let mut rng = Xoshiro256StarStar::seed_from_u64(registry::SAMPLE_SEED ^ 16);
+    let (mut a, mut b) = ([0u64; 64], [0u64; 64]);
+    let mut sampled = Vec::with_capacity(registry::SAMPLE_VECTORS);
+    for _ in 0..registry::SAMPLE_VECTORS / 64 {
+        rng.fill_u64(&mut a);
+        rng.fill_u64(&mut b);
+        sampled.extend(a.iter().zip(&b).map(|(&x, &y)| (x & 0xFFFF, y & 0xFFFF)));
+    }
+
+    let n8 = exhaustive.len() as u64;
+    let mut h = Harness::group("scalar_oracle");
+    h.bench_per_item("wallace8x8_apx3_c6", n8, || over(&exhaustive, |x, y| wal.mul(x, y)));
+    h.bench_per_item("recursive8x8", n8, || over(&exhaustive, |x, y| rec.mul(x, y)));
+    h.bench_per_item("truncated8x8_d4", n8, || over(&exhaustive, |x, y| trunc.mul(x, y)));
+    h.bench_per_item("gear16_r2_p6", sampled.len() as u64, || {
+        over(&sampled, |x, y| gear.add(x, y).value)
+    });
+}
+
+/// Runs `model` on every pair, folding the results so none is elided.
+fn over(pairs: &[(u64, u64)], model: impl Fn(u64, u64) -> u64) -> u64 {
+    pairs.iter().fold(0u64, |acc, &(x, y)| acc.wrapping_add(model(black_box(x), black_box(y))))
+}
+
 fn main() {
     bench_multiplier_metrics();
     bench_adder_metrics();
     bench_equivalence_proof();
     bench_calculus();
+    bench_scalar_oracles();
     report_engine_stats();
 }

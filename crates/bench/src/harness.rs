@@ -102,7 +102,16 @@ impl Harness {
     /// samples and records/prints the summary. The closure's return value
     /// is passed through [`black_box`] so its computation cannot be
     /// elided.
-    pub fn bench<F, R>(&mut self, name: &str, mut f: F) -> &BenchResult
+    pub fn bench<F, R>(&mut self, name: &str, f: F) -> &BenchResult
+    where
+        F: FnMut() -> R,
+    {
+        self.bench_per_item(name, 1, f)
+    }
+
+    /// Like [`Harness::bench`] for a closure that processes `items` items
+    /// per call: every reported time is per item.
+    pub fn bench_per_item<F, R>(&mut self, name: &str, items: u64, mut f: F) -> &BenchResult
     where
         F: FnMut() -> R,
     {
@@ -115,7 +124,7 @@ impl Harness {
                 for _ in 0..iters {
                     black_box(f());
                 }
-                start.elapsed().as_nanos() as f64 / iters as f64
+                start.elapsed().as_nanos() as f64 / (iters * items.max(1)) as f64
             })
             .collect();
         sample_ns.sort_by(|a, b| a.total_cmp(b));

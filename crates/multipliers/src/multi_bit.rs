@@ -119,10 +119,13 @@ impl RecursiveMultiplier {
         let h = w / 2;
         let (al, ah) = (bits::truncate(a, h), bits::field(a, h, h));
         let (bl, bh) = (bits::truncate(b, h), bits::field(b, h, h));
-        let p_ll = self.mul_rec(h, al, bl);
-        let p_lh = self.mul_rec(h, al, bh);
-        let p_hl = self.mul_rec(h, ah, bl);
-        let p_hh = self.mul_rec(h, ah, bh);
+        // The 2×2 level is straight-line code: four block products, no
+        // calls.
+        let sub = |x, y| if h == 2 { self.block.mul(x, y) } else { self.mul_rec(h, x, y) };
+        let p_ll = sub(al, bl);
+        let p_lh = sub(al, bh);
+        let p_hl = sub(ah, bl);
+        let p_hh = sub(ah, bh);
         // p_ll and p_hh occupy disjoint bit ranges: concatenation, no adder.
         let outer = p_ll | (p_hh << w);
         // One w-bit add for the two middle products…
@@ -292,6 +295,58 @@ mod tests {
 
     fn exact_mul(width: usize) -> RecursiveMultiplier {
         RecursiveMultiplier::new(width, Mul2x2Kind::Accurate, SumMode::Accurate).unwrap()
+    }
+
+    /// The recursion that called itself down to every 2×2 block, kept as
+    /// the oracle of the straight-line 2×2 level.
+    fn mul_rec_to_blocks(m: &RecursiveMultiplier, w: usize, a: u64, b: u64) -> u64 {
+        if w == 2 {
+            return m.block.mul(a & 0b11, b & 0b11);
+        }
+        let h = w / 2;
+        let (al, ah) = (bits::truncate(a, h), bits::field(a, h, h));
+        let (bl, bh) = (bits::truncate(b, h), bits::field(b, h, h));
+        let p_ll = mul_rec_to_blocks(m, h, al, bl);
+        let p_lh = mul_rec_to_blocks(m, h, al, bh);
+        let p_hl = mul_rec_to_blocks(m, h, ah, bl);
+        let p_hh = mul_rec_to_blocks(m, h, ah, bh);
+        // p_ll and p_hh occupy disjoint bit ranges: concatenation, no adder.
+        let outer = p_ll | (p_hh << w);
+        // One w-bit add for the two middle products…
+        let mid = m.adder(w).add(p_lh, p_hl);
+        // …and one 2w-bit add to merge them in at offset h.
+        m.adder(2 * w).add(outer, mid << h)
+    }
+
+    #[test]
+    fn straight_line_blocks_equal_the_full_recursion_exhaustively_at_8x8() {
+        let sums = [SumMode::Accurate].into_iter().chain(
+            FullAdderKind::APPROXIMATE
+                .into_iter()
+                .map(|kind| SumMode::ApproxLsbs { kind, lsbs: 3 }),
+        );
+        for sum in sums {
+            for block in Mul2x2Kind::ALL {
+                let m = RecursiveMultiplier::new(8, block, sum).unwrap();
+                for a in 0u64..256 {
+                    for b in 0u64..256 {
+                        let want = bits::truncate(mul_rec_to_blocks(&m, 8, a, b), 16);
+                        assert_eq!(m.mul(a, b), want, "{} {a}x{b}", m.name());
+                    }
+                }
+            }
+        }
+        // Width 2 is a single block, width 32 the deepest recursion.
+        for block in Mul2x2Kind::ALL {
+            let m2 = RecursiveMultiplier::new(2, block, SumMode::Accurate).unwrap();
+            for (a, b) in [(3, 3), (2, 3), (1, 2)] {
+                assert_eq!(m2.mul(a, b), bits::truncate(mul_rec_to_blocks(&m2, 2, a, b), 4));
+            }
+            let m32 = RecursiveMultiplier::new(32, block, SumMode::Accurate).unwrap();
+            for (a, b) in [(u64::from(u32::MAX), u64::from(u32::MAX)), (0xDEAD_BEEF, 0x1234_5678)] {
+                assert_eq!(m32.mul(a, b), mul_rec_to_blocks(&m32, 32, a, b), "{block}");
+            }
+        }
     }
 
     #[test]

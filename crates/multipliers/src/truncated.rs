@@ -38,6 +38,8 @@ pub struct TruncatedMultiplier {
     width: usize,
     dropped: usize,
     compensated: bool,
+    /// [`TruncatedMultiplier::compensation`], fixed at construction.
+    compensation: u64,
 }
 
 impl TruncatedMultiplier {
@@ -60,7 +62,8 @@ impl TruncatedMultiplier {
                 2 * width
             )));
         }
-        Ok(TruncatedMultiplier { width, dropped, compensated })
+        let compensation = if compensated { expected_dropped_mass(width, dropped) } else { 0 };
+        Ok(TruncatedMultiplier { width, dropped, compensated, compensation })
     }
 
     /// Number of eliminated columns.
@@ -81,15 +84,7 @@ impl TruncatedMultiplier {
     /// `E = Σ_{c<k} (c+1) · ¼ · 2^c`, rounded to the nearest integer.
     #[must_use]
     pub fn compensation(&self) -> u64 {
-        if !self.compensated {
-            return 0;
-        }
-        let mut expected = 0.0f64;
-        for c in 0..self.dropped {
-            let products = (c + 1).min(self.width).min(2 * self.width - 1 - c) as f64;
-            expected += products * 0.25 * (1u64 << c) as f64;
-        }
-        expected.round() as u64
+        self.compensation
     }
 
     /// Number of partial products actually generated (the saved AND-gate
@@ -101,28 +96,39 @@ impl TruncatedMultiplier {
     }
 }
 
+/// The expected dropped mass of a `width`-bit multiplier without its
+/// `dropped` low columns under uniform operands: column `c` (< N) holds
+/// `c + 1` partial products, each 1 with probability ¼, so
+/// `E = Σ_{c<k} (c+1) · ¼ · 2^c`, rounded to the nearest integer.
+fn expected_dropped_mass(width: usize, dropped: usize) -> u64 {
+    let mut expected = 0.0f64;
+    for c in 0..dropped {
+        let products = (c + 1).min(width).min(2 * width - 1 - c) as f64;
+        expected += products * 0.25 * (1u64 << c) as f64;
+    }
+    expected.round() as u64
+}
+
 impl Multiplier for TruncatedMultiplier {
     fn width(&self) -> usize {
         self.width
     }
 
+    /// Sums the kept partial-product rows without a branch: row `i` is
+    /// `b << i` where `a_i = 1` (`-a_i` is all ones) and 0 otherwise, with
+    /// the dropped columns `< dropped` masked off.
     fn mul(&self, a: u64, b: u64) -> u64 {
         let a = bits::truncate(a, self.width);
         let b = bits::truncate(b, self.width);
+        let keep = !bits::mask(self.dropped);
         let mut acc = 0u64;
         for i in 0..self.width {
-            if bits::bit(a, i) == 0 {
-                continue;
-            }
-            for j in 0..self.width {
-                if bits::bit(b, j) == 1 && i + j >= self.dropped {
-                    acc += 1u64 << (i + j);
-                }
-            }
+            acc += (b << i) & keep & ((a >> i) & 1).wrapping_neg();
         }
-        // At width 32 the retained mass spans all 64 bits; the wrapping
+        // The kept mass never exceeds `a·b < 2^{2w}`, so `acc` cannot
+        // overflow; at width 32 the compensated sum can, and the wrapping
         // add is exactly the mod-2^{2w} truncation semantics.
-        bits::truncate(acc.wrapping_add(self.compensation()), 2 * self.width)
+        bits::truncate(acc.wrapping_add(self.compensation), 2 * self.width)
     }
 
     fn name(&self) -> String {
@@ -149,7 +155,80 @@ impl Multiplier for TruncatedMultiplier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xlac_core::check::{check, Rng};
     use xlac_core::metrics::exhaustive_binary;
+    use xlac_core::prop_assert_eq;
+
+    /// The bit-by-bit [`Multiplier::mul`] that re-ran the compensation
+    /// loop on every call, kept as the oracle of the row sum.
+    fn mul_bitwise(m: &TruncatedMultiplier, a: u64, b: u64) -> u64 {
+        let compensation = || {
+            if !m.compensated {
+                return 0;
+            }
+            let mut expected = 0.0f64;
+            for c in 0..m.dropped {
+                let products = (c + 1).min(m.width).min(2 * m.width - 1 - c) as f64;
+                expected += products * 0.25 * (1u64 << c) as f64;
+            }
+            expected.round() as u64
+        };
+        let a = bits::truncate(a, m.width);
+        let b = bits::truncate(b, m.width);
+        let mut acc = 0u64;
+        for i in 0..m.width {
+            if bits::bit(a, i) == 0 {
+                continue;
+            }
+            for j in 0..m.width {
+                if bits::bit(b, j) == 1 && i + j >= m.dropped {
+                    acc += 1u64 << (i + j);
+                }
+            }
+        }
+        // At width 32 the retained mass spans all 64 bits; the wrapping
+        // add is exactly the mod-2^{2w} truncation semantics.
+        bits::truncate(acc.wrapping_add(compensation()), 2 * m.width)
+    }
+
+    #[test]
+    fn row_sum_equals_the_bitwise_model_exhaustively_at_8_bits() {
+        for dropped in 0..16 {
+            for compensated in [false, true] {
+                let m = TruncatedMultiplier::new(8, dropped, compensated).unwrap();
+                for a in 0u64..256 {
+                    for b in 0u64..256 {
+                        assert_eq!(m.mul(a, b), mul_bitwise(&m, a, b), "{} {a}x{b}", m.name());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_sum_equals_the_bitwise_model_at_width_32() {
+        // Up to 63 dropped columns: the keep mask's top bit, and the
+        // compensated sum wrapping past 2^64.
+        check(
+            "32-bit truncated row sum equals the bitwise model",
+            |rng| {
+                let dropped = if rng.gen_bool(0.25) { 63 } else { rng.gen_range(0..64usize) };
+                (dropped, rng.gen_bool(0.5), rng.gen::<u64>(), rng.gen::<u64>())
+            },
+            |&(dropped, compensated, a, b)| {
+                let Ok(m) = TruncatedMultiplier::new(32, dropped, compensated) else {
+                    return Ok(());
+                };
+                prop_assert_eq!(m.mul(a, b), mul_bitwise(&m, a, b));
+                Ok(())
+            },
+        );
+        for compensated in [false, true] {
+            let m = TruncatedMultiplier::new(32, 63, compensated).unwrap();
+            let max = u64::from(u32::MAX);
+            assert_eq!(m.mul(max, max), mul_bitwise(&m, max, max));
+        }
+    }
 
     #[test]
     fn zero_truncation_is_exact() {

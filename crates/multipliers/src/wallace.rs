@@ -112,84 +112,106 @@ impl WallaceMultiplier {
     /// `(product, fa_count, ha_count)` where the counts are per-column
     /// totals split into (approximate, accurate) pairs. When `placements`
     /// is given, every cell instantiation is recorded in schedule order.
-    /// The columns are [`Column`] bit stacks, so apart from `placements`
-    /// the walk allocates nothing.
     fn reduce(
         &self,
         operands: Option<(u64, u64)>,
         mut placements: Option<&mut Vec<CellPlacement>>,
     ) -> (u64, [usize; 2], [usize; 2]) {
-        let w = self.width;
-        let cols = 2 * w;
-        // columns[c] holds the live bits (or placeholder 0s in structural
-        // mode) awaiting reduction in column c.
-        let mut columns = [Column::default(); 2 * MAX_WIDTH + 1];
-        for i in 0..w {
-            for j in 0..w {
-                let bit = match operands {
-                    Some((a, b)) => bits::bit(a, i) & bits::bit(b, j),
-                    None => 0,
-                };
-                columns[i + j].push(bit);
-            }
-        }
-
         let mut fa = [0usize; 2]; // [approximate, accurate]
         let mut ha = [0usize; 2];
-        // Carry-save reduction until every column has at most 2 bits.
-        loop {
-            let mut reduced = false;
-            for c in 0..cols {
-                while columns[c].len > 2 {
-                    reduced = true;
-                    let kind = self.cell_for(c);
-                    let slot = usize::from(kind.is_accurate());
-                    let x = columns[c].pop();
-                    let y = columns[c].pop();
-                    let z = columns[c].pop();
-                    let (s, carry) = kind.eval(x, y, z);
-                    columns[c].push(s);
-                    columns[c + 1].push(carry);
-                    fa[slot] += 1;
-                    if let Some(rec) = placements.as_deref_mut() {
-                        rec.push(CellPlacement { column: c, half_adder: false, kind });
-                    }
-                }
-                // Pair off exactly-3→handled above; a half adder fires when
-                // a column of exactly 2 would otherwise stall a longer
-                // column's carry — classic Wallace uses HAs sparsely; we
-                // reduce any 2-bit column whose neighbour still overflows.
-                if columns[c].len == 2 && columns[c + 1].len > 2 {
-                    reduced = true;
-                    let kind = self.cell_for(c);
-                    let slot = usize::from(kind.is_accurate());
-                    let x = columns[c].pop();
-                    let y = columns[c].pop();
-                    let (s, carry) = kind.eval(x, y, 0);
-                    columns[c].push(s);
-                    columns[c + 1].push(carry);
-                    ha[slot] += 1;
-                    if let Some(rec) = placements.as_deref_mut() {
-                        rec.push(CellPlacement { column: c, half_adder: true, kind });
-                    }
-                }
+        let product = self.reduce_with(operands, |cell, n| {
+            let slot = usize::from(cell.kind.is_accurate());
+            if cell.half_adder {
+                ha[slot] += n;
+            } else {
+                fa[slot] += n;
             }
-            if !reduced {
-                break;
+            if let Some(rec) = placements.as_deref_mut() {
+                rec.extend(std::iter::repeat_n(cell, n));
             }
-        }
+        });
+        (product, fa, ha)
+    }
 
-        // Final carry-propagate addition of the two remaining rows.
+    /// The reduction behind [`WallaceMultiplier::reduce`] and
+    /// [`Multiplier::mul`]: returns the product and tells `cells` of each
+    /// run of `n` identical cells in schedule order (`mul` passes a no-op,
+    /// so its walk does per-input work only). The columns are [`Column`]
+    /// bit stacks, so the walk allocates nothing.
+    ///
+    /// The columns reduce in one ascending pass: carries only move up, so
+    /// a column is final once its turn is over. Only the column being
+    /// reduced and the one receiving its carries are live, both in
+    /// registers, and each column's partial products are generated as one
+    /// word when it becomes the receiving one. A run of full adders in one
+    /// column is a chain — each cell pops the sum its predecessor pushed
+    /// plus the two bits below it — so the sum stays in a register and
+    /// joins those two bits as the next truth-table row, and a cell is a
+    /// shift and mask of the kind's [`FullAdderKind::truth_masks`].
+    #[inline]
+    fn reduce_with(
+        &self,
+        operands: Option<(u64, u64)>,
+        mut cells: impl FnMut(CellPlacement, usize),
+    ) -> u64 {
+        let w = self.width;
+        let cols = 2 * w;
+        // Column c stacks a_i·b_{c−i} for ascending i from
+        // i_min = max(0, c − w + 1) (placeholder 0s in structural mode);
+        // with b bit-reversed into `rb` (bit m = b_{w−1−m}), bit k of the
+        // stack is bit k of (a >> i_min) & (rb >> (w − 1 − c + i_min)).
+        let (a, rb) = operands.map_or((0, 0), |(a, b)| (a, b.reverse_bits() >> (64 - w)));
+        let partial_products = |c: usize| {
+            if c + 1 >= cols {
+                return Column::default();
+            }
+            let height = c.min(cols - 2 - c) + 1;
+            let word = (a >> (c + 1).saturating_sub(w)) & (rb >> (w - 1).saturating_sub(c));
+            // height ≤ w ≤ 32, so the shift cannot overflow.
+            Column { bits: word & ((1 << height) - 1), len: height as u32 }
+        };
+
+        // The two rows left for the final carry-propagate addition.
         let mut row0 = 0u64;
         let mut row1 = 0u64;
-        for (c, col) in columns.iter().enumerate().take(cols) {
-            row0 |= col.bit(0) << c;
-            row1 |= col.bit(1) << c;
+        let mut cur = partial_products(0);
+        for c in 0..cols {
+            let mut next = partial_products(c + 1);
+            let kind = self.cell_for(c);
+            let (sum_mask, carry_mask) = kind.truth_masks();
+            let (sum_mask, carry_mask) = (u64::from(sum_mask), u64::from(carry_mask));
+            // Carry-save reduction until the column has at most 2 bits:
+            // each full adder takes 3 bits and leaves 1.
+            if cur.len > 2 {
+                let full_adders = (cur.len - 1) / 2;
+                let mut row = cur.pop3();
+                for _ in 1..full_adders {
+                    next.push((carry_mask >> row) & 1);
+                    row = ((sum_mask >> row) & 1) << 2 | cur.pop2();
+                }
+                next.push((carry_mask >> row) & 1);
+                cur.settle();
+                cur.push((sum_mask >> row) & 1);
+                cells(CellPlacement { column: c, half_adder: false, kind }, full_adders as usize);
+            }
+            // Pair off exactly-3→handled above; a half adder fires when
+            // a column of exactly 2 would otherwise stall a longer
+            // column's carry — classic Wallace uses HAs sparsely; we
+            // reduce any 2-bit column whose neighbour still overflows.
+            if cur.len == 2 && next.len > 2 {
+                let row = cur.pop2() << 1;
+                cur.settle();
+                cur.push((sum_mask >> row) & 1);
+                next.push((carry_mask >> row) & 1);
+                cells(CellPlacement { column: c, half_adder: true, kind }, 1);
+            }
+            row0 |= cur.bit(0) << c;
+            row1 |= cur.bit(1) << c;
+            cur = next;
         }
         // At width 32 the two rows span all 64 bits, so their sum can
         // carry past u64; the wrap is exactly the mod-2^{2w} truncation.
-        let product = bits::truncate(row0.wrapping_add(row1), cols);
-        (product, fa, ha)
+        bits::truncate(row0.wrapping_add(row1), cols)
     }
 }
 
@@ -214,6 +236,7 @@ impl Column {
         self.len += 1;
     }
 
+    #[cfg(test)]
     fn pop(&mut self) -> u64 {
         self.len -= 1;
         let bit = (self.bits >> self.len) & 1;
@@ -221,8 +244,31 @@ impl Column {
         bit
     }
 
-    /// The `i`-th bit from the bottom, 0 past the top (`pop` clears what
-    /// it takes, so no bit is set above the height).
+    /// Pops the top three bits as one truth-table row
+    /// `top << 2 | second << 1 | third` — three [`Column::pop`]s in one
+    /// shift. The popped bits stay set above the height until
+    /// [`Column::settle`].
+    fn pop3(&mut self) -> u64 {
+        self.len -= 3;
+        (self.bits >> self.len) & 7
+    }
+
+    /// Pops the top two bits as `top << 1 | second`, like
+    /// [`Column::pop3`].
+    fn pop2(&mut self) -> u64 {
+        self.len -= 2;
+        (self.bits >> self.len) & 3
+    }
+
+    /// Clears the bits popped since the last push, restoring the
+    /// invariant that no bit is set above the height.
+    fn settle(&mut self) {
+        // A column never holds 64 bits (see `push`), so the shift is safe.
+        self.bits &= (1 << self.len) - 1;
+    }
+
+    /// The `i`-th bit from the bottom, 0 past the top (no bit is set above
+    /// the height once the column is settled).
     fn bit(&self, i: u32) -> u64 {
         (self.bits >> i) & 1
     }
@@ -236,7 +282,7 @@ impl Multiplier for WallaceMultiplier {
     fn mul(&self, a: u64, b: u64) -> u64 {
         let a = bits::truncate(a, self.width);
         let b = bits::truncate(b, self.width);
-        self.reduce(Some((a, b)), None).0
+        self.reduce_with(Some((a, b)), |_, _| {})
     }
 
     fn name(&self) -> String {
@@ -271,6 +317,146 @@ impl Multiplier for WallaceMultiplier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xlac_core::check::{check, Rng};
+    use xlac_core::prop_assert_eq;
+
+    /// The stack walk that popped and pushed one bit at a time through
+    /// memory and loaded every cell from the truth table, kept as the
+    /// oracle of the register-chain reduction.
+    fn reduce_stackwise(
+        m: &WallaceMultiplier,
+        operands: Option<(u64, u64)>,
+        mut placements: Option<&mut Vec<CellPlacement>>,
+    ) -> (u64, [usize; 2], [usize; 2]) {
+        let w = m.width;
+        let cols = 2 * w;
+        // columns[c] holds the live bits (or placeholder 0s in structural
+        // mode) awaiting reduction in column c.
+        let mut columns = [Column::default(); 2 * MAX_WIDTH + 1];
+        for i in 0..w {
+            for j in 0..w {
+                let bit = match operands {
+                    Some((a, b)) => bits::bit(a, i) & bits::bit(b, j),
+                    None => 0,
+                };
+                columns[i + j].push(bit);
+            }
+        }
+
+        let mut fa = [0usize; 2]; // [approximate, accurate]
+        let mut ha = [0usize; 2];
+        // Carry-save reduction until every column has at most 2 bits.
+        loop {
+            let mut reduced = false;
+            for c in 0..cols {
+                while columns[c].len > 2 {
+                    reduced = true;
+                    let kind = m.cell_for(c);
+                    let slot = usize::from(kind.is_accurate());
+                    let x = columns[c].pop();
+                    let y = columns[c].pop();
+                    let z = columns[c].pop();
+                    let (s, carry) = kind.eval(x, y, z);
+                    columns[c].push(s);
+                    columns[c + 1].push(carry);
+                    fa[slot] += 1;
+                    if let Some(rec) = placements.as_deref_mut() {
+                        rec.push(CellPlacement { column: c, half_adder: false, kind });
+                    }
+                }
+                // Pair off exactly-3→handled above; a half adder fires when
+                // a column of exactly 2 would otherwise stall a longer
+                // column's carry — classic Wallace uses HAs sparsely; we
+                // reduce any 2-bit column whose neighbour still overflows.
+                if columns[c].len == 2 && columns[c + 1].len > 2 {
+                    reduced = true;
+                    let kind = m.cell_for(c);
+                    let slot = usize::from(kind.is_accurate());
+                    let x = columns[c].pop();
+                    let y = columns[c].pop();
+                    let (s, carry) = kind.eval(x, y, 0);
+                    columns[c].push(s);
+                    columns[c + 1].push(carry);
+                    ha[slot] += 1;
+                    if let Some(rec) = placements.as_deref_mut() {
+                        rec.push(CellPlacement { column: c, half_adder: true, kind });
+                    }
+                }
+            }
+            if !reduced {
+                break;
+            }
+        }
+
+        // Final carry-propagate addition of the two remaining rows.
+        let mut row0 = 0u64;
+        let mut row1 = 0u64;
+        for (c, col) in columns.iter().enumerate().take(cols) {
+            row0 |= col.bit(0) << c;
+            row1 |= col.bit(1) << c;
+        }
+        // At width 32 the two rows span all 64 bits, so their sum can
+        // carry past u64; the wrap is exactly the mod-2^{2w} truncation.
+        let product = bits::truncate(row0.wrapping_add(row1), cols);
+        (product, fa, ha)
+    }
+
+    /// Every kind at every approximate-column count of an 8×8 tree.
+    fn every_8x8_config() -> impl Iterator<Item = WallaceMultiplier> {
+        FullAdderKind::ALL.into_iter().flat_map(|kind| {
+            (0..=16).map(move |cols| WallaceMultiplier::new(8, kind, cols).unwrap())
+        })
+    }
+
+    #[test]
+    fn register_chain_equals_the_stack_walk_exhaustively_at_8x8() {
+        for m in every_8x8_config() {
+            for a in 0u64..256 {
+                for b in 0u64..256 {
+                    let want = reduce_stackwise(&m, Some((a, b)), None).0;
+                    assert_eq!(m.mul(a, b), want, "{} {a}x{b}", m.name());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn register_chain_keeps_the_schedule_of_the_stack_walk() {
+        for width in 2..=MAX_WIDTH {
+            for kind in [FullAdderKind::Accurate, FullAdderKind::Apx4] {
+                for cols in [0, width / 2, 2 * width] {
+                    let m = WallaceMultiplier::new(width, kind, cols).unwrap();
+                    let (mut got, mut want) = (Vec::new(), Vec::new());
+                    let counts = m.reduce(None, Some(&mut got));
+                    let oracle = reduce_stackwise(&m, None, Some(&mut want));
+                    assert_eq!(counts, oracle, "{}", m.name());
+                    assert_eq!(got, want, "{}", m.name());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn register_chain_equals_the_stack_walk_at_32x32() {
+        // Width 32: the tallest columns (62 bits) and the 64-bit wrap of
+        // the final carry-propagate add.
+        check(
+            "32x32 Wallace equals the stack walk",
+            |rng| (rng.gen_range(0..6usize), rng.gen_range(0..=64usize), rng.gen(), rng.gen()),
+            |&(kind, cols, a, b): &(usize, usize, u64, u64)| {
+                let Some(&kind) = FullAdderKind::ALL.get(kind) else { return Ok(()) };
+                let Ok(m) = WallaceMultiplier::new(32, kind, cols) else { return Ok(()) };
+                let (a, b) = (bits::truncate(a, 32), bits::truncate(b, 32));
+                prop_assert_eq!(m.mul(a, b), reduce_stackwise(&m, Some((a, b)), None).0);
+                Ok(())
+            },
+        );
+        let max = u64::from(u32::MAX);
+        for kind in FullAdderKind::ALL {
+            let m = WallaceMultiplier::new(32, kind, 64).unwrap();
+            assert_eq!(m.mul(max, max), reduce_stackwise(&m, Some((max, max)), None).0);
+        }
+    }
 
     #[test]
     fn exact_wallace_4x4_exhaustive() {

@@ -45,8 +45,9 @@
 #      bitslice bench's JSON lines are recorded into BENCH_bitslice.json
 #      and the symbolic engine's into BENCH_symbolic.json so the
 #      throughput and proof-cost trajectories are tracked in-tree; the
-#      symbolic report also carries the engine's node and memo counters
-#      and the compositional-calculus timings (DESIGN.md §14);
+#      symbolic report also carries the engine's node and memo counters,
+#      the compositional-calculus timings (DESIGN.md §14) and the scalar
+#      oracles' ns per call (DESIGN.md §11.5);
 #   9. the JIT suites (DESIGN.md §13): the differential fuzz suite, the
 #      symbolic golden proofs and the register-allocator fixtures as a
 #      named step, then the jit bench recorded into BENCH_jit.json;
@@ -74,7 +75,8 @@
 #      rule per line of the spec (DESIGN.md §12): the JIT ratio floors
 #      (compiled ≥ interpreted, Wallace 8×8 x8 ≥ 5×), batched error
 #      accumulation (push_lanes) no slower than per-lane push, the
-#      compiled exhaustive Wallace 8×8 ceiling, the 16×16 calculus ceiling, the
+#      compiled exhaustive Wallace 8×8 ceiling, the 16×16 calculus ceiling,
+#      the truncated 8×8 and GeAr(16,2,6) scalar-oracle ceilings, the
 #      serving floors (every request answered, zero errors and
 #      mismatches, mul_smoke ≥ 100k req/s and p99 ≤ 50 ms), the capacity
 #      ratio in [0.5, 2] with zero mismatches, ≥ 20 absint audit entries

@@ -124,7 +124,7 @@ fn set(ids: &[&str]) -> BTreeSet<String> {
 fn shipped_spec_passes_on_the_fixtures() {
     let rules = rules();
     let ids: Vec<&str> = rules.iter().map(|r| r.id.as_str()).collect();
-    assert_eq!(ids.len(), 25, "{ids:?}");
+    assert_eq!(ids.len(), 27, "{ids:?}");
     for report in rules.iter().flat_map(|r| std::iter::once(&r.file).chain(&r.ref_file)) {
         assert!(REPORTS.contains(&report.as_str()), "no fixture for {report}");
     }
@@ -234,6 +234,8 @@ fn each_pushed_value_fails_exactly_its_readers() {
             10_000_001.0,
             &["symbolic.exhaustive.wallace8x8"],
         ),
+        (sym, "scalar_oracle/truncated8x8_d4", "median_ns", 24.1, &["scalar_oracle.truncated8x8"]),
+        (sym, "scalar_oracle/gear16_r2_p6", "median_ns", 48.5, &["scalar_oracle.gear16"]),
         (srv, "server/mul_smoke", "replies", 199_999.0, &["server.mul_smoke.replies"]),
         (srv, "server/mul_smoke", "requests", 200_001.0, &["server.mul_smoke.replies"]),
         (srv, "server/mul_smoke", "errors", 1.0, &["server.mul_smoke.errors"]),
@@ -280,12 +282,12 @@ fn values_on_the_bound_pass() {
     let edges: &[(&str, &str, &str, f64)] = &[
         ("BENCH_jit.json", "metrics_accumulate_65536/push", "median_ns", 616_824.0),
         ("BENCH_symbolic.json", "symbolic_calculus/wallace16x16_apx2_cols8", "median_ns", 1e8),
-        // 5 × the fixture's compiled rca8 median of 374 999 ns.
+        // 5 × the fixture's compiled rca8 median of 180 882 ns.
         (
             "BENCH_symbolic.json",
             "symbolic_rca8_apx3_metrics/exhaustive_65536",
             "median_ns",
-            1_874_995.0,
+            904_410.0,
         ),
         (
             "BENCH_symbolic.json",
@@ -293,6 +295,8 @@ fn values_on_the_bound_pass() {
             "median_ns",
             1e7,
         ),
+        ("BENCH_symbolic.json", "scalar_oracle/truncated8x8_d4", "median_ns", 24.0),
+        ("BENCH_symbolic.json", "scalar_oracle/gear16_r2_p6", "median_ns", 48.4),
         (srv, "server/mul_smoke", "rps", 100_000.0),
         (srv, "server/mul_smoke", "p99_ns", 50_000_000.0),
         (srv, "server/capacity", "ratio", 0.5),
@@ -466,7 +470,7 @@ fn emitters_round_trip_with_the_fields_the_spec_names() {
         }
         checked += 1;
     }
-    assert_eq!(checked, 24);
+    assert_eq!(checked, 26);
 }
 
 #[test]
